@@ -102,18 +102,6 @@ OptionTable make_nserver_option_table() {
   // so the hot read path never crosses shards.
   table.add({"accept_path", "S6: Accept path", OptionType::kEnum,
              {"dispatch", "reuseport"}, "dispatch"});
-  // I/O-backend extension — appended after S6: which kernel machinery the
-  // generated instance's Reactors poll with.  `epoll` is the classic
-  // readiness loop (level-triggered, the default everywhere); `io_uring`
-  // swaps in a completion-driven backend — poll re-arms batch into the
-  // reactor tick's single io_uring_enter, listeners use multishot
-  // IORING_OP_ACCEPT, socket I/O rides per-thread rings, and file loads
-  // become real kernel Proactor reads (IORING_OP_READ into registered
-  // buffers) instead of thread-pool emulation.  The generated main degrades
-  // to epoll at runtime when the kernel probe fails, so one artifact runs
-  // everywhere.
-  table.add({"io_backend", "S7: I/O backend", OptionType::kEnum,
-             {"epoll", "io_uring"}, "epoll"});
 
   table.add_constraint(
       "O2/O8 interaction", [](const OptionSet& set) -> std::string {
@@ -257,11 +245,6 @@ inline constexpr bool kAdaptiveOverload = false;
 inline constexpr bool kReuseportAccept = true;
 //% else
 inline constexpr bool kReuseportAccept = false;
-//% end
-//% if io_backend == "io_uring"
-inline constexpr bool kUringBackend = true;
-//% else
-inline constexpr bool kUringBackend = false;
 //% end
 
 }  // namespace ${app_name}_traits
@@ -644,32 +627,6 @@ inline constexpr bool kCountPerShard = true;
 }  // namespace ${app_name}_gen
 )tmpl";
 
-constexpr const char* kIoConfigHpp = R"tmpl(// Generated: io_uring I/O backend (exists when io_backend = io_uring).
-// The Reactors run completion-driven: socket readiness is oneshot
-// IORING_OP_POLL_ADD re-armed inside each reactor tick's batched SQE
-// submission (level-triggered equivalence — re-arms are free, where epoll
-// pays an epoll_ctl syscall per interest change), listeners stream accepted
-// descriptors through multishot IORING_OP_ACCEPT, socket reads/writes ride
-// per-thread rings, and FileIoService file loads are real kernel Proactor
-// reads (IORING_OP_READ / READ_FIXED into registered buffers).
-#pragma once
-
-#include <cstddef>
-
-namespace ${app_name}_gen {
-
-// Requested backend; the server re-probes at startup and falls back to
-// epoll when io_uring is compiled out or the kernel refuses the ring, so
-// this binary still runs on pre-5.19 kernels and seccomp'd containers.
-inline constexpr bool kIoUringRequested = true;
-// Registered-buffer slabs backing READ_FIXED file loads (engine-owned,
-// pulled from a BufferPool and pinned once).
-inline constexpr std::size_t kUringFileSlabBytes = 64u * 1024u;
-inline constexpr std::size_t kUringFileSlabCount = 16;
-
-}  // namespace ${app_name}_gen
-)tmpl";
-
 constexpr const char* kHooksHpp = R"tmpl(// Generated hook-method stubs for ${app_name}.
 // These are the ONLY methods you implement — the three application-dependent
 // steps of the five-step request cycle (Decode Request, Handle Request,
@@ -912,11 +869,6 @@ int main() {
 //% else
   options.accept_path = cops::nserver::AcceptPath::kDispatch;
 //% end
-//% if io_backend == "io_uring"
-  options.io_backend = cops::nserver::IoBackend::kIoUring;
-//% else
-  options.io_backend = cops::nserver::IoBackend::kEpoll;
-//% end
   options.listen_port = ${listen_port};
   options.listen_backlog = ${app_name}_gen::kListenBacklog;
 
@@ -988,7 +940,6 @@ Option settings baked into this instance:
 | S4 proxy upstream | ${proxy_upstream} |
 | S5 overload | ${overload} |
 | S6 accept path | ${accept_path} |
-| S7 io backend | ${io_backend} |
 
 Implement the hook methods in `hooks.cpp` (the three application-dependent
 steps), then build with CMake, pointing `COPS_NSERVER_ROOT` at the
@@ -1023,8 +974,6 @@ PatternTemplate make_nserver_template() {
                  "overload == \"adaptive\"", kOverloadConfigHpp});
   tmpl.add_file({"shard_config.hpp", "Shard Accept",
                  "accept_path == \"reuseport\"", kShardConfigHpp});
-  tmpl.add_file({"io_config.hpp", "I/O Backend",
-                 "io_backend == \"io_uring\"", kIoConfigHpp});
   tmpl.add_file({"reactor_config.hpp", "Reactor", "", kReactorConfigHpp});
   tmpl.add_file({"acceptor_config.hpp", "Acceptor Event Handler", "",
                  kAcceptorConfigHpp});
@@ -1056,7 +1005,6 @@ OptionSet nserver_http_options() {
   set.set("proxy_upstream", "per_request");
   set.set("overload", "watermark");
   set.set("accept_path", "dispatch");
-  set.set("io_backend", "epoll");
   return set;
 }
 
@@ -1080,7 +1028,6 @@ OptionSet nserver_ftp_options() {
   set.set("proxy_upstream", "per_request");
   set.set("overload", "watermark");
   set.set("accept_path", "dispatch");
-  set.set("io_backend", "epoll");
   return set;
 }
 

@@ -45,13 +45,9 @@ class EventSource {
   virtual Status poll(std::vector<ReadyCallback>& out, int timeout_ms) = 0;
 };
 
-// Base source: socket readiness via epoll (or the io_uring completion loop
-// when constructed with PollBackend::kUring).
+// Base source: socket readiness via epoll.
 class SocketEventSource : public EventSource {
  public:
-  explicit SocketEventSource(PollBackend backend = PollBackend::kEpoll)
-      : poller_(backend) {}
-
   Status register_handler(int fd, EventHandler* handler,
                           uint32_t interest) override;
   Status update_interest(int fd, uint32_t interest) override;

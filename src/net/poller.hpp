@@ -1,14 +1,11 @@
 // OS event-demultiplexing facade underneath the Reactor (the paper's Java
-// implementation sits on java.nio Selector; on Linux that is epoll — or,
-// with `io_backend = io_uring`, a completion ring driven by UringPoller).
+// implementation sits on java.nio Selector; on Linux that is epoll).
 //
-// The backend is chosen at construction and hidden behind one interface;
-// the simulation seam sits *above* the backend split, so sim fds behave
-// identically whichever backend is selected.
+// The simulation seam sits in front of every epoll call, so sim fds never
+// reach the kernel.
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "common/status.hpp"
@@ -17,17 +14,9 @@
 
 namespace cops::net {
 
-class UringPoller;
-
-// Which kernel mechanism drives a Poller.  kUring silently degrades to
-// kEpoll when the io_uring probe fails (compiled out, old kernel, seccomp).
-enum class PollBackend { kEpoll, kUring };
-
 class Poller {
  public:
-  Poller() : Poller(PollBackend::kEpoll) {}
-  explicit Poller(PollBackend backend);
-  ~Poller();
+  Poller();
   Poller(const Poller&) = delete;
   Poller& operator=(const Poller&) = delete;
 
@@ -39,17 +28,10 @@ class Poller {
   // returns the number of ready descriptors.
   Result<size_t> wait(std::vector<ReadyFd>& out, int timeout_ms);
 
-  [[nodiscard]] bool valid() const {
-    return epoll_fd_.valid() || uring_ != nullptr;
-  }
-  // The backend actually in effect (kEpoll after a failed uring probe).
-  [[nodiscard]] PollBackend backend() const {
-    return uring_ != nullptr ? PollBackend::kUring : PollBackend::kEpoll;
-  }
+  [[nodiscard]] bool valid() const { return epoll_fd_.valid(); }
 
  private:
   Fd epoll_fd_;
-  std::unique_ptr<UringPoller> uring_;
 };
 
 }  // namespace cops::net

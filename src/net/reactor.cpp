@@ -4,10 +4,9 @@
 
 namespace cops::net {
 
-Reactor::Reactor(PollBackend backend) {
-  auto base = std::make_unique<SocketEventSource>(backend);
+Reactor::Reactor() {
+  auto base = std::make_unique<SocketEventSource>();
   SocketEventSource& base_ref = *base;
-  poll_backend_ = base_ref.poller().backend();
   auto with_timers = std::make_unique<TimerEventSource>(std::move(base));
   timers_ = with_timers.get();
   auto with_user = std::make_unique<UserEventSource>(std::move(with_timers),

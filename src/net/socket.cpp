@@ -11,7 +11,6 @@
 #include <mutex>
 
 #include "net/transport.hpp"
-#include "net/uring.hpp"
 
 namespace cops::net {
 namespace {
@@ -19,17 +18,13 @@ namespace {
 // Kernel-ABI shims: identical return-value/errno semantics whether the fd
 // is real or simulated, so every retry/short-I/O code path above runs
 // unchanged under simulation.  The sim branch is a constant compare on a
-// register value — never taken in production, and checked *before* the
-// io_uring routing so chaos plans apply identically to both backends.
+// register value — never taken in production.
 
 ssize_t sys_read(int fd, void* buf, size_t len) {
   if (is_sim_fd(fd)) [[unlikely]] {
     const SysResult r = sim_backend()->sim_read(fd, buf, len);
     errno = r.err;
     return r.n;
-  }
-  if (uring_ops_enabled()) [[unlikely]] {
-    return uring_recv(fd, buf, len);
   }
   return ::read(fd, buf, len);
 }
@@ -40,9 +35,6 @@ ssize_t sys_send(int fd, const void* buf, size_t len) {
     errno = r.err;
     return r.n;
   }
-  if (uring_ops_enabled()) [[unlikely]] {
-    return uring_send(fd, buf, len);
-  }
   return ::send(fd, buf, len, MSG_NOSIGNAL);
 }
 
@@ -51,9 +43,6 @@ ssize_t sys_writev(int fd, const struct iovec* iov, int iovcnt) {
     const SysResult r = sim_backend()->sim_writev(fd, iov, iovcnt);
     errno = r.err;
     return r.n;
-  }
-  if (uring_ops_enabled()) [[unlikely]] {
-    return uring_sendmsg(fd, iov, iovcnt);
   }
   // sendmsg rather than writev: scatter-gather with MSG_NOSIGNAL, matching
   // the EPIPE (not SIGPIPE) semantics of the sys_send path.
@@ -91,13 +80,7 @@ int sys_accept(int fd) {
       return static_cast<int>(r.n);
     }
   }
-  // The io_uring backend accepts kernel-side (multishot IORING_OP_ACCEPT)
-  // and stages the results; an empty stage falls through to accept4, which
-  // keeps the EMFILE reserve-descriptor recovery path working unchanged.
-  if (SysResult staged; uring_pop_staged_accept(fd, staged)) [[unlikely]] {
-    errno = staged.err;
-    return static_cast<int>(staged.n);
-  }
+  // Same for the real call: a signal can interrupt accept4.
   int client;
   do {
     client = ::accept4(fd, nullptr, nullptr, SOCK_NONBLOCK | SOCK_CLOEXEC);

@@ -1,216 +1,9 @@
-// io_uring backend — the real kernel Proactor behind `io_backend = io_uring`.
-//
-// The container ships no liburing, so this is a minimal raw-syscall shim:
-// io_uring_setup/enter/register plus the two mmap'd rings, wrapped in
-// UringRing.  On top of it sit three independent pieces:
-//
-//   UringPoller          completion-driven replacement for the epoll Poller.
-//                        Socket readiness is emulated with *oneshot*
-//                        IORING_OP_POLL_ADD re-armed once per reactor tick —
-//                        byte-for-byte level-triggered semantics, which the
-//                        epoll-vs-uring differential suite depends on
-//                        (Connection reads once per event and relies on
-//                        re-delivery).  Listeners get multishot
-//                        IORING_OP_ACCEPT instead: accepted descriptors are
-//                        staged and drained through sys_accept, which is
-//                        drain-to-EAGAIN by construction.
-//   sync-over-ring ops   uring_recv/uring_send/uring_sendmsg route the
-//                        socket shims through a small thread-local ring
-//                        (processor threads do the actual I/O when the
-//                        separate-pool option is on).  MSG_DONTWAIT keeps
-//                        the kernel-ABI errno contract identical to the
-//                        plain syscalls, so every retry path above is
-//                        untouched.
-//   RegisteredBufferPool BufferPool-backed slabs registered with a ring
-//                        (IORING_REGISTER_BUFFERS) for READ_FIXED file
-//                        loads; acquire/release recycles slots allocation-
-//                        free.
-//
-// Everything here sits *below* the simulation seam: sim fds never reach a
-// ring, so every simnet chaos plan applies identically to both backends.
-// When the build disables COPS_WITH_LIBURING (or the runtime probe fails —
-// old kernel, seccomp, RLIMIT_MEMLOCK), uring_available() is false and all
-// users fall back to epoll.
+// Compatibility stub: the server has no io_uring backend, so the probe is
+// always false.  The benchmark's environment line reads it.
 #pragma once
-
-#include <sys/types.h>
-#include <sys/uio.h>
-
-#include <cstddef>
-#include <cstdint>
-#include <memory>
-#include <vector>
-
-#include "common/status.hpp"
-#include "net/transport.hpp"
-
-#if defined(COPS_WITH_LIBURING) && defined(__linux__)
-#define COPS_URING_ENABLED 1
-#else
-#define COPS_URING_ENABLED 0
-#endif
-
-#if COPS_URING_ENABLED
-#include <linux/io_uring.h>
-#endif
-
-namespace cops {
-class BufferPool;
-}
 
 namespace cops::net {
 
-// True when the backend was compiled in (COPS_WITH_LIBURING build option).
-[[nodiscard]] bool uring_compiled();
-
-// Runtime capability probe: io_uring_setup succeeds and the features the
-// backend needs (EXT_ARG timed waits) are present.  Cached after the first
-// call; false on uring-less kernels so callers degrade to epoll (CI-safe).
-[[nodiscard]] bool uring_available();
-
-// Test hook: force uring_available() to report false (fallback testing).
-void test_force_uring_unavailable(bool forced);
-
-// ---- sync-over-ring socket ops -------------------------------------------
-// A process-wide switch flipped by the Server while an io_uring-backed
-// instance is running; the socket shims consult it after the sim-fd check.
-void enable_uring_ops();
-void disable_uring_ops();
-[[nodiscard]] bool uring_ops_enabled();
-
-// Syscall-convention results (-1 + errno).  Fall back to the plain syscall
-// when the calling thread cannot obtain a ring.
-ssize_t uring_recv(int fd, void* buf, size_t len);
-ssize_t uring_send(int fd, const void* buf, size_t len);
-ssize_t uring_sendmsg(int fd, const struct iovec* iov, int iovcnt);
-
-// Pops one staged multishot-accept result for `listen_fd`.  Returns false
-// when the listener has no uring accept stream (caller falls through to
-// accept4).  A staged result follows accept4 semantics: r.n >= 0 is a
-// connected descriptor (already SOCK_NONBLOCK | SOCK_CLOEXEC), r.n < 0
-// exposes r.err (e.g. EMFILE from the kernel-side accept).
-bool uring_pop_staged_accept(int listen_fd, SysResult& r);
-
-#if COPS_URING_ENABLED
-
-// Minimal liburing replacement: one io_uring instance (setup + mmap'd SQ/CQ
-// rings) with SQE queuing, batched submission and CQE reaping.  Not thread-
-// safe; each owner confines a ring to one thread.
-class UringRing {
- public:
-  UringRing() = default;
-  ~UringRing();
-  UringRing(const UringRing&) = delete;
-  UringRing& operator=(const UringRing&) = delete;
-
-  Status init(unsigned entries);
-  [[nodiscard]] bool valid() const { return ring_fd_ >= 0; }
-  [[nodiscard]] int ring_fd() const { return ring_fd_; }
-
-  // Next free submission slot, zeroed; nullptr when the SQ is full (submit
-  // first, then retry).
-  io_uring_sqe* get_sqe();
-  // Submits queued SQEs without waiting.  Returns submitted count or -errno.
-  int submit();
-  // Submits queued SQEs and waits for >= wait_nr completions, up to
-  // timeout_ms (-1 = forever, 0 = poll).  EINTR returns 0 — callers
-  // re-check their completion queue and retry.
-  int submit_and_wait(unsigned wait_nr, int timeout_ms);
-  // Pops one completion if available.
-  bool pop_cqe(io_uring_cqe& out);
-
-  Status register_buffers(const struct iovec* iov, unsigned count);
-  void unregister_buffers();
-
- private:
-  int ring_fd_ = -1;
-  unsigned sq_entries_ = 0;
-  unsigned to_submit_ = 0;
-  // SQ ring mapping.
-  void* sq_ring_ = nullptr;
-  size_t sq_ring_bytes_ = 0;
-  uint32_t* sq_head_ = nullptr;
-  uint32_t* sq_tail_ = nullptr;
-  uint32_t* sq_mask_ = nullptr;
-  uint32_t* sq_array_ = nullptr;
-  io_uring_sqe* sqes_ = nullptr;
-  size_t sqes_bytes_ = 0;
-  // CQ ring mapping (same mapping as SQ with IORING_FEAT_SINGLE_MMAP).
-  void* cq_ring_ = nullptr;
-  size_t cq_ring_bytes_ = 0;
-  uint32_t* cq_head_ = nullptr;
-  uint32_t* cq_tail_ = nullptr;
-  uint32_t* cq_mask_ = nullptr;
-  io_uring_cqe* cqes_ = nullptr;
-};
-
-#endif  // COPS_URING_ENABLED
-
-// Completion-driven Poller backend.  Mirrors the epoll Poller contract
-// exactly (add/modify/remove/wait with kReadable/kWritable/kErrored); the
-// Poller facade forwards to it when constructed with PollBackend::kUring.
-class UringPoller {
- public:
-  // nullptr when the backend is compiled out or the probe fails.
-  static std::unique_ptr<UringPoller> create();
-  ~UringPoller();
-  UringPoller(const UringPoller&) = delete;
-  UringPoller& operator=(const UringPoller&) = delete;
-
-  Status add(int fd, uint32_t interest);
-  Status modify(int fd, uint32_t interest);
-  Status remove(int fd);
-  Result<size_t> wait(std::vector<ReadyFd>& out, int timeout_ms);
-
-  // Introspection for tests.
-  [[nodiscard]] size_t accept_streams() const;
-  [[nodiscard]] uint64_t cqes_reaped() const;
-
-  struct Impl;  // public: shared with the file-scope accept-stage registry
-
- private:
-  UringPoller();
-  std::unique_ptr<Impl> impl_;
-};
-
-// BufferPool-backed slabs registered with a ring for READ_FIXED.  The slots
-// are acquired from the shared BufferPool once, pinned for the lifetime of
-// this object, and recycled through a preallocated freelist — acquire and
-// release never touch the heap.
-class RegisteredBufferPool {
- public:
-  // Pulls `count` blocks out of `source` (each BufferPool::block_bytes()
-  // long).  Blocks go back to the source pool on destruction.
-  RegisteredBufferPool(BufferPool& source, size_t count);
-  ~RegisteredBufferPool();
-  RegisteredBufferPool(const RegisteredBufferPool&) = delete;
-  RegisteredBufferPool& operator=(const RegisteredBufferPool&) = delete;
-
-#if COPS_URING_ENABLED
-  // Registers every slab with `ring` (IORING_REGISTER_BUFFERS).  The slot
-  // index returned by acquire() doubles as the sqe buf_index.
-  Status register_with(UringRing& ring);
-#endif
-
-  // Slot index, or -1 when all slabs are in flight.  Allocation-free.
-  [[nodiscard]] int acquire();
-  void release(int slot);
-
-  [[nodiscard]] uint8_t* data(int slot);
-  [[nodiscard]] size_t slab_bytes() const { return slab_bytes_; }
-  [[nodiscard]] size_t slots() const { return slabs_.size(); }
-  [[nodiscard]] size_t available() const { return free_.size(); }
-  // How many acquisitions were served by a recycled slot (every one after
-  // the first `slots()` distinct acquisitions).
-  [[nodiscard]] uint64_t reuses() const { return reuses_; }
-
- private:
-  BufferPool& source_;
-  size_t slab_bytes_ = 0;
-  std::vector<std::vector<uint8_t>> slabs_;
-  std::vector<int> free_;
-  std::vector<char> handed_out_once_;
-  uint64_t reuses_ = 0;
-};
+[[nodiscard]] inline bool uring_available() { return false; }
 
 }  // namespace cops::net

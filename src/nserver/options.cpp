@@ -60,9 +60,7 @@ const char* to_string(AcceptPath path) {
   return path == AcceptPath::kDispatch ? "Dispatch" : "Reuseport";
 }
 
-const char* to_string(IoBackend backend) {
-  return backend == IoBackend::kEpoll ? "Epoll" : "IoUring";
-}
+const char* to_string(IoBackend) { return "Epoll"; }
 
 std::string ServerOptions::validate() const {
   if (dispatcher_threads < 1) {

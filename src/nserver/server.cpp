@@ -4,7 +4,6 @@
 #include <future>
 
 #include "common/logging.hpp"
-#include "net/uring.hpp"
 #include "nserver/admin_server.hpp"
 
 namespace cops::nserver {
@@ -33,19 +32,8 @@ Status Server::start() {
         options_.cache_capacity_bytes);
     cache_->set_revalidate_interval(options_.cache_revalidate_interval);
   }
-  // S7 io_backend: resolve the requested backend against the runtime probe
-  // before anything that depends on it (reactors, file service) is built.
-  io_backend_effective_ = options_.io_backend;
-  if (io_backend_effective_ == IoBackend::kIoUring &&
-      !net::uring_available()) {
-    COPS_WARN("io_backend=io_uring requested but unavailable "
-              "(compiled out or kernel probe failed); falling back to epoll");
-    io_backend_effective_ = IoBackend::kEpoll;
-  }
   if (options_.completion == CompletionMode::kAsynchronous) {
-    file_service_ = std::make_unique<FileIoService>(
-        options_.file_io_threads,
-        io_backend_effective_ == IoBackend::kIoUring);
+    file_service_ = std::make_unique<FileIoService>(options_.file_io_threads);
   }
 
   EventProcessorConfig pcfg;
@@ -85,16 +73,7 @@ Status Server::start() {
   const int n_reactors = options_.dispatcher_threads;
   for (int i = 0; i < n_reactors; ++i) {
     auto shard = std::make_unique<Shard>();
-    shard->reactor = std::make_unique<net::Reactor>(
-        io_backend_effective_ == IoBackend::kIoUring
-            ? net::PollBackend::kUring
-            : net::PollBackend::kEpoll);
-    if (io_backend_effective_ == IoBackend::kIoUring &&
-        shard->reactor->poll_backend() != net::PollBackend::kUring) {
-      // Ring creation failed after the probe passed (e.g. fd limits):
-      // this shard's Poller already fell back; report epoll overall.
-      io_backend_effective_ = IoBackend::kEpoll;
-    }
+    shard->reactor = std::make_unique<net::Reactor>();
     if (options_.buffer_mgmt == BufferMgmt::kPooled) {
       // Context objects are small; size the slab blocks to fit the object
       // plus shared_ptr control block with headroom, and recycle read-buffer
@@ -180,14 +159,6 @@ Status Server::start() {
     }
   }
 
-  // S7 io_backend: route the socket shims (sys_read/sys_send/sys_writev)
-  // through per-thread rings while this io_uring-backed instance runs.
-  // Process-wide refcounted switch; sim fds are exempt by construction.
-  if (io_backend_effective_ == IoBackend::kIoUring) {
-    net::enable_uring_ops();
-    uring_ops_on_ = true;
-  }
-
   for (size_t i = 0; i < shards_.size(); ++i) {
     shards_[i]->reactor->start_thread("dispatch-" + std::to_string(i));
   }
@@ -228,10 +199,6 @@ void Server::stop() {
   }
   processor_->stop();
   if (file_service_) file_service_->stop();
-  if (uring_ops_on_) {
-    net::disable_uring_ops();
-    uring_ops_on_ = false;
-  }
   if (tracer_) tracer_->dump();
 }
 

@@ -9,7 +9,6 @@
 #define COPS_ALLOC_COUNTER_IMPLEMENT
 #include "bench/alloc_counter.hpp"
 
-#include <cstring>
 #include <fstream>
 #include <string>
 #include <vector>
@@ -17,10 +16,8 @@
 #include <gtest/gtest.h>
 
 #include "bench/request_path_harness.hpp"
-#include "common/buffer_pool.hpp"
 #include "common/byte_buffer.hpp"
 #include "http/request_parser.hpp"
-#include "net/uring.hpp"
 #include "nserver/l1_cache.hpp"
 
 namespace cops::bench {
@@ -134,42 +131,6 @@ TEST(AllocCountTest, L1CacheHitPathIsAllocationFree) {
   EXPECT_EQ(counters.count, 0u)
       << counters.count << " allocations (" << counters.bytes
       << " bytes) leaked into the L1 hit path";
-}
-
-TEST(AllocCountTest, RegisteredBufferRecyclingIsAllocationFree) {
-  // The io_uring file engine recycles READ_FIXED slots from a fixed slab
-  // set registered once at startup.  Steady-state acquire/release cycling
-  // must never touch the heap — otherwise every uring file load would pay
-  // an allocator round-trip the registered buffers exist to avoid.
-  BufferPool slabs(16 * 1024, 8);
-  net::RegisteredBufferPool pool(slabs, 8);
-  std::vector<int> held;
-  held.reserve(8);
-  for (int i = 0; i < 8; ++i) {  // warm-up: first touch maps every slab
-    const int slot = pool.acquire();
-    ASSERT_GE(slot, 0);
-    held.push_back(slot);
-  }
-  for (int slot : held) pool.release(slot);
-  held.clear();
-
-  reset_alloc_counters();
-  for (int round = 0; round < 1024; ++round) {
-    for (int i = 0; i < 8; ++i) {
-      const int slot = pool.acquire();
-      ASSERT_GE(slot, 0);
-      std::memset(pool.data(slot), round & 0xff, 64);
-      held.push_back(slot);
-    }
-    ASSERT_EQ(pool.acquire(), -1);  // exhaustion reports, not allocates
-    for (int slot : held) pool.release(slot);
-    held.clear();
-  }
-  const AllocCounters counters = alloc_counters();
-  EXPECT_EQ(counters.count, 0u)
-      << counters.count << " allocations (" << counters.bytes
-      << " bytes) leaked into the registered-buffer recycle loop";
-  EXPECT_GE(pool.reuses(), 8 * 1024u);
 }
 
 TEST(AllocCountTest, QuickRunEmitsValidJson) {

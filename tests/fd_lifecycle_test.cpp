@@ -6,7 +6,8 @@
 //     bounded while descriptors are exhausted, and accepting resumes once
 //     they free up.
 //   * CLOEXEC everywhere — a fork+exec'd child must inherit no server
-//     descriptors (listeners, connections, epoll, eventfd, io_uring).
+//     descriptors (listeners, connections, epoll, eventfd, and any
+//     io_uring ring a future backend might open).
 //   * load_file TOCTOU — size/mtime must come from the same descriptor
 //     that gets served, even when the path is swapped between any
 //     stat-like step and the open.
@@ -204,6 +205,8 @@ TEST(CloexecTest, ForkedChildInheritsNoServerDescriptors) {
       << "child inherited an epoll instance:\n" << child_fds;
   EXPECT_EQ(child_fds.find("eventfd"), std::string::npos)
       << "child inherited an eventfd:\n" << child_fds;
+  // The server opens no ring today; this guards against one coming back
+  // without CLOEXEC.
   EXPECT_EQ(child_fds.find("io_uring"), std::string::npos)
       << "child inherited an io_uring instance:\n" << child_fds;
   server.stop();

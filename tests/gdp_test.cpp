@@ -4,6 +4,8 @@
 
 #include <cstdlib>
 #include <fstream>
+#include <string>
+#include <vector>
 
 #include "gdp/option.hpp"
 #include "gdp/pattern_template.hpp"
@@ -681,56 +683,57 @@ TEST(NServerTemplate, AcceptPathAppendsWithoutRenumbering) {
   EXPECT_LT(overload_row, accept_row) << "accept_path must append after S5";
 }
 
-TEST(NServerTemplate, IoBackendOptionCrosscutsGeneratedUnits) {
-  const auto tmpl = make_nserver_template();
-  // Both presets default to epoll (the reactive paper servers are
-  // untouched); flipping to io_uring emits the io_config unit and wires
-  // the backend choice into the traits and the options block.
-  auto epoll_set = nserver_http_options();
-  auto uring_set = epoll_set;
-  uring_set.set("io_backend", "io_uring");
-  auto off = tmpl.render_all(epoll_set,
-                             {{"app_name", "A"}, {"listen_port", "0"}});
-  auto on = tmpl.render_all(uring_set,
-                            {{"app_name", "A"}, {"listen_port", "0"}});
-  ASSERT_TRUE(off.is_ok());
-  ASSERT_TRUE(on.is_ok());
-  EXPECT_TRUE(on.value().count("io_config.hpp"));
-  EXPECT_FALSE(off.value().count("io_config.hpp"));
-  EXPECT_NE(on.value().at("traits.hpp").find("kUringBackend = true"),
-            std::string::npos);
-  EXPECT_NE(off.value().at("traits.hpp").find("kUringBackend = false"),
-            std::string::npos);
-  EXPECT_NE(on.value().at("server_main.cpp").find("IoBackend::kIoUring"),
-            std::string::npos);
-  EXPECT_NE(off.value().at("server_main.cpp").find("IoBackend::kEpoll"),
-            std::string::npos);
-  EXPECT_NE(on.value().at("io_config.hpp").find("kIoUringRequested"),
-            std::string::npos);
-  EXPECT_NE(on.value().at("io_config.hpp").find("kUringFileSlabBytes"),
-            std::string::npos);
-  // Both shipped presets stay on epoll.
-  EXPECT_EQ(nserver_http_options().get("io_backend"), "epoll");
-  EXPECT_EQ(nserver_ftp_options().get("io_backend"), "epoll");
-}
-
 TEST(NServerTemplate, IoBackendAppendsWithoutRenumbering) {
-  // io_backend joins Table 2 as its own column while everything already
-  // there stays put; in the README option table it rows after accept_path.
+  // The paper's O1-O12 (with the O11+ export column) keep Table 2's order
+  // and the post-paper S1-S6 append after them.  There is no S7 column and
+  // no S7 row in the generated README option table.
   const auto tmpl = make_nserver_template();
-  auto matrix = tmpl.crosscut();
-  ASSERT_TRUE(matrix.is_ok());
-  EXPECT_TRUE(matrix.value().at("I/O Backend").at("io_backend").existence);
-  EXPECT_TRUE(matrix.value().at("Shard Accept").at("accept_path").existence);
+  std::vector<std::string> columns;
+  for (const auto& spec : tmpl.options().specs()) {
+    columns.push_back(spec.label.substr(0, spec.label.find(':')));
+  }
+  const std::vector<std::string> table2 = {
+      "O1", "O2",   "O3", "O4", "O5", "O6", "O7", "O8", "O9", "O10",
+      "O11", "O12", "O11+", "S1", "S2", "S3", "S4", "S5", "S6"};
+  EXPECT_EQ(columns, table2);
   auto rendered = tmpl.render_all(nserver_http_options(),
                                   {{"app_name", "A"}, {"listen_port", "0"}});
   ASSERT_TRUE(rendered.is_ok());
   const auto& readme = rendered.value().at("README.md");
-  const size_t accept_row = readme.find("S6 accept path");
-  const size_t io_row = readme.find("S7 io backend");
-  ASSERT_NE(accept_row, std::string::npos);
-  ASSERT_NE(io_row, std::string::npos);
-  EXPECT_LT(accept_row, io_row) << "io_backend must append after S6";
+  EXPECT_NE(readme.find("S6 accept path"), std::string::npos);
+  EXPECT_EQ(readme.find("S7"), std::string::npos);
+}
+
+TEST(NServerTemplate, IoBackendOptionCrosscutsGeneratedUnits) {
+  // epoll is the only I/O backend, so io_backend crosscuts nothing: no
+  // "I/O Backend" row in the matrix, no io_config unit or backend trait in
+  // the generated code, and an options file still naming io_backend fails
+  // as an unknown option instead of being silently ignored.
+  const auto tmpl = make_nserver_template();
+  auto matrix = tmpl.crosscut();
+  ASSERT_TRUE(matrix.is_ok());
+  EXPECT_EQ(matrix.value().count("I/O Backend"), 0u);
+  for (const auto& [unit, row] : matrix.value()) {
+    EXPECT_EQ(row.count("io_backend"), 0u) << unit;
+  }
+  auto rendered = tmpl.render_all(nserver_http_options(),
+                                  {{"app_name", "A"}, {"listen_port", "0"}});
+  ASSERT_TRUE(rendered.is_ok());
+  EXPECT_FALSE(rendered.value().count("io_config.hpp"));
+  EXPECT_EQ(rendered.value().at("traits.hpp").find("kUringBackend"),
+            std::string::npos);
+  EXPECT_EQ(rendered.value().at("server_main.cpp").find("io_backend"),
+            std::string::npos);
+
+  auto stale = nserver_http_options();
+  stale.set("io_backend", "epoll");
+  const auto problems =
+      tmpl.options().validate(tmpl.options().with_defaults(stale));
+  ASSERT_EQ(problems.size(), 1u);
+  EXPECT_EQ(problems[0], "unknown option 'io_backend'");
+  EXPECT_FALSE(
+      tmpl.render_all(stale, {{"app_name", "A"}, {"listen_port", "0"}})
+          .is_ok());
 }
 
 TEST(NServerTemplate, ConstraintRejectsAdaptiveOverloadWithoutO9) {
