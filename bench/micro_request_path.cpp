@@ -1,13 +1,13 @@
-// Request-path micro-benchmark: per_request vs pooled buffer management on
-// the same single-connection keep-alive decode loop, persisted as
-// BENCH_request_path.json.
+// Request-path micro-benchmark: the server's pooled decode path vs a
+// fresh-parse comparator on the same single-connection keep-alive decode
+// loop, persisted as BENCH_request_path.json.
 //
 //   micro_request_path [--quick] [--out PATH]
 //
 // Honours COPS_BENCH_QUICK=1 like the figure benches.  Exits non-zero when
 // the emitted JSON fails validation, when pooled performs any steady-state
 // allocation per keep-alive request, or when pooled does not allocate at
-// least 50% fewer bytes than per_request — the regression gates this
+// least 50% fewer bytes than fresh_parse — the regression gates this
 // baseline exists for.
 #define COPS_ALLOC_COUNTER_IMPLEMENT
 #include "alloc_counter.hpp"
@@ -35,9 +35,9 @@ int main(int argc, char** argv) {
     }
   }
 
-  print_header("Request-path baseline (per_request vs pooled)",
+  print_header("Request-path baseline (fresh_parse vs pooled)",
                "Zero-allocation request path: heap allocations per "
-               "keep-alive request per buffer_mgmt mode.");
+               "keep-alive request, pooled vs a fresh parse.");
 
   const RequestPathBenchConfig config =
       env.quick ? request_path_quick_config() : RequestPathBenchConfig{};
@@ -45,7 +45,7 @@ int main(int argc, char** argv) {
   std::vector<RequestPathRow> rows;
   uint64_t checksums[2] = {0, 0};
   size_t mode_index = 0;
-  for (const char* mode : {"per_request", "pooled"}) {
+  for (const char* mode : {"fresh_parse", "pooled"}) {
     rows.push_back(
         run_request_path_mode(config, mode, &checksums[mode_index++]));
     const auto& row = rows.back();
@@ -82,22 +82,22 @@ int main(int argc, char** argv) {
     return 1;
   }
   // Acceptance gate 2: pooled allocates at least 50% fewer bytes per
-  // request than per_request (trivially true when gate 1 holds, but kept
+  // request than fresh_parse (trivially true when gate 1 holds, but kept
   // explicit — it is the documented acceptance criterion and still guards
   // the baseline if gate 1 is ever relaxed).
   if (!(rows[1].alloc_bytes_per_request <=
         0.5 * rows[0].alloc_bytes_per_request)) {
     std::fprintf(stderr,
-                 "FAIL: pooled allocated %.1f B/req vs per_request %.1f "
+                 "FAIL: pooled allocated %.1f B/req vs fresh_parse %.1f "
                  "B/req (want <= 0.5x)\n",
                  rows[1].alloc_bytes_per_request,
                  rows[0].alloc_bytes_per_request);
     return 1;
   }
-  // Sanity: per_request must actually allocate, or the interposer is dead.
+  // Sanity: fresh_parse must actually allocate, or the interposer is dead.
   if (rows[0].steady_allocs == 0) {
     std::fprintf(stderr,
-                 "FAIL: per_request counted zero allocations — the "
+                 "FAIL: fresh_parse counted zero allocations — the "
                  "operator-new interposer is not active\n");
     return 1;
   }

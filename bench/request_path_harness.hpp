@@ -1,21 +1,23 @@
 // Shared machinery for the request-path benchmark (BENCH_request_path.json).
 //
 // Models the receive/decode half of the five-step cycle for one keep-alive
-// connection, in both buffer_mgmt modes, with heap allocations counted by
-// the alloc_counter interposer:
+// connection, with heap allocations counted by the alloc_counter
+// interposer, in two rows:
 //
-//   per_request — fresh HttpRequest per request, moved through the
-//     std::any, context via make_shared (the classical shape);
-//   pooled      — per-connection scratch HttpRequest reused across
-//     requests, a pointer through the std::any, context allocated from a
-//     slab free-list, read buffer adopted from a BufferPool.
+//   pooled      — what the server does: per-connection scratch HttpRequest
+//     reused across requests, a pointer through the std::any, context
+//     allocated from a slab free-list, read buffer adopted from a
+//     BufferPool;
+//   fresh_parse — the harness's own comparator, not a server mode: a fresh
+//     HttpRequest per request moved through the std::any, context via
+//     make_shared.
 //
-// The measured loop is exactly what Server::run_decode does per request:
+// The pooled loop is exactly what Server::run_decode does per request:
 // append the request bytes to the connection's ByteBuffer (the socket
 // read), parse one request out of it, wrap it for Handle, allocate the
 // RequestContext stand-in.  The gate the committed baseline rests on:
 // pooled performs ZERO steady-state allocations per keep-alive request,
-// and at least 50% fewer allocated bytes than per_request.
+// and at least 50% fewer allocated bytes than fresh_parse.
 //
 // Used by both the committed-baseline runner (micro_request_path) and the
 // allocation-counting perf-smoke ctest (alloc_count_test); both define
@@ -199,8 +201,7 @@ inline std::string request_path_rows_to_json(
 }
 
 // Structural validation of the emitted JSON — the perf-smoke gate fails on
-// a malformed file rather than committing garbage (same contract as
-// validate_send_path_json).
+// a malformed file rather than committing garbage.
 inline bool validate_request_path_json(const std::string& text,
                                        std::string* error) {
   int braces = 0;
@@ -229,7 +230,7 @@ inline bool validate_request_path_json(const std::string& text,
   }
   for (const char* key :
        {"\"benchmark\": \"request_path\"", "\"rows\"",
-        "\"mode\": \"per_request\"", "\"mode\": \"pooled\"",
+        "\"mode\": \"fresh_parse\"", "\"mode\": \"pooled\"",
         "\"steady_allocs\"", "\"steady_alloc_bytes\"",
         "\"allocs_per_request\"", "\"alloc_bytes_per_request\"", "\"rps\""}) {
     if (text.find(key) == std::string::npos) {

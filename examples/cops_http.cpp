@@ -24,7 +24,6 @@ void usage() {
       "          [--cache-mb N] [--scheduling] [--overload] [--idle-ms N]\n"
       "          [--overload-mode watermark|adaptive] [--overload-target-ms N]\n"
       "          [--auto-index] [--debug] [--profiling] [--logging]\n"
-      "          [--send-path copy|writev|sendfile] [--sendfile-min BYTES]\n"
       "          [--body-framing content_length|chunked] [--chunked-min BYTES]\n"
       "          [--accept-path dispatch|reuseport] [--backlog N]\n"
       "          [--l1-entries N] [--l1-max-bytes BYTES]\n"
@@ -102,14 +101,6 @@ int main(int argc, char** argv) {
       options.profiling = true;
       options.stats_export = cops::nserver::StatsExport::kAdminHttp;
       options.admin_port = static_cast<uint16_t>(std::atoi(next()));
-    } else if (arg == "--send-path") {
-      const std::string mode = next();
-      options.send_path = mode == "copy" ? cops::nserver::SendPath::kCopy
-                          : mode == "sendfile"
-                              ? cops::nserver::SendPath::kSendfile
-                              : cops::nserver::SendPath::kWritev;
-    } else if (arg == "--sendfile-min") {
-      options.sendfile_min_bytes = static_cast<size_t>(std::atol(next()));
     } else if (arg == "--body-framing") {
       options.body_framing = std::string(next()) == "chunked"
                                  ? cops::nserver::BodyFraming::kChunked

@@ -1,4 +1,4 @@
-// Slab/pool layer for the allocation-free request path (buffer_mgmt=pooled).
+// Slab/pool layer for the allocation-free request path.
 //
 // Three recyclers, all thread-safe, all counting how often they could hand
 // back recycled memory (hit) versus having to grow from the heap (miss):

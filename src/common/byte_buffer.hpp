@@ -48,7 +48,7 @@ class ByteBuffer {
   [[nodiscard]] size_t capacity() const { return data_.capacity(); }
   void clear();
 
-  // ---- storage recycling (buffer_mgmt=pooled) --------------------------
+  // ---- storage recycling (pooled read buffers) -------------------------
   // Replaces the backing store with a (typically pre-reserved, pooled)
   // vector; any buffered bytes are discarded.
   void adopt_storage(std::vector<uint8_t>&& storage);

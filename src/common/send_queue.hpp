@@ -53,8 +53,9 @@ struct SendSegment {
 
 // One encoded reply: the Encode step's product, moved intact into the
 // connection's SendQueue.  `copied_bytes` counts bytes that were
-// materialised into owned storage on the way here (headers always; bodies
-// only on the copy path) — the profiler's bytes-copied-per-reply metric.
+// materialised into owned storage on the way here (headers and chunk
+// framing always; bodies only when inline or flattened) — the profiler's
+// bytes-copied-per-reply metric.
 struct EncodedReply {
   std::vector<SendSegment> segments;
   size_t copied_bytes = 0;

@@ -16,7 +16,7 @@ struct FtpCommand {
 [[nodiscard]] std::optional<FtpCommand> parse_command(std::string_view line);
 
 // Allocation-free variant: parses into `out`, reusing its string capacity
-// (buffer_mgmt=pooled decode path).  Returns false on a syntax error, in
+// (the Decode hook's path).  Returns false on a syntax error, in
 // which case `out` is unspecified.
 bool parse_command_into(std::string_view line, FtpCommand& out);
 

@@ -26,27 +26,18 @@ nserver::DecodeResult FtpAppHooks::decode(nserver::RequestContext& ctx,
     term_len = 1;
   }
   const std::string_view line = in.view().substr(0, line_len);
-  if (ctx.buffer_mgmt() == nserver::BufferMgmt::kPooled) {
-    // Parse straight from the buffer into the session's recycled command
-    // (verb/arg capacities survive across commands — no allocations in
-    // steady state), then consume and pass Handle a pointer.
-    FtpCommand& cmd = session_of(ctx).scratch_command;
-    if (!parse_command_into(line, cmd)) {
-      // Unrecognized syntax is an FTP-level error (500), not a connection
-      // error: keep the session alive.
-      cmd.verb.clear();
-      cmd.arg.assign(line);
-    }
-    in.consume(line_len + term_len);
-    return nserver::DecodeResult::request_ready(std::any(&cmd));
+  // Parse straight from the buffer into the session's recycled command
+  // (verb/arg capacities survive across commands — no allocations in
+  // steady state), then consume and pass Handle a pointer.
+  FtpCommand& cmd = session_of(ctx).scratch_command;
+  if (!parse_command_into(line, cmd)) {
+    // Unrecognized syntax is an FTP-level error (500), not a connection
+    // error: keep the session alive.
+    cmd.verb.clear();
+    cmd.arg.assign(line);
   }
-  const std::string line_copy(line);
   in.consume(line_len + term_len);
-  auto command = parse_command(line_copy);
-  if (!command) {
-    return nserver::DecodeResult::request_ready(FtpCommand{"", line_copy});
-  }
-  return nserver::DecodeResult::request_ready(std::move(*command));
+  return nserver::DecodeResult::request_ready(std::any(&cmd));
 }
 
 std::string FtpAppHooks::encode(nserver::RequestContext& /*ctx*/,
@@ -62,17 +53,8 @@ FtpSession& FtpAppHooks::session_of(nserver::RequestContext& ctx) {
 
 void FtpAppHooks::handle(nserver::RequestContext& ctx, std::any request) {
   commands_.fetch_add(1, std::memory_order_relaxed);
-  // Pooled decode passes a pointer to the session's scratch command;
-  // per_request passes the FtpCommand by value.
-  FtpCommand moved;
-  const FtpCommand* cmdp;
-  if (auto* pp = std::any_cast<FtpCommand*>(&request)) {
-    cmdp = *pp;
-  } else {
-    moved = std::any_cast<FtpCommand>(std::move(request));
-    cmdp = &moved;
-  }
-  const FtpCommand& cmd = *cmdp;
+  // Decode passes a pointer to the session's scratch command.
+  const FtpCommand& cmd = *std::any_cast<FtpCommand*>(request);
   auto& session = session_of(ctx);
 
   if (cmd.verb.empty()) {
@@ -274,7 +256,12 @@ void FtpAppHooks::handle_retr(nserver::RequestContext& ctx,
           ctx.reply(cant_open_data());
           return;
         }
-        auto status = data_conn.value().send_all(file.value()->bytes);
+        // Files of nserver::kSendfileMinBytes or more arrive as an open
+        // descriptor with no bytes in memory.
+        const auto& data = *file.value();
+        auto status = data.fd >= 0
+                          ? data_conn.value().send_file(data.fd, data.fd_size)
+                          : data_conn.value().send_all(data.bytes);
         data_conn.value().close();
         if (!status.is_ok()) {
           ctx.reply(transfer_aborted());
@@ -388,13 +375,6 @@ nserver::ServerOptions CopsFtpServer::default_options() {
   options.mode = nserver::ServerMode::kProduction;                  // O10
   options.profiling = false;                                        // O11
   options.logging = false;                                          // O12
-  // Control-channel replies are short strings; FTP data transfers run on a
-  // separate blocking connection, so the copy path costs nothing here.
-  options.send_path = nserver::SendPath::kCopy;
-  // Command lines are tiny and sessions long-lived; the per-request shape
-  // keeps COPS-FTP as the generated per_request exemplar (contrast with
-  // COPS-HTTP's pooled setting).
-  options.buffer_mgmt = nserver::BufferMgmt::kPerRequest;
   return options;
 }
 

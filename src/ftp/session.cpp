@@ -3,10 +3,13 @@
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <poll.h>
+#include <sys/sendfile.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
 #include <cerrno>
+#include <csignal>
+#include <mutex>
 
 namespace cops::ftp {
 
@@ -26,6 +29,22 @@ Status DataConnection::send_all(const std::string& data) {
         ::send(fd_, data.data() + sent, data.size() - sent, MSG_NOSIGNAL);
     if (n <= 0) return Status::from_errno("data send");
     sent += static_cast<size_t>(n);
+  }
+  return Status::ok();
+}
+
+Status DataConnection::send_file(int file_fd, uint64_t len) {
+  // sendfile has no MSG_NOSIGNAL: a client that drops the data connection
+  // mid-transfer must surface as EPIPE, not kill the server.
+  static std::once_flag sigpipe_once;
+  std::call_once(sigpipe_once, [] { std::signal(SIGPIPE, SIG_IGN); });
+  off_t offset = 0;
+  while (static_cast<uint64_t>(offset) < len) {
+    const ssize_t n = ::sendfile(fd_, file_fd, &offset,
+                                 static_cast<size_t>(len - offset));
+    if (n < 0 && errno == EINTR) continue;
+    if (n < 0) return Status::from_errno("data sendfile");
+    if (n == 0) return Status::io_error("data sendfile: unexpected EOF");
   }
   return Status::ok();
 }

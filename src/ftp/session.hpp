@@ -30,6 +30,9 @@ class DataConnection {
 
   [[nodiscard]] bool valid() const { return fd_ >= 0; }
   Status send_all(const std::string& data);
+  // Sends `len` bytes of the open file `file_fd` from offset 0 with
+  // sendfile(2); fails if the file ends early.
+  Status send_file(int file_fd, uint64_t len);
   // Reads to EOF, up to `max_bytes`.
   Result<std::string> read_all(size_t max_bytes = 64 * 1024 * 1024);
   void close();
@@ -50,8 +53,8 @@ class FtpSession {
   // Pending RNFR source path (consumed by RNTO).
   std::string rename_from;
 
-  // buffer_mgmt=pooled: the Decode hook parses into this recycled command
-  // (verb/arg keep their capacity) and Handle receives a pointer to it.
+  // The Decode hook parses into this recycled command (verb/arg keep their
+  // capacity) and Handle receives a pointer to it.
   // Safe because the pipeline token invariant allows at most one command in
   // flight per connection.
   FtpCommand scratch_command;

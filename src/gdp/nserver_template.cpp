@@ -46,30 +46,14 @@ OptionTable make_nserver_option_table() {
   // column numbering of the original options is preserved.
   table.add({"stats_export", "O11+: Statistics export", OptionType::kEnum,
              {"none", "admin_http"}, "none"});
-  // Send-path extension — also appended after the paper's options so the
-  // Table 1/Table 2 column numbering is preserved: how the Send Reply step
-  // moves encoded bytes to the socket.  `copy` is the classical flat-buffer
-  // write; `writev` gathers owned headers and refcounted cache slices in one
-  // syscall with no body copy; `sendfile` additionally streams large
-  // uncached files from an open descriptor through the kernel.
-  table.add({"send_path", "S1: Send-reply path", OptionType::kEnum,
-             {"copy", "writev", "sendfile"}, "writev"});
-  // Buffer-management extension — appended after S1, again preserving the
-  // earlier column numbering: how the Read Request / Decode Request steps
-  // obtain their working memory.  `per_request` allocates a fresh request
-  // object and grows the read buffer from nothing (the classical shape);
-  // `pooled` recycles read-buffer backing stores and request contexts
-  // through per-shard free-lists and reuses a per-connection scratch
-  // request, making the steady-state request path allocation-free.
-  table.add({"buffer_mgmt", "S2: Buffer management", OptionType::kEnum,
-             {"per_request", "pooled"}, "pooled"});
-  // Body-framing extension — appended after S2, again preserving the
-  // earlier column numbering: how the Encode Reply step frames response
-  // bodies.  `content_length` is the classical one-length-header shape;
-  // `chunked` advertises Transfer-Encoding: chunked and frames large
-  // bodies in fixed windows (RFC 7230 §4.1) — the streaming-reply shape —
-  // with only the tiny framing lines copied, the body segments staying
-  // zero-copy.  Chunked *request* decoding is unconditional either way.
+  // Body-framing extension — appended after the paper's options so the
+  // Table 1/Table 2 column numbering is preserved: how the Encode Reply
+  // step frames response bodies.  `content_length` is the classical
+  // one-length-header shape; `chunked` advertises Transfer-Encoding: chunked
+  // and frames large bodies in fixed windows (RFC 7230 §4.1) — the
+  // streaming-reply shape — with only the tiny framing lines copied, the
+  // body segments staying zero-copy.  Chunked *request* decoding is
+  // unconditional either way.
   table.add({"body_framing", "S3: Body framing", OptionType::kEnum,
              {"content_length", "chunked"}, "content_length"});
   // Proxy-upstream extension — appended after S3, again preserving the
@@ -210,21 +194,6 @@ inline constexpr bool kLogging = false;
 inline constexpr bool kAdminExport = true;
 //% else
 inline constexpr bool kAdminExport = false;
-//% end
-//% if send_path == "copy"
-inline constexpr bool kZeroCopySend = false;
-inline constexpr bool kSendfile = false;
-//% elif send_path == "sendfile"
-inline constexpr bool kZeroCopySend = true;
-inline constexpr bool kSendfile = true;
-//% else
-inline constexpr bool kZeroCopySend = true;
-inline constexpr bool kSendfile = false;
-//% end
-//% if buffer_mgmt == "pooled"
-inline constexpr bool kPooledBuffers = true;
-//% else
-inline constexpr bool kPooledBuffers = false;
 //% end
 //% if body_framing == "chunked"
 inline constexpr bool kChunkedReplies = true;
@@ -455,10 +424,11 @@ inline constexpr std::uint16_t kAdminPort = 0;  // 0 = kernel-assigned
 }  // namespace ${app_name}_gen
 )tmpl";
 
-constexpr const char* kSendConfigHpp = R"tmpl(// Generated: segmented send path (exists when send_path != copy).
+constexpr const char* kSendConfigHpp = R"tmpl(// Generated: segmented send path.
 // The Send Reply step drains a queue of segments — owned header bytes plus
 // refcounted body slices — with one scatter-gather writev per round instead
-// of flattening each reply into a contiguous buffer.
+// of flattening each reply into a contiguous buffer; files of
+// kSendfileMinBytes or more go out through sendfile(2).
 #pragma once
 
 #include <cstddef>
@@ -468,12 +438,10 @@ namespace ${app_name}_gen {
 // Scatter-gather batch per writev call: enough for several pipelined
 // header+body replies in one syscall.
 inline constexpr int kSendIovBatch = 16;
-//% if send_path == "sendfile"
 // Files at or above this size bypass the in-memory cache and go out via
 // sendfile(2) from an open descriptor; smaller files still populate the
 // cache and are gathered by writev.
 inline constexpr std::size_t kSendfileMinBytes = 256u * 1024u;
-//% end
 //% if profiling
 // Profiling (O11) exports the send-path counters: writev calls, bytes
 // materialised into owned buffers, bytes moved by sendfile.
@@ -483,7 +451,7 @@ inline constexpr bool kCountSendPath = true;
 }  // namespace ${app_name}_gen
 )tmpl";
 
-constexpr const char* kBufferConfigHpp = R"tmpl(// Generated: pooled buffer management (exists when buffer_mgmt = pooled).
+constexpr const char* kBufferConfigHpp = R"tmpl(// Generated: pooled buffer management.
 // Each shard owns a slab free-list for request contexts and a free-list of
 // read-buffer backing stores; connections adopt a recycled buffer on accept
 // and return it on close.  Decode hooks reuse a per-connection scratch
@@ -725,9 +693,7 @@ constexpr const char* kServerMainCpp = R"tmpl(// Generated server main for ${app
 //% if stats_export == "admin_http"
 #include "admin_config.hpp"
 //% end
-//% if buffer_mgmt == "pooled"
 #include "buffer_config.hpp"
-//% end
 #include "event_config.hpp"
 //% if body_framing == "chunked"
 #include "framing_config.hpp"
@@ -743,9 +709,7 @@ constexpr const char* kServerMainCpp = R"tmpl(// Generated server main for ${app
 //% end
 #include "hooks.hpp"
 #include "reactor_config.hpp"
-//% if send_path != "copy"
 #include "send_config.hpp"
-//% end
 #include "traits.hpp"
 
 namespace {
@@ -832,20 +796,6 @@ int main() {
   options.stats_export = cops::nserver::StatsExport::kAdminHttp;
   options.admin_host = ${app_name}_gen::kAdminHost;
   options.admin_port = ${app_name}_gen::kAdminPort;
-//% end
-//% if send_path == "sendfile"
-  options.send_path = cops::nserver::SendPath::kSendfile;
-  options.sendfile_min_bytes = ${app_name}_gen::kSendfileMinBytes;
-//% elif send_path == "copy"
-  options.send_path = cops::nserver::SendPath::kCopy;
-//% else
-  options.send_path = cops::nserver::SendPath::kWritev;
-//% end
-//% if buffer_mgmt == "pooled"
-  options.buffer_mgmt = cops::nserver::BufferMgmt::kPooled;
-  options.read_buffer_block_bytes = ${app_name}_gen::kReadBufferBlockBytes;
-//% else
-  options.buffer_mgmt = cops::nserver::BufferMgmt::kPerRequest;
 //% end
 //% if body_framing == "chunked"
   options.body_framing = cops::nserver::BodyFraming::kChunked;
@@ -934,8 +884,6 @@ Option settings baked into this instance:
 | O11 profiling | ${profiling} |
 | O12 logging | ${logging} |
 | O11+ statistics export | ${stats_export} |
-| S1 send-reply path | ${send_path} |
-| S2 buffer management | ${buffer_mgmt} |
 | S3 body framing | ${body_framing} |
 | S4 proxy upstream | ${proxy_upstream} |
 | S5 overload | ${overload} |
@@ -962,10 +910,9 @@ PatternTemplate make_nserver_template() {
                  kCacheConfigHpp});
   tmpl.add_file({"admin_config.hpp", "Admin Endpoint",
                  "stats_export == \"admin_http\"", kAdminConfigHpp});
-  tmpl.add_file({"send_config.hpp", "Send Reply", "send_path != \"copy\"",
-                 kSendConfigHpp});
-  tmpl.add_file({"buffer_config.hpp", "Buffer Management",
-                 "buffer_mgmt == \"pooled\"", kBufferConfigHpp});
+  tmpl.add_file({"send_config.hpp", "Send Reply", "", kSendConfigHpp});
+  tmpl.add_file({"buffer_config.hpp", "Buffer Management", "",
+                 kBufferConfigHpp});
   tmpl.add_file({"framing_config.hpp", "Body Framing",
                  "body_framing == \"chunked\"", kFramingConfigHpp});
   tmpl.add_file({"proxy_config.hpp", "Proxy Upstream",
@@ -999,8 +946,6 @@ OptionSet nserver_http_options() {
   set.set("mode", "production");
   set.set("profiling", "no");
   set.set("logging", "no");
-  set.set("send_path", "writev");
-  set.set("buffer_mgmt", "pooled");
   set.set("body_framing", "content_length");
   set.set("proxy_upstream", "per_request");
   set.set("overload", "watermark");
@@ -1022,8 +967,6 @@ OptionSet nserver_ftp_options() {
   set.set("mode", "production");
   set.set("profiling", "no");
   set.set("logging", "no");
-  set.set("send_path", "copy");
-  set.set("buffer_mgmt", "per_request");
   set.set("body_framing", "content_length");
   set.set("proxy_upstream", "per_request");
   set.set("overload", "watermark");

@@ -10,18 +10,12 @@ namespace cops::http {
 
 nserver::DecodeResult HttpAppHooks::decode(nserver::RequestContext& ctx,
                                            ByteBuffer& in) {
-  // buffer_mgmt (S2): pooled reuses the connection's scratch request and
-  // hands Handle a pointer (zero steady-state allocations per keep-alive
-  // request); per_request builds a fresh HttpRequest and moves it through
-  // the std::any, as the original COPS-HTTP did.
-  const bool pooled = ctx.buffer_mgmt() == nserver::BufferMgmt::kPooled;
-  // The connection state also carries the 100-continue latch, so it exists
-  // in both buffer modes; per_request simply leaves `scratch` unused.
+  // Parse into the connection's scratch request and hand Handle a pointer:
+  // zero steady-state allocations per keep-alive request.
   auto& any_state = ctx.app_state();
   if (!any_state) any_state = std::make_shared<HttpConnState>();
   auto* state = static_cast<HttpConnState*>(any_state.get());
-  HttpRequest local;
-  HttpRequest* request = pooled ? &state->scratch : &local;
+  HttpRequest* request = &state->scratch;
   ParseEvents events;
   switch (parse_request(in, *request, ParseLimits{}, events)) {
     case ParseOutcome::kIncomplete:
@@ -54,10 +48,7 @@ nserver::DecodeResult HttpAppHooks::decode(nserver::RequestContext& ctx,
   if (config_.priority_classifier) {
     priority = config_.priority_classifier(*request);
   }
-  if (pooled) {
-    return nserver::DecodeResult::request_ready(std::any(request), priority);
-  }
-  return nserver::DecodeResult::request_ready(std::move(local), priority);
+  return nserver::DecodeResult::request_ready(std::any(request), priority);
 }
 
 void HttpAppHooks::reply_error(nserver::RequestContext& ctx, StatusCode status,
@@ -67,17 +58,8 @@ void HttpAppHooks::reply_error(nserver::RequestContext& ctx, StatusCode status,
 }
 
 void HttpAppHooks::handle(nserver::RequestContext& ctx, std::any request) {
-  // Pooled decode passes a pointer to the connection's scratch request;
-  // per_request passes the HttpRequest by value.
-  HttpRequest moved;
-  const HttpRequest* reqp;
-  if (auto* pp = std::any_cast<HttpRequest*>(&request)) {
-    reqp = *pp;
-  } else {
-    moved = std::any_cast<HttpRequest>(std::move(request));
-    reqp = &moved;
-  }
-  const HttpRequest& req = *reqp;
+  // Decode passes a pointer to the connection's scratch request.
+  const HttpRequest& req = *std::any_cast<HttpRequest*>(request);
   const bool keep_alive = req.keep_alive();
 
   // O9 shed tier: while overloaded, answer with an explicit 503 instead of
@@ -232,49 +214,10 @@ bool HttpAppHooks::maybe_serve_directory(nserver::RequestContext& ctx,
   return true;
 }
 
-std::string HttpAppHooks::encode(nserver::RequestContext& /*ctx*/,
-                                 std::any response) {
+EncodedReply HttpAppHooks::encode_reply(nserver::RequestContext& /*ctx*/,
+                                        std::any response) {
   responses_.fetch_add(1, std::memory_order_relaxed);
-  return std::any_cast<HttpResponse>(std::move(response)).serialize();
-}
-
-EncodedReply HttpAppHooks::encode_reply(nserver::RequestContext& ctx,
-                                                 std::any response) {
-  responses_.fetch_add(1, std::memory_order_relaxed);
-  const HttpResponse resp = std::any_cast<HttpResponse>(std::move(response));
-  // Inline bodies (errors, listings, 304s) and HEAD replies are small; one
-  // flat buffer is the right shape for them on every send path.
-  if (ctx.send_path() == nserver::SendPath::kCopy || resp.head_only ||
-      !resp.file || resp.file->size() == 0) {
-    return EncodedReply::from_string(resp.serialize());
-  }
-  EncodedReply reply;
-  reply.add_owned(resp.serialize_headers());
-  if (resp.chunked) {
-    // Chunk-framed body (S3): the ~10-byte size/CRLF framing lines are
-    // owned segments, the body windows stay refcounted cache slices or
-    // sendfile ranges — zero-copy is preserved, and the windows match
-    // serialize()'s so every send path emits identical bytes.
-    if (resp.file->fd >= 0) {
-      reply.add_file_chunked(resp.file, resp.file->fd, 0, resp.file->fd_size,
-                             resp.chunk_bytes);
-    } else {
-      reply.add_shared_chunked(resp.file, resp.file->bytes.data(),
-                               resp.file->bytes.size(), resp.chunk_bytes);
-    }
-    reply.add_last_chunk();
-    return reply;
-  }
-  if (resp.file->fd >= 0) {
-    // Large uncached file opened for sendfile: the kernel moves the bytes.
-    reply.add_file(resp.file, resp.file->fd, 0, resp.file->fd_size);
-  } else {
-    // Cached file: gather the cache's bytes directly — no body copy.  The
-    // FileDataPtr keepalive pins the snapshot past cache eviction.
-    reply.add_shared(resp.file, resp.file->bytes.data(),
-                     resp.file->bytes.size());
-  }
-  return reply;
+  return encode_segments(std::any_cast<const HttpResponse&>(response));
 }
 
 nserver::ServerOptions CopsHttpServer::default_options() {
@@ -293,8 +236,6 @@ nserver::ServerOptions CopsHttpServer::default_options() {
   options.mode = nserver::ServerMode::kProduction;                 // O10
   options.profiling = false;                                       // O11
   options.logging = false;                                         // O12
-  options.send_path = nserver::SendPath::kWritev;  // zero-copy reply path
-  options.buffer_mgmt = nserver::BufferMgmt::kPooled;  // S2: recycle buffers
   // S3: length-framed replies — the static-content default.  Chunked reply
   // framing is opt-in (streaming/proxy deployments); chunked *request*
   // decoding is unconditional.

@@ -53,13 +53,13 @@ struct HttpServerConfig {
   std::chrono::milliseconds handle_delay{0};
 };
 
-// Per-connection session state (hung off RequestContext::app_state).  Under
-// buffer_mgmt=pooled the Decode hook parses into `scratch` instead of a
-// fresh HttpRequest — the pipeline token invariant guarantees exactly one
-// request in flight per connection, so the scratch object stays valid until
-// the next decode, which cannot start before Handle resolves.  Across
-// keep-alive requests every string inside keeps its capacity: steady-state
-// decoding allocates nothing.
+// Per-connection session state (hung off RequestContext::app_state).  The
+// Decode hook parses into `scratch` and hands Handle a pointer to it — the
+// pipeline token invariant guarantees exactly one request in flight per
+// connection, so the scratch object stays valid until the next decode,
+// which cannot start before Handle resolves.  Across keep-alive requests
+// every string inside keeps its capacity: steady-state decoding allocates
+// nothing.
 struct HttpConnState {
   HttpRequest scratch;
   // Latch: an interim "100 Continue" has been emitted for the request
@@ -78,14 +78,9 @@ class HttpAppHooks : public nserver::AppHooks {
   nserver::DecodeResult decode(nserver::RequestContext& ctx,
                                ByteBuffer& in) override;
   void handle(nserver::RequestContext& ctx, std::any request) override;
-  std::string encode(nserver::RequestContext& ctx,
-                     std::any response) override;
-  // Segment-producing Encode Reply: owned header block + the body as a
-  // refcounted cache slice (send_path=writev) or an open-fd sendfile segment
-  // (send_path=sendfile).  Falls back to one flat buffer for send_path=copy,
-  // HEAD, and inline bodies.
+  // Encode Reply: encode_segments() of the handled HttpResponse.
   EncodedReply encode_reply(nserver::RequestContext& ctx,
-                                     std::any response) override;
+                            std::any response) override;
 
   [[nodiscard]] uint64_t responses_sent() const { return responses_.load(); }
   [[nodiscard]] const HttpServerConfig& config() const { return config_; }

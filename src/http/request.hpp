@@ -1,12 +1,11 @@
 // Parsed HTTP request.
 //
-// Built for the allocation-free request path (buffer_mgmt=pooled): a
-// connection reuses one HttpRequest as decode scratch across keep-alive
-// requests, so every field recycles its capacity via reset() instead of
-// being re-allocated.  Headers live in a HeaderMap — a flat entry table
-// over one contiguous storage arena — rather than a node-per-header
-// std::map, so parsing a request performs no per-header allocations once
-// the arena has warmed up.
+// Built for the allocation-free request path: a connection reuses one
+// HttpRequest as decode scratch across keep-alive requests, so every field
+// recycles its capacity via reset() instead of being re-allocated.  Headers
+// live in a HeaderMap — a flat entry table over one contiguous storage
+// arena — rather than a node-per-header std::map, so parsing a request
+// performs no per-header allocations once the arena has warmed up.
 #pragma once
 
 #include <cstdint>

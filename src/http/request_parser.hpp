@@ -8,9 +8,8 @@
 // The parser writes into a caller-owned HttpRequest whose fields recycle
 // their capacity (HttpRequest::reset()), so a connection that reuses one
 // scratch request across keep-alive requests parses with zero steady-state
-// heap allocations (buffer_mgmt=pooled).  Chunked bodies decode into the
-// same recycled body string, so the zero-allocation property covers them
-// too.
+// heap allocations.  Chunked bodies decode into the same recycled body
+// string, so the zero-allocation property covers them too.
 #pragma once
 
 #include <cstddef>

@@ -118,9 +118,9 @@ std::string HttpResponse::serialize() const {
     out += bytes;
     return out;
   }
-  // Chunk framing with the same windows encode_reply uses, so copy and
-  // writev send paths emit bit-identical streams.  Exact reserve: per
-  // window a hex size line + CRLF, the data, a CRLF; then "0\r\n\r\n".
+  // Chunk framing with the same windows encode_segments() uses, so both
+  // describe bit-identical streams.  Exact reserve: per window a hex size
+  // line + CRLF, the data, a CRLF; then "0\r\n\r\n".
   const size_t window = chunk_bytes == 0 ? bytes.size() : chunk_bytes;
   size_t framed = 5 /* last chunk */;
   for (size_t at = 0; at < bytes.size(); at += window) {
@@ -137,6 +137,38 @@ std::string HttpResponse::serialize() const {
   }
   out += "0\r\n\r\n";
   return out;
+}
+
+EncodedReply encode_segments(const HttpResponse& resp) {
+  // Inline bodies (errors, listings, 304s) and HEAD replies are small; one
+  // flat buffer is the right shape for them.
+  if (resp.head_only || !resp.file || resp.file->size() == 0) {
+    return EncodedReply::from_string(resp.serialize());
+  }
+  const auto& file = resp.file;
+  EncodedReply reply;
+  reply.add_owned(resp.serialize_headers());
+  if (resp.chunked) {
+    // The ~10-byte size/CRLF framing lines are owned segments, the body
+    // windows stay refcounted cache slices or sendfile ranges — zero-copy
+    // is preserved, and the windows match serialize()'s.
+    if (file->fd >= 0) {
+      reply.add_file_chunked(file, file->fd, 0, file->fd_size,
+                             resp.chunk_bytes);
+    } else {
+      reply.add_shared_chunked(file, file->bytes.data(), file->bytes.size(),
+                               resp.chunk_bytes);
+    }
+    reply.add_last_chunk();
+  } else if (file->fd >= 0) {
+    // Large uncached file opened for sendfile: the kernel moves the bytes.
+    reply.add_file(file, file->fd, 0, file->fd_size);
+  } else {
+    // Cached file: gather the cache's bytes directly — no body copy.  The
+    // FileDataPtr keepalive pins the snapshot past cache eviction.
+    reply.add_shared(file, file->bytes.data(), file->bytes.size());
+  }
+  return reply;
 }
 
 HttpResponse make_error_response(StatusCode status, bool keep_alive) {

@@ -7,6 +7,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/send_queue.hpp"
 #include "http/status_code.hpp"
 #include "nserver/file_io_service.hpp"
 
@@ -24,9 +25,8 @@ struct HttpResponse {
   bool head_only = false;  // HEAD: emit headers, suppress body bytes
   // Chunked transfer coding (RFC 7230 §4.1): the header block advertises
   // "Transfer-Encoding: chunked" instead of Content-Length, and the body is
-  // framed in windows of `chunk_bytes`.  Every send path — serialize() on
-  // copy, segment framing in encode_reply on writev/sendfile — uses the
-  // same windows, so the wire bytes are identical across send paths.
+  // framed in windows of `chunk_bytes`.  serialize() and encode_segments()
+  // use the same windows, so they describe identical wire bytes.
   bool chunked = false;
   size_t chunk_bytes = 64 * 1024;
 
@@ -42,11 +42,18 @@ struct HttpResponse {
   // reply; the body rides as a refcounted slice.
   [[nodiscard]] std::string serialize_headers() const;
 
-  // Serializes status line + headers + body into one flat buffer (the
-  // send_path=copy format), chunk-framing the body when `chunked`.
-  // Reserves the exact size up front.
+  // Serializes status line + headers + body into one flat buffer,
+  // chunk-framing the body when `chunked`.  Reserves the exact size up
+  // front.  The reference encode_segments() must match byte for byte (for a
+  // descriptor-backed file, with the body read from the descriptor).
   [[nodiscard]] std::string serialize() const;
 };
+
+// The reply as send segments: one flat buffer for inline bodies, HEAD and
+// empty files; otherwise an owned header block plus the body as a
+// refcounted cache slice (memory-backed file) or a sendfile range
+// (descriptor-backed file), chunk-framed when `chunked`.
+[[nodiscard]] EncodedReply encode_segments(const HttpResponse& resp);
 
 // Builds a simple HTML error page response.
 [[nodiscard]] HttpResponse make_error_response(StatusCode status,

@@ -20,15 +20,13 @@ Connection::Connection(Server& server, net::Reactor& reactor,
   if (auto addr = socket_.peer_address(); addr.is_ok()) {
     peer_ = addr.value().to_string();
   }
-  // buffer_mgmt=pooled: adopt a recycled read-buffer backing store instead
-  // of growing a fresh vector from nothing.
+  // Adopt a recycled read-buffer backing store instead of growing a fresh
+  // vector from nothing.
   buffer_pool_ = server_.shards_[shard_index_]->read_buffer_pool;
-  if (buffer_pool_) in_.adopt_storage(buffer_pool_->acquire());
+  in_.adopt_storage(buffer_pool_->acquire());
 }
 
-Connection::~Connection() {
-  if (buffer_pool_) buffer_pool_->release(in_.release_storage());
-}
+Connection::~Connection() { buffer_pool_->release(in_.release_storage()); }
 
 void Connection::start() {
   want_read_ = true;

@@ -136,7 +136,7 @@ class Connection : public net::EventHandler,
   std::string peer_;
 
   ByteBuffer in_;
-  // buffer_mgmt=pooled: where in_'s backing store came from and returns to
+  // Where in_'s backing store came from and returns to
   // (in ~Connection — never earlier, a worker may still be decoding from
   // in_ when close() runs).  The connection holds its own reference so the
   // return outlives any Server teardown ordering.

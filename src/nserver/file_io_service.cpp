@@ -5,6 +5,7 @@
 #include <unistd.h>
 
 #include <cerrno>
+#include <cstdint>
 
 namespace cops::nserver {
 
@@ -36,12 +37,11 @@ FileIoService::~FileIoService() { stop(); }
 
 void FileIoService::stop() { pool_.stop(); }
 
-Result<FileDataPtr> FileIoService::read_file(const std::string& path) {
-  return load_file(path, FileLoadOptions{});
-}
+namespace {
 
-Result<FileDataPtr> FileIoService::load_file(const std::string& path,
-                                             const FileLoadOptions& load) {
+// Loads `path`, handing back the open descriptor instead of the bytes when
+// the file has at least `fd_min_bytes`.
+Result<FileDataPtr> open_file(const std::string& path, size_t fd_min_bytes) {
   // TOCTOU-safe: open the descriptor first and derive *everything* —
   // existence, type, size, mtime, bytes — from that one descriptor.  The
   // old stat-then-open shape could serve file B's bytes with file A's
@@ -64,9 +64,8 @@ Result<FileDataPtr> FileIoService::load_file(const std::string& path,
   auto data = std::make_shared<FileData>();
   data->path = path;
   data->mtime_seconds = static_cast<int64_t>(st.st_mtime);
-  if (load.open_for_sendfile &&
-      static_cast<size_t>(st.st_size) >= load.sendfile_min_bytes) {
-    // sendfile-eligible: hand back the open descriptor, no bytes in memory.
+  if (static_cast<size_t>(st.st_size) >= fd_min_bytes) {
+    // sendfile-sized: hand back the open descriptor, no bytes in memory.
     data->fd = fd;
     data->fd_size = static_cast<uint64_t>(st.st_size);
     return FileDataPtr(std::move(data));
@@ -91,21 +90,23 @@ Result<FileDataPtr> FileIoService::load_file(const std::string& path,
   return FileDataPtr(std::move(data));
 }
 
+}  // namespace
+
+Result<FileDataPtr> FileIoService::read_file(const std::string& path) {
+  return open_file(path, SIZE_MAX);
+}
+
+Result<FileDataPtr> FileIoService::load_file(const std::string& path) {
+  return open_file(path, kSendfileMinBytes);
+}
+
 void FileIoService::async_read(std::string path, CompletionToken token,
                                FileCallback callback,
                                CompletionExecutor executor) {
-  async_load(std::move(path), FileLoadOptions{}, token, std::move(callback),
-             std::move(executor));
-}
-
-void FileIoService::async_load(std::string path, FileLoadOptions load,
-                               CompletionToken token, FileCallback callback,
-                               CompletionExecutor executor) {
   (void)token;  // carried by the caller's closure; see header
-  pool_.submit([this, path = std::move(path), load,
-                callback = std::move(callback),
+  pool_.submit([this, path = std::move(path), callback = std::move(callback),
                 executor = std::move(executor)]() mutable {
-    auto result = load_file(path, load);
+    auto result = load_file(path);
     completed_.fetch_add(1, std::memory_order_relaxed);
     executor([callback = std::move(callback), result = std::move(result)] {
       callback(result);

@@ -23,9 +23,10 @@
 namespace cops::nserver {
 
 // An open-and-read file snapshot ("File Handle" + contents in one immutable
-// object; shared by the cache and in-flight replies).  On the sendfile send
-// path a large uncached file is *opened*, not read: `fd` then holds the
-// descriptor (owned — closed on destruction) and `bytes` stays empty.
+// object; shared by the cache and in-flight replies).  A file of
+// kSendfileMinBytes or more is *opened*, not read: `fd` then holds the
+// descriptor (owned — closed on destruction), `bytes` stays empty, and the
+// reply goes out through sendfile(2) without the bytes entering user space.
 struct FileData {
   std::string path;
   std::string bytes;
@@ -45,12 +46,11 @@ struct FileData {
 
 using FileDataPtr = std::shared_ptr<const FileData>;
 
-// How fetch misses are materialised (see ServerOptions::send_path).
-struct FileLoadOptions {
-  // Open files >= sendfile_min_bytes for sendfile instead of reading them.
-  bool open_for_sendfile = false;
-  size_t sendfile_min_bytes = 0;
-};
+// Files at or above this size load as an open descriptor: they bypass the
+// cache, which keeps holding the small, hot files, and are sent with
+// sendfile(2).  Smaller files are read, cached and gathered with writev.
+inline constexpr size_t kSendfileMinBytes = 256 * 1024;
+
 using FileCallback = std::function<void(Result<FileDataPtr>)>;
 // Runs a completion on the appropriate event flow (see class comment).
 using CompletionExecutor = std::function<void(std::function<void()>)>;
@@ -60,24 +60,18 @@ class FileIoService {
   explicit FileIoService(size_t threads);
   ~FileIoService();
 
-  // Blocking read of a whole file (used in synchronous completion mode O4,
-  // and internally by the async path).
+  // Blocking read of a whole file into memory, whatever its size.
   static Result<FileDataPtr> read_file(const std::string& path);
-  // Blocking load honouring FileLoadOptions: either a full read (cacheable,
-  // memory-backed) or — for sendfile-eligible sizes — an open descriptor.
-  static Result<FileDataPtr> load_file(const std::string& path,
-                                       const FileLoadOptions& load);
+  // Blocking load (synchronous completion mode O4, and the async path): a
+  // full read below kSendfileMinBytes, an open descriptor at or above it.
+  static Result<FileDataPtr> load_file(const std::string& path);
 
-  // Asynchronous read: performs the blocking I/O on the pool, then invokes
-  // `callback` via `executor`.  `token` travels with the request purely for
-  // the caller's correlation (ACT pattern); this service does not interpret
-  // it.
+  // Asynchronous load_file: performs the blocking I/O on the pool, then
+  // invokes `callback` via `executor`.  `token` travels with the request
+  // purely for the caller's correlation (ACT pattern); this service does not
+  // interpret it.
   void async_read(std::string path, CompletionToken token,
                   FileCallback callback, CompletionExecutor executor);
-  // async_read with FileLoadOptions (the sendfile-aware variant).
-  void async_load(std::string path, FileLoadOptions load,
-                  CompletionToken token, FileCallback callback,
-                  CompletionExecutor executor);
 
   void stop();
 

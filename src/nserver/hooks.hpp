@@ -92,7 +92,7 @@ class AppHooks {
   // default wraps encode() into a single owned segment, so protocols that
   // only implement the string hook behave exactly as before.  Zero-copy
   // protocols override it to emit owned header bytes plus refcounted body
-  // slices (see ctx.send_path() and HttpAppHooks::encode_reply).
+  // slices (see HttpAppHooks::encode_reply).
   virtual EncodedReply encode_reply(RequestContext& ctx, std::any response) {
     return EncodedReply::from_string(encode(ctx, std::move(response)));
   }

@@ -31,19 +31,6 @@ const char* to_string(StatsExport mode) {
   return mode == StatsExport::kNone ? "None" : "AdminHttp";
 }
 
-const char* to_string(SendPath path) {
-  switch (path) {
-    case SendPath::kCopy: return "Copy";
-    case SendPath::kWritev: return "Writev";
-    case SendPath::kSendfile: return "Sendfile";
-  }
-  return "?";
-}
-
-const char* to_string(BufferMgmt mgmt) {
-  return mgmt == BufferMgmt::kPerRequest ? "PerRequest" : "Pooled";
-}
-
 const char* to_string(BodyFraming framing) {
   return framing == BodyFraming::kContentLength ? "ContentLength" : "Chunked";
 }
@@ -128,14 +115,6 @@ std::string ServerOptions::validate() const {
       return "overload: overload_retry_after_max must be >= "
              "overload_retry_after";
     }
-  }
-  if (send_path == SendPath::kSendfile && sendfile_min_bytes == 0) {
-    return "send_path: sendfile needs a positive size threshold "
-           "(sendfile_min_bytes) so small files still populate the cache";
-  }
-  if (buffer_mgmt == BufferMgmt::kPooled && read_buffer_block_bytes == 0) {
-    return "buffer_mgmt: pooled buffers need a positive block size "
-           "(read_buffer_block_bytes)";
   }
   if (body_framing == BodyFraming::kChunked && reply_chunk_bytes == 0) {
     return "body_framing: chunked replies need a positive chunk window "

@@ -52,30 +52,6 @@ enum class StatsExport {
   kAdminHttp,  // second listener serving /stats, /stats.json, /healthz
 };
 
-// Send-path option: how the Send Reply step moves encoded replies to the
-// socket.  kCopy is the original single-string path (Encode materialises
-// one flat buffer); kWritev keeps header bytes and refcounted body slices
-// as separate segments and drains them with one scatter-gather syscall
-// (zero body copies on cache hits); kSendfile additionally routes large
-// uncached files through sendfile(2) so their bytes never enter user space.
-enum class SendPath {
-  kCopy,
-  kWritev,
-  kSendfile,
-};
-
-// Buffer-management option: how the receive half of the request cycle gets
-// its memory.  kPerRequest is the naive path — a fresh read buffer per
-// connection, a fresh request object and RequestContext per request.
-// kPooled recycles all three: connection read buffers come from a per-shard
-// BufferPool, Decode hooks reuse a per-connection scratch request parsed
-// in place, and RequestContexts are allocated from a per-shard slab
-// free-list — zero steady-state allocations per keep-alive request.
-enum class BufferMgmt {
-  kPerRequest,
-  kPooled,
-};
-
 // Body-framing option: how the Encode Reply step frames response bodies on
 // the wire.  kContentLength is the classic static-content shape — one
 // length header, body bytes verbatim.  kChunked advertises
@@ -139,8 +115,6 @@ enum class IoBackend {
 [[nodiscard]] const char* to_string(CachePolicyKind kind);
 [[nodiscard]] const char* to_string(ServerMode mode);
 [[nodiscard]] const char* to_string(StatsExport mode);
-[[nodiscard]] const char* to_string(SendPath path);
-[[nodiscard]] const char* to_string(BufferMgmt mgmt);
 [[nodiscard]] const char* to_string(BodyFraming framing);
 [[nodiscard]] const char* to_string(UpstreamMode mode);
 [[nodiscard]] const char* to_string(OverloadMode mode);
@@ -232,23 +206,7 @@ struct ServerOptions {
   // O12: logging.
   bool logging = false;
 
-  // Send-path option (appended after O12, like stats_export, to preserve
-  // the paper's option numbering).  See enum SendPath.
-  SendPath send_path = SendPath::kWritev;
-  // kSendfile only: files at or above this size that miss the cache are
-  // opened (not read) and transmitted with sendfile(2); smaller files take
-  // the normal read-and-cache path.
-  size_t sendfile_min_bytes = 256 * 1024;
-
-  // Buffer-management option (appended after send_path to preserve the
-  // paper's option numbering).  See enum BufferMgmt.
-  BufferMgmt buffer_mgmt = BufferMgmt::kPooled;
-  // kPooled only: initial capacity of pooled connection read buffers (they
-  // still grow past it on demand, and the grown capacity is what the pool
-  // recycles).  Also sizes the RequestContext slab blocks.
-  size_t read_buffer_block_bytes = 16 * 1024;
-
-  // Body-framing option (appended after buffer_mgmt to preserve the paper's
+  // Body-framing option (S3, appended after O12 to preserve the paper's
   // option numbering).  See enum BodyFraming.
   BodyFraming body_framing = BodyFraming::kContentLength;
   // kChunked only: HTTP/1.1 file replies at or above this size are sent

@@ -69,9 +69,8 @@ struct ProfilerSnapshot {
   uint64_t send_bytes_copied = 0;      // bytes materialised per reply path
   uint64_t send_sendfile_bytes = 0;    // bytes moved by sendfile(2)
   uint64_t send_chunked_replies = 0;   // replies framed with chunked coding
-  // buffer_mgmt=pooled recycler totals, aggregated over every shard's
-  // context slab + read-buffer pool by Server::profile() (all three stay 0
-  // under per_request).
+  // Recycler totals, aggregated over every shard's context slab +
+  // read-buffer pool by Server::profile().
   uint64_t pool_hits = 0;        // allocations served from a free-list
   uint64_t pool_misses = 0;      // pool had to grow (or oversize fallback)
   uint64_t pool_alloc_bytes = 0; // heap bytes the pools pulled in total

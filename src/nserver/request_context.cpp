@@ -69,14 +69,6 @@ void RequestContext::note_shed() {
 
 TraceContext& RequestContext::trace() { return conn_->trace(); }
 
-SendPath RequestContext::send_path() const {
-  return server_.options_.send_path;
-}
-
-BufferMgmt RequestContext::buffer_mgmt() const {
-  return server_.options_.buffer_mgmt;
-}
-
 BodyFraming RequestContext::body_framing() const {
   return server_.options_.body_framing;
 }

@@ -77,15 +77,6 @@ class RequestContext : public std::enable_shared_from_this<RequestContext> {
   // own reference stamps; the framework resets it per request.
   [[nodiscard]] TraceContext& trace();
 
-  // The server's configured send path.  Encode hooks consult this to decide
-  // between a flat serialized reply (kCopy) and header/body segments.
-  [[nodiscard]] SendPath send_path() const;
-
-  // The server's configured buffer management (S2).  Decode hooks consult
-  // this to decide between per-request objects and a per-connection scratch
-  // request recycled across keep-alive requests.
-  [[nodiscard]] BufferMgmt buffer_mgmt() const;
-
   // The server's configured reply body framing (S3) and its thresholds.
   // Handle/Encode hooks consult these to decide between Content-Length and
   // chunked transfer coding on the reply side.

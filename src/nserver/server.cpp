@@ -8,6 +8,13 @@
 
 namespace cops::nserver {
 
+namespace {
+// Initial capacity of a connection's pooled read buffer.  A larger request
+// grows the buffer on the heap (a pool miss), and the grown capacity is
+// what the pool recycles.
+constexpr size_t kReadBufferBlockBytes = 16 * 1024;
+}  // namespace
+
 Server::Server(ServerOptions options, std::shared_ptr<AppHooks> hooks)
     : options_(std::move(options)), hooks_(std::move(hooks)) {}
 
@@ -74,15 +81,13 @@ Status Server::start() {
   for (int i = 0; i < n_reactors; ++i) {
     auto shard = std::make_unique<Shard>();
     shard->reactor = std::make_unique<net::Reactor>();
-    if (options_.buffer_mgmt == BufferMgmt::kPooled) {
-      // Context objects are small; size the slab blocks to fit the object
-      // plus shared_ptr control block with headroom, and recycle read-buffer
-      // backing stores at the configured block size.
-      shard->ctx_pool = std::make_shared<SlabPool>(
-          sizeof(RequestContext) + 128, /*blocks_per_chunk=*/64);
-      shard->read_buffer_pool =
-          std::make_shared<BufferPool>(options_.read_buffer_block_bytes);
-    }
+    // Context objects are small; size the slab blocks to fit the object
+    // plus shared_ptr control block with headroom, and recycle read-buffer
+    // backing stores of kReadBufferBlockBytes.
+    shard->ctx_pool = std::make_shared<SlabPool>(
+        sizeof(RequestContext) + 128, /*blocks_per_chunk=*/64);
+    shard->read_buffer_pool =
+        std::make_shared<BufferPool>(kReadBufferBlockBytes);
     if (cache_ && options_.cache_l1_entries > 0) {
       shard->l1_cache = std::make_unique<L1FileCache>(
           options_.cache_l1_entries, options_.cache_l1_entry_max_bytes,
@@ -423,16 +428,11 @@ void Server::remove_connection(Connection& conn) {
 
 RequestContextPtr Server::make_context(
     const std::shared_ptr<Connection>& conn) {
-  if (options_.buffer_mgmt == BufferMgmt::kPooled) {
-    const auto& pool = shards_[conn->shard_index()]->ctx_pool;
-    if (pool) {
-      // Object + control block in one slab block: the per-request context
-      // allocation becomes a free-list pop.
-      return std::allocate_shared<RequestContext>(
-          PoolAllocator<RequestContext>(pool), *this, conn);
-    }
-  }
-  return std::make_shared<RequestContext>(*this, conn);
+  // Object + control block in one slab block: the per-request context
+  // allocation becomes a free-list pop.
+  return std::allocate_shared<RequestContext>(
+      PoolAllocator<RequestContext>(shards_[conn->shard_index()]->ctx_pool),
+      *this, conn);
 }
 
 void Server::submit_decode(const std::shared_ptr<Connection>& conn) {
@@ -594,12 +594,9 @@ void Server::fetch_file(RequestContextPtr ctx, std::string path,
       return;
     }
   }
-  // send_path = sendfile: large cache misses come back as open descriptors
+  // Misses of kSendfileMinBytes or more come back as open descriptors
   // (drained by the connection with sendfile) instead of in-memory bytes;
   // they bypass the cache, which keeps holding the small, hot files.
-  FileLoadOptions load;
-  load.open_for_sendfile = options_.send_path == SendPath::kSendfile;
-  load.sendfile_min_bytes = options_.sendfile_min_bytes;
   if (options_.completion == CompletionMode::kAsynchronous && file_service_) {
     CompletionToken token{ctx->conn_->id(), ctx->conn_->generation()};
     const int priority = ctx->priority();
@@ -612,8 +609,8 @@ void Server::fetch_file(RequestContextPtr ctx, std::string path,
       event.action = std::move(fn);
       processor_->submit(std::move(event));
     };
-    file_service_->async_load(
-        path, load, token,
+    file_service_->async_read(
+        path, token,
         [this, ctx, l1, path,
          done = std::move(done)](Result<FileDataPtr> result) {
           if (result.is_ok() && cache_ && result.value()->fd < 0) {
@@ -629,7 +626,7 @@ void Server::fetch_file(RequestContextPtr ctx, std::string path,
         std::move(executor));
   } else {
     // Synchronous completions (O4): block this processor thread.
-    auto result = FileIoService::load_file(path, load);
+    auto result = FileIoService::load_file(path);
     if (result.is_ok() && cache_ && result.value()->fd < 0) {
       cache_->insert(path, result.value());
       if (l1) {
@@ -691,44 +688,34 @@ void Server::build_overload_manager() {
         [this] { return static_cast<double>(num_connections_.load()); },
         static_cast<double>(options_.max_connections)));
   }
-  if (options_.buffer_mgmt == BufferMgmt::kPooled) {
-    // A rising pool-miss fraction means the recyclers are growing — the
-    // request path left its zero-allocation steady state.  50% misses in a
-    // tick window maps to pressure 1.0.
-    auto misses = [this] {
-      uint64_t n = 0;
-      for (const auto& shard : shards_) {
-        if (shard->ctx_pool) n += shard->ctx_pool->misses();
-        if (shard->read_buffer_pool) n += shard->read_buffer_pool->misses();
-      }
-      return n;
-    };
-    auto requests = [this] {
-      uint64_t n = 0;
-      for (const auto& shard : shards_) {
-        if (shard->ctx_pool) {
-          n += shard->ctx_pool->hits() + shard->ctx_pool->misses();
-        }
-        if (shard->read_buffer_pool) {
-          n += shard->read_buffer_pool->hits() +
-               shard->read_buffer_pool->misses();
-        }
-      }
-      return n;
-    };
-    overload_mgr_->add_monitor(std::make_unique<RateMonitor>(
-        "pool_miss_rate", std::move(misses), std::move(requests), 0.5));
-  }
+  // A rising pool-miss fraction means the recyclers are growing — the
+  // request path left its zero-allocation steady state.  50% misses in a
+  // tick window maps to pressure 1.0.
+  auto misses = [this] {
+    uint64_t n = 0;
+    for (const auto& shard : shards_) {
+      n += shard->ctx_pool->misses() + shard->read_buffer_pool->misses();
+    }
+    return n;
+  };
+  auto requests = [this] {
+    uint64_t n = 0;
+    for (const auto& shard : shards_) {
+      n += shard->ctx_pool->hits() + shard->ctx_pool->misses() +
+           shard->read_buffer_pool->hits() + shard->read_buffer_pool->misses();
+    }
+    return n;
+  };
+  overload_mgr_->add_monitor(std::make_unique<RateMonitor>(
+      "pool_miss_rate", std::move(misses), std::move(requests), 0.5));
   if (options_.overload_max_heap_bytes > 0) {
     overload_mgr_->add_monitor(std::make_unique<GaugeMonitor>(
         "heap_bytes",
         [this] {
           uint64_t n = 0;
           for (const auto& shard : shards_) {
-            if (shard->ctx_pool) n += shard->ctx_pool->heap_bytes();
-            if (shard->read_buffer_pool) {
-              n += shard->read_buffer_pool->heap_bytes();
-            }
+            n += shard->ctx_pool->heap_bytes() +
+                 shard->read_buffer_pool->heap_bytes();
           }
           return static_cast<double>(n);
         },
@@ -891,18 +878,14 @@ ProfilerSnapshot Server::profile() const {
   auto snapshot = profiler_.snapshot(processor_ ? processor_->processed() : 0,
                                      cache_ ? cache_->hit_rate() : 0.0,
                                      cache_ ? cache_->invalidations() : 0);
-  // buffer_mgmt=pooled recycler totals, summed over the per-shard pools.
+  // Recycler totals, summed over the per-shard pools.
   for (const auto& shard : shards_) {
-    if (shard->ctx_pool) {
-      snapshot.pool_hits += shard->ctx_pool->hits();
-      snapshot.pool_misses += shard->ctx_pool->misses();
-      snapshot.pool_alloc_bytes += shard->ctx_pool->heap_bytes();
-    }
-    if (shard->read_buffer_pool) {
-      snapshot.pool_hits += shard->read_buffer_pool->hits();
-      snapshot.pool_misses += shard->read_buffer_pool->misses();
-      snapshot.pool_alloc_bytes += shard->read_buffer_pool->heap_bytes();
-    }
+    snapshot.pool_hits +=
+        shard->ctx_pool->hits() + shard->read_buffer_pool->hits();
+    snapshot.pool_misses +=
+        shard->ctx_pool->misses() + shard->read_buffer_pool->misses();
+    snapshot.pool_alloc_bytes +=
+        shard->ctx_pool->heap_bytes() + shard->read_buffer_pool->heap_bytes();
     // Two-tier cache: sum the per-shard L1 tiers (zero with the L1 off).
     if (shard->l1_cache) {
       snapshot.l1_hits += shard->l1_cache->hits();

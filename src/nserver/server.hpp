@@ -118,10 +118,10 @@ class Server {
     std::unique_ptr<net::Reactor> reactor;
     // Confined to the shard's reactor thread.
     std::unordered_map<uint64_t, std::shared_ptr<Connection>> connections;
-    // buffer_mgmt=pooled recyclers (null under per_request).  The shared_ptrs
-    // are set once in start() and read-only afterwards; the pools themselves
-    // are internally synchronized — contexts and buffers are released from
-    // whichever thread drops the last reference.
+    // Request-path recyclers.  The shared_ptrs are set once in start() and
+    // read-only afterwards; the pools themselves are internally
+    // synchronized — contexts and buffers are released from whichever
+    // thread drops the last reference.
     std::shared_ptr<SlabPool> ctx_pool;
     std::shared_ptr<BufferPool> read_buffer_pool;
     // Adaptive O9, SPED mode: when the next loop-lag probe timer is due
@@ -140,8 +140,7 @@ class Server {
     std::atomic<size_t> open_connections{0};
   };
 
-  // Allocates a RequestContext — from the shard's slab free-list under
-  // buffer_mgmt=pooled, from the heap under per_request.
+  // Allocates a RequestContext from the shard's slab free-list.
   [[nodiscard]] RequestContextPtr make_context(
       const std::shared_ptr<Connection>& conn);
 

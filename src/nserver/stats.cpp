@@ -138,15 +138,14 @@ std::string render_prometheus(const StatsSnapshot& s) {
                 "Reply bytes materialised into owned buffers before send.",
                 c.send_bytes_copied);
   append_metric(out, "cops_send_sendfile_bytes_total", "counter",
-                "Reply bytes moved by sendfile(2) (send_path=sendfile).",
+                "Reply bytes moved by sendfile(2) (files >= 256 KiB).",
                 c.send_sendfile_bytes);
   append_metric(out, "cops_send_chunked_replies_total", "counter",
                 "Replies framed with chunked transfer coding "
                 "(body_framing=chunked).",
                 c.send_chunked_replies);
   append_metric(out, "cops_pool_hits_total", "counter",
-                "Pool allocations served from a free-list "
-                "(buffer_mgmt=pooled).",
+                "Pool allocations served from a free-list.",
                 c.pool_hits);
   append_metric(out, "cops_pool_misses_total", "counter",
                 "Pool allocations that had to grow the pool.",

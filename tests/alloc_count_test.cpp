@@ -3,9 +3,9 @@
 // This TU provides the operator-new interposer (COPS_ALLOC_COUNTER_IMPLEMENT
 // — tests only, never linked into the shipped libraries) and replays the
 // request-path harness in its quick configuration.  Guards the invariant the
-// committed baseline rests on: with buffer_mgmt=pooled, the steady-state
-// keep-alive decode loop performs ZERO heap allocations per request, and at
-// least 50% fewer allocated bytes than per_request.
+// committed baseline rests on: the pooled steady-state keep-alive decode
+// loop performs ZERO heap allocations per request, and at least 50% fewer
+// allocated bytes than a fresh parse per request.
 #define COPS_ALLOC_COUNTER_IMPLEMENT
 #include "bench/alloc_counter.hpp"
 
@@ -38,30 +38,30 @@ TEST(AllocCountTest, InterposerCountsThisThreadsAllocations) {
 
 TEST(AllocCountTest, PooledRequestPathIsAllocationFree) {
   const auto config = request_path_quick_config();
-  uint64_t checksum_per_request = 0;
+  uint64_t checksum_fresh_parse = 0;
   uint64_t checksum_pooled = 0;
-  const RequestPathRow per_request =
-      run_request_path_mode(config, "per_request", &checksum_per_request);
+  const RequestPathRow fresh_parse =
+      run_request_path_mode(config, "fresh_parse", &checksum_fresh_parse);
   const RequestPathRow pooled =
       run_request_path_mode(config, "pooled", &checksum_pooled);
 
-  ASSERT_EQ(per_request.requests, config.measured_requests);
+  ASSERT_EQ(fresh_parse.requests, config.measured_requests);
   ASSERT_EQ(pooled.requests, config.measured_requests);
   // Both modes decoded the identical request stream identically.
-  EXPECT_EQ(checksum_per_request, checksum_pooled);
+  EXPECT_EQ(checksum_fresh_parse, checksum_pooled);
 
   // The interposer is alive: the classical path must allocate.
-  ASSERT_GT(per_request.steady_allocs, 0u)
-      << "per_request counted zero allocations — interposer inactive";
+  ASSERT_GT(fresh_parse.steady_allocs, 0u)
+      << "fresh_parse counted zero allocations — interposer inactive";
 
   // Gate 1: pooled steady state is allocation-free.
   EXPECT_EQ(pooled.steady_allocs, 0u)
       << pooled.steady_allocs << " allocations ("
       << pooled.steady_alloc_bytes << " bytes) leaked into the pooled "
       << "keep-alive decode loop";
-  // Gate 2: >= 50% fewer bytes than per_request.
+  // Gate 2: >= 50% fewer bytes than fresh_parse.
   EXPECT_LE(pooled.alloc_bytes_per_request,
-            0.5 * per_request.alloc_bytes_per_request);
+            0.5 * fresh_parse.alloc_bytes_per_request);
 }
 
 TEST(AllocCountTest, ChunkedDecodeOnWarmScratchIsAllocationFree) {
@@ -136,7 +136,7 @@ TEST(AllocCountTest, L1CacheHitPathIsAllocationFree) {
 TEST(AllocCountTest, QuickRunEmitsValidJson) {
   const auto config = request_path_quick_config();
   std::vector<RequestPathRow> rows;
-  rows.push_back(run_request_path_mode(config, "per_request"));
+  rows.push_back(run_request_path_mode(config, "fresh_parse"));
   rows.push_back(run_request_path_mode(config, "pooled"));
 
   const std::string json = request_path_rows_to_json(rows, /*quick=*/true);
@@ -156,7 +156,7 @@ TEST(AllocCountTest, ValidatorRejectsMalformedJson) {
   EXPECT_FALSE(validate_request_path_json("{}", &error));
   // Drop a required key from an otherwise-valid document.
   std::vector<RequestPathRow> rows(2);
-  rows[0].mode = "per_request";
+  rows[0].mode = "fresh_parse";
   rows[1].mode = "pooled";
   std::string json = request_path_rows_to_json(rows, true);
   size_t pos = 0;

@@ -7,10 +7,10 @@
 //      virtual tick through a full nserver echo stack decodes to exactly
 //      the bytes a Content-Length POST of the same body produces, under
 //      fault-free and chaos plans, bit-identically per seed;
-//   3. simnet download differentials — body_framing=chunked replies carry
-//      the file bytes intact across send_path=copy/writev/sendfile with
-//      byte-identical wire streams, plus full-stack 100-continue / 417 /
-//      obs-fold regression coverage.
+//   3. simnet download checks — body_framing=chunked replies carry the file
+//      bytes intact, over writev (cached files) and sendfile (files of
+//      256 KiB or more) alike, byte-identical to HttpResponse::serialize(),
+//      plus full-stack 100-continue / 417 / obs-fold regression coverage.
 #include <algorithm>
 #include <any>
 #include <chrono>
@@ -28,6 +28,7 @@
 #include "http/response.hpp"
 #include "nserver/request_context.hpp"
 #include "nserver/server.hpp"
+#include "tests/serialize_recorder.hpp"
 #include "simnet/sim_harness.hpp"
 #include "tests/test_util.hpp"
 
@@ -319,7 +320,7 @@ INSTANTIATE_TEST_SUITE_P(Seeds, ChunkedUploadSeedTest, ::testing::Range(1, 5),
                            return "seed" + std::to_string(info.param);
                          });
 
-// ---- chunked downloads: body_framing=chunked over every send path -----------
+// ---- chunked downloads: body_framing=chunked over writev and sendfile --------
 
 std::string small_file() { return "alpha file: the quick brown fox\n"; }
 std::string big_file() {
@@ -384,30 +385,30 @@ bool dechunk(std::string_view stream, std::string& body, std::string& error) {
 
 struct DownloadRun {
   std::string received;
+  // Concatenated HttpResponse::serialize() of every reply.
+  std::string expected;
 };
 
 DownloadRun run_download(uint64_t seed, const FaultPlan& plan,
-                         nserver::SendPath send_path, const std::string& wire,
-                         size_t sendfile_min_bytes = 256 * 1024) {
+                         const std::string& wire) {
   SimEngine engine(seed, plan);
   SCOPED_TRACE("download seed=" + std::to_string(seed));
 
   test::TempDir dir;
   dir.write_file("a.txt", small_file());
   dir.write_file("b.bin", big_file());
-  // Pin the docroot mtimes: the copy/writev/sendfile differential compares
-  // whole reply streams, and Last-Modified must not depend on which
+  dir.write_file("c.bin", std::string(nserver::kSendfileMinBytes, 'c'));
+  // Pin the docroot mtimes: Last-Modified must not depend on which
   // wall-clock second each run created its files in.
   const auto fixed_mtime = std::chrono::file_clock::from_sys(
       std::chrono::sys_seconds(std::chrono::seconds(784111777)));
-  std::filesystem::last_write_time(dir.path() / "a.txt", fixed_mtime);
-  std::filesystem::last_write_time(dir.path() / "b.bin", fixed_mtime);
+  for (const char* name : {"a.txt", "b.bin", "c.bin"}) {
+    std::filesystem::last_write_time(dir.path() / name, fixed_mtime);
+  }
 
   auto options = http::CopsHttpServer::default_options();
   make_deterministic(options);
   options.listen_port = 8090;
-  options.send_path = send_path;
-  options.sendfile_min_bytes = sendfile_min_bytes;
   // Chunk-frame replies of 64 bytes and up, in 256-byte chunks: a.txt
   // (32 B) stays Content-Length, b.bin (2000 B) goes out in 8 chunks.
   options.body_framing = nserver::BodyFraming::kChunked;
@@ -415,7 +416,8 @@ DownloadRun run_download(uint64_t seed, const FaultPlan& plan,
   options.reply_chunk_bytes = 256;
   http::HttpServerConfig config;
   config.doc_root = dir.str();
-  http::CopsHttpServer server(std::move(options), config);
+  auto hooks = std::make_shared<test::SerializeRecorder>(config);
+  nserver::Server server(std::move(options), hooks);
   auto started = server.start();
   EXPECT_TRUE(started.is_ok()) << started.to_string();
   if (!started.is_ok()) return {};
@@ -429,7 +431,7 @@ DownloadRun run_download(uint64_t seed, const FaultPlan& plan,
   server.stop();
   EXPECT_TRUE(client->peer_closed());
   EXPECT_TRUE(engine.failures().empty());
-  return {client->received()};
+  return {client->received(), hooks->expected()};
 }
 
 std::string get_b_wire() {
@@ -441,8 +443,7 @@ class ChunkedDownloadSeedTest : public ::testing::TestWithParam<int> {};
 TEST_P(ChunkedDownloadSeedTest, ChunkedReplyCarriesFileBytesIntact) {
   const auto seed = static_cast<uint64_t>(GetParam());
   for (const auto& plan : {FaultPlan::none(), FaultPlan::chaos()}) {
-    const DownloadRun run =
-        run_download(seed, plan, nserver::SendPath::kWritev, get_b_wire());
+    const DownloadRun run = run_download(seed, plan, get_b_wire());
     const size_t header_end = run.received.find("\r\n\r\n");
     ASSERT_NE(header_end, std::string::npos) << run.received;
     const std::string head = run.received.substr(0, header_end);
@@ -461,7 +462,7 @@ TEST_P(ChunkedDownloadSeedTest, ChunkedReplyCarriesFileBytesIntact) {
 TEST_P(ChunkedDownloadSeedTest, SmallFileStaysContentLengthFramed) {
   const auto seed = static_cast<uint64_t>(GetParam());
   const DownloadRun run = run_download(
-      seed, FaultPlan::none(), nserver::SendPath::kWritev,
+      seed, FaultPlan::none(),
       "GET /a.txt HTTP/1.1\r\nHost: sim\r\nConnection: close\r\n\r\n");
   const size_t header_end = run.received.find("\r\n\r\n");
   ASSERT_NE(header_end, std::string::npos);
@@ -474,7 +475,7 @@ TEST_P(ChunkedDownloadSeedTest, SmallFileStaysContentLengthFramed) {
 TEST_P(ChunkedDownloadSeedTest, HeadRequestIsNeverChunked) {
   const auto seed = static_cast<uint64_t>(GetParam());
   const DownloadRun run = run_download(
-      seed, FaultPlan::none(), nserver::SendPath::kWritev,
+      seed, FaultPlan::none(),
       "HEAD /b.bin HTTP/1.1\r\nHost: sim\r\nConnection: close\r\n\r\n");
   const size_t header_end = run.received.find("\r\n\r\n");
   ASSERT_NE(header_end, std::string::npos);
@@ -485,23 +486,20 @@ TEST_P(ChunkedDownloadSeedTest, HeadRequestIsNeverChunked) {
 }
 
 TEST_P(ChunkedDownloadSeedTest, CopyWritevSendfileByteIdentical) {
-  // The copy path serializes chunk framing into one string; the writev path
-  // gathers owned size lines around zero-copy cache slices; the sendfile
-  // path interleaves owned framing with in-kernel file sends.  All three
-  // must put the identical byte stream on the wire.
+  // serialize() frames the chunks into one flat string (the copy); the
+  // cached b.bin gathers owned size lines around zero-copy cache slices
+  // (writev); c.bin, at the sendfile threshold, interleaves owned framing
+  // with in-kernel file sends.  Both must put the copy's bytes on the wire.
   const auto seed = static_cast<uint64_t>(GetParam());
-  const DownloadRun copy =
-      run_download(seed, FaultPlan::none(), nserver::SendPath::kCopy,
-                   get_b_wire());
   const DownloadRun writev =
-      run_download(seed, FaultPlan::none(), nserver::SendPath::kWritev,
-                   get_b_wire());
-  const DownloadRun sendfile =
-      run_download(seed, FaultPlan::none(), nserver::SendPath::kSendfile,
-                   get_b_wire(), /*sendfile_min_bytes=*/128);
-  ASSERT_FALSE(copy.received.empty());
-  EXPECT_EQ(writev.received, copy.received);
-  EXPECT_EQ(sendfile.received, copy.received);
+      run_download(seed, FaultPlan::none(), get_b_wire());
+  const DownloadRun sendfile = run_download(
+      seed, FaultPlan::none(),
+      "GET /c.bin HTTP/1.1\r\nHost: sim\r\nConnection: close\r\n\r\n");
+  ASSERT_FALSE(writev.expected.empty());
+  ASSERT_GT(sendfile.expected.size(), nserver::kSendfileMinBytes);
+  EXPECT_EQ(writev.received, writev.expected);
+  EXPECT_EQ(sendfile.received, sendfile.expected);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ChunkedDownloadSeedTest,

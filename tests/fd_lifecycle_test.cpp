@@ -247,7 +247,7 @@ TEST_F(ToctouTest, SwappedFileServesConsistentBytesSizeAndMtime) {
         set_mtime(path, 2000000);
       });
 
-  auto result = nserver::FileIoService::load_file(path, {});
+  auto result = nserver::FileIoService::load_file(path);
   ASSERT_TRUE(swapped);
   ASSERT_TRUE(result.is_ok()) << result.status().to_string();
   const auto& data = *result.value();
@@ -261,6 +261,7 @@ TEST_F(ToctouTest, SwappedSendfileLoadDescribesTheServedDescriptor) {
   test::TempDir dir;
   const std::string path = (dir.path() / "big.bin").string();
   dir.write_file("big.bin", std::string(512, 'o'));  // below the threshold
+  constexpr size_t kGrownBytes = nserver::kSendfileMinBytes + 8192;
 
   bool swapped = false;
   nserver::FileIoService::set_test_pre_open_hook(
@@ -270,18 +271,15 @@ TEST_F(ToctouTest, SwappedSendfileLoadDescribesTheServedDescriptor) {
         // Grow past the sendfile threshold: the decision and the size must
         // both come from the opened descriptor.
         std::ofstream out(path, std::ios::binary | std::ios::trunc);
-        out << std::string(8192, 'n');
+        out << std::string(kGrownBytes, 'n');
       });
 
-  nserver::FileLoadOptions load;
-  load.open_for_sendfile = true;
-  load.sendfile_min_bytes = 4096;
-  auto result = nserver::FileIoService::load_file(path, load);
+  auto result = nserver::FileIoService::load_file(path);
   ASSERT_TRUE(swapped);
   ASSERT_TRUE(result.is_ok()) << result.status().to_string();
   const auto& data = *result.value();
   ASSERT_GE(data.fd, 0) << "post-swap size is sendfile-eligible";
-  EXPECT_EQ(data.fd_size, 8192u);
+  EXPECT_EQ(data.fd_size, kGrownBytes);
   struct stat st{};
   ASSERT_EQ(::fstat(data.fd, &st), 0);
   EXPECT_EQ(static_cast<uint64_t>(st.st_size), data.fd_size)

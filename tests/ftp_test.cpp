@@ -298,6 +298,32 @@ TEST_F(FtpServerFixture, PassiveRetrDeliversFile) {
   EXPECT_EQ(server_->hooks().transfers_completed(), 1u);
 }
 
+// A file of nserver::kSendfileMinBytes or more reaches RETR as an open
+// descriptor with no bytes in memory; the data connection must send it
+// with sendfile, every byte intact.
+TEST_F(FtpServerFixture, PassiveRetrSendsDescriptorBackedFile) {
+  std::string big(300 * 1024, '\0');
+  for (size_t i = 0; i < big.size(); ++i) {
+    big[i] = static_cast<char>((i * 131 + i / 977) & 0xff);
+  }
+  root_->write_file("big.bin", big);
+  ASSERT_GE(big.size(), nserver::kSendfileMinBytes);
+  auto client = connect_control();
+  ASSERT_NE(client, nullptr);
+  login(*client);
+  const uint16_t port = pasv_port(command(*client, "PASV", "227"));
+  ASSERT_GT(port, 0);
+
+  client->send_all("RETR big.bin\r\n");
+  test::BlockingClient data;
+  ASSERT_TRUE(data.connect("127.0.0.1", port));
+  const auto contents = data.read_some(0, /*timeout_ms=*/5000);
+  ASSERT_EQ(contents.size(), big.size());
+  EXPECT_TRUE(contents == big) << "RETR body differs from the file";
+  EXPECT_NE(client->read_until("226 ").find("226 "), std::string::npos);
+  EXPECT_EQ(server_->hooks().transfers_completed(), 1u);
+}
+
 TEST_F(FtpServerFixture, PassiveListShowsEntries) {
   auto client = connect_control();
   ASSERT_NE(client, nullptr);

@@ -2,11 +2,14 @@
 // language, N-Server pattern template — Tables 1 and 2).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <fstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
+#include "common/config_file.hpp"
 #include "gdp/option.hpp"
 #include "gdp/pattern_template.hpp"
 #include "gdp/template_lang.hpp"
@@ -336,112 +339,139 @@ TEST(NServerTemplate, StatsExportOnGeneratesAdminWiring) {
             std::string::npos);
 }
 
-TEST(NServerTemplate, SendPathOptionCrosscutsGeneratedUnits) {
+// The reply path and the buffer path are fixed (sendfile for files of
+// 256 KiB or more, writev otherwise; pooled buffers), so their former S1/S2
+// options crosscut nothing: each generated unit is emitted for every option
+// set, and neither the matrix, the traits nor server_main mentions them.
+void expect_retired_option_crosscuts_nothing(const std::string& option,
+                                             const std::string& unit_file,
+                                             const std::string& constant) {
   const auto tmpl = make_nserver_template();
-  // The HTTP preset (send_path=writev) emits the send unit and wires the
-  // segmented path; flipping to copy removes both without disturbing the
-  // other units.
-  auto writev_set = nserver_http_options();
-  auto copy_set = writev_set;
-  copy_set.set("send_path", "copy");
-  auto on = tmpl.render_all(writev_set, {{"app_name", "A"}, {"listen_port", "0"}});
-  auto off = tmpl.render_all(copy_set, {{"app_name", "A"}, {"listen_port", "0"}});
-  ASSERT_TRUE(on.is_ok());
-  ASSERT_TRUE(off.is_ok());
-  EXPECT_TRUE(on.value().count("send_config.hpp"));
-  EXPECT_FALSE(off.value().count("send_config.hpp"));
-  EXPECT_NE(on.value().at("traits.hpp").find("kZeroCopySend = true"),
-            std::string::npos);
-  EXPECT_NE(off.value().at("traits.hpp").find("kZeroCopySend = false"),
-            std::string::npos);
-  EXPECT_NE(on.value().at("server_main.cpp").find("SendPath::kWritev"),
-            std::string::npos);
-  EXPECT_NE(off.value().at("server_main.cpp").find("SendPath::kCopy"),
-            std::string::npos);
+  auto matrix = tmpl.crosscut();
+  ASSERT_TRUE(matrix.is_ok());
+  for (const auto& [unit, row] : matrix.value()) {
+    EXPECT_EQ(row.count(option), 0u) << unit;
+  }
+  for (const auto& preset : {nserver_http_options(), nserver_ftp_options()}) {
+    auto rendered =
+        tmpl.render_all(preset, {{"app_name", "A"}, {"listen_port", "0"}});
+    ASSERT_TRUE(rendered.is_ok()) << rendered.status().to_string();
+    ASSERT_TRUE(rendered.value().count(unit_file)) << unit_file;
+    EXPECT_NE(rendered.value().at(unit_file).find(constant),
+              std::string::npos);
+    const auto& main_cpp = rendered.value().at("server_main.cpp");
+    EXPECT_NE(main_cpp.find("#include \"" + unit_file + "\""),
+              std::string::npos);
+    EXPECT_EQ(main_cpp.find(option), std::string::npos);
+    EXPECT_EQ(rendered.value().at("README.md").find(option),
+              std::string::npos);
+  }
+}
 
-  auto sendfile_set = writev_set;
-  sendfile_set.set("send_path", "sendfile");
-  auto sf = tmpl.render_all(sendfile_set,
-                            {{"app_name", "A"}, {"listen_port", "0"}});
-  ASSERT_TRUE(sf.is_ok());
-  EXPECT_NE(sf.value().at("send_config.hpp").find("kSendfileMinBytes"),
+TEST(NServerTemplate, SendPathOptionCrosscutsGeneratedUnits) {
+  expect_retired_option_crosscuts_nothing("send_path", "send_config.hpp",
+                                          "kSendfileMinBytes = 256u * 1024u");
+  auto rendered = make_nserver_template().render_all(
+      nserver_http_options(), {{"app_name", "A"}, {"listen_port", "0"}});
+  ASSERT_TRUE(rendered.is_ok());
+  EXPECT_EQ(rendered.value().at("traits.hpp").find("kZeroCopySend"),
             std::string::npos);
-  EXPECT_NE(sf.value().at("server_main.cpp").find("sendfile_min_bytes"),
-            std::string::npos);
-  EXPECT_NE(sf.value().at("traits.hpp").find("kSendfile = true"),
+  EXPECT_EQ(rendered.value().at("traits.hpp").find("kSendfile"),
             std::string::npos);
 }
 
 TEST(NServerTemplate, SendPathAppendsWithoutRenumbering) {
-  // The crosscut (Table 2) gains a send_path column while the paper's
-  // original columns stay put — the README option table still lists every
-  // option in order.
+  // No S1 column: the post-paper S3 follows O11+ directly, keeping its label,
+  // and the README option table has no S1 row.
   const auto tmpl = make_nserver_template();
-  auto matrix = tmpl.crosscut();
-  ASSERT_TRUE(matrix.is_ok());
-  EXPECT_TRUE(matrix.value().at("Send Reply").at("send_path").existence);
+  std::vector<std::string> labels;
+  for (const auto& spec : tmpl.options().specs()) labels.push_back(spec.label);
+  const auto stats = std::find(labels.begin(), labels.end(),
+                               "O11+: Statistics export");
+  ASSERT_NE(stats, labels.end());
+  ASSERT_NE(stats + 1, labels.end());
+  EXPECT_EQ(*(stats + 1), "S3: Body framing");
   auto rendered = tmpl.render_all(nserver_http_options(),
                                   {{"app_name", "A"}, {"listen_port", "0"}});
   ASSERT_TRUE(rendered.is_ok());
   const auto& readme = rendered.value().at("README.md");
+  EXPECT_EQ(readme.find("S1 "), std::string::npos);
+  EXPECT_EQ(readme.find("send-reply path"), std::string::npos);
   const size_t stats_row = readme.find("O11+ statistics export");
-  const size_t send_row = readme.find("S1 send-reply path");
+  const size_t framing_row = readme.find("S3 body framing");
   ASSERT_NE(stats_row, std::string::npos);
-  ASSERT_NE(send_row, std::string::npos);
-  EXPECT_LT(stats_row, send_row) << "send_path must append after O11+";
+  ASSERT_NE(framing_row, std::string::npos);
+  EXPECT_LT(stats_row, framing_row);
 }
 
 TEST(NServerTemplate, BufferMgmtOptionCrosscutsGeneratedUnits) {
-  const auto tmpl = make_nserver_template();
-  // The HTTP preset (buffer_mgmt=pooled) emits the buffer unit and wires
-  // the pooled path; flipping to per_request removes both.
-  auto pooled_set = nserver_http_options();
-  auto per_request_set = pooled_set;
-  per_request_set.set("buffer_mgmt", "per_request");
-  auto on =
-      tmpl.render_all(pooled_set, {{"app_name", "A"}, {"listen_port", "0"}});
-  auto off = tmpl.render_all(per_request_set,
-                             {{"app_name", "A"}, {"listen_port", "0"}});
-  ASSERT_TRUE(on.is_ok());
-  ASSERT_TRUE(off.is_ok());
-  EXPECT_TRUE(on.value().count("buffer_config.hpp"));
-  EXPECT_FALSE(off.value().count("buffer_config.hpp"));
-  EXPECT_NE(on.value().at("traits.hpp").find("kPooledBuffers = true"),
+  expect_retired_option_crosscuts_nothing(
+      "buffer_mgmt", "buffer_config.hpp",
+      "kReadBufferBlockBytes = 16u * 1024u");
+  auto rendered = make_nserver_template().render_all(
+      nserver_ftp_options(), {{"app_name", "A"}, {"listen_port", "0"}});
+  ASSERT_TRUE(rendered.is_ok());
+  EXPECT_EQ(rendered.value().at("traits.hpp").find("kPooledBuffers"),
             std::string::npos);
-  EXPECT_NE(off.value().at("traits.hpp").find("kPooledBuffers = false"),
+  EXPECT_EQ(rendered.value().at("server_main.cpp").find("read_buffer"),
             std::string::npos);
-  EXPECT_NE(on.value().at("server_main.cpp").find("BufferMgmt::kPooled"),
-            std::string::npos);
-  EXPECT_NE(
-      off.value().at("server_main.cpp").find("BufferMgmt::kPerRequest"),
-      std::string::npos);
-  EXPECT_NE(on.value().at("buffer_config.hpp").find("kReadBufferBlockBytes"),
-            std::string::npos);
-  EXPECT_NE(on.value().at("server_main.cpp").find("read_buffer_block_bytes"),
-            std::string::npos);
-  // The FTP preset stays per_request (one short command per connection
-  // gains nothing from recycling).
-  EXPECT_EQ(nserver_ftp_options().get("buffer_mgmt"), "per_request");
 }
 
 TEST(NServerTemplate, BufferMgmtAppendsWithoutRenumbering) {
-  // buffer_mgmt joins Table 2 as its own column while everything already
-  // there stays put; in the README option table it rows after send_path.
+  // No S2 column or README row either; S3-S6 keep their labels.
   const auto tmpl = make_nserver_template();
-  auto matrix = tmpl.crosscut();
-  ASSERT_TRUE(matrix.is_ok());
-  EXPECT_TRUE(
-      matrix.value().at("Buffer Management").at("buffer_mgmt").existence);
-  EXPECT_TRUE(matrix.value().at("Send Reply").at("send_path").existence);
+  for (const auto& spec : tmpl.options().specs()) {
+    EXPECT_NE(spec.label.rfind("S2:", 0), 0u) << spec.label;
+  }
   auto rendered = tmpl.render_all(nserver_http_options(),
                                   {{"app_name", "A"}, {"listen_port", "0"}});
   ASSERT_TRUE(rendered.is_ok());
   const auto& readme = rendered.value().at("README.md");
-  const size_t send_row = readme.find("S1 send-reply path");
-  const size_t buffer_row = readme.find("S2 buffer management");
-  ASSERT_NE(send_row, std::string::npos);
-  ASSERT_NE(buffer_row, std::string::npos);
-  EXPECT_LT(send_row, buffer_row) << "buffer_mgmt must append after S1";
+  EXPECT_EQ(readme.find("S2 "), std::string::npos);
+  EXPECT_EQ(readme.find("buffer management"), std::string::npos);
+  for (const char* row : {"S3 body framing", "S4 proxy upstream",
+                          "S5 overload", "S6 accept path"}) {
+    EXPECT_NE(readme.find(row), std::string::npos) << row;
+  }
+}
+
+// An options file written for the old template (like the shipped presets
+// before the S1/S2 rows went) names send_path and buffer_mgmt; generation
+// must reject each as an unknown option instead of silently ignoring it.
+TEST(NServerTemplate, OptionsFileNamingRetiredOptionsIsRejected) {
+  const auto tmpl = make_nserver_template();
+  for (const char* preset : {"cops_http.options", "cops_ftp.options"}) {
+    auto shipped = ConfigFile::load(std::string(COPS_SOURCE_DIR) +
+                                    "/presets/" + preset);
+    ASSERT_TRUE(shipped.is_ok()) << preset;
+    OptionSet options;
+    for (const auto& [key, value] : shipped.value().entries()) {
+      options.set(key, value);
+    }
+    EXPECT_TRUE(
+        tmpl.options().validate(tmpl.options().with_defaults(options)).empty())
+        << preset;
+  }
+  for (const char* line : {"send_path = writev", "send_path = sendfile",
+                           "buffer_mgmt = pooled",
+                           "buffer_mgmt = per_request"}) {
+    auto file = ConfigFile::parse(std::string("dispatcher_threads = 1\n") +
+                                  line + "\n");
+    ASSERT_TRUE(file.is_ok()) << line;
+    OptionSet options;
+    for (const auto& [key, value] : file.value().entries()) {
+      options.set(key, value);
+    }
+    const std::string name(line, std::string_view(line).find(' '));
+    const auto problems =
+        tmpl.options().validate(tmpl.options().with_defaults(options));
+    ASSERT_EQ(problems.size(), 1u) << line;
+    EXPECT_EQ(problems[0], "unknown option '" + name + "'");
+    EXPECT_FALSE(
+        tmpl.render_all(options, {{"app_name", "A"}, {"listen_port", "0"}})
+            .is_ok())
+        << line;
+  }
 }
 
 TEST(NServerTemplate, BodyFramingOptionCrosscutsGeneratedUnits) {
@@ -480,22 +510,20 @@ TEST(NServerTemplate, BodyFramingOptionCrosscutsGeneratedUnits) {
 
 TEST(NServerTemplate, BodyFramingAppendsWithoutRenumbering) {
   // body_framing joins Table 2 as its own column while everything already
-  // there stays put; in the README option table it rows after buffer_mgmt.
+  // there stays put; in the README option table it rows after O11+.
   const auto tmpl = make_nserver_template();
   auto matrix = tmpl.crosscut();
   ASSERT_TRUE(matrix.is_ok());
   EXPECT_TRUE(matrix.value().at("Body Framing").at("body_framing").existence);
-  EXPECT_TRUE(
-      matrix.value().at("Buffer Management").at("buffer_mgmt").existence);
   auto rendered = tmpl.render_all(nserver_http_options(),
                                   {{"app_name", "A"}, {"listen_port", "0"}});
   ASSERT_TRUE(rendered.is_ok());
   const auto& readme = rendered.value().at("README.md");
-  const size_t buffer_row = readme.find("S2 buffer management");
+  const size_t stats_row = readme.find("O11+ statistics export");
   const size_t framing_row = readme.find("S3 body framing");
-  ASSERT_NE(buffer_row, std::string::npos);
+  ASSERT_NE(stats_row, std::string::npos);
   ASSERT_NE(framing_row, std::string::npos);
-  EXPECT_LT(buffer_row, framing_row) << "body_framing must append after S2";
+  EXPECT_LT(stats_row, framing_row) << "body_framing must append after O11+";
 }
 
 TEST(NServerTemplate, ProxyUpstreamOptionCrosscutsGeneratedUnits) {
@@ -694,7 +722,7 @@ TEST(NServerTemplate, IoBackendAppendsWithoutRenumbering) {
   }
   const std::vector<std::string> table2 = {
       "O1", "O2",   "O3", "O4", "O5", "O6", "O7", "O8", "O9", "O10",
-      "O11", "O12", "O11+", "S1", "S2", "S3", "S4", "S5", "S6"};
+      "O11", "O12", "O11+", "S3", "S4", "S5", "S6"};
   EXPECT_EQ(columns, table2);
   auto rendered = tmpl.render_all(nserver_http_options(),
                                   {{"app_name", "A"}, {"listen_port", "0"}});

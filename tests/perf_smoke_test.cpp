@@ -1,8 +1,7 @@
-// perf-smoke: a ~2s configuration of the send-path benchmark run as a ctest
-// (label `perf-smoke`, like `chaos` for the simnet suites).  Guards the two
-// invariants the committed BENCH_send_path.json baseline rests on: the
-// emitted JSON is well-formed, and the writev path copies materially fewer
-// bytes per cached-file reply than the copy path.
+// perf-smoke: quick configurations of the overload and scale-out
+// benchmarks run as ctests (label `perf-smoke`, like `chaos` for the simnet
+// suites).  Each guards the invariants its committed BENCH_*.json baseline
+// rests on, and that the emitted JSON is well-formed.
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -11,49 +10,9 @@
 
 #include "bench/overload_harness.hpp"
 #include "bench/scaleout_harness.hpp"
-#include "bench/send_path_harness.hpp"
 
 namespace cops::bench {
 namespace {
-
-TEST(PerfSmokeTest, SerializeReservesExactly) {
-  std::string error;
-  EXPECT_TRUE(serialize_reserves_exactly(&error)) << error;
-}
-
-TEST(PerfSmokeTest, SendPathQuickRunEmitsValidJson) {
-  auto config =
-      send_path_quick_config(std::string(COPS_BINARY_DIR) +
-                             "/perf_smoke_docroot");
-  ASSERT_TRUE(make_send_path_docroot(config));
-
-  std::vector<SendPathRow> rows;
-  for (const char* mode : {"copy", "writev", "sendfile"}) {
-    rows.push_back(run_send_path_mode(config, mode));
-    ASSERT_GT(rows.back().replies, 0u) << "mode " << mode << " served nothing";
-  }
-
-  // The baseline's acceptance margin, at smoke scale: writev must copy at
-  // most 80% of copy's bytes per reply (in practice it copies only headers).
-  EXPECT_LE(rows[1].bytes_copied_per_reply,
-            0.8 * rows[0].bytes_copied_per_reply);
-  // sendfile must actually move bytes through sendfile(2).
-  EXPECT_GT(rows[2].sendfile_bytes_per_reply, 0.0);
-
-  const std::string json = send_path_rows_to_json(rows, /*quick=*/true);
-  std::string error;
-  EXPECT_TRUE(validate_send_path_json(json, &error)) << error << "\n" << json;
-
-  // A malformed document must be rejected — the gate the runner relies on.
-  EXPECT_FALSE(validate_send_path_json(json.substr(0, json.size() / 2), &error));
-  EXPECT_FALSE(validate_send_path_json("{}", &error));
-
-  const std::string out_path =
-      std::string(COPS_BINARY_DIR) + "/BENCH_send_path_smoke.json";
-  std::ofstream out(out_path, std::ios::trunc);
-  out << json;
-  EXPECT_TRUE(out.good()) << "could not write " << out_path;
-}
 
 // The invariants the committed BENCH_overload.json baseline rests on, at
 // smoke scale (two offered loads, short window — all virtual time, so this

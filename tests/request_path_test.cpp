@@ -1,18 +1,22 @@
-// Request-path pooling tests (buffer_mgmt = pooled, option S2).
+// Request-path pooling tests.
 //
-// Three layers:
+// Four layers:
 //   1. Unit coverage of the slab/pool layer (SlabPool, BufferPool, Arena)
 //      and of ByteBuffer storage adoption + HeaderMap arena reuse.
 //   2. Pool behaviour under pressure: exhaustion grows the pool (counted as
 //      misses), recycling turns subsequent traffic into hits.
-//   3. Full-stack simnet differentials: the same seeded scenario, replayed
-//      under chaos fault plans, must produce byte-identical reply streams
-//      with buffer_mgmt=pooled and buffer_mgmt=per_request — pooling is a
-//      pure optimisation with no observable protocol effect.
+//   3. Scratch-vs-fresh parsing: every HTTP and FTP corpus entry parses
+//      into a recycled scratch object exactly as into a fresh one.
+//   4. Full-stack simnet differentials: the same seeded scenario replayed
+//      under a chaos fault plan must produce the byte stream of the
+//      fault-free replay — the recycled buffers never leak state between
+//      requests, however the bytes arrive.
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <cstring>
 #include <filesystem>
+#include <fstream>
 #include <random>
 #include <string>
 #include <vector>
@@ -21,6 +25,7 @@
 
 #include "common/buffer_pool.hpp"
 #include "common/byte_buffer.hpp"
+#include "ftp/command.hpp"
 #include "http/http_server.hpp"
 #include "http/request.hpp"
 #include "simnet/sim_harness.hpp"
@@ -208,16 +213,112 @@ TEST(HeaderMapTest, ResetKeepsNoEntriesAndEqualityIsOrdered) {
   EXPECT_FALSE(a == b);  // same pairs, different wire order
 }
 
+// ---- scratch vs fresh parse over the fuzz corpus -------------------------
+
+std::vector<std::string> load_corpus(const std::string& subdir) {
+  const std::filesystem::path dir =
+      std::filesystem::path(COPS_SOURCE_DIR) / "tests" / "corpus" / subdir;
+  std::vector<std::filesystem::path> paths;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    if (entry.is_regular_file()) paths.push_back(entry.path());
+  }
+  std::sort(paths.begin(), paths.end());  // deterministic order
+  std::vector<std::string> corpus;
+  for (const auto& p : paths) {
+    std::ifstream in(p, std::ios::binary);
+    corpus.emplace_back(std::istreambuf_iterator<char>(in),
+                        std::istreambuf_iterator<char>());
+  }
+  return corpus;
+}
+
+// One scratch request parses every entry of the corpus in turn (carrying
+// capacity and any stale state from the previous parse); each result must
+// equal a parse into a fresh HttpRequest.
+TEST(ScratchParseTest, HttpScratchRequestParsesLikeAFreshOne) {
+  const auto corpus = load_corpus("http");
+  ASSERT_GE(corpus.size(), 10u) << "HTTP corpus went missing";
+  http::HttpRequest scratch;
+  size_t requests = 0;
+  for (const auto& input : corpus) {
+    ByteBuffer scratch_in{std::string_view(input)};
+    ByteBuffer fresh_in{std::string_view(input)};
+    // Pipelined entries hold several requests: walk them all.
+    for (int i = 0; i < 16; ++i) {
+      http::HttpRequest fresh;
+      http::ParseEvents scratch_events;
+      http::ParseEvents fresh_events;
+      const auto outcome = http::parse_request(
+          scratch_in, scratch, http::ParseLimits{}, scratch_events);
+      ASSERT_EQ(outcome, http::parse_request(fresh_in, fresh,
+                                             http::ParseLimits{},
+                                             fresh_events))
+          << input;
+      EXPECT_EQ(scratch_in.readable(), fresh_in.readable()) << input;
+      EXPECT_EQ(scratch_events.reject_status, fresh_events.reject_status);
+      EXPECT_EQ(scratch_events.needs_continue, fresh_events.needs_continue);
+      if (outcome != http::ParseOutcome::kComplete) break;
+      ++requests;
+      EXPECT_EQ(scratch.method, fresh.method) << input;
+      EXPECT_EQ(scratch.target, fresh.target) << input;
+      EXPECT_EQ(scratch.path, fresh.path) << input;
+      EXPECT_EQ(scratch.query, fresh.query) << input;
+      EXPECT_EQ(scratch.version_major, fresh.version_major) << input;
+      EXPECT_EQ(scratch.version_minor, fresh.version_minor) << input;
+      EXPECT_TRUE(scratch.headers == fresh.headers) << input;
+      EXPECT_EQ(scratch.body, fresh.body) << input;
+      EXPECT_EQ(scratch.keep_alive(), fresh.keep_alive()) << input;
+    }
+  }
+  EXPECT_GT(requests, 5u);
+}
+
+TEST(ScratchParseTest, FtpScratchCommandParsesLikeAFreshOne) {
+  const auto corpus = load_corpus("ftp");
+  ASSERT_GE(corpus.size(), 5u) << "FTP corpus went missing";
+  ftp::FtpCommand scratch;
+  size_t lines = 0;
+  for (const auto& entry : corpus) {
+    size_t pos = 0;
+    while (pos < entry.size()) {
+      size_t eol = entry.find('\n', pos);
+      if (eol == std::string::npos) eol = entry.size();
+      std::string_view line(entry.data() + pos, eol - pos);
+      if (!line.empty() && line.back() == '\r') line.remove_suffix(1);
+      pos = eol + 1;
+      ++lines;
+      const auto fresh = ftp::parse_command(line);
+      ASSERT_EQ(ftp::parse_command_into(line, scratch), fresh.has_value())
+          << line;
+      if (!fresh) continue;
+      EXPECT_EQ(scratch.verb, fresh->verb) << line;
+      EXPECT_EQ(scratch.arg, fresh->arg) << line;
+    }
+  }
+  EXPECT_GT(lines, 10u);
+}
+
 // ---- full-stack simnet differential --------------------------------------
 
-// Replays a fixed multi-request keep-alive scenario (including a request
-// line delivered byte-by-byte — the short-read split case) through the full
+// The default scenario: keep-alive GETs, a HEAD and a 404, then a closing
+// GET.
+const std::string& default_wire() {
+  static const std::string wire =
+      "GET /a.txt HTTP/1.1\r\nHost: sim\r\n\r\n"
+      "GET /b.bin HTTP/1.1\r\nHost: sim\r\n\r\n"
+      "HEAD /a.txt HTTP/1.1\r\nHost: sim\r\n\r\n"
+      "GET /missing.txt HTTP/1.1\r\nHost: sim\r\n\r\n"
+      "GET /a.txt HTTP/1.1\r\nHost: sim\r\nConnection: close\r\n\r\n";
+  return wire;
+}
+
+// Replays a multi-request keep-alive scenario (its first request line
+// delivered byte-by-byte — the short-read split case) through the full
 // COPS-HTTP stack over the simulated network and returns the client's
 // received byte stream.
 std::string run_scenario(uint64_t seed, const simnet::FaultPlan& plan,
-                         nserver::BufferMgmt buffer_mgmt,
-                         size_t read_buffer_block_bytes = 16 * 1024,
-                         bool* closed_out = nullptr) {
+                         bool* closed_out = nullptr,
+                         const std::string& wire = default_wire()) {
   simnet::SimEngine engine(seed, plan);
 
   test::TempDir dir;
@@ -226,8 +327,8 @@ std::string run_scenario(uint64_t seed, const simnet::FaultPlan& plan,
   for (int i = 0; i < 2000; ++i) big += static_cast<char>('A' + (i * 7) % 26);
   dir.write_file("b.bin", big);
   // Pin the docroot mtimes: Last-Modified must not depend on which
-  // wall-clock second this run created its files in, or the pooled and
-  // per_request differential runs can straddle a second boundary.
+  // wall-clock second this run created its files in, or the chaos and
+  // fault-free runs can straddle a second boundary.
   const auto fixed_mtime = std::chrono::file_clock::from_sys(
       std::chrono::sys_seconds(std::chrono::seconds(784111777)));
   std::filesystem::last_write_time(dir.path() / "a.txt", fixed_mtime);
@@ -236,20 +337,11 @@ std::string run_scenario(uint64_t seed, const simnet::FaultPlan& plan,
   auto options = http::CopsHttpServer::default_options();
   simnet::make_deterministic(options);
   options.listen_port = 8090;
-  options.buffer_mgmt = buffer_mgmt;
-  options.read_buffer_block_bytes = read_buffer_block_bytes;
   http::HttpServerConfig config;
   config.doc_root = dir.str();
   http::CopsHttpServer server(std::move(options), config);
   auto started = server.start();
   EXPECT_TRUE(started.is_ok()) << started.to_string();
-
-  const std::string wire =
-      "GET /a.txt HTTP/1.1\r\nHost: sim\r\n\r\n"
-      "GET /b.bin HTTP/1.1\r\nHost: sim\r\n\r\n"
-      "HEAD /a.txt HTTP/1.1\r\nHost: sim\r\n\r\n"
-      "GET /missing.txt HTTP/1.1\r\nHost: sim\r\n\r\n"
-      "GET /a.txt HTTP/1.1\r\nHost: sim\r\nConnection: close\r\n\r\n";
 
   auto* client = engine.new_client();
   engine.at(milliseconds(1), [client] { client->connect(8090); });
@@ -288,19 +380,16 @@ class RequestPathDifferentialTest : public ::testing::TestWithParam<int> {};
 TEST_P(RequestPathDifferentialTest, PooledRepliesAreByteIdentical) {
   const auto seed = static_cast<uint64_t>(GetParam());
   SCOPED_TRACE("seed=" + std::to_string(seed));
-  bool pooled_closed = false;
-  bool per_request_closed = false;
-  const std::string pooled =
-      run_scenario(seed, simnet::FaultPlan::chaos(),
-                   nserver::BufferMgmt::kPooled, 16 * 1024, &pooled_closed);
-  const std::string per_request = run_scenario(
-      seed, simnet::FaultPlan::chaos(), nserver::BufferMgmt::kPerRequest,
-      16 * 1024, &per_request_closed);
-  ASSERT_FALSE(pooled.empty());
-  EXPECT_EQ(pooled, per_request)
-      << "buffer_mgmt must not change a single reply byte";
-  EXPECT_TRUE(pooled_closed);
-  EXPECT_EQ(pooled_closed, per_request_closed);
+  bool chaos_closed = false;
+  bool clean_closed = false;
+  const std::string chaos =
+      run_scenario(seed, simnet::FaultPlan::chaos(), &chaos_closed);
+  const std::string clean =
+      run_scenario(seed, simnet::FaultPlan::none(), &clean_closed);
+  ASSERT_FALSE(chaos.empty());
+  EXPECT_EQ(chaos, clean) << "faults must not change a single reply byte";
+  EXPECT_TRUE(chaos_closed);
+  EXPECT_TRUE(clean_closed);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RequestPathDifferentialTest,
@@ -309,19 +398,24 @@ INSTANTIATE_TEST_SUITE_P(Seeds, RequestPathDifferentialTest,
                            return "seed" + std::to_string(info.param);
                          });
 
-// A read-buffer block far smaller than the requests forces the adopted
-// storage to grow mid-request under chaos segmentation — the pool-miss
-// growth path.  Replies must still be byte-identical to per_request.
+// A request larger than the 16 KiB pooled read-buffer block — a POST with
+// a 20 KiB body, which draws the 405 — forces the adopted storage to grow
+// mid-request under chaos segmentation: the pool-miss growth path.  The
+// replies around it must match the fault-free run.
 TEST(RequestPathDifferentialTest, TinyPooledBlocksGrowAndStayCorrect) {
+  const std::string body(20 * 1024, 'p');
+  const std::string wire =
+      "GET /a.txt HTTP/1.1\r\nHost: sim\r\n\r\n"
+      "POST /a.txt HTTP/1.1\r\nHost: sim\r\nContent-Length: " +
+      std::to_string(body.size()) + "\r\n\r\n" + body +
+      "GET /b.bin HTTP/1.1\r\nHost: sim\r\nConnection: close\r\n\r\n";
   bool closed = false;
-  const std::string pooled =
-      run_scenario(99, simnet::FaultPlan::chaos(),
-                   nserver::BufferMgmt::kPooled, /*block=*/32, &closed);
-  const std::string per_request =
-      run_scenario(99, simnet::FaultPlan::chaos(),
-                   nserver::BufferMgmt::kPerRequest);
-  ASSERT_FALSE(pooled.empty());
-  EXPECT_EQ(pooled, per_request);
+  const std::string chaos =
+      run_scenario(99, simnet::FaultPlan::chaos(), &closed, wire);
+  const std::string clean =
+      run_scenario(99, simnet::FaultPlan::none(), nullptr, wire);
+  ASSERT_NE(clean.find("HTTP/1.1 405"), std::string::npos) << clean;
+  EXPECT_EQ(chaos, clean);
   EXPECT_TRUE(closed);
 }
 
@@ -336,7 +430,6 @@ TEST(RequestPathPoolCountersTest, ProfileAggregatesPoolTraffic) {
   simnet::make_deterministic(options);
   options.listen_port = 8090;
   options.profiling = true;
-  options.buffer_mgmt = nserver::BufferMgmt::kPooled;
   http::HttpServerConfig config;
   config.doc_root = dir.str();
   http::CopsHttpServer server(std::move(options), config);
