@@ -66,10 +66,10 @@ OptionTable make_nserver_option_table() {
   table.add({"proxy_upstream", "S4: Proxy upstream connections",
              OptionType::kEnum, {"per_request", "pooled"}, "per_request"});
   // Overload-policy extension — appended after S4, again preserving the
-  // earlier column numbering: *how* the O9 overload controller decides it
-  // is overloaded.  `watermark` is the classical static queue-length gate
-  // (suspend accept above the high mark, resume below the low);
-  // `adaptive` replaces it with the OverloadManager control loop — CoDel
+  // earlier column numbering: which monitors and tiers the O9
+  // OverloadManager control loop runs to decide it is overloaded.
+  // `watermark` is the classical static queue-length gate (suspend accept
+  // above the high mark, resume below the low); `adaptive` uses CoDel
   // queue-*delay* admission plus pluggable resource monitors driving
   // graduated actions (conserve → pause low priority → shed 503 +
   // Retry-After → stop accept) with EWMA smoothing and hysteresis.

@@ -85,6 +85,11 @@ std::string ServerOptions::validate() const {
       queue_low_watermark >= queue_high_watermark) {
     return "O9: low watermark must be below the high watermark";
   }
+  if (overload_control && queue_low_watermark == 0) {
+    // Accept resumes once every queue drops *below* the low watermark; no
+    // length is below 0, so a trip would suspend accept for good.
+    return "O9: low watermark must be at least 1";
+  }
   if (shutdown_long_idle && idle_timeout.count() <= 0) {
     return "O7: idle timeout must be positive";
   }

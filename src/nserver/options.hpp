@@ -80,13 +80,14 @@ enum class UpstreamMode {
 };
 
 // Overload-control option (S5, appended after proxy_upstream to preserve
-// the paper's option numbering): which O9 control loop the server runs.
-// kWatermark is the paper's static two-watermark gate on queue *length*
-// (OverloadController).  kAdaptive replaces it with the OverloadManager:
-// CoDel-style admission on measured queue *delay* plus connection / pool /
-// heap pressure monitors, EWMA smoothing, and graduated actions (conserve
-// timeouts → pause low-priority quota classes → shed 503 → stop accept)
-// instead of the single suspend/resume lever.
+// the paper's option numbering): which monitors and tiers the O9
+// OverloadManager runs.  kWatermark is the paper's static two-watermark
+// gate on queue *length* (make_watermark_manager): stop accept, and shed
+// when overload_shed is on.  kAdaptive uses CoDel-style admission on
+// measured queue *delay* plus connection / pool / heap pressure monitors,
+// EWMA smoothing, and graduated actions (conserve timeouts → pause
+// low-priority quota classes → shed 503 → stop accept) instead of the
+// single suspend/resume lever.
 enum class OverloadMode {
   kWatermark,
   kAdaptive,

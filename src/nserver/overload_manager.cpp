@@ -1,6 +1,7 @@
 #include "nserver/overload_manager.hpp"
 
 #include <algorithm>
+#include <limits>
 
 namespace cops::nserver {
 
@@ -9,6 +10,27 @@ namespace {
 [[nodiscard]] double clamp01(double v) {
   return v < 0.0 ? 0.0 : (v > 1.0 ? 1.0 : v);
 }
+
+// One queue's length against the paper's two watermarks.
+class WatermarkMonitor : public ResourceMonitor {
+ public:
+  WatermarkMonitor(WatchedQueue queue, size_t high, size_t low)
+      : queue_(std::move(queue)), high_(high), low_(low) {}
+
+  [[nodiscard]] const std::string& name() const override {
+    return queue_.name;
+  }
+  MonitorReading sample(TimePoint) override {
+    const size_t depth = queue_.depth();
+    return {static_cast<double>(depth),
+            depth > high_ ? 1.0 : (depth < low_ ? 0.0 : 0.5)};
+  }
+
+ private:
+  const WatchedQueue queue_;
+  const size_t high_;
+  const size_t low_;
+};
 
 }  // namespace
 
@@ -180,6 +202,7 @@ void OverloadManager::tick(TimePoint now) {
       if (engaged_[i]) tier = i + 1;
     }
     tier_.store(tier, std::memory_order_relaxed);
+    shedding_.store(engaged_[2], std::memory_order_relaxed);
 
     update_retry_after_locked(now, pressure);
     last_tick_ = now;
@@ -250,6 +273,29 @@ OverloadSnapshot OverloadManager::snapshot() const {
       std::chrono::seconds(retry_after_s_.load(std::memory_order_relaxed));
   snap.ticks = ticks_;
   return snap;
+}
+
+// ---- watermark configuration -------------------------------------------------
+
+std::unique_ptr<OverloadManager> make_watermark_manager(
+    size_t high_watermark, size_t low_watermark, bool shed,
+    std::chrono::seconds retry_after, std::vector<WatchedQueue> queues) {
+  constexpr double kNever = std::numeric_limits<double>::infinity();
+  OverloadManagerConfig config;
+  config.ewma_alpha = 1.0;
+  config.conserve_threshold = kNever;
+  config.pause_threshold = kNever;
+  config.shed_threshold = shed ? 1.0 : kNever;
+  config.stop_accept_threshold = 1.0;
+  config.hysteresis = 0.75;  // release at 0.25: only when every queue is 0.0
+  config.retry_after_min = retry_after;
+  config.retry_after_max = retry_after;
+  auto manager = std::make_unique<OverloadManager>(config);
+  for (auto& queue : queues) {
+    manager->add_monitor(std::make_unique<WatermarkMonitor>(
+        std::move(queue), high_watermark, low_watermark));
+  }
+  return manager;
 }
 
 }  // namespace cops::nserver

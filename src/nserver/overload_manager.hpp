@@ -1,13 +1,10 @@
-// OverloadManager — the adaptive generalization of option O9
-// (overload = adaptive).
+// OverloadManager — the one control loop behind option O9.
 //
-// The paper's watermark controller gates accept on queue *length*; this
-// manager gates the whole request path on *pressure*: pluggable resource
-// monitors (event-queue delay, connection count, pool-miss rate, heap
-// bytes — and, in the proxy tier, upstream waiter depth and 502/504 rate)
-// each map their raw signal to a 0–1 pressure score, smoothed with an EWMA.
-// The overall pressure (worst monitor governs, like the watermark
-// controller's worst queue) drives graduated actions in severity order:
+// Pluggable resource monitors (event-queue delay, connection count,
+// pool-miss rate, heap bytes — and, in the proxy tier, upstream waiter
+// depth and 502/504 rate) each map their raw signal to a 0–1 pressure
+// score, smoothed with an EWMA.  The overall pressure (worst monitor
+// governs) drives graduated actions in severity order:
 //
 //   tier 1  conserve        shrink keep-alive idle timeouts
 //   tier 2  pause-low-prio  stop draining low-priority quota classes (O8)
@@ -15,9 +12,17 @@
 //   tier 4  stop-accept     suspend the Acceptor entirely
 //
 // Each tier latches independently with hysteresis (engage at its
-// threshold, release at threshold − hysteresis), and the thresholds are
-// monotone — so actions always engage in severity order and release in
-// reverse order as pressure falls.
+// threshold, release at threshold − hysteresis).  With monotone thresholds
+// actions engage in severity order and release in reverse as pressure
+// falls; a threshold above 1 leaves its tier out.
+//
+// Two configurations drive a Server (S5):
+//
+//   adaptive   the monitors above, with every tier;
+//   watermark  the paper's gate (make_watermark_manager): one queue-length
+//              monitor per watched queue, stop-accept above the high
+//              watermark until every queue is below the low one, and
+//              with overload_shed the shed tier on the same edges.
 //
 // The queue-delay monitor is CoDel-shaped (Nichols & Jacobson): the signal
 // is the *sliding minimum* queue delay over an interval, compared against a
@@ -29,8 +34,8 @@
 //
 // Threading: tick() and snapshot() are serialized by a mutex (housekeeping
 // cadence, not per-request); the request path reads only relaxed atomics
-// (tier, retry-after hint).  QueueDelayMonitor::record_delay is safe from
-// any thread.
+// (tier, shed latch, retry-after hint).  QueueDelayMonitor::record_delay is
+// safe from any thread.
 #pragma once
 
 #include <atomic>
@@ -217,8 +222,10 @@ class OverloadManager {
   [[nodiscard]] OverloadTier tier() const {
     return static_cast<OverloadTier>(tier_.load(std::memory_order_relaxed));
   }
+  // The shed latch itself: a configuration may leave the shed tier out
+  // while a higher tier engages.
   [[nodiscard]] bool shedding() const {
-    return tier() >= OverloadTier::kShed;
+    return shedding_.load(std::memory_order_relaxed);
   }
   // Retry-After for 503s, derived from the measured pressure decay: the
   // estimated time for pressure to fall below the shed-release threshold
@@ -260,10 +267,30 @@ class OverloadManager {
   uint64_t ticks_ = 0;
 
   std::atomic<int> tier_{0};
+  std::atomic<bool> shedding_{false};
   std::atomic<int64_t> retry_after_s_;
   std::atomic<uint64_t> accept_suspensions_{0};
   // Cheap gate for maybe_tick(), updated by every tick().
   std::atomic<int64_t> last_tick_ns_{0};
 };
+
+// A queue the watermark configuration watches, by name and current length.
+struct WatchedQueue {
+  std::string name;
+  std::function<size_t()> depth;
+};
+
+// The paper's O9 rule as a manager configuration (overload = watermark):
+// "if there is a queue whose length exceeds its specified high watermark,
+// then new connection requests are postponed until the length drops below
+// a specified low watermark."  Each queue's monitor reports its length as
+// the raw value and pressure 1.0 above `high_watermark`, 0.0 below
+// `low_watermark` and 0.5 in between; with threshold 1.0, hysteresis 0.75
+// and EWMA alpha 1 the latch reproduces the integer edges exactly.
+// Stop-accept always engages; shed only when `shed`; conserve and pause
+// never do.  Retry-After is the fixed `retry_after`.
+[[nodiscard]] std::unique_ptr<OverloadManager> make_watermark_manager(
+    size_t high_watermark, size_t low_watermark, bool shed,
+    std::chrono::seconds retry_after, std::vector<WatchedQueue> queues);
 
 }  // namespace cops::nserver

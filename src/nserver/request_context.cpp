@@ -41,26 +41,26 @@ size_t RequestContext::server_connection_count() const {
 }
 
 bool RequestContext::should_shed() const {
+  OverloadManager* overload = server_.overload_.get();
+  if (!overload) return false;
   // Adaptive O9, SPED mode: the dispatcher loop IS the worker, so a long
   // ready-batch starves the housekeeping timer that normally runs the
   // control loop.  Give the manager a chance to tick between requests of
   // the same pass; it rate-limits itself and this is the dispatcher
   // thread, so the graduated actions stay on their home thread.
-  if (server_.overload_mgr_ && server_.processor_->inline_mode()) {
-    server_.overload_mgr_->maybe_tick(now());
+  if (server_.processor_->inline_mode() && !server_.delay_monitors_.empty()) {
+    overload->maybe_tick(now());
   }
-  return server_.shedding_.load(std::memory_order_relaxed);
+  return overload->shedding();
 }
 
 std::chrono::seconds RequestContext::shed_retry_after() const {
-  // Adaptive O9: the advertised Retry-After tracks the measured pressure
-  // decay (estimated seconds until shedding releases), clamped to
-  // [overload_retry_after, overload_retry_after_max] by the manager.
-  // Watermark mode keeps the fixed configured constant.
-  if (server_.overload_mgr_) {
-    return server_.overload_mgr_->retry_after_hint();
-  }
-  return server_.options_.overload_retry_after;
+  // The manager's hint: under adaptive it tracks the measured pressure
+  // decay, clamped to [overload_retry_after, overload_retry_after_max];
+  // under watermark both clamps are overload_retry_after.
+  const OverloadManager* overload = server_.overload_.get();
+  return overload ? overload->retry_after_hint()
+                  : server_.options_.overload_retry_after;
 }
 
 void RequestContext::note_shed() {

@@ -63,19 +63,6 @@ Status Server::start() {
     controller_ = std::make_unique<ProcessorController>(*processor_, ccfg);
   }
 
-  if (options_.overload_control &&
-      options_.overload_mode == OverloadMode::kWatermark) {
-    overload_ = std::make_unique<OverloadController>(
-        options_.queue_high_watermark, options_.queue_low_watermark);
-    overload_->set_shed(options_.overload_shed);
-    overload_->watch_queue("reactive",
-                           [this] { return processor_->queue_depth(); });
-    if (file_service_) {
-      overload_->watch_queue("file-io",
-                             [this] { return file_service_->pending(); });
-    }
-  }
-
   // --- dispatchers (O1) ----------------------------------------------------
   const int n_reactors = options_.dispatcher_threads;
   for (int i = 0; i < n_reactors; ++i) {
@@ -96,13 +83,10 @@ Status Server::start() {
     shards_.push_back(std::move(shard));
   }
 
-  // --- adaptive overload manager (O9, overload_mode = kAdaptive) ----------
+  // --- overload manager (O9) ----------------------------------------------
   // Built after the shards so the per-shard event-loop-lag monitors and
   // pool-counter lambdas bind to live objects.
-  if (options_.overload_control &&
-      options_.overload_mode == OverloadMode::kAdaptive) {
-    build_overload_manager();
-  }
+  if (options_.overload_control) build_overload_manager();
 
   // --- connector (Client Component) on dispatcher 0 -------------------------
   connector_ = std::make_unique<net::Connector>(*shards_[0]->reactor);
@@ -153,7 +137,7 @@ Status Server::start() {
   // Inline processors never queue, so the admission signal is how late each
   // shard's loop runs its timers.  Sample at least twice per CoDel window so
   // the sliding min always has fresh readings to work with.
-  if (overload_mgr_ && processor_->inline_mode()) {
+  if (processor_->inline_mode() && !delay_monitors_.empty()) {
     Duration probe_interval =
         std::min(options_.housekeeping_interval, options_.overload_interval / 2);
     if (probe_interval < std::chrono::milliseconds(1)) {
@@ -637,9 +621,55 @@ void Server::fetch_file(RequestContextPtr ctx, std::string path,
   }
 }
 
-// ---- overload manager (adaptive O9) ------------------------------------------
+// ---- overload manager (O9) --------------------------------------------------
 
 void Server::build_overload_manager() {
+  if (options_.overload_mode == OverloadMode::kWatermark) {
+    // The paper's watched queues: the Reactive Event Processor's and, with
+    // asynchronous completions, the file-I/O queue.
+    std::vector<WatchedQueue> queues;
+    queues.push_back(
+        {"reactive", [this] { return processor_->queue_depth(); }});
+    if (file_service_) {
+      queues.push_back(
+          {"file-io", [this] { return file_service_->pending(); }});
+    }
+    overload_ = make_watermark_manager(
+        options_.queue_high_watermark, options_.queue_low_watermark,
+        options_.overload_shed, options_.overload_retry_after,
+        std::move(queues));
+  } else {
+    build_adaptive_monitors();
+  }
+
+  // Graduated actions.  tick() runs from housekeeping on the reactor-0
+  // thread, where the acceptor lives — suspend/resume need no hop.
+  OverloadActions actions;
+  actions.conserve = [this](bool on) {
+    conserve_idle_.store(on, std::memory_order_relaxed);
+    note_event(EventKind::kUser, 0,
+               on ? "overload-conserve" : "overload-conserve-release");
+  };
+  actions.pause_low_priority = [this](bool on) {
+    processor_->pause_low_priority(on);
+    note_event(EventKind::kUser, 0,
+               on ? "overload-pause-low-prio" : "overload-resume-low-prio");
+  };
+  actions.shed = [this](bool on) {
+    note_event(EventKind::kUser, 0,
+               on ? "overload-shed" : "overload-shed-release");
+  };
+  actions.stop_accept = [this](bool on) {
+    if (acceptors_.empty()) return;
+    set_accept_suspended(on);
+    if (on && options_.profiling) profiler_.count_overload_suspension();
+    note_event(EventKind::kUser, 0,
+               on ? "overload-suspend" : "overload-resume");
+  };
+  overload_->set_actions(std::move(actions));
+}
+
+void Server::build_adaptive_monitors() {
   OverloadManagerConfig cfg;
   cfg.target_delay = options_.overload_target_delay;
   cfg.interval = options_.overload_interval;
@@ -647,7 +677,7 @@ void Server::build_overload_manager() {
   cfg.hysteresis = options_.overload_hysteresis;
   cfg.retry_after_min = options_.overload_retry_after;
   cfg.retry_after_max = options_.overload_retry_after_max;
-  overload_mgr_ = std::make_unique<OverloadManager>(cfg);
+  overload_ = std::make_unique<OverloadManager>(cfg);
 
   // Queue-delay monitors (the CoDel admission signal).  With a separate
   // processor pool the probe rides the event queue itself; in SPED mode
@@ -657,10 +687,10 @@ void Server::build_overload_manager() {
   // ready request experiences.
   if (!processor_->inline_mode()) {
     delay_monitors_.push_back(
-        overload_mgr_->add_queue_delay_monitor("queue_delay"));
+        overload_->add_queue_delay_monitor("queue_delay"));
   } else {
     for (size_t i = 0; i < shards_.size(); ++i) {
-      auto* monitor = overload_mgr_->add_queue_delay_monitor(
+      auto* monitor = overload_->add_queue_delay_monitor(
           "loop_delay_" + std::to_string(i));
       // A long pass starves the probe timer itself, so fold the pending
       // probe's overdue-ness into the window — the standing lag is visible
@@ -683,7 +713,7 @@ void Server::build_overload_manager() {
   }
 
   if (options_.max_connections > 0) {
-    overload_mgr_->add_monitor(std::make_unique<GaugeMonitor>(
+    overload_->add_monitor(std::make_unique<GaugeMonitor>(
         "connections",
         [this] { return static_cast<double>(num_connections_.load()); },
         static_cast<double>(options_.max_connections)));
@@ -706,10 +736,10 @@ void Server::build_overload_manager() {
     }
     return n;
   };
-  overload_mgr_->add_monitor(std::make_unique<RateMonitor>(
+  overload_->add_monitor(std::make_unique<RateMonitor>(
       "pool_miss_rate", std::move(misses), std::move(requests), 0.5));
   if (options_.overload_max_heap_bytes > 0) {
-    overload_mgr_->add_monitor(std::make_unique<GaugeMonitor>(
+    overload_->add_monitor(std::make_unique<GaugeMonitor>(
         "heap_bytes",
         [this] {
           uint64_t n = 0;
@@ -721,37 +751,11 @@ void Server::build_overload_manager() {
         },
         static_cast<double>(options_.overload_max_heap_bytes)));
   }
-
-  // Graduated actions.  tick() runs from housekeeping on the reactor-0
-  // thread, where the acceptor lives — suspend/resume need no hop.
-  OverloadActions actions;
-  actions.conserve = [this](bool on) {
-    conserve_idle_.store(on, std::memory_order_relaxed);
-    note_event(EventKind::kUser, 0,
-               on ? "overload-conserve" : "overload-conserve-release");
-  };
-  actions.pause_low_priority = [this](bool on) {
-    processor_->pause_low_priority(on);
-    note_event(EventKind::kUser, 0,
-               on ? "overload-pause-low-prio" : "overload-resume-low-prio");
-  };
-  actions.shed = [this](bool on) {
-    shedding_.store(on, std::memory_order_relaxed);
-    note_event(EventKind::kUser, 0,
-               on ? "overload-shed" : "overload-shed-release");
-  };
-  actions.stop_accept = [this](bool on) {
-    if (acceptors_.empty()) return;
-    set_accept_suspended(on);
-    if (on && options_.profiling) profiler_.count_overload_suspension();
-    note_event(EventKind::kUser, 0,
-               on ? "overload-suspend" : "overload-resume");
-  };
-  overload_mgr_->set_actions(std::move(actions));
 }
 
 void Server::launch_overload_probes() {
-  if (processor_->inline_mode()) return;  // lag samplers self-schedule
+  // Watermark runs no probes; SPED lag samplers self-schedule.
+  if (delay_monitors_.empty() || processor_->inline_mode()) return;
   const auto t0 = now();
   Event probe;
   probe.kind = EventKind::kUser;
@@ -787,30 +791,11 @@ void Server::schedule_loop_lag_probe(size_t shard_index, Duration interval) {
 void Server::housekeeping() {
   if (stopping_.load()) return;
 
-  if (overload_mgr_) {
+  if (overload_) {
     // Launch this tick's sentinel probes first (they record on a later
     // loop pass), then fold whatever has arrived into the control loop.
     launch_overload_probes();
-    overload_mgr_->tick(now());
-  }
-
-  if (overload_ && !acceptors_.empty()) {
-    switch (overload_->evaluate()) {
-      case OverloadController::Decision::kSuspend:
-        set_accept_suspended(true);
-        if (options_.profiling) profiler_.count_overload_suspension();
-        note_event(EventKind::kUser, 0, "overload-suspend");
-        break;
-      case OverloadController::Decision::kResume:
-        set_accept_suspended(false);
-        note_event(EventKind::kUser, 0, "overload-resume");
-        break;
-      case OverloadController::Decision::kNoChange:
-        break;
-    }
-    // Shed tier (O9): mirror the controller's decision into the atomic the
-    // worker threads read through RequestContext::should_shed().
-    shedding_.store(overload_->should_shed(), std::memory_order_relaxed);
+    overload_->tick(now());
   }
 
   if (controller_) controller_->tick();
@@ -907,9 +892,9 @@ StatsSnapshot Server::stats_snapshot() const {
   s.queue_depth = processor_ ? processor_->queue_depth() : 0;
   s.processor_threads = processor_ ? processor_->num_threads() : 0;
   s.file_io_pending = file_service_ ? file_service_->pending() : 0;
-  if (overload_mgr_) {
+  if (overload_) {
     s.has_overload = true;
-    s.overload = overload_mgr_->snapshot();
+    s.overload = overload_->snapshot();
   }
   if (cache_) {
     s.has_cache = true;

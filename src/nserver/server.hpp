@@ -11,7 +11,7 @@
 //                  ▼
 //            FileIoService   [proactor-emulated non-blocking file I/O]
 //            FileCache       [transparent caching, 5 policies + custom]
-//            OverloadController / ProcessorController / Profiler /
+//            OverloadManager / ProcessorController / Profiler /
 //            DebugTracer / idle reaper
 //
 // Option O1 (dispatcher threads) instantiates N reactors; connections are
@@ -37,7 +37,6 @@
 #include "nserver/l1_cache.hpp"
 #include "nserver/hooks.hpp"
 #include "nserver/options.hpp"
-#include "nserver/overload_control.hpp"
 #include "nserver/overload_manager.hpp"
 #include "nserver/processor_controller.hpp"
 #include "nserver/profiler.hpp"
@@ -76,16 +75,15 @@ class Server {
   [[nodiscard]] bool draining() const {
     return draining_.load(std::memory_order_relaxed);
   }
-  // True while the O9 shed tier is rejecting requests (overload_shed on and
-  // the overload controller reports overload).
+  // True while the O9 shed tier is rejecting requests: under watermark
+  // when overload_shed is on and a queue tripped its high watermark, under
+  // adaptive when pressure reached the shed tier.
   [[nodiscard]] bool shedding() const {
-    return shedding_.load(std::memory_order_relaxed);
+    return overload_ && overload_->shedding();
   }
-  // The adaptive O9 control loop (overload_mode = kAdaptive); null in
-  // watermark mode.  Exposed for the admin endpoint and tests.
-  [[nodiscard]] OverloadManager* overload_manager() {
-    return overload_mgr_.get();
-  }
+  // The O9 control loop in either configuration (overload_mode); null only
+  // when overload_control is off.  Exposed for the admin endpoint and tests.
+  [[nodiscard]] OverloadManager* overload_manager() { return overload_.get(); }
   [[nodiscard]] ProfilerSnapshot profile() const;
   // Everything the admin endpoint serves, in one consistent grab.
   [[nodiscard]] StatsSnapshot stats_snapshot() const;
@@ -175,14 +173,16 @@ class Server {
   // ---- housekeeping (reactor 0 timer) -------------------------------------
   void housekeeping();
   void reap_idle(Shard& shard);
-  // Adaptive O9 setup/probing: build_overload_manager() wires the monitors
-  // and graduated actions.  With a separate processor pool,
+  // O9 setup/probing: build_overload_manager() wires the monitors of the
+  // configured mode and the graduated actions.  Adaptive only: with a
+  // separate processor pool,
   // launch_overload_probes() sends one timestamped sentinel per tick through
   // the event queue so the queue-delay monitor measures real dispatch
   // latency.  In SPED mode nothing is ever queued, so each shard instead
   // runs a self-rescheduling timer whose lateness (scheduled vs. actual fire
   // time) is the event-loop lag a newly ready request experiences.
   void build_overload_manager();
+  void build_adaptive_monitors();
   void launch_overload_probes();
   void schedule_loop_lag_probe(size_t shard_index, Duration interval);
 
@@ -207,10 +207,10 @@ class Server {
   std::unique_ptr<ProcessorController> controller_;
   std::unique_ptr<FileIoService> file_service_;
   std::unique_ptr<FileCache> cache_;
-  std::unique_ptr<OverloadController> overload_;
-  std::unique_ptr<OverloadManager> overload_mgr_;
-  // Owned by overload_mgr_; one per shard under SPED (event-loop lag),
-  // one for the processor queue with a separate pool.
+  std::unique_ptr<OverloadManager> overload_;
+  // Adaptive only, owned by overload_; one per shard under SPED
+  // (event-loop lag), one for the processor queue with a separate pool.
+  // Empty under watermark, which runs no probes.
   std::vector<QueueDelayMonitor*> delay_monitors_;
   std::unique_ptr<DebugTracer> tracer_;
   std::unique_ptr<AdminServer> admin_;
@@ -239,10 +239,6 @@ class Server {
   std::atomic<bool> launched_{false};  // dispatcher threads are running
   std::atomic<bool> stopping_{false};
   std::atomic<bool> draining_{false};  // drain() began; admin healthz → 503
-  // Mirror of the overload controller's shed decision, updated by
-  // housekeeping (reactor 0) and read by worker threads via
-  // RequestContext::should_shed(): atomic, not a plain bool.
-  std::atomic<bool> shedding_{false};
   // Written by housekeeping on the reactor-0 thread, read cross-thread via
   // accepting() (tests, admin endpoint): atomic, not a plain bool.
   std::atomic<bool> accept_suspended_{false};

@@ -256,6 +256,17 @@ TEST_F(AdminFixture, OverloadShedReturns503WithRetryAfter) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
   ASSERT_TRUE(suspended);
+  // The watermark gate is an OverloadManager configuration, so /stats.json
+  // shows it: the stop-accept tier, tripped by the reactive queue's length
+  // above the high watermark.
+  const auto json = test::http_get(admin_port_, "/stats.json");
+  EXPECT_NE(json.find("\"tier_name\":\"stop-accept\""), std::string::npos)
+      << json;
+  const std::string reactive = "{\"name\":\"reactive\",\"raw\":";
+  const size_t at = json.find(reactive);
+  ASSERT_NE(at, std::string::npos) << json;
+  EXPECT_GT(std::strtod(json.c_str() + at + reactive.size(), nullptr), 3.0)
+      << json;
   // …and the admin health check reports it while the backlog lasts.
   const auto health = test::http_get(admin_port_, "/healthz");
   EXPECT_NE(health.find("503"), std::string::npos) << health;

@@ -8,10 +8,10 @@
 #include "nserver/file_cache.hpp"
 #include "nserver/file_io_service.hpp"
 #include "nserver/options.hpp"
-#include "nserver/overload_control.hpp"
 #include "nserver/processor_controller.hpp"
 #include "nserver/profiler.hpp"
 #include "tests/test_util.hpp"
+#include "tests/watermark_gate.hpp"
 
 namespace cops::nserver {
 namespace {
@@ -262,6 +262,18 @@ TEST(Options, WatermarksMustBeOrdered) {
   EXPECT_NE(options.validate(), "");
 }
 
+TEST(Options, ZeroLowWatermarkRejected) {
+  // Accept resumes only when every queue drops *below* the low watermark,
+  // which no length can do for 0: the first trip would never end.
+  ServerOptions options;
+  options.overload_control = true;
+  options.queue_low_watermark = 0;
+  const std::string problem = options.validate();
+  EXPECT_EQ(problem.rfind("O9:", 0), 0u) << problem;
+  options.queue_low_watermark = 1;
+  EXPECT_EQ(options.validate(), "");
+}
+
 TEST(Options, DynamicNeedsSaneBounds) {
   ServerOptions options;
   options.thread_allocation = ThreadAllocation::kDynamic;
@@ -294,44 +306,47 @@ TEST(Options, EnumToString) {
   EXPECT_STREQ(to_string(UpstreamMode::kPooled), "Pooled");
 }
 
-// ---------- OverloadController -------------------------------------------------
+// ---------- O9 watermark gate ------------------------------------------------
+// The paper's watermark gate, run as the OverloadManager configuration the
+// Server builds for overload = watermark.  The suite keeps the name of the
+// class this configuration replaced.
+
+using test::Flip;
+using test::WatermarkGate;
 
 TEST(OverloadController, SuspendsAboveHighWatermark) {
   size_t depth = 0;
-  OverloadController controller(20, 5);
-  controller.watch_queue("q", [&] { return depth; });
-  EXPECT_EQ(controller.evaluate(), OverloadController::Decision::kNoChange);
+  WatermarkGate gate(20, 5, {{"q", [&] { return depth; }}});
+  EXPECT_EQ(gate.tick(), Flip::kNone);
   depth = 21;
-  EXPECT_EQ(controller.evaluate(), OverloadController::Decision::kSuspend);
-  EXPECT_TRUE(controller.overloaded());
+  EXPECT_EQ(gate.tick(), Flip::kSuspend);
+  EXPECT_TRUE(gate.suspended());
 }
 
 TEST(OverloadController, ResumesBelowLowWatermark) {
   size_t depth = 25;
-  OverloadController controller(20, 5);
-  controller.watch_queue("q", [&] { return depth; });
-  controller.evaluate();  // suspend
-  depth = 10;             // between watermarks: hysteresis holds
-  EXPECT_EQ(controller.evaluate(), OverloadController::Decision::kNoChange);
+  WatermarkGate gate(20, 5, {{"q", [&] { return depth; }}});
+  gate.tick();  // suspend
+  depth = 10;   // between watermarks: hysteresis holds
+  EXPECT_EQ(gate.tick(), Flip::kNone);
   depth = 4;
-  EXPECT_EQ(controller.evaluate(), OverloadController::Decision::kResume);
-  EXPECT_FALSE(controller.overloaded());
+  EXPECT_EQ(gate.tick(), Flip::kResume);
+  EXPECT_FALSE(gate.suspended());
 }
 
 TEST(OverloadController, AnyOfMultipleQueuesTrips) {
   size_t cpu = 0;
   size_t disk = 0;
-  OverloadController controller(20, 5);
-  controller.watch_queue("cpu", [&] { return cpu; });
-  controller.watch_queue("disk", [&] { return disk; });
+  WatermarkGate gate(20, 5, {{"cpu", [&] { return cpu; }},
+                             {"disk", [&] { return disk; }}});
   disk = 30;  // the disk bottleneck alone triggers suspension
-  EXPECT_EQ(controller.evaluate(), OverloadController::Decision::kSuspend);
+  EXPECT_EQ(gate.tick(), Flip::kSuspend);
   disk = 0;
   cpu = 30;  // still overloaded via the other queue
-  EXPECT_EQ(controller.evaluate(), OverloadController::Decision::kNoChange);
+  EXPECT_EQ(gate.tick(), Flip::kNone);
   cpu = 0;
-  EXPECT_EQ(controller.evaluate(), OverloadController::Decision::kResume);
-  EXPECT_EQ(controller.suspend_count(), 1u);
+  EXPECT_EQ(gate.tick(), Flip::kResume);
+  EXPECT_EQ(gate.suspensions(), 1u);
 }
 
 // ---------- Profiler -----------------------------------------------------------

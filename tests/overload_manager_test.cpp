@@ -2,10 +2,9 @@
 //
 // Unit layers: the CoDel sliding-minimum queue-delay monitor, the graduated
 // tier latches (engage ascending / release descending, with hysteresis),
-// the pressure-decay-derived Retry-After bounds, the watermark controller's
-// dead-queue regression (a removed or stale queue must not wedge the
-// acceptor suspended), and the quota-queue pause floor behind the tier-2
-// action.
+// the pressure-decay-derived Retry-After bounds, the watermark configuration
+// judged tick by tick against a reference model of the paper's rule, and
+// the quota-queue pause floor behind the tier-2 action.
 //
 // Scenario layer (simnet, `chaos` label): a seeded 10× arrival spike into
 // COPS-HTTP with a modeled per-request CPU cost.  The adaptive manager must
@@ -17,6 +16,7 @@
 #include <algorithm>
 #include <chrono>
 #include <memory>
+#include <random>
 #include <string>
 #include <vector>
 
@@ -25,7 +25,6 @@
 #include "common/quota_priority_queue.hpp"
 #include "http/http_server.hpp"
 #include "nserver/event_processor.hpp"
-#include "nserver/overload_control.hpp"
 #include "nserver/overload_manager.hpp"
 #include "simnet/sim_harness.hpp"
 #include "tests/test_util.hpp"
@@ -203,44 +202,69 @@ TEST(OverloadManagerTest, RetryAfterDerivedFromDecayAndClamped) {
   EXPECT_EQ(harness.manager.retry_after_hint(), seconds(20));
 }
 
-// ---- OverloadController dead-queue regression (satellite 1) ------------------
+// ---- watermark configuration vs the paper's rule -----------------------------
 
-TEST(OverloadControllerTest, GoneQueueCannotWedgeAcceptorSuspended) {
-  // Regression: evaluate() used to take every depth callback's value at
-  // face value, so a subsystem that was stopped while the controller was
-  // suspended (its callback returning SIZE_MAX or a frozen huge depth)
-  // could never drain below the low watermark — the acceptor stayed
-  // suspended forever.
-  OverloadController controller(10, 3);
-  size_t depth = 20;
-  bool gone = false;
-  controller.watch_queue("q", [&] {
-    return gone ? OverloadController::kQueueGone : depth;
-  });
+// Reference model of O9 as the paper states it: "If there is a queue whose
+// length exceeds its specified high watermark, then new connection requests
+// are postponed until the length drops below a specified low watermark."
+struct PaperWatermarkModel {
+  size_t high;
+  size_t low;
+  bool overloaded = false;
+  void step(size_t max_depth) {
+    overloaded = overloaded ? !(max_depth < low) : max_depth > high;
+  }
+};
 
-  EXPECT_EQ(controller.evaluate(), OverloadController::Decision::kSuspend);
-  EXPECT_TRUE(controller.overloaded());
+TEST(WatermarkModelTest, ManagerMatchesPaperRuleOnRandomDepthTraces) {
+  constexpr int kTicks = 10000;
+  const seconds retry_after(3);
+  const std::pair<size_t, size_t> watermarks[] = {
+      {20, 5}, {10, 3}, {3, 1}, {2, 1}};
+  for (const auto& [high, low] : watermarks) {
+    for (const bool shed : {false, true}) {
+      SCOPED_TRACE("high=" + std::to_string(high) + " low=" +
+                   std::to_string(low) + " shed=" + std::to_string(shed));
+      std::mt19937_64 rng(high * 100 + low * 10 + shed);
+      size_t depths[2] = {0, 0};
+      auto manager = make_watermark_manager(
+          high, low, shed, retry_after,
+          {{"cpu", [&] { return depths[0]; }},
+           {"disk", [&] { return depths[1]; }}});
+      PaperWatermarkModel model{high, low};
+      int suspends = 0;
+      int resumes = 0;
+      for (int tick = 0; tick < kTicks; ++tick) {
+        // Mostly a ±1 random walk (long stays inside the band and exact
+        // hits on both edges), sometimes a jump anywhere in [0, high + 3].
+        for (size_t& depth : depths) {
+          if (rng() % 4 == 0) {
+            depth = rng() % (high + 4);
+          } else {
+            const int step = static_cast<int>(rng() % 3) - 1;
+            if (step < 0 && depth > 0) --depth;
+            if (step > 0 && depth < high + 3) ++depth;
+          }
+        }
+        const bool was = model.overloaded;
+        model.step(std::max(depths[0], depths[1]));
+        suspends += !was && model.overloaded;
+        resumes += was && !model.overloaded;
 
-  // The queue's subsystem dies; its depth callback now reports kQueueGone.
-  gone = true;
-  EXPECT_EQ(controller.evaluate(), OverloadController::Decision::kResume)
-      << "a gone queue must not hold the acceptor suspended";
-  EXPECT_FALSE(controller.overloaded());
-
-  // And a gone queue never triggers a suspension either.
-  EXPECT_EQ(controller.evaluate(), OverloadController::Decision::kNoChange);
-}
-
-TEST(OverloadControllerTest, UnwatchReleasesSuspension) {
-  OverloadController controller(10, 3);
-  controller.watch_queue("busy", [] { return size_t{50}; });
-  controller.watch_queue("calm", [] { return size_t{0}; });
-  EXPECT_EQ(controller.evaluate(), OverloadController::Decision::kSuspend);
-
-  // Removing the queue that tripped the watermark lets the next evaluation
-  // judge only the remaining (calm) queue and resume.
-  controller.unwatch_queue("busy");
-  EXPECT_EQ(controller.evaluate(), OverloadController::Decision::kResume);
+        manager->tick(now());
+        const auto snap = manager->snapshot();
+        ASSERT_EQ(snap.accept_stopped, model.overloaded)
+            << "tick " << tick << " depths " << depths[0] << "," << depths[1];
+        ASSERT_EQ(manager->shedding(), model.overloaded && shed)
+            << "tick " << tick;
+        ASSERT_EQ(manager->retry_after_hint(), retry_after) << "tick " << tick;
+      }
+      // The trace must have exercised both edges, not idled on one side.
+      EXPECT_GT(suspends, 50);
+      EXPECT_GT(resumes, 50);
+      EXPECT_EQ(manager->accept_suspensions(), static_cast<uint64_t>(suspends));
+    }
+  }
 }
 
 // ---- quota-queue pause floor (tier-2 mechanism) ------------------------------

@@ -58,6 +58,30 @@ TEST(PerfSmokeTest, OverloadQuickRunEmitsValidJson) {
   EXPECT_TRUE(out.good()) << "could not write " << out_path;
 }
 
+// The committed BENCH_overload.json is a deterministic simnet sweep
+// (virtual time, fixed seed), so the default configuration must reproduce
+// it byte for byte.  Any change to a watermark or adaptive decision — a
+// tier edge, an EWMA step, a Retry-After — shows up here as a diff.
+TEST(PerfSmokeTest, CommittedOverloadBaselineIsReproduced) {
+  OverloadBenchConfig config;
+  config.docroot =
+      std::string(COPS_BINARY_DIR) + "/perf_smoke_overload_full_docroot";
+  ASSERT_TRUE(make_overload_docroot(config));
+
+  std::vector<OverloadRow> rows;
+  for (const char* mode : {"watermark", "adaptive"}) {
+    for (const double offered : config.offered_rps) {
+      rows.push_back(run_overload_point(config, mode, offered));
+    }
+  }
+
+  std::ifstream in(std::string(COPS_SOURCE_DIR) + "/BENCH_overload.json");
+  ASSERT_TRUE(in.good()) << "committed BENCH_overload.json not found";
+  std::stringstream committed;
+  committed << in.rdbuf();
+  EXPECT_EQ(overload_rows_to_json(rows, /*quick=*/false), committed.str());
+}
+
 // The invariants behind the committed BENCH_scaleout.json, at smoke scale.
 // Unlike the simnet benches these points run in REAL time (the whole point
 // is parallel speedup across shard threads), so the scaling gate here is

@@ -1,6 +1,6 @@
-// TimerQueue cancel-under-fire and OverloadController admission-edge tests
-// on the *simulated* clock — no real sleeps anywhere (a 10-minute timer
-// storm runs in microseconds of wall time).
+// TimerQueue cancel-under-fire tests on the *simulated* clock — no real
+// sleeps anywhere (a 10-minute timer storm runs in microseconds of wall
+// time) — and the O9 watermark configuration's admission edges.
 #include <chrono>
 #include <random>
 #include <set>
@@ -10,8 +10,8 @@
 
 #include "common/clock.hpp"
 #include "net/timer_queue.hpp"
-#include "nserver/overload_control.hpp"
 #include "simnet/sim_engine.hpp"
+#include "tests/watermark_gate.hpp"
 
 namespace cops {
 namespace {
@@ -136,73 +136,73 @@ TEST_F(SimClockFixture, NextTimeoutNeverRoundsToZeroEarly) {
   EXPECT_GE(ms2, 399);
 }
 
-// ---- OverloadController admission edges ------------------------------------
+// ---- O9 watermark admission edges ------------------------------------------
+// The OverloadManager configuration the Server builds for overload =
+// watermark must keep the paper's exact integer edges.
+
+using test::Flip;
+using test::WatermarkGate;
 
 TEST(OverloadControlEdgeTest, ExactlyAtHighWatermarkDoesNotSuspend) {
   // The paper says "exceeds its specified high watermark": depth == high is
   // not overload.
-  nserver::OverloadController control(/*high=*/20, /*low=*/5);
   size_t depth = 20;
-  control.watch_queue("q", [&] { return depth; });
-  EXPECT_EQ(control.evaluate(), nserver::OverloadController::Decision::kNoChange);
+  WatermarkGate gate(/*high=*/20, /*low=*/5, {{"q", [&] { return depth; }}});
+  EXPECT_EQ(gate.tick(), Flip::kNone);
   depth = 21;
-  EXPECT_EQ(control.evaluate(), nserver::OverloadController::Decision::kSuspend);
-  EXPECT_TRUE(control.overloaded());
+  EXPECT_EQ(gate.tick(), Flip::kSuspend);
+  EXPECT_TRUE(gate.suspended());
 }
 
 TEST(OverloadControlEdgeTest, ExactlyAtLowWatermarkDoesNotResume) {
   // "drops below a specified low watermark": depth == low keeps suspended.
-  nserver::OverloadController control(/*high=*/20, /*low=*/5);
   size_t depth = 25;
-  control.watch_queue("q", [&] { return depth; });
-  EXPECT_EQ(control.evaluate(), nserver::OverloadController::Decision::kSuspend);
+  WatermarkGate gate(/*high=*/20, /*low=*/5, {{"q", [&] { return depth; }}});
+  EXPECT_EQ(gate.tick(), Flip::kSuspend);
   depth = 5;
-  EXPECT_EQ(control.evaluate(), nserver::OverloadController::Decision::kNoChange);
-  EXPECT_TRUE(control.overloaded());
+  EXPECT_EQ(gate.tick(), Flip::kNone);
+  EXPECT_TRUE(gate.suspended());
   depth = 4;
-  EXPECT_EQ(control.evaluate(), nserver::OverloadController::Decision::kResume);
-  EXPECT_FALSE(control.overloaded());
+  EXPECT_EQ(gate.tick(), Flip::kResume);
+  EXPECT_FALSE(gate.suspended());
 }
 
 TEST(OverloadControlEdgeTest, HysteresisBandNeverFlaps) {
   // Depths oscillating inside (low, high] must produce no decisions at all
   // in either state — that band is the hysteresis.
-  nserver::OverloadController control(/*high=*/20, /*low=*/5);
   size_t depth = 10;
-  control.watch_queue("q", [&] { return depth; });
+  WatermarkGate gate(/*high=*/20, /*low=*/5, {{"q", [&] { return depth; }}});
   std::mt19937_64 rng(11);
   for (int i = 0; i < 100; ++i) {
     depth = 6 + rng() % 15;  // 6..20 inclusive
-    EXPECT_EQ(control.evaluate(),
-              nserver::OverloadController::Decision::kNoChange);
+    EXPECT_EQ(gate.tick(), Flip::kNone);
   }
   // Enter overload, then oscillate in the band again: still no decisions.
   depth = 100;
-  EXPECT_EQ(control.evaluate(), nserver::OverloadController::Decision::kSuspend);
+  EXPECT_EQ(gate.tick(), Flip::kSuspend);
   for (int i = 0; i < 100; ++i) {
     depth = 5 + rng() % 16;  // 5..20 inclusive
-    EXPECT_EQ(control.evaluate(),
-              nserver::OverloadController::Decision::kNoChange);
+    EXPECT_EQ(gate.tick(), Flip::kNone);
   }
-  EXPECT_EQ(control.suspend_count(), 1u);
+  EXPECT_EQ(gate.suspensions(), 1u);
 }
 
 TEST(OverloadControlEdgeTest, WorstQueueGoverns) {
   // Multiple watched queues: the *max* depth drives both edges, and resume
   // requires every queue below low.
-  nserver::OverloadController control(/*high=*/10, /*low=*/3);
   size_t cpu = 0;
   size_t disk = 0;
-  control.watch_queue("cpu", [&] { return cpu; });
-  control.watch_queue("disk", [&] { return disk; });
+  WatermarkGate gate(/*high=*/10, /*low=*/3,
+                     {{"cpu", [&] { return cpu; }},
+                      {"disk", [&] { return disk; }}});
   cpu = 2;
   disk = 11;
-  EXPECT_EQ(control.evaluate(), nserver::OverloadController::Decision::kSuspend);
+  EXPECT_EQ(gate.tick(), Flip::kSuspend);
   disk = 0;
   cpu = 3;  // still not below low
-  EXPECT_EQ(control.evaluate(), nserver::OverloadController::Decision::kNoChange);
+  EXPECT_EQ(gate.tick(), Flip::kNone);
   cpu = 2;
-  EXPECT_EQ(control.evaluate(), nserver::OverloadController::Decision::kResume);
+  EXPECT_EQ(gate.tick(), Flip::kResume);
 }
 
 }  // namespace
