@@ -28,17 +28,27 @@ Status SocketEventSource::register_handler(int fd, EventHandler* handler,
                                            uint32_t interest) {
   auto status = poller_.add(fd, interest);
   if (!status.is_ok()) return status;
-  handlers_[fd] = {handler, next_generation_++};
+  handlers_[fd] = {handler, next_generation_++, interest, 0};
   return Status::ok();
 }
 
 Status SocketEventSource::update_interest(int fd, uint32_t interest) {
-  return poller_.modify(fd, interest);
+  auto it = handlers_.find(fd);
+  if (it == handlers_.end()) return poller_.modify(fd, interest);
+  if (it->second.interest == interest) return Status::ok();
+  auto status = poller_.modify(fd, interest);
+  if (status.is_ok()) it->second.interest = interest;
+  return status;
 }
 
 Status SocketEventSource::deregister(int fd) {
   handlers_.erase(fd);
   return poller_.remove(fd);
+}
+
+Status SocketEventSource::add_wakeup_fd(int fd) {
+  wakeup_fd_ = fd;
+  return poller_.add(fd, kReadable);
 }
 
 Status SocketEventSource::poll(std::vector<ReadyCallback>& out,
@@ -47,23 +57,34 @@ Status SocketEventSource::poll(std::vector<ReadyCallback>& out,
   auto n = poller_.wait(scratch_, timeout_ms);
   if (!n.is_ok()) return n.status();
   for (const auto& ready : scratch_) {
+    if (ready.fd == wakeup_fd_) {
+      wakeup_ready_ = true;
+      continue;
+    }
     auto it = handlers_.find(ready.fd);
     if (it == handlers_.end()) continue;  // deregistered concurrently
-    const int fd = ready.fd;
-    const uint64_t generation = it->second.generation;
-    const uint32_t events = ready.events;
-    // Re-validate at dispatch time: an earlier callback in this batch may
-    // have deregistered the fd (or a recycled fd re-registered with a new
-    // generation).
-    out.push_back([this, fd, generation, events] {
-      auto live = handlers_.find(fd);
-      if (live == handlers_.end() || live->second.generation != generation) {
-        return;
-      }
-      dispatch_unchecked(live->second.handler, fd, events);
-    });
+    it->second.ready = ready.events;
+    // fd and generation packed into one word: with `this` the capture is 16
+    // bytes, which std::function stores inline — no allocation per event.
+    const uint64_t key =
+        (uint64_t{static_cast<uint32_t>(ready.fd)} << 32) |
+        it->second.generation;
+    out.push_back([this, key] { dispatch(key); });
   }
   return Status::ok();
+}
+
+void SocketEventSource::dispatch(uint64_t key) {
+  // Re-validate at dispatch time: an earlier callback in this batch may
+  // have deregistered the fd (or a recycled fd re-registered with a new
+  // generation).
+  const int fd = static_cast<int>(key >> 32);
+  auto live = handlers_.find(fd);
+  if (live == handlers_.end() ||
+      live->second.generation != static_cast<uint32_t>(key)) {
+    return;
+  }
+  dispatch_unchecked(live->second.handler, fd, live->second.ready);
 }
 
 // ---- TimerEventSource -----------------------------------------------------
@@ -87,20 +108,29 @@ UserEventSource::UserEventSource(std::unique_ptr<EventSource> inner,
                                  SocketEventSource& base)
     : EventSourceDecorator(std::move(inner)),
       wakeup_fd_(::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC)),
-      base_poller_(&base.poller()) {
-  // Register the wakeup fd with a null handler: readiness only interrupts
-  // the poll; the queued callbacks are drained in poll() below.
-  base.poller().add(wakeup_fd_.get(), kReadable);
+      base_(base) {
+  // Readiness of the wakeup fd only interrupts the poll; the queued
+  // callbacks are drained in poll() below.
+  base_.add_wakeup_fd(wakeup_fd_.get());
 }
 
 void UserEventSource::post(std::function<void()> fn) {
+  // No post is lost: the push happens before the exchange, and poll()
+  // clears the flag before it drains the queue.  A post whose exchange
+  // finds the flag set comes before the next clear, so the drain after that
+  // clear sees its callback.  The post that set the flag writes the
+  // eventfd, which stays readable until a poll pass reads it, and a pass
+  // reads it before it clears, so the reactor cannot sleep through that
+  // clear.
   queue_.push(std::move(fn));
-  const uint64_t one = 1;
-  [[maybe_unused]] ssize_t n = ::write(wakeup_fd_.get(), &one, sizeof(one));
+  if (!wakeup_pending_.exchange(true, std::memory_order_acq_rel)) {
+    const uint64_t one = 1;
+    [[maybe_unused]] ssize_t n = ::write(wakeup_fd_.get(), &one, sizeof(one));
+  }
   // The eventfd is a real descriptor, so under simulation the write above
   // wakes nothing — tell the simulator directly which poller has work.
   if (auto* sim = sim_backend(); sim != nullptr) [[unlikely]] {
-    sim->sim_notify(base_poller_);
+    sim->sim_notify(&base_.poller());
   }
 }
 
@@ -109,16 +139,20 @@ int UserEventSource::preferred_timeout_ms(int proposed) const {
   return inner().preferred_timeout_ms(proposed);
 }
 
-void UserEventSource::drain_wakeup() {
-  uint64_t counter = 0;
-  while (::read(wakeup_fd_.get(), &counter, sizeof(counter)) > 0) {
-  }
-}
-
 Status UserEventSource::poll(std::vector<ReadyCallback>& out, int timeout_ms) {
   auto status = inner().poll(out, timeout_ms);
   if (!status.is_ok()) return status;
-  drain_wakeup();
+  // One read resets the eventfd counter however many writes it absorbed.
+  // Read it only when epoll reported it readable, not whenever the flag was
+  // set: a writer whose exchange won but whose write lands after this read
+  // would otherwise leave the level-triggered eventfd readable with the
+  // flag clear, and every pass until the next post would return at once.
+  if (base_.take_wakeup_ready()) {
+    uint64_t counter = 0;
+    [[maybe_unused]] ssize_t n =
+        ::read(wakeup_fd_.get(), &counter, sizeof(counter));
+  }
+  wakeup_pending_.exchange(false, std::memory_order_acq_rel);
   while (auto fn = queue_.try_pop()) {
     out.push_back(std::move(*fn));
   }

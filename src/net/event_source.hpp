@@ -12,9 +12,11 @@
 // mechanism the paper calls out for unanticipated event sources.
 #pragma once
 
+#include <atomic>
 #include <functional>
 #include <memory>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "common/mpmc_queue.hpp"
@@ -50,6 +52,8 @@ class SocketEventSource : public EventSource {
  public:
   Status register_handler(int fd, EventHandler* handler,
                           uint32_t interest) override;
+  // A no-op when `interest` is already the registered mask, so callers may
+  // re-state their interest freely without paying an epoll_ctl for it.
   Status update_interest(int fd, uint32_t interest) override;
   Status deregister(int fd) override;
   [[nodiscard]] int preferred_timeout_ms(int proposed) const override {
@@ -57,22 +61,35 @@ class SocketEventSource : public EventSource {
   }
   Status poll(std::vector<ReadyCallback>& out, int timeout_ms) override;
 
-  // Used by UserEventSource to install its wakeup descriptor.
+  // Registers UserEventSource's wakeup descriptor: its readiness is not
+  // dispatched to a handler, only remembered for take_wakeup_ready().
+  Status add_wakeup_fd(int fd);
+  // True once after a poll that found the wakeup descriptor readable.
+  bool take_wakeup_ready() { return std::exchange(wakeup_ready_, false); }
+
   Poller& poller() { return poller_; }
 
  private:
   // Registrations are generation-stamped: a ready callback dispatched later
   // in the same batch re-validates its registration, so a handler destroyed
   // (or an fd recycled) by an earlier callback is skipped, not dereferenced.
+  // 32 bits of generation suffice: a false match needs the same fd to be
+  // re-registered exactly 2^32 registrations later within one poll batch.
   struct Registration {
     EventHandler* handler = nullptr;
-    uint64_t generation = 0;
+    uint32_t generation = 0;
+    uint32_t interest = 0;  // the mask epoll currently holds for the fd
+    uint32_t ready = 0;     // readiness reported by the latest poll
   };
+
+  void dispatch(uint64_t key);
 
   Poller poller_;
   std::unordered_map<int, Registration> handlers_;
   std::vector<ReadyFd> scratch_;
-  uint64_t next_generation_ = 1;
+  uint32_t next_generation_ = 1;
+  int wakeup_fd_ = -1;
+  bool wakeup_ready_ = false;
 };
 
 // Decorator base: forwards everything to the wrapped source.
@@ -127,7 +144,8 @@ class TimerEventSource : public EventSourceDecorator {
 };
 
 // Adds a thread-safe queue of posted callbacks, with an eventfd wakeup so a
-// post from an Event Processor thread interrupts the blocked poll.
+// post from an Event Processor thread interrupts the blocked poll.  Wakeups
+// are coalesced: only the post that finds none pending writes the eventfd.
 class UserEventSource : public EventSourceDecorator {
  public:
   // `base` must be the underlying SocketEventSource (for wakeup-fd
@@ -143,14 +161,17 @@ class UserEventSource : public EventSourceDecorator {
   [[nodiscard]] size_t pending_posts() const { return queue_.size(); }
 
  private:
-  void drain_wakeup();
-
   MpmcQueue<std::function<void()>> queue_;
   Fd wakeup_fd_;
-  // Identity of the reactor's poller, as registered with the transport seam.
-  // post() forwards it to SimBackend::sim_notify so a cross-thread post also
-  // wakes the reactor under simulation, where the eventfd write is inert.
-  Poller* base_poller_;
+  // Set by the post that writes the eventfd, cleared by poll() before it
+  // drains the queue; see post() for why no post can be lost.
+  std::atomic<bool> wakeup_pending_{false};
+  // The reactor's base source: reports whether the eventfd was readable,
+  // and its poller is the identity registered with the transport seam.
+  // post() forwards that identity to SimBackend::sim_notify so a
+  // cross-thread post also wakes the reactor under simulation, where the
+  // eventfd write is inert.
+  SocketEventSource& base_;
 };
 
 }  // namespace cops::net

@@ -55,7 +55,16 @@ void Connection::handle_event(int /*fd*/, uint32_t readiness) {
   }
   if ((readiness & net::kWritable) != 0) on_writable();
   if (closed()) return;
-  if ((readiness & net::kReadable) != 0 && want_read_) on_readable();
+  if ((readiness & net::kReadable) == 0) return;
+  if (want_read_) {
+    on_readable();
+  } else {
+    // Lazy disarm: start_pipeline() left read interest armed, and bytes
+    // arrived while the request is in the processor.  Drop the interest
+    // now so level-triggered epoll does not report them on every pass;
+    // resume_reading() re-arms it and they are read then.
+    update_interest();
+  }
 }
 
 void Connection::on_readable() {
@@ -80,11 +89,11 @@ void Connection::profiler_bytes_read(size_t n) {  // small indirection helper
 
 void Connection::start_pipeline() {
   // Pipeline token moves from the socket to the Event Processor: stop
-  // reading until this request cycle resolves.
+  // reading until this request cycle resolves.  Read interest stays armed
+  // in epoll; handle_event() drops it only if bytes arrive meanwhile.
   want_read_ = false;
   pipeline_active_ = true;
   if (server_.options_.profiling) trace_.begin_request(trace_now_us());
-  update_interest();
   server_.submit_decode(shared_from_this());
 }
 
@@ -100,7 +109,8 @@ void Connection::resume_reading() {
     partial_since_ = now();
   }
   // Data may already be buffered in the kernel; with level-triggered epoll
-  // re-arming read interest is sufficient to get a new readable event.
+  // re-arming read interest (a no-op unless handle_event() dropped it) is
+  // sufficient to get a new readable event.
   want_read_ = true;
   update_interest();
   last_activity_ = now();
@@ -115,8 +125,14 @@ void Connection::continue_pipeline() {
   // A request completed: whatever remains buffered is the *next* request,
   // which deserves a fresh slowloris window.
   partial_since_ = TimePoint{};
-  // More pipelined requests may already sit in the in-buffer; go around the
-  // Decode loop again before re-arming the socket.
+  // Nothing buffered: the token goes straight back to the socket, without
+  // a Decode round trip that could only answer "need more".
+  if (in_.empty()) {
+    resume_reading();
+    return;
+  }
+  // More pipelined requests sit in the in-buffer; go around the Decode loop
+  // again before re-arming the socket.
   pipeline_active_ = true;
   if (server_.options_.profiling) trace_.begin_request(trace_now_us());
   server_.submit_decode(shared_from_this());

@@ -13,6 +13,15 @@
 //   (c) a reply is draining through the out buffer.
 // The token passes (a)→(b) on read, (b)→(c) on reply, (c)→(b) after the
 // reply drains (pipelined requests) or (c)→(a) when the in-buffer is empty.
+// Both moves out of (c) happen on the dispatcher, so a keep-alive request
+// costs one dispatcher→processor→dispatcher round trip.
+//
+// "Armed" means want_read_, not the epoll mask: (a)→(b) leaves read
+// interest registered, and handle_event() drops it only if bytes arrive
+// while the token is away (lazy disarm).  With level-triggered epoll those
+// bytes are reported again once (c)→(a) re-arms, so no Read happens while
+// a request is in the processor, and a request cycle with no early bytes
+// costs no epoll_ctl at all.
 #pragma once
 
 #include <atomic>
@@ -54,7 +63,8 @@ class Connection : public net::EventHandler,
   // Thin forwarding overload for callers holding flat bytes (greetings,
   // raw sends); the string is moved, never copied, into the queue.
   void queue_send(std::string bytes, bool completes_request);
-  // Re-arms read interest (decode needs more data).
+  // Re-arms read interest (decode needs more data, or a drained reply left
+  // the in-buffer empty).
   void resume_reading();
   // Continues the pipeline without sending (finish()-style resolutions).
   void continue_pipeline();

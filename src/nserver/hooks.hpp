@@ -67,7 +67,8 @@ class AppHooks {
   virtual void on_close(uint64_t connection_id) { (void)connection_id; }
 
   // Decode Request step.  Consume bytes from `in` (leaving any trailing
-  // pipelined data for the next round).  Not called — and not required —
+  // pipelined data for the next round).  Only called when `in` holds at
+  // least one byte.  Not called — and not required —
   // when the server was configured without encoding/decoding (O3 = No,
   // Fig. 2): the framework then delivers raw chunks straight to handle().
   virtual DecodeResult decode(RequestContext& ctx, ByteBuffer& in) {

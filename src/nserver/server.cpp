@@ -443,11 +443,8 @@ void Server::run_decode(const std::shared_ptr<Connection>& conn) {
     }
   } else {
     // Fig. 2 variant: no Decode step — raw chunks go straight to Handle.
-    if (conn->in_buffer().empty()) {
-      result = DecodeResult::need_more();
-    } else {
-      result = DecodeResult::request_ready(conn->in_buffer().take_string());
-    }
+    // The buffer is never empty here (the same guarantee decode() has).
+    result = DecodeResult::request_ready(conn->in_buffer().take_string());
   }
 
   switch (result.status) {

@@ -157,6 +157,16 @@ std::vector<std::string> SimEngine::failures() const {
   return failures_;
 }
 
+uint64_t SimEngine::poll_modify_count() const {
+  Lock lock(mutex_);
+  return poll_modifies_;
+}
+
+uint64_t SimEngine::poll_wait_count() const {
+  Lock lock(mutex_);
+  return poll_waits_;
+}
+
 bool SimEngine::chance_locked(double probability) {
   if (probability <= 0.0) return false;
   std::uniform_real_distribution<double> dist(0.0, 1.0);
@@ -710,6 +720,7 @@ Status SimEngine::sim_poll_add(const void* poller, int fd, uint32_t interest) {
 Status SimEngine::sim_poll_modify(const void* poller, int fd,
                                   uint32_t interest) {
   Lock lock(mutex_);
+  ++poll_modifies_;
   auto& interests = pollers_[poller];
   auto it = interests.find(fd);
   if (it == interests.end()) {
@@ -863,6 +874,7 @@ size_t SimEngine::sim_poll_wait(const void* poller,
                                 std::vector<net::ReadyFd>& out,
                                 int timeout_ms) {
   Lock lock(mutex_);
+  ++poll_waits_;
   if (token_holder_ == poller) token_holder_ = nullptr;
   if (shutdown_) return 0;
   if (slots_.count(poller) == 0) {

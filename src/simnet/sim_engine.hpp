@@ -137,6 +137,10 @@ class SimEngine : public net::SimBackend {
   [[nodiscard]] std::vector<std::string> failures() const;
   void fail(std::string message);
   void record(std::string line);
+  // Test support: poller-seam calls since construction — interest changes
+  // (the stand-in for epoll_ctl(MOD)) and poll passes over all reactors.
+  [[nodiscard]] uint64_t poll_modify_count() const;
+  [[nodiscard]] uint64_t poll_wait_count() const;
 
   // ---- net::SimBackend ----------------------------------------------------
   net::SysResult sim_read(int fd, void* buf, size_t len) override;
@@ -315,6 +319,8 @@ class SimEngine : public net::SimBackend {
 
   std::vector<std::string> trace_;
   std::vector<std::string> failures_;
+  uint64_t poll_modifies_ = 0;
+  uint64_t poll_waits_ = 0;
 };
 
 }  // namespace cops::simnet

@@ -4,6 +4,7 @@
 
 #include <atomic>
 #include <thread>
+#include <vector>
 
 #include "net/acceptor.hpp"
 #include "net/connector.hpp"
@@ -382,6 +383,35 @@ TEST(EventSourceDecorators, UserEventsInterruptBlockedPoll) {
   EXPECT_LT(to_millis(now() - start), 400);
   reactor.stop();
   reactor.join();
+}
+
+// Wakeups are coalesced: a post writes the eventfd only when none is
+// pending.  Posts racing the reactor's drain must all run, and once the
+// posters are done no eventfd readiness may linger — an idle poll blocks
+// for its full timeout instead of returning at once, pass after pass.
+TEST(EventSourceDecorators, CoalescedWakeupsLeaveNoStaleReadiness) {
+  Reactor reactor;  // driven from this thread with run_once()
+  std::atomic<int> count{0};
+  std::vector<std::thread> posters;
+  for (int t = 0; t < 4; ++t) {
+    posters.emplace_back([&] {
+      for (int i = 0; i < 500; ++i) {
+        reactor.post([&count] { count.fetch_add(1); });
+      }
+    });
+  }
+  const auto deadline = now() + std::chrono::seconds(5);
+  while (count.load() < 2000 && now() < deadline) reactor.run_once(50);
+  for (auto& t : posters) t.join();
+  EXPECT_EQ(count.load(), 2000);
+
+  // One pass absorbs a wakeup whose write landed after its batch drained.
+  reactor.run_once(0);
+  for (int pass = 0; pass < 3; ++pass) {
+    const auto start = now();
+    EXPECT_EQ(reactor.run_once(30), 0u);
+    EXPECT_GE(to_millis(now() - start), 25) << "pass " << pass;
+  }
 }
 
 }  // namespace

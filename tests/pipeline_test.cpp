@@ -5,6 +5,7 @@
 
 #include <thread>
 
+#include "http/http_server.hpp"
 #include "nserver/request_context.hpp"
 #include "nserver/server.hpp"
 #include "tests/test_util.hpp"
@@ -460,6 +461,99 @@ TEST_F(PipelineFixture, MultiDispatcherShardsConnections) {
     std::this_thread::sleep_for(std::chrono::milliseconds(2));
   }
   EXPECT_EQ(server_->connection_count(), 0u);
+}
+
+// ---- request-cycle hops ---------------------------------------------------
+
+// Decorates the COPS-HTTP hooks with a count of Decode calls, and of those
+// handed an empty in-buffer (which the hook contract rules out).
+class CountingDecodeHooks : public AppHooks {
+ public:
+  explicit CountingDecodeHooks(std::shared_ptr<AppHooks> inner)
+      : inner_(std::move(inner)) {}
+
+  std::atomic<uint64_t> decodes{0};
+  std::atomic<uint64_t> empty_decodes{0};
+
+  void on_connect(RequestContext& ctx) override { inner_->on_connect(ctx); }
+  void on_close(uint64_t id) override { inner_->on_close(id); }
+  DecodeResult decode(RequestContext& ctx, ByteBuffer& in) override {
+    decodes.fetch_add(1);
+    if (in.empty()) empty_decodes.fetch_add(1);
+    return inner_->decode(ctx, in);
+  }
+  void handle(RequestContext& ctx, std::any request) override {
+    inner_->handle(ctx, std::move(request));
+  }
+  EncodedReply encode_reply(RequestContext& ctx, std::any response) override {
+    return inner_->encode_reply(ctx, std::move(response));
+  }
+
+ private:
+  std::shared_ptr<AppHooks> inner_;
+};
+
+// Waits until the processor has run nothing new for a few milliseconds:
+// a reply can reach the client before its event's worker finishes counting.
+uint64_t settled_processed(const EventProcessor& processor) {
+  uint64_t last = processor.processed();
+  for (int i = 0; i < 400; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    const uint64_t now_processed = processor.processed();
+    if (now_processed == last && processor.queue_depth() == 0) break;
+    last = now_processed;
+  }
+  return last;
+}
+
+// The paper's request cycle takes one dispatcher→processor→dispatcher round
+// trip: a drained reply with nothing buffered re-arms reading on the
+// dispatcher instead of queueing a Decode that could only ask for more.
+TEST(RequestCycleTest, OneDecodeAndOneProcessorEventPerKeepAliveRequest) {
+  test::TempDir dir;
+  const std::string body = "<html>one hop</html>";
+  dir.write_file("index.html", body);
+  http::HttpServerConfig config;
+  config.doc_root = dir.str();
+  auto hooks = std::make_shared<CountingDecodeHooks>(
+      std::make_shared<http::HttpAppHooks>(config));
+  auto options = http::CopsHttpServer::default_options();
+  options.listen_port = 0;
+  Server server(options, hooks);
+  ASSERT_TRUE(server.start().is_ok());
+
+  test::BlockingClient client;
+  ASSERT_TRUE(client.connect("127.0.0.1", server.port()));
+  // Warm-up: the first GET misses the cache and loads through file I/O.
+  ASSERT_NE(test::http_get(server.port(), "/index.html", true, &client)
+                .find(body),
+            std::string::npos);
+  const uint64_t processed_before = settled_processed(server.processor());
+  const uint64_t decodes_before = hooks->decodes.load();
+
+  constexpr uint64_t kRequests = 500;
+  for (uint64_t i = 0; i < kRequests; ++i) {
+    const auto reply = test::http_get(server.port(), "/index.html", true,
+                                      &client);
+    ASSERT_NE(reply.find(body), std::string::npos) << "request " << i;
+  }
+  const uint64_t processed = settled_processed(server.processor());
+  EXPECT_EQ(hooks->decodes.load() - decodes_before, kRequests);
+  EXPECT_EQ(processed - processed_before, kRequests);
+
+  // A pipelined pair in one write: two in-order replies, and the drained
+  // second reply still costs no empty-buffer Decode.
+  dir.write_file("second.html", "<html>second</html>");
+  ASSERT_TRUE(client.send_all(
+      "GET /index.html HTTP/1.1\r\nHost: t\r\n\r\n"
+      "GET /second.html HTTP/1.1\r\nHost: t\r\n\r\n"));
+  const std::string both = client.read_until("<html>second</html>");
+  const size_t first_at = both.find(body);
+  ASSERT_NE(first_at, std::string::npos) << both;
+  EXPECT_LT(first_at, both.find("<html>second</html>")) << both;
+  settled_processed(server.processor());
+  EXPECT_EQ(hooks->empty_decodes.load(), 0u);
+  server.stop();
 }
 
 }  // namespace

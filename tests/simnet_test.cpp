@@ -5,7 +5,10 @@
 //
 // Every fault-injecting test prints the replay seed on failure via
 // SCOPED_TRACE, so a red run can be reproduced bit-identically.
+#include <any>
+#include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -14,6 +17,8 @@
 #include "common/clock.hpp"
 #include "http/http_server.hpp"
 #include "net/socket.hpp"
+#include "nserver/request_context.hpp"
+#include "nserver/server.hpp"
 #include "simnet/sim_harness.hpp"
 #include "tests/test_util.hpp"
 
@@ -436,6 +441,126 @@ TEST(SimServerTest, ClientResetMidSessionCleansUpConnection) {
       << "connection leaked after client reset; " << seed_note(engine)
       << "\n" << engine.trace_text();
   server.stop();
+  EXPECT_TRUE(engine.failures().empty());
+}
+
+// ---- lazy read disarm -------------------------------------------------------
+
+// Sequential keep-alive requests: each arrives only after the previous reply,
+// so read interest never has to change.  Starting a request cycle leaves
+// interest armed and a drained reply re-arms for free.
+TEST(SimServerTest, SequentialKeepAliveRequestsChangeNoInterest) {
+  SimEngine engine(103);
+  test::TempDir dir;
+  const std::string body = "<html>keep-alive</html>";
+  dir.write_file("index.html", body);
+  auto options = http::CopsHttpServer::default_options();
+  make_deterministic(options);
+  options.listen_port = 8083;
+  http::HttpServerConfig config;
+  config.doc_root = dir.str();
+  http::CopsHttpServer server(std::move(options), config);
+  auto started = server.start();
+  ASSERT_TRUE(started.is_ok()) << started.to_string();
+
+  constexpr int kRequests = 100;
+  const std::string request = "GET /index.html HTTP/1.1\r\nHost: sim\r\n\r\n";
+  auto* client = engine.new_client();
+  int replies = 0;
+  size_t scanned = 0;
+  client->on_data = [&](std::string_view) {
+    const std::string& got = client->received();
+    for (size_t at = got.find(body, scanned); at != std::string::npos;
+         at = got.find(body, scanned)) {
+      scanned = at + body.size();
+      if (++replies < kRequests) {
+        client->send(request);
+      } else {
+        client->close();
+      }
+    }
+  };
+  engine.at(std::chrono::milliseconds(1), [&] {
+    client->connect(8083);
+    client->send(request);
+  });
+  ASSERT_TRUE(engine.run(std::chrono::seconds(10)))
+      << seed_note(engine) << "\n" << engine.trace_text();
+  server.stop();
+
+  EXPECT_EQ(replies, kRequests) << seed_note(engine);
+  EXPECT_EQ(engine.poll_modify_count(), 0u) << seed_note(engine);
+  EXPECT_TRUE(engine.failures().empty());
+}
+
+// Line protocol whose replies the scenario script releases, so a request
+// can be held in the processor while the next one arrives.
+class HeldReplyHooks : public nserver::AppHooks {
+ public:
+  nserver::DecodeResult decode(nserver::RequestContext&,
+                               ByteBuffer& in) override {
+    const size_t eol = in.find("\n");
+    if (eol == std::string_view::npos) {
+      return nserver::DecodeResult::need_more();
+    }
+    std::string line(in.view().substr(0, eol));
+    in.consume(eol + 1);
+    return nserver::DecodeResult::request_ready(std::move(line));
+  }
+  void handle(nserver::RequestContext& ctx, std::any request) override {
+    held_ = ctx.make_handle();
+    line_ = std::any_cast<std::string>(std::move(request));
+  }
+  std::string encode(nserver::RequestContext&, std::any response) override {
+    return std::any_cast<std::string>(std::move(response)) + "\n";
+  }
+  // Replies to the held request; false when none is held.
+  bool release() {
+    if (!held_) return false;
+    std::exchange(held_, nullptr)->reply("ECHO:" + line_);
+    return true;
+  }
+
+ private:
+  std::shared_ptr<nserver::RequestContext> held_;
+  std::string line_;
+};
+
+// Request 2 arrives while request 1 is in the processor.  The readable event
+// drops read interest once (no level-triggered spin while the request is
+// held), the drained reply re-arms it once, and request 2 is then read and
+// answered in order.
+TEST(SimServerTest, EarlyRequestDisarmsOnceAndRearmsOnce) {
+  SimEngine engine(104);
+  auto hooks = std::make_shared<HeldReplyHooks>();
+  auto options = deterministic_options();
+  options.listen_port = 8084;
+  nserver::Server server(options, hooks);
+  auto started = server.start();
+  ASSERT_TRUE(started.is_ok()) << started.to_string();
+
+  auto* client = engine.new_client();
+  bool released_first = false;
+  bool released_second = false;
+  engine.at(std::chrono::milliseconds(1), [client] {
+    client->connect(8084);
+    client->send("one\n");
+  });
+  engine.at(std::chrono::milliseconds(5), [client] { client->send("two\n"); });
+  engine.at(std::chrono::milliseconds(10),
+            [&] { released_first = hooks->release(); });
+  engine.at(std::chrono::milliseconds(15),
+            [&] { released_second = hooks->release(); });
+  engine.at(std::chrono::milliseconds(20), [client] { client->close(); });
+  ASSERT_TRUE(engine.run(std::chrono::seconds(10)))
+      << seed_note(engine) << "\n" << engine.trace_text();
+  server.stop();
+
+  EXPECT_TRUE(released_first);
+  EXPECT_TRUE(released_second);
+  EXPECT_EQ(client->received(), "ECHO:one\nECHO:two\n") << seed_note(engine);
+  EXPECT_EQ(engine.poll_modify_count(), 2u) << seed_note(engine);
+  EXPECT_LE(engine.poll_wait_count(), 20u) << seed_note(engine);
   EXPECT_TRUE(engine.failures().empty());
 }
 
