@@ -25,8 +25,7 @@ void usage() {
       "          [--overload-mode watermark|adaptive] [--overload-target-ms N]\n"
       "          [--auto-index] [--debug] [--profiling] [--logging]\n"
       "          [--body-framing content_length|chunked] [--chunked-min BYTES]\n"
-      "          [--accept-path dispatch|reuseport] [--backlog N]\n"
-      "          [--l1-entries N] [--l1-max-bytes BYTES]\n"
+      "          [--backlog N]\n"
       "          [--admin] [--admin-port N] [--run-seconds N] [--version]");
 }
 
@@ -107,23 +106,11 @@ int main(int argc, char** argv) {
                                  : cops::nserver::BodyFraming::kContentLength;
     } else if (arg == "--chunked-min") {
       options.chunked_min_bytes = static_cast<size_t>(std::atol(next()));
-    } else if (arg == "--accept-path") {
-      // S6: one SO_REUSEPORT listener per shard vs the single-listener
-      // dispatch hop.
-      options.accept_path = std::string(next()) == "reuseport"
-                                ? cops::nserver::AcceptPath::kReuseport
-                                : cops::nserver::AcceptPath::kDispatch;
     } else if (arg == "--version") {
       std::puts("cops_http (N-Server pattern instance)");
       return 0;
     } else if (arg == "--backlog") {
       options.listen_backlog = std::atoi(next());
-    } else if (arg == "--l1-entries") {
-      // Two-tier cache: per-shard L1 slots in front of the policy cache.
-      options.cache_l1_entries = static_cast<size_t>(std::atol(next()));
-    } else if (arg == "--l1-max-bytes") {
-      options.cache_l1_entry_max_bytes =
-          static_cast<size_t>(std::atol(next()));
     } else if (arg == "--logging") {
       options.logging = true;
     } else if (arg == "--run-seconds") {

@@ -176,10 +176,15 @@ Status LoadBalancer::start() {
   if (!bound.is_ok()) return bound.status();
   port_ = bound.value().port();
   if (config_.admin_enabled) {
-    admin_ = std::make_unique<nserver::AdminServer>(
-        reactor_, [this](const std::string& method, const std::string& path) {
-          return admin_respond(method, path);
-        });
+    nserver::AdminRoutes routes;
+    routes.unhealthy = [this]() -> const char* {
+      return stopping_.load() ? "stopping\n" : nullptr;
+    };
+    routes.prometheus = [this] { return render_stats_prometheus(); };
+    routes.json = [this] { return render_stats_json(); };
+    routes.banner = "cops-cluster admin";
+    admin_ = std::make_unique<nserver::AdminServer>(reactor_,
+                                                    std::move(routes));
     auto admin_addr =
         net::InetAddress::parse(config_.admin_host, config_.admin_port);
     if (!admin_addr.is_ok()) return admin_addr.status();
@@ -719,38 +724,6 @@ std::string LoadBalancer::render_stats_json() const {
   }
   out += "]}";
   return out;
-}
-
-std::string LoadBalancer::admin_respond(const std::string& method,
-                                        const std::string& path) const {
-  (void)method;  // AdminServer already rejected non-GET/HEAD
-  if (path == "/healthz") {
-    if (stopping_.load()) {
-      return nserver::admin_response(503, "Service Unavailable",
-                                     "text/plain; charset=utf-8",
-                                     "stopping\n");
-    }
-    return nserver::admin_response(200, "OK", "text/plain; charset=utf-8",
-                                   "ok\n");
-  }
-  if (path == "/stats") {
-    return nserver::admin_response(200, "OK",
-                                   "text/plain; version=0.0.4; charset=utf-8",
-                                   render_stats_prometheus());
-  }
-  if (path == "/stats.json") {
-    return nserver::admin_response(200, "OK", "application/json",
-                                   render_stats_json());
-  }
-  if (path == "/") {
-    return nserver::admin_response(200, "OK", "text/plain; charset=utf-8",
-                                   "cops-cluster admin\n"
-                                   "  /healthz     liveness\n"
-                                   "  /stats       Prometheus text format\n"
-                                   "  /stats.json  JSON\n");
-  }
-  return nserver::admin_response(404, "Not Found", "text/plain; charset=utf-8",
-                                 "not found\n");
 }
 
 }  // namespace cops::cluster

@@ -229,8 +229,6 @@ class LoadBalancer {
   void start_probe(size_t index);
   void finish_probe(size_t index, bool ok);
   // Admin endpoint rendering.
-  [[nodiscard]] std::string admin_respond(const std::string& method,
-                                          const std::string& path) const;
   [[nodiscard]] std::string render_stats_prometheus() const;
   [[nodiscard]] std::string render_stats_json() const;
 

@@ -75,17 +75,6 @@ OptionTable make_nserver_option_table() {
   // Retry-After → stop accept) with EWMA smoothing and hysteresis.
   table.add({"overload", "S5: Overload policy", OptionType::kEnum,
              {"watermark", "adaptive"}, "watermark"});
-  // Accept-path extension — appended after S5, again preserving the earlier
-  // column numbering: how accepted connections reach their shard.
-  // `dispatch` is the classical single-listener shape (one Acceptor on
-  // shard 0 round-robins sockets to the other reactors); `reuseport` opens
-  // one SO_REUSEPORT listener per shard so the kernel spreads connections
-  // and every accept lands directly on the shard that will own it — the
-  // shared-nothing scale-out shape.  With a file cache, the generated
-  // instance also fronts the shared policy cache with a per-shard L1 tier
-  // so the hot read path never crosses shards.
-  table.add({"accept_path", "S6: Accept path", OptionType::kEnum,
-             {"dispatch", "reuseport"}, "dispatch"});
 
   table.add_constraint(
       "O2/O8 interaction", [](const OptionSet& set) -> std::string {
@@ -209,11 +198,6 @@ inline constexpr bool kPooledUpstream = false;
 inline constexpr bool kAdaptiveOverload = true;
 //% else
 inline constexpr bool kAdaptiveOverload = false;
-//% end
-//% if accept_path == "reuseport"
-inline constexpr bool kReuseportAccept = true;
-//% else
-inline constexpr bool kReuseportAccept = false;
 //% end
 
 }  // namespace ${app_name}_traits
@@ -561,40 +545,6 @@ inline constexpr std::size_t kOverloadMaxHeapBytes = 0;
 }  // namespace ${app_name}_gen
 )tmpl";
 
-constexpr const char* kShardConfigHpp = R"tmpl(// Generated: shared-nothing accept path (exists when accept_path = reuseport).
-// Each of the ${dispatcher_threads} shards opens its own SO_REUSEPORT
-// listener on its own reactor; the kernel's 4-tuple hash spreads incoming
-// connections, every accept lands on the shard that will own the
-// connection, and the single-listener dispatch hop disappears.  The
-// connection cap (O9) stays global — accepts reserve a slot with an atomic
-// before admitting, so the bound holds across racing acceptors.
-#pragma once
-
-#include <cstddef>
-
-namespace ${app_name}_gen {
-
-// Listeners = shards; each gets the full configured backlog.
-inline constexpr int kShardListeners = ${dispatcher_threads};
-//% if file_cache != "none"
-// Two-tier file cache: each shard fronts the shared policy cache (the L2)
-// with a bounded read-mostly L1 of refcounted entries.  L1 hits are
-// lock-free and allocation-free; one shard's miss fills the L2 and the
-// other shards promote the entry into their own L1 on their next miss,
-// with no cross-shard write contention.
-inline constexpr std::size_t kCacheL1Entries = 128;
-// Entries larger than this stay L2-only (keeps the L1 byte bound tight).
-inline constexpr std::size_t kCacheL1EntryMaxBytes = 256u * 1024u;
-//% end
-//% if profiling
-// Profiling (O11) exports per-shard gauges (accepts, open connections,
-// L1 hit rate) with a `shard` label on the admin surface.
-inline constexpr bool kCountPerShard = true;
-//% end
-
-}  // namespace ${app_name}_gen
-)tmpl";
-
 constexpr const char* kHooksHpp = R"tmpl(// Generated hook-method stubs for ${app_name}.
 // These are the ONLY methods you implement — the three application-dependent
 // steps of the five-step request cycle (Decode Request, Handle Request,
@@ -704,9 +654,6 @@ constexpr const char* kServerMainCpp = R"tmpl(// Generated server main for ${app
 //% if overload == "adaptive"
 #include "overload_config.hpp"
 //% end
-//% if accept_path == "reuseport"
-#include "shard_config.hpp"
-//% end
 #include "hooks.hpp"
 #include "reactor_config.hpp"
 #include "send_config.hpp"
@@ -810,15 +757,6 @@ int main() {
 //% else
   options.upstream_mode = cops::nserver::UpstreamMode::kPerRequest;
 //% end
-//% if accept_path == "reuseport"
-  options.accept_path = cops::nserver::AcceptPath::kReuseport;
-//% if file_cache != "none"
-  options.cache_l1_entries = ${app_name}_gen::kCacheL1Entries;
-  options.cache_l1_entry_max_bytes = ${app_name}_gen::kCacheL1EntryMaxBytes;
-//% end
-//% else
-  options.accept_path = cops::nserver::AcceptPath::kDispatch;
-//% end
   options.listen_port = ${listen_port};
   options.listen_backlog = ${app_name}_gen::kListenBacklog;
 
@@ -887,7 +825,6 @@ Option settings baked into this instance:
 | S3 body framing | ${body_framing} |
 | S4 proxy upstream | ${proxy_upstream} |
 | S5 overload | ${overload} |
-| S6 accept path | ${accept_path} |
 
 Implement the hook methods in `hooks.cpp` (the three application-dependent
 steps), then build with CMake, pointing `COPS_NSERVER_ROOT` at the
@@ -919,8 +856,6 @@ PatternTemplate make_nserver_template() {
                  "proxy_upstream == \"pooled\"", kProxyConfigHpp});
   tmpl.add_file({"overload_config.hpp", "Overload Manager",
                  "overload == \"adaptive\"", kOverloadConfigHpp});
-  tmpl.add_file({"shard_config.hpp", "Shard Accept",
-                 "accept_path == \"reuseport\"", kShardConfigHpp});
   tmpl.add_file({"reactor_config.hpp", "Reactor", "", kReactorConfigHpp});
   tmpl.add_file({"acceptor_config.hpp", "Acceptor Event Handler", "",
                  kAcceptorConfigHpp});
@@ -949,7 +884,6 @@ OptionSet nserver_http_options() {
   set.set("body_framing", "content_length");
   set.set("proxy_upstream", "per_request");
   set.set("overload", "watermark");
-  set.set("accept_path", "dispatch");
   return set;
 }
 
@@ -970,7 +904,6 @@ OptionSet nserver_ftp_options() {
   set.set("body_framing", "content_length");
   set.set("proxy_upstream", "per_request");
   set.set("overload", "watermark");
-  set.set("accept_path", "dispatch");
   return set;
 }
 

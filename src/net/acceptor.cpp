@@ -10,8 +10,8 @@ namespace cops::net {
 
 Acceptor::~Acceptor() { close(); }
 
-Status Acceptor::open(const InetAddress& addr, int backlog, bool reuseport) {
-  auto listener = TcpListener::listen(addr, backlog, reuseport);
+Status Acceptor::open(const InetAddress& addr, int backlog) {
+  auto listener = TcpListener::listen(addr, backlog);
   if (!listener.is_ok()) return listener.status();
   listener_ = std::move(listener).take();
   // Descriptors held in reserve for EMFILE recovery (see

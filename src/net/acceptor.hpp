@@ -27,10 +27,8 @@ class Acceptor : public EventHandler {
   ~Acceptor() override;
 
   // Binds and registers with the reactor.  Must run on the reactor thread
-  // (or before the loop starts).  `reuseport` opens the listener with
-  // SO_REUSEPORT so one Acceptor per shard can share the port.
-  Status open(const InetAddress& addr, int backlog = 512,
-              bool reuseport = false);
+  // (or before the loop starts).
+  Status open(const InetAddress& addr, int backlog = 512);
 
   // The bound address (resolves port 0).
   [[nodiscard]] Result<InetAddress> local_address() const {

@@ -270,10 +270,9 @@ Result<InetAddress> TcpSocket::peer_address() const {
   return InetAddress(addr);
 }
 
-Result<TcpListener> TcpListener::listen(const InetAddress& addr, int backlog,
-                                        bool reuseport) {
+Result<TcpListener> TcpListener::listen(const InetAddress& addr, int backlog) {
   if (auto* sim = sim_backend()) {
-    auto fd = sim->sim_listen(addr, backlog, reuseport);
+    auto fd = sim->sim_listen(addr, backlog);
     if (!fd.is_ok()) return fd.status();
     return TcpListener(Fd(fd.value()));
   }
@@ -281,12 +280,6 @@ Result<TcpListener> TcpListener::listen(const InetAddress& addr, int backlog,
   if (!fd.valid()) return Status::from_errno("socket");
   const int one = 1;
   ::setsockopt(fd.get(), SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-  if (reuseport) {
-    if (::setsockopt(fd.get(), SOL_SOCKET, SO_REUSEPORT, &one, sizeof(one)) <
-        0) {
-      return Status::from_errno("setsockopt(SO_REUSEPORT)");
-    }
-  }
   const auto& raw = addr.raw();
   if (::bind(fd.get(), reinterpret_cast<const sockaddr*>(&raw), sizeof(raw)) <
       0) {

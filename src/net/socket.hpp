@@ -92,12 +92,8 @@ class TcpListener {
 
   // Binds (with SO_REUSEADDR) and listens.  A small backlog reproduces
   // Apache-style SYN drops under overload (see DESIGN.md, Fig. 4); the
-  // default is sized for accept bursts, not for that experiment.  With
-  // `reuseport` set, SO_REUSEPORT is applied before bind so several
-  // listeners (one per shard) can share the port and let the kernel
-  // spread incoming connections across them.
-  static Result<TcpListener> listen(const InetAddress& addr, int backlog = 512,
-                                    bool reuseport = false);
+  // default is sized for accept bursts, not for that experiment.
+  static Result<TcpListener> listen(const InetAddress& addr, int backlog = 512);
 
   [[nodiscard]] int fd() const { return fd_.get(); }
   [[nodiscard]] bool valid() const { return fd_.valid(); }

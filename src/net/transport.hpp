@@ -73,11 +73,7 @@ class SimBackend {
 
   // ---- endpoint creation ------------------------------------------------
   // Binds a simulated listener; port 0 gets a deterministic engine port.
-  // `reuseport` mirrors SO_REUSEPORT: several listeners may share one port
-  // (all must set the flag) and the simulator spreads incoming connections
-  // across them deterministically.
-  virtual Result<int> sim_listen(const InetAddress& addr, int backlog,
-                                 bool reuseport) = 0;
+  virtual Result<int> sim_listen(const InetAddress& addr, int backlog) = 0;
   // Outbound connections from within the simulated process.
   virtual Result<int> sim_connect(const InetAddress& peer) = 0;
 

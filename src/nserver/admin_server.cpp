@@ -3,8 +3,6 @@
 #include <utility>
 
 #include "common/logging.hpp"
-#include "nserver/server.hpp"
-#include "nserver/stats.hpp"
 
 namespace cops::nserver {
 namespace {
@@ -13,8 +11,10 @@ namespace {
 // is not a scraper.
 constexpr size_t kMaxAdminRequestBytes = 8 * 1024;
 
-}  // namespace
+constexpr const char* kTextPlain = "text/plain; charset=utf-8";
 
+// A complete minimal HTTP/1.1 response: status line, Content-Type,
+// Content-Length, Connection: close.
 std::string admin_response(int status, const char* reason,
                            const char* content_type, std::string_view body) {
   std::string out;
@@ -31,6 +31,8 @@ std::string admin_response(int status, const char* reason,
   out += body;
   return out;
 }
+
+}  // namespace
 
 // One accepted admin connection: read a request, write the response, close.
 // Runs entirely on the owning reactor's thread.
@@ -78,7 +80,7 @@ class AdminConnection : public net::EventHandler,
     if (header_end == std::string::npos) {
       if (in_.readable() > kMaxAdminRequestBytes) {
         respond(admin_response(431, "Request Header Fields Too Large",
-                              "text/plain; charset=utf-8", "too large\n"));
+                               kTextPlain, "too large\n"));
       }
       return;
     }
@@ -91,8 +93,7 @@ class AdminConnection : public net::EventHandler,
                            ? std::string_view::npos
                            : line.find(' ', sp1 + 1);
     if (sp2 == std::string_view::npos) {
-      respond(admin_response(400, "Bad Request", "text/plain; charset=utf-8",
-                            "bad request\n"));
+      respond(admin_response(400, "Bad Request", kTextPlain, "bad request\n"));
       return;
     }
     std::string method(line.substr(0, sp1));
@@ -132,11 +133,8 @@ class AdminConnection : public net::EventHandler,
   bool closed_ = false;
 };
 
-AdminServer::AdminServer(Server& server, net::Reactor& reactor)
-    : server_(&server), reactor_(reactor) {}
-
-AdminServer::AdminServer(net::Reactor& reactor, Responder responder)
-    : responder_(std::move(responder)), reactor_(reactor) {}
+AdminServer::AdminServer(net::Reactor& reactor, AdminRoutes routes)
+    : routes_(std::move(routes)), reactor_(reactor) {}
 
 AdminServer::~AdminServer() = default;
 
@@ -178,46 +176,30 @@ void AdminServer::remove(uint64_t id) { connections_.erase(id); }
 std::string AdminServer::respond(const std::string& method,
                                  const std::string& path) const {
   if (method != "GET" && method != "HEAD") {
-    return admin_response(405, "Method Not Allowed",
-                         "text/plain; charset=utf-8", "GET only\n");
+    return admin_response(405, "Method Not Allowed", kTextPlain, "GET only\n");
   }
-  if (responder_) return responder_(method, path);
-  return server_respond(method, path);
-}
-
-std::string AdminServer::server_respond(const std::string& method,
-                                        const std::string& path) const {
-  (void)method;
   if (path == "/healthz") {
-    // Load-balancer health probes key off this: flip to 503 while the
-    // server is draining or has suspended accepting under overload, so the
-    // LB routes around us before clients see refused connects.
-    if (server_->draining() || !server_->accepting()) {
-      return admin_response(503, "Service Unavailable",
-                            "text/plain; charset=utf-8",
-                            server_->draining() ? "draining\n"
-                                                : "overloaded\n");
+    if (const char* reason = routes_.unhealthy()) {
+      return admin_response(503, "Service Unavailable", kTextPlain, reason);
     }
-    return admin_response(200, "OK", "text/plain; charset=utf-8", "ok\n");
+    return admin_response(200, "OK", kTextPlain, "ok\n");
   }
   if (path == "/stats") {
-    return admin_response(200, "OK",
-                         "text/plain; version=0.0.4; charset=utf-8",
-                         render_prometheus(server_->stats_snapshot()));
+    return admin_response(200, "OK", "text/plain; version=0.0.4; charset=utf-8",
+                          routes_.prometheus());
   }
   if (path == "/stats.json") {
-    return admin_response(200, "OK", "application/json",
-                         render_json(server_->stats_snapshot()));
+    return admin_response(200, "OK", "application/json", routes_.json());
   }
   if (path == "/") {
-    return admin_response(200, "OK", "text/plain; charset=utf-8",
-                         "cops-nserver admin\n"
-                         "  /healthz     liveness\n"
-                         "  /stats       Prometheus text format\n"
-                         "  /stats.json  JSON\n");
+    return admin_response(200, "OK", kTextPlain,
+                          routes_.banner +
+                              "\n"
+                              "  /healthz     liveness\n"
+                              "  /stats       Prometheus text format\n"
+                              "  /stats.json  JSON\n");
   }
-  return admin_response(404, "Not Found", "text/plain; charset=utf-8",
-                       "not found\n");
+  return admin_response(404, "Not Found", kTextPlain, "not found\n");
 }
 
 }  // namespace cops::nserver

@@ -1,16 +1,18 @@
 // AdminServer — the O11+ observability endpoint (Envoy-admin style).
 //
-// A second, independent listener that serves the profiler's statistics over
-// HTTP:
+// A second, independent listener that serves its owner's statistics over
+// HTTP, with one route table shared by the N-Server, the proxy and the
+// load balancer:
 //
-//   GET /healthz     liveness probe ("ok")
+//   GET /healthz     liveness probe ("ok", or 503 with the owner's reason)
 //   GET /stats       Prometheus text exposition format
-//   GET /stats.json  the same data as one JSON object (+ per-connection
-//                    byte/request gauges)
+//   GET /stats.json  the same data as one JSON object
+//   GET /            index: the owner's banner line plus the routes
 //
-// The listener and every admin connection live on the shard-0 dispatcher
-// (no extra thread); request handling is a map lookup plus a snapshot of
-// relaxed atomics, so scrapes never contend with the serving hot path.
+// The listener and every admin connection live on the owner's reactor (the
+// shard-0 dispatcher in the N-Server; no extra thread); request handling is
+// a route match plus a snapshot of relaxed atomics, so scrapes never
+// contend with the serving hot path.
 // The protocol handling is deliberately minimal — one GET per connection,
 // response, close — so the nserver library does not depend on the HTTP
 // protocol library layered above it.
@@ -28,28 +30,24 @@
 
 namespace cops::nserver {
 
-class Server;
 class AdminConnection;
 
-// Builds a complete minimal HTTP/1.1 response (status line, Content-Type,
-// Content-Length, Connection: close) for admin-style endpoints.
-std::string admin_response(int status, const char* reason,
-                           const char* content_type, std::string_view body);
+// What an owner serves through the route table.  The callbacks run on the
+// owning reactor's thread.
+struct AdminRoutes {
+  // The 503 body while unhealthy (e.g. "draining\n"); nullptr while healthy.
+  std::function<const char*()> unhealthy;
+  std::function<std::string()> prometheus;  // GET /stats
+  std::function<std::string()> json;        // GET /stats.json
+  std::string banner;                       // first line of GET /
+};
 
 class AdminServer {
  public:
-  // Routes a request (method, path) to a complete HTTP response; runs on
-  // the owning reactor's thread.
-  using Responder =
-      std::function<std::string(const std::string&, const std::string&)>;
-
   // `reactor` must be the reactor whose thread will run the listener
   // (shard 0 in the N-Server); open() must run before that reactor's loop
   // starts, or on its thread.
-  AdminServer(Server& server, net::Reactor& reactor);
-  // Generic form: any component with a reactor (e.g. the cluster load
-  // balancer) can expose its own stats through the same machinery.
-  AdminServer(net::Reactor& reactor, Responder responder);
+  AdminServer(net::Reactor& reactor, AdminRoutes routes);
   ~AdminServer();
 
   Status open(const net::InetAddress& addr, int backlog = 16);
@@ -63,15 +61,11 @@ class AdminServer {
 
   void on_accept(net::TcpSocket socket);
   void remove(uint64_t id);
-  // Routes a request path to a response body; sets content type and status.
+  // Routes a request to a complete HTTP response.
   [[nodiscard]] std::string respond(const std::string& method,
                                     const std::string& path) const;
-  // The default routing table, serving `server_`'s snapshot.
-  [[nodiscard]] std::string server_respond(const std::string& method,
-                                           const std::string& path) const;
 
-  Server* server_ = nullptr;  // null when constructed with a Responder
-  Responder responder_;
+  AdminRoutes routes_;
   net::Reactor& reactor_;
   std::unique_ptr<net::Acceptor> acceptor_;
   std::unordered_map<uint64_t, std::shared_ptr<AdminConnection>> connections_;

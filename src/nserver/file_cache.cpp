@@ -35,7 +35,6 @@ FileDataPtr FileCache::lookup(const std::string& key) {
   if (!revalidate_locked(key, it->second)) {
     erase_locked(key);
     invalidations_.fetch_add(1, std::memory_order_relaxed);
-    invalidation_epoch_.fetch_add(1, std::memory_order_release);
     // The caller re-reads the file and re-inserts; account it as a miss.
     misses_.fetch_add(1, std::memory_order_relaxed);
     return nullptr;
@@ -80,7 +79,6 @@ bool FileCache::insert(const std::string& key, FileDataPtr data) {
 void FileCache::erase(const std::string& key) {
   std::lock_guard lock(mutex_);
   erase_locked(key);
-  invalidation_epoch_.fetch_add(1, std::memory_order_release);
 }
 
 void FileCache::erase_locked(const std::string& key) {
@@ -98,7 +96,6 @@ void FileCache::clear() {
   }
   entries_.clear();
   size_bytes_ = 0;
-  invalidation_epoch_.fetch_add(1, std::memory_order_release);
 }
 
 size_t FileCache::entry_count() const {

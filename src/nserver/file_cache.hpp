@@ -60,15 +60,6 @@ class FileCache {
     return policy_ ? policy_->name() : "None";
   }
 
-  // Monotonic invalidation stamp for L1 tiers layered above this cache
-  // (see l1_cache.hpp): bumped whenever cached bytes stop being
-  // trustworthy — explicit erase, clear, or a revalidation failure — but
-  // *not* on capacity eviction, which leaves the on-disk file unchanged.
-  // An L1 entry promoted under epoch E is served only while E is current.
-  [[nodiscard]] uint64_t invalidation_epoch() const {
-    return invalidation_epoch_.load(std::memory_order_acquire);
-  }
-
  private:
   struct Entry {
     FileDataPtr data;
@@ -93,7 +84,6 @@ class FileCache {
   std::atomic<uint64_t> misses_{0};
   std::atomic<uint64_t> evictions_{0};
   std::atomic<uint64_t> invalidations_{0};
-  std::atomic<uint64_t> invalidation_epoch_{1};
 };
 
 }  // namespace cops::nserver

@@ -43,10 +43,6 @@ const char* to_string(OverloadMode mode) {
   return mode == OverloadMode::kWatermark ? "Watermark" : "Adaptive";
 }
 
-const char* to_string(AcceptPath path) {
-  return path == AcceptPath::kDispatch ? "Dispatch" : "Reuseport";
-}
-
 const char* to_string(IoBackend) { return "Epoll"; }
 
 std::string ServerOptions::validate() const {
@@ -128,14 +124,6 @@ std::string ServerOptions::validate() const {
   if (upstream_mode == UpstreamMode::kPooled && upstream_pool_cap == 0) {
     return "upstream_mode: pooled upstream connections need a positive "
            "per-backend cap (upstream_pool_cap)";
-  }
-  if (cache_l1_entries > 0 && cache_policy == CachePolicyKind::kNone) {
-    return "cache: the per-shard L1 fronts the shared policy cache; "
-           "cache_l1_entries needs a cache_policy (the L2)";
-  }
-  if (cache_l1_entries > 0 && cache_l1_entry_max_bytes == 0) {
-    return "cache: the L1 byte bound is entries x entry size; "
-           "cache_l1_entry_max_bytes must be positive";
   }
   if (stats_export == StatsExport::kAdminHttp && !profiling) {
     return "O11+: the admin export serves the profiler's statistics; "

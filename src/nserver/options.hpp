@@ -93,19 +93,6 @@ enum class OverloadMode {
   kAdaptive,
 };
 
-// Accept-path option (S6, appended after overload to preserve the paper's
-// option numbering): how accepted connections reach their shard.
-// kDispatch is the classic single-listener shape — one Acceptor on shard 0
-// round-robins sockets to the other reactors (a cross-thread post per
-// accept).  kReuseport opens one SO_REUSEPORT listener per shard; the
-// kernel spreads incoming connections and every accept lands directly on
-// the shard that will own the connection — the dispatch hop disappears and
-// the accept path becomes shared-nothing.
-enum class AcceptPath {
-  kDispatch,
-  kReuseport,
-};
-
 // Epoll is the only I/O backend; the benchmark's environment line reads it.
 enum class IoBackend {
   kEpoll,
@@ -119,7 +106,6 @@ enum class IoBackend {
 [[nodiscard]] const char* to_string(BodyFraming framing);
 [[nodiscard]] const char* to_string(UpstreamMode mode);
 [[nodiscard]] const char* to_string(OverloadMode mode);
-[[nodiscard]] const char* to_string(AcceptPath path);
 [[nodiscard]] const char* to_string(IoBackend backend);
 
 struct ServerOptions {
@@ -242,22 +228,6 @@ struct ServerOptions {
   // kAdaptive only: heap budget for the pool-allocated-bytes monitor
   // (0 disables that monitor).
   size_t overload_max_heap_bytes = 0;
-
-  // Accept-path option (S6, appended after overload).  See enum AcceptPath.
-  AcceptPath accept_path = AcceptPath::kDispatch;
-
-  // Two-tier file cache: entry count of each shard's L1 (0 disables the L1
-  // and every lookup goes to the shared policy cache).  The L1 is a bounded
-  // per-shard read-mostly tier in front of the policy-driven shared L2 —
-  // lock-free-to-read, so cache hits never touch the L2 mutex; one shard's
-  // miss fills the L2 and every other shard then promotes the entry into
-  // its own L1 without cross-shard write contention.  Requires a cache
-  // policy (the L2); sized in entries, bounded in bytes by the product with
-  // cache_l1_entry_max_bytes.
-  size_t cache_l1_entries = 0;
-  // Entries larger than this stay L2-only (keeps the L1's byte bound tight
-  // while the big files still enjoy the policy cache).
-  size_t cache_l1_entry_max_bytes = 256 * 1024;
 
   // Not an option: the benchmark's environment line reads it.
   static constexpr IoBackend io_backend = IoBackend::kEpoll;

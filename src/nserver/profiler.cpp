@@ -24,10 +24,7 @@ std::string ProfilerSnapshot::to_string() const {
       << " send_bytes_copied=" << send_bytes_copied
       << " send_sendfile_bytes=" << send_sendfile_bytes
       << " send_chunked_replies=" << send_chunked_replies
-      << " cache_hit_rate=" << cache_hit_rate
-      << " l1_hits=" << l1_hits << " l1_misses=" << l1_misses
-      << " l1_promotions=" << l1_promotions
-      << " l1_hit_rate=" << l1_hit_rate;
+      << " cache_hit_rate=" << cache_hit_rate;
   for (size_t i = 0; i < kStageCount; ++i) {
     if (stages[i].count() == 0) continue;
     out << "\n  " << nserver::to_string(static_cast<Stage>(i)) << ": "

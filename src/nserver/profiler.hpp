@@ -75,13 +75,6 @@ struct ProfilerSnapshot {
   uint64_t pool_misses = 0;      // pool had to grow (or oversize fallback)
   uint64_t pool_alloc_bytes = 0; // heap bytes the pools pulled in total
   double cache_hit_rate = 0.0;
-  // Two-tier cache (cache_l1_entries > 0): per-shard L1 totals, aggregated
-  // over every shard by Server::profile(); all stay 0 with the L1 off.
-  // cache_hit_rate above remains the L2's own rate.
-  uint64_t l1_hits = 0;
-  uint64_t l1_misses = 0;
-  uint64_t l1_promotions = 0;    // entries copied up from the shared L2
-  double l1_hit_rate = 0.0;
 
   // Merged per-stage latency distributions (index by Stage).
   std::array<Histogram, kStageCount> stages;

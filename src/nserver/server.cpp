@@ -75,11 +75,6 @@ Status Server::start() {
         sizeof(RequestContext) + 128, /*blocks_per_chunk=*/64);
     shard->read_buffer_pool =
         std::make_shared<BufferPool>(kReadBufferBlockBytes);
-    if (cache_ && options_.cache_l1_entries > 0) {
-      shard->l1_cache = std::make_unique<L1FileCache>(
-          options_.cache_l1_entries, options_.cache_l1_entry_max_bytes,
-          options_.cache_revalidate_interval);
-    }
     shards_.push_back(std::move(shard));
   }
 
@@ -91,36 +86,34 @@ Status Server::start() {
   // --- connector (Client Component) on dispatcher 0 -------------------------
   connector_ = std::make_unique<net::Connector>(*shards_[0]->reactor);
 
-  // --- acceptor(s) ---------------------------------------------------------
-  // kDispatch: the classic single listener on dispatcher 0.  kReuseport:
-  // one SO_REUSEPORT listener per shard, registered with that shard's
-  // reactor (safe here — the loops have not started yet), so the kernel
-  // spreads connections and each accept lands on its owning shard.  Shard
-  // 0 binds first to resolve port 0; the rest join the resolved port.
-  const bool reuseport = options_.accept_path == AcceptPath::kReuseport;
-  const size_t n_acceptors = reuseport ? shards_.size() : 1;
-  for (size_t i = 0; i < n_acceptors; ++i) {
-    auto acceptor = std::make_unique<net::Acceptor>(
-        *shards_[i]->reactor, [this, i](net::TcpSocket socket) {
-          on_accept(i, std::move(socket));
-        });
-    auto addr_result = net::InetAddress::parse(
-        options_.listen_host, i == 0 ? options_.listen_port : port_);
-    if (!addr_result.is_ok()) return addr_result.status();
-    auto status =
-        acceptor->open(addr_result.value(), options_.listen_backlog, reuseport);
-    if (!status.is_ok()) return status;
-    if (i == 0) {
-      auto bound = acceptor->local_address();
-      if (!bound.is_ok()) return bound.status();
-      port_ = bound.value().port();
-    }
-    acceptors_.push_back(std::move(acceptor));
-  }
+  // --- acceptor on dispatcher 0 --------------------------------------------
+  acceptor_ = std::make_unique<net::Acceptor>(
+      *shards_[0]->reactor,
+      [this](net::TcpSocket socket) { on_accept(std::move(socket)); });
+  auto addr_result =
+      net::InetAddress::parse(options_.listen_host, options_.listen_port);
+  if (!addr_result.is_ok()) return addr_result.status();
+  auto status = acceptor_->open(addr_result.value(), options_.listen_backlog);
+  if (!status.is_ok()) return status;
+  auto bound = acceptor_->local_address();
+  if (!bound.is_ok()) return bound.status();
+  port_ = bound.value().port();
 
   // --- admin endpoint (O11+) on dispatcher 0 -------------------------------
   if (options_.stats_export == StatsExport::kAdminHttp) {
-    admin_ = std::make_unique<AdminServer>(*this, *shards_[0]->reactor);
+    AdminRoutes routes;
+    // Load-balancer health probes key off /healthz: it flips to 503 while
+    // the server is draining or has suspended accepting under overload, so
+    // the LB routes around us before clients see refused connects.
+    routes.unhealthy = [this]() -> const char* {
+      if (draining()) return "draining\n";
+      return accepting() ? nullptr : "overloaded\n";
+    };
+    routes.prometheus = [this] { return render_prometheus(stats_snapshot()); };
+    routes.json = [this] { return render_json(stats_snapshot()); };
+    routes.banner = "cops-nserver admin";
+    admin_ = std::make_unique<AdminServer>(*shards_[0]->reactor,
+                                           std::move(routes));
     auto admin_addr =
         net::InetAddress::parse(options_.admin_host, options_.admin_port);
     if (!admin_addr.is_ok()) return admin_addr.status();
@@ -171,8 +164,10 @@ void Server::stop() {
     std::promise<void> done;
     auto fut = done.get_future();
     shard.reactor->post([this, i, &shard, &done] {
-      if (i < acceptors_.size() && acceptors_[i]) acceptors_[i]->close();
-      if (i == 0 && admin_) admin_->close();
+      if (i == 0) {
+        acceptor_->close();
+        if (admin_) admin_->close();
+      }
       // close() mutates the map via remove_connection; copy first.
       std::vector<std::shared_ptr<Connection>> conns;
       conns.reserve(shard.connections.size());
@@ -214,12 +209,12 @@ bool Server::drain(std::chrono::milliseconds timeout) {
   // Visible to the admin endpoint immediately: /healthz flips to 503 so
   // upstream health checks stop routing here while we finish in-flight work.
   draining_.store(true, std::memory_order_relaxed);
-  // Step 1: no new connections — close every acceptor on its own shard.
-  for (size_t i = 0; i < acceptors_.size(); ++i) {
+  // Step 1: no new connections — close the acceptor on its shard.
+  {
     std::promise<void> done;
     auto fut = done.get_future();
-    shards_[i]->reactor->post([this, i, &done] {
-      if (acceptors_[i]) acceptors_[i]->close();
+    shards_[0]->reactor->post([this, &done] {
+      acceptor_->close();
       done.set_value();
     });
     fut.wait();
@@ -243,12 +238,12 @@ bool Server::drain(std::chrono::milliseconds timeout) {
 
 // ---- accept path -----------------------------------------------------------
 
-void Server::on_accept(size_t acceptor_shard, net::TcpSocket socket) {
+void Server::on_accept(net::TcpSocket socket) {
   if (options_.max_connections != 0) {
-    // Overload mechanism 1: bounded simultaneous connections.  Under
-    // kReuseport accepts race on every shard, so the check must be a
+    // Overload mechanism 1: bounded simultaneous connections.  Closes on
+    // other shards decrement the count concurrently, so the check is a
     // reservation — increment first, roll back past the cap — rather than
-    // a load that several shards could pass simultaneously.
+    // a load followed by a separate increment.
     const size_t prev =
         num_connections_.fetch_add(1, std::memory_order_relaxed);
     if (prev >= options_.max_connections) {
@@ -275,18 +270,13 @@ void Server::on_accept(size_t acceptor_shard, net::TcpSocket socket) {
       ++count;
     }
   }
-  // kReuseport: the kernel already picked this shard's listener — the
-  // connection stays local and the cross-thread dispatch hop disappears.
-  // kDispatch: classic round-robin from the single shard-0 listener.
+  // Round-robin from the single shard-0 listener.
   const size_t shard_index =
-      options_.accept_path == AcceptPath::kReuseport
-          ? acceptor_shard
-          : next_shard_.fetch_add(1, std::memory_order_relaxed) %
-                shards_.size();
+      next_shard_.fetch_add(1, std::memory_order_relaxed) % shards_.size();
   shards_[shard_index]->accepts.fetch_add(1, std::memory_order_relaxed);
   if (options_.profiling) profiler_.count_accept();
   const bool counted = options_.max_connections != 0;
-  if (shard_index == acceptor_shard) {
+  if (shard_index == 0) {
     add_connection(shard_index, std::move(socket), std::move(ip_key), counted);
   } else {
     // Hand the socket to its shard's dispatcher thread.
@@ -362,26 +352,11 @@ void Server::connect_peer(const net::InetAddress& peer,
 }
 
 void Server::set_accept_suspended(bool on) {
-  // Acceptors are reactor-confined; this runs on the shard-0 housekeeping
-  // thread, so shard 0's acceptor is adjusted inline and the others (one
-  // per shard under kReuseport) get the flip posted to their own loops.
-  for (size_t i = 0; i < acceptors_.size(); ++i) {
-    auto* acceptor = acceptors_[i].get();
-    if (i == 0) {
-      if (on) {
-        acceptor->suspend();
-      } else {
-        acceptor->resume();
-      }
-    } else {
-      shards_[i]->reactor->post([acceptor, on] {
-        if (on) {
-          acceptor->suspend();
-        } else {
-          acceptor->resume();
-        }
-      });
-    }
+  // Runs on the shard-0 housekeeping thread, where the acceptor lives.
+  if (on) {
+    acceptor_->suspend();
+  } else {
+    acceptor_->resume();
   }
   accept_suspended_ = on;
 }
@@ -556,21 +531,8 @@ void Server::resolve_with_reply(RequestContext& ctx, std::any response) {
 
 void Server::fetch_file(RequestContextPtr ctx, std::string path,
                         RequestContext::FetchCallback done) {
-  // Two-tier lookup: the requesting connection's shard L1 first (lock-free,
-  // allocation-free), then the shared policy L2.  An L2 hit is promoted
-  // into this shard's L1, so after one shard's miss has filled the L2 every
-  // shard warms its own L1 without cross-shard writes.
-  L1FileCache* l1 = nullptr;
   if (cache_) {
-    l1 = shards_[ctx->conn_->shard_index()]->l1_cache.get();
-    if (l1) {
-      if (auto hit = l1->lookup(path, cache_->invalidation_epoch())) {
-        done(*ctx, std::move(hit));
-        return;
-      }
-    }
     if (auto hit = cache_->lookup(path)) {
-      if (l1) l1->promote(path, hit, cache_->invalidation_epoch());
       done(*ctx, std::move(hit));
       return;
     }
@@ -592,14 +554,9 @@ void Server::fetch_file(RequestContextPtr ctx, std::string path,
     };
     file_service_->async_read(
         path, token,
-        [this, ctx, l1, path,
-         done = std::move(done)](Result<FileDataPtr> result) {
+        [this, ctx, done = std::move(done)](Result<FileDataPtr> result) {
           if (result.is_ok() && cache_ && result.value()->fd < 0) {
             cache_->insert(result.value()->path, result.value());
-            if (l1) {
-              l1->promote(path, result.value(),
-                          cache_->invalidation_epoch());
-            }
           }
           if (ctx->connection_closed()) return;  // stale completion token
           done(*ctx, std::move(result));
@@ -610,9 +567,6 @@ void Server::fetch_file(RequestContextPtr ctx, std::string path,
     auto result = FileIoService::load_file(path);
     if (result.is_ok() && cache_ && result.value()->fd < 0) {
       cache_->insert(path, result.value());
-      if (l1) {
-        l1->promote(path, result.value(), cache_->invalidation_epoch());
-      }
     }
     done(*ctx, std::move(result));
   }
@@ -657,7 +611,7 @@ void Server::build_overload_manager() {
                on ? "overload-shed" : "overload-shed-release");
   };
   actions.stop_accept = [this](bool on) {
-    if (acceptors_.empty()) return;
+    if (!acceptor_) return;
     set_accept_suspended(on);
     if (on && options_.profiling) profiler_.count_overload_suspension();
     note_event(EventKind::kUser, 0,
@@ -868,16 +822,6 @@ ProfilerSnapshot Server::profile() const {
         shard->ctx_pool->misses() + shard->read_buffer_pool->misses();
     snapshot.pool_alloc_bytes +=
         shard->ctx_pool->heap_bytes() + shard->read_buffer_pool->heap_bytes();
-    // Two-tier cache: sum the per-shard L1 tiers (zero with the L1 off).
-    if (shard->l1_cache) {
-      snapshot.l1_hits += shard->l1_cache->hits();
-      snapshot.l1_misses += shard->l1_cache->misses();
-      snapshot.l1_promotions += shard->l1_cache->promotions();
-    }
-  }
-  if (const uint64_t total = snapshot.l1_hits + snapshot.l1_misses) {
-    snapshot.l1_hit_rate =
-        static_cast<double>(snapshot.l1_hits) / static_cast<double>(total);
   }
   return snapshot;
 }
@@ -911,12 +855,6 @@ StatsSnapshot Server::stats_snapshot() const {
     row.accepts = shard.accepts.load(std::memory_order_relaxed);
     row.connections_open =
         shard.open_connections.load(std::memory_order_relaxed);
-    if (shard.l1_cache) {
-      row.l1_hits = shard.l1_cache->hits();
-      row.l1_misses = shard.l1_cache->misses();
-      row.l1_promotions = shard.l1_cache->promotions();
-      row.l1_hit_rate = shard.l1_cache->hit_rate();
-    }
     s.shards.push_back(row);
   }
   {

@@ -34,7 +34,6 @@
 #include "nserver/event_processor.hpp"
 #include "nserver/file_cache.hpp"
 #include "nserver/file_io_service.hpp"
-#include "nserver/l1_cache.hpp"
 #include "nserver/hooks.hpp"
 #include "nserver/options.hpp"
 #include "nserver/overload_manager.hpp"
@@ -110,7 +109,6 @@ class Server {
  private:
   friend class Connection;
   friend class RequestContext;
-  friend class AdminServer;
 
   struct Shard {
     std::unique_ptr<net::Reactor> reactor;
@@ -128,11 +126,8 @@ class Server {
     // the loop grinds through a long pass the timer can't fire, but
     // `now() - expected` is already the standing lag.
     std::atomic<int64_t> lag_probe_expected_ns{0};
-    // Two-tier cache (cache_l1_entries > 0): this shard's read-mostly L1
-    // in front of the shared policy cache.  Null when the L1 is off.
-    std::unique_ptr<L1FileCache> l1_cache;
-    // Per-shard gauges for /stats{,.json} (shard label): connections this
-    // shard accepted (or was dispatched) and currently owns.  Updated on
+    // Per-shard gauges for /stats{,.json} (shard label): connections
+    // dispatched to this shard and currently owned by it.  Updated on
     // accept/close paths, read by the admin endpoint — hence atomics.
     std::atomic<uint64_t> accepts{0};
     std::atomic<size_t> open_connections{0};
@@ -143,18 +138,16 @@ class Server {
       const std::shared_ptr<Connection>& conn);
 
   // ---- accept path --------------------------------------------------------
-  // Runs on the accepting shard's reactor: shard 0 under accept_path =
-  // kDispatch (single listener), any shard under kReuseport (one listener
-  // each — the connection then stays on `acceptor_shard`, no dispatch hop).
-  void on_accept(size_t acceptor_shard, net::TcpSocket socket);
-  // Applies accept suspension to every acceptor (the O9 lever).  Runs on
-  // the shard-0 housekeeping thread; acceptors on other shards are
-  // reactor-confined, so their suspend/resume is posted.
+  // Runs on shard 0's reactor, where the single listener lives, and
+  // round-robins the connection to a shard.
+  void on_accept(net::TcpSocket socket);
+  // Suspends or resumes the acceptor (the O9 lever).  Runs on the shard-0
+  // housekeeping thread.
   void set_accept_suspended(bool on);
   // `ip_key` non-empty = this connection holds a per-IP accounting slot
   // (accepted with max_connections_per_ip on); released on removal.
   // `counted` = on_accept already reserved this connection's slot in
-  // num_connections_ (the shard-safe cap check), so don't count it twice.
+  // num_connections_ (the reserving cap check), so don't count it twice.
   uint64_t add_connection(size_t shard_index, net::TcpSocket socket,
                           std::string ip_key = {}, bool counted = false);
 
@@ -199,9 +192,7 @@ class Server {
   std::shared_ptr<AppHooks> hooks_;
 
   std::vector<std::unique_ptr<Shard>> shards_;
-  // One acceptor under kDispatch (on shard 0); one per shard under
-  // kReuseport (acceptors_[i] is confined to shard i's reactor).
-  std::vector<std::unique_ptr<net::Acceptor>> acceptors_;
+  std::unique_ptr<net::Acceptor> acceptor_;   // lives on shard 0
   std::unique_ptr<net::Connector> connector_;  // lives on shard 0
   std::unique_ptr<EventProcessor> processor_;
   std::unique_ptr<ProcessorController> controller_;

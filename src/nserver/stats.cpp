@@ -181,25 +181,12 @@ std::string render_prometheus(const StatsSnapshot& s) {
     append_gauge_f(out, "nserver_cache_hit_rate",
                    "hits / (hits + misses) over the server's lifetime.",
                    c.cache_hit_rate);
-    append_metric(out, "nserver_cache_l1_hits_total", "counter",
-                  "Per-shard L1 tier hits, summed over shards "
-                  "(cache_l1_entries > 0).",
-                  c.l1_hits);
-    append_metric(out, "nserver_cache_l1_misses_total", "counter",
-                  "L1 tier misses (fell through to the shared L2).",
-                  c.l1_misses);
-    append_metric(out, "nserver_cache_l1_promotions_total", "counter",
-                  "Entries promoted from the shared L2 into a shard L1.",
-                  c.l1_promotions);
-    append_gauge_f(out, "nserver_cache_l1_hit_rate",
-                   "L1 hits / (hits + misses) summed over shards.",
-                   c.l1_hit_rate);
   }
   if (!s.shards.empty()) {
     char buf[256];
-    out += "# HELP nserver_shard_accepts_total Connections landed on this "
-           "shard (accept_path=reuseport: kernel spread; dispatch: "
-           "round-robin).\n# TYPE nserver_shard_accepts_total counter\n";
+    out += "# HELP nserver_shard_accepts_total Connections dispatched to "
+           "this shard (round-robin).\n# TYPE nserver_shard_accepts_total "
+           "counter\n";
     for (const auto& sh : s.shards) {
       std::snprintf(buf, sizeof(buf),
                     "nserver_shard_accepts_total{shard=\"%" PRIu64 "\"} %"
@@ -214,14 +201,6 @@ std::string render_prometheus(const StatsSnapshot& s) {
                     "nserver_shard_connections_open{shard=\"%" PRIu64 "\"} %"
                     PRIu64 "\n",
                     sh.shard, sh.connections_open);
-      out += buf;
-    }
-    out += "# HELP nserver_shard_l1_hit_rate This shard's L1 cache hit "
-           "rate.\n# TYPE nserver_shard_l1_hit_rate gauge\n";
-    for (const auto& sh : s.shards) {
-      std::snprintf(buf, sizeof(buf),
-                    "nserver_shard_l1_hit_rate{shard=\"%" PRIu64 "\"} %.6f\n",
-                    sh.shard, sh.l1_hit_rate);
       out += buf;
     }
   }
@@ -293,10 +272,7 @@ std::string render_json(const StatsSnapshot& s) {
     append_json_field(out, "invalidations", s.cache_invalidations);
     append_json_field(out, "bytes", s.cache_bytes);
     append_json_field(out, "capacity_bytes", s.cache_capacity_bytes);
-    append_json_field(out, "entries", s.cache_entries);
-    append_json_field(out, "l1_hits", c.l1_hits);
-    append_json_field(out, "l1_misses", c.l1_misses);
-    append_json_field(out, "l1_promotions", c.l1_promotions, false);
+    append_json_field(out, "entries", s.cache_entries, false);
     out += "},";
   }
   out += "\"shards\":[";
@@ -305,11 +281,8 @@ std::string render_json(const StatsSnapshot& s) {
     char buf[256];
     std::snprintf(buf, sizeof(buf),
                   "{\"shard\":%" PRIu64 ",\"accepts\":%" PRIu64
-                  ",\"connections_open\":%" PRIu64 ",\"l1_hits\":%" PRIu64
-                  ",\"l1_misses\":%" PRIu64 ",\"l1_promotions\":%" PRIu64
-                  ",\"l1_hit_rate\":%.6f}%s",
-                  sh.shard, sh.accepts, sh.connections_open, sh.l1_hits,
-                  sh.l1_misses, sh.l1_promotions, sh.l1_hit_rate,
+                  ",\"connections_open\":%" PRIu64 "}%s",
+                  sh.shard, sh.accepts, sh.connections_open,
                   i + 1 < s.shards.size() ? "," : "");
     out += buf;
   }

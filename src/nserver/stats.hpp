@@ -26,17 +26,16 @@ struct ConnectionStats {
   uint64_t requests = 0;
 };
 
-// Per-shard gauges (one entry per dispatcher): where accepts landed and how
-// the shard-local L1 cache tier is doing.  Rendered with a `shard` label in
-// Prometheus and as a "shards" array in JSON.
+// Per-shard gauges (one entry per dispatcher): where accepts landed.
+// Rendered with a `shard` label in Prometheus and as a "shards" array in
+// JSON.
 struct ShardStats {
   uint64_t shard = 0;
   uint64_t accepts = 0;
   uint64_t connections_open = 0;
+  // Always 0: only perfbench's frozen cache.l1_hit_ratio still reads them.
   uint64_t l1_hits = 0;
   uint64_t l1_misses = 0;
-  uint64_t l1_promotions = 0;
-  double l1_hit_rate = 0.0;
 };
 
 struct StatsSnapshot {

@@ -130,8 +130,6 @@ class ProxyServer {
   void session_done(uint64_t id);
   void emit(const std::string& event);
 
-  [[nodiscard]] std::string admin_respond(const std::string& method,
-                                          const std::string& path) const;
   [[nodiscard]] std::string render_stats_prometheus() const;
   [[nodiscard]] std::string render_stats_json() const;
 

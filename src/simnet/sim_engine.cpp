@@ -23,15 +23,15 @@ constexpr std::chrono::seconds kRunWallTimeout{120};
 
 void SimClient::connect(uint16_t port) {
   SimEngine::Lock lock(engine_->mutex_);
-  auto route = engine_->route_connect_locked(port);
-  if (route.listener == nullptr) {
+  auto* listener = engine_->listener_for_connect_locked(port);
+  if (listener == nullptr) {
     engine_->record_locked("connect-refused port=" + std::to_string(port));
     engine_->failures_.push_back("connect refused: port " +
                                  std::to_string(port) + " not listening");
     closed_ = true;
     return;
   }
-  if (route.member == nullptr) {
+  if (listener->pending.size() >= static_cast<size_t>(listener->backlog)) {
     // Accept-queue overflow: the SYN is dropped, the client never connects.
     engine_->record_locked("syn-drop port=" + std::to_string(port));
     return;
@@ -42,7 +42,7 @@ void SimClient::connect(uint16_t port) {
   channel->client_port = engine_->next_client_port_++;
   channel->client = this;
   channel_ = channel->id;
-  route.member->pending.push_back(channel->id);
+  listener->pending.push_back(channel->id);
   engine_->record_locked("connect ch=" + std::to_string(channel->id) +
                          " port=" + std::to_string(port));
   engine_->channels_.emplace(channel->id, std::move(channel));
@@ -300,62 +300,32 @@ void SimEngine::close_server_side_locked(Channel& ch) {
 
 // ---- SimBackend: endpoint creation -----------------------------------------
 
-Result<int> SimEngine::sim_listen(const net::InetAddress& addr, int backlog,
-                                  bool reuseport) {
+Result<int> SimEngine::sim_listen(const net::InetAddress& addr, int backlog) {
   Lock lock(mutex_);
   uint16_t port = addr.port();
   if (port == 0) port = next_auto_port_++;
   auto it = listeners_.find(port);
-  if (it != listeners_.end() && !it->second.all_closed()) {
-    // A live group: joining requires SO_REUSEPORT on both sides, like the
-    // kernel's EADDRINUSE rule.
-    if (!reuseport || !it->second.reuseport) {
-      return Status::invalid_argument("simnet: port already listening");
-    }
-    const int fd = next_fd_++;
-    it->second.members.push_back(Listener::Member{fd, false, {}});
-    fds_[fd] = FdEntry{true, false, -1, port};
-    record_locked("listen fd=" + std::to_string(fd) +
-                  " port=" + std::to_string(port) + " reuseport");
-    return fd;
+  if (it != listeners_.end() && !it->second.closed) {
+    return Status::invalid_argument("simnet: port already listening");
   }
   const int fd = next_fd_++;
   Listener listener;
   listener.port = port;
+  listener.fd = fd;
   listener.backlog = backlog;
-  listener.reuseport = reuseport;
-  listener.members.push_back(Listener::Member{fd, false, {}});
   listeners_[port] = std::move(listener);
   fds_[fd] = FdEntry{true, false, -1, port};
   record_locked("listen fd=" + std::to_string(fd) +
-                " port=" + std::to_string(port) +
-                (reuseport ? " reuseport" : ""));
+                " port=" + std::to_string(port));
   return fd;
 }
 
-SimEngine::ConnectRoute SimEngine::route_connect_locked(uint16_t port) {
-  ConnectRoute route;
+SimEngine::Listener* SimEngine::listener_for_connect_locked(uint16_t port) {
   auto it = listeners_.find(port);
-  if (it == listeners_.end() || it->second.killed ||
-      it->second.all_closed()) {
-    return route;
+  if (it == listeners_.end() || it->second.killed || it->second.closed) {
+    return nullptr;
   }
-  Listener& listener = it->second;
-  route.listener = &listener;
-  // Deterministic round-robin over open members — the stand-in for the
-  // kernel's SO_REUSEPORT 4-tuple hash.  The chosen member's queue being
-  // full is a SYN drop, as with a real per-socket backlog (no failover).
-  const size_t n = listener.members.size();
-  for (size_t probe = 0; probe < n; ++probe) {
-    auto& member = listener.members[listener.rr_next % n];
-    listener.rr_next = (listener.rr_next + 1) % n;
-    if (member.closed) continue;
-    if (member.pending.size() < static_cast<size_t>(listener.backlog)) {
-      route.member = &member;
-    }
-    return route;
-  }
-  return route;
+  return &it->second;
 }
 
 Result<int> SimEngine::sim_connect(const net::InetAddress& peer) {
@@ -376,12 +346,12 @@ Result<int> SimEngine::sim_connect(const net::InetAddress& peer) {
     channels_.emplace(channel->id, std::move(channel));
     return fd;
   }
-  auto route = route_connect_locked(port);
-  if (route.listener == nullptr) {
+  auto* listener = listener_for_connect_locked(port);
+  if (listener == nullptr) {
     record_locked("connect-refused port=" + std::to_string(port));
     return Status::unavailable("simnet: connection refused");
   }
-  if (route.member == nullptr) {
+  if (listener->pending.size() >= static_cast<size_t>(listener->backlog)) {
     record_locked("connect-overflow port=" + std::to_string(port));
     return Status::unavailable("simnet: accept queue full");
   }
@@ -392,7 +362,7 @@ Result<int> SimEngine::sim_connect(const net::InetAddress& peer) {
   const int fd = next_fd_++;
   channel->initiator_fd = fd;
   fds_[fd] = FdEntry{false, true, channel->id, 0};
-  route.member->pending.push_back(channel->id);
+  listener->pending.push_back(channel->id);
   record_locked("connect fd=" + std::to_string(fd) +
                 " ch=" + std::to_string(channel->id) +
                 " port=" + std::to_string(port));
@@ -413,7 +383,7 @@ void SimEngine::kill_port_locked(uint16_t port) {
   record_locked("kill port=" + std::to_string(port));
   if (auto it = listeners_.find(port); it != listeners_.end()) {
     it->second.killed = true;
-    for (auto& member : it->second.members) member.pending.clear();
+    it->second.pending.clear();
   }
   for (auto& [id, ch_ptr] : channels_) {
     Channel& ch = *ch_ptr;
@@ -472,16 +442,11 @@ net::SysResult SimEngine::sim_accept(int listen_fd) {
     record_locked("fault accept-eintr port=" + std::to_string(listener.port));
     return {-1, EINTR};
   }
-  Listener::Member* member = nullptr;
-  for (auto& m : listener.members) {
-    if (m.fd == listen_fd) {
-      member = &m;
-      break;
-    }
+  if (listener.fd != listen_fd || listener.pending.empty()) {
+    return {-1, EAGAIN};
   }
-  if (member == nullptr || member->pending.empty()) return {-1, EAGAIN};
-  const int channel = member->pending.front();
-  member->pending.pop_front();
+  const int channel = listener.pending.front();
+  listener.pending.pop_front();
   Channel& ch = *channels_.at(channel);
   const int fd = next_fd_++;
   ch.server_fd = fd;
@@ -643,15 +608,10 @@ void SimEngine::sim_close(int fd) {
   if (it == fds_.end()) return;
   if (it->second.is_listener) {
     auto listener = listeners_.find(it->second.port);
-    if (listener != listeners_.end()) {
-      for (auto& member : listener->second.members) {
-        if (member.fd == fd && !member.closed) {
-          member.closed = true;
-          record_locked("listener-close port=" +
-                        std::to_string(it->second.port));
-          break;
-        }
-      }
+    if (listener != listeners_.end() && listener->second.fd == fd &&
+        !listener->second.closed) {
+      listener->second.closed = true;
+      record_locked("listener-close port=" + std::to_string(it->second.port));
     }
   } else if (auto ch = channels_.find(it->second.channel);
              ch != channels_.end()) {
@@ -748,16 +708,12 @@ void SimEngine::collect_ready_locked(const void* poller,
     if (entry == fds_.end()) continue;
     if (entry->second.is_listener) {
       auto listener = listeners_.find(entry->second.port);
-      if (listener == listeners_.end()) continue;
-      const Listener::Member* member = nullptr;
-      for (const auto& m : listener->second.members) {
-        if (m.fd == fd) {
-          member = &m;
-          break;
-        }
+      if (listener == listeners_.end() || listener->second.fd != fd ||
+          listener->second.closed) {
+        continue;
       }
-      if (member == nullptr || member->closed) continue;
-      if ((interest & net::kReadable) != 0 && !member->pending.empty()) {
+      if ((interest & net::kReadable) != 0 &&
+          !listener->second.pending.empty()) {
         out.push_back({fd, net::kReadable});
       }
       continue;

@@ -154,8 +154,7 @@ class SimEngine : public net::SimBackend {
   void sim_close(int fd) override;
   Result<net::InetAddress> sim_local_address(int fd) override;
   Result<net::InetAddress> sim_peer_address(int fd) override;
-  Result<int> sim_listen(const net::InetAddress& addr, int backlog,
-                         bool reuseport) override;
+  Result<int> sim_listen(const net::InetAddress& addr, int backlog) override;
   Result<int> sim_connect(const net::InetAddress& peer) override;
   Status sim_poll_add(const void* poller, int fd, uint32_t interest) override;
   Status sim_poll_modify(const void* poller, int fd,
@@ -193,30 +192,14 @@ class SimEngine : public net::SimBackend {
     bool client_notified_close = false;
   };
 
-  // One listening port.  Normally a single member; with SO_REUSEPORT every
-  // shard's listener joins the same port as another member and incoming
-  // connections are spread across open members by deterministic round-robin
-  // (the stand-in for the kernel's 4-tuple hash).  Each member owns its own
-  // accept queue, like a real per-socket backlog.
+  // One listening port and its accept queue.
   struct Listener {
     uint16_t port = 0;
-    int backlog = 0;          // per-member accept-queue bound
-    bool killed = false;      // kill_port(): refuse connects until revived
-    bool reuseport = false;   // every member was opened with SO_REUSEPORT
-    struct Member {
-      int fd = -1;
-      bool closed = false;
-      std::deque<int> pending;  // channel ids awaiting accept on this fd
-    };
-    std::vector<Member> members;
-    size_t rr_next = 0;  // round-robin cursor over open members
-
-    [[nodiscard]] bool all_closed() const {
-      for (const auto& m : members) {
-        if (!m.closed) return false;
-      }
-      return true;
-    }
+    int fd = -1;
+    int backlog = 0;      // accept-queue bound
+    bool killed = false;  // kill_port(): refuse connects until revived
+    bool closed = false;
+    std::deque<int> pending;  // channel ids awaiting accept
   };
 
   struct FdEntry {
@@ -253,15 +236,10 @@ class SimEngine : public net::SimBackend {
   net::SysResult sim_write_gather_locked(int fd, const struct iovec* iov,
                                          int iovcnt, const char* op);
   Channel* channel_of_fd_locked(int fd);
-  // Routing for a new connection to `port`: picks the accept-queue member.
-  // listener == nullptr means refused (not listening / killed / all
-  // members closed); member == nullptr with a listener means the chosen
-  // member's queue is full (SYN drop).
-  struct ConnectRoute {
-    Listener* listener = nullptr;
-    Listener::Member* member = nullptr;
-  };
-  ConnectRoute route_connect_locked(uint16_t port);
+  // The listener a new connection to `port` reaches; nullptr means refused
+  // (not listening, killed or closed).  A full `pending` queue is a SYN
+  // drop.
+  Listener* listener_for_connect_locked(uint16_t port);
   void close_server_side_locked(Channel& ch);
   void reset_channel_locked(Channel& ch);
   void kill_port_locked(uint16_t port);

@@ -18,7 +18,6 @@
 #include "bench/request_path_harness.hpp"
 #include "common/byte_buffer.hpp"
 #include "http/request_parser.hpp"
-#include "nserver/l1_cache.hpp"
 
 namespace cops::bench {
 namespace {
@@ -100,37 +99,6 @@ TEST(AllocCountTest, ChunkedDecodeOnWarmScratchIsAllocationFree) {
   EXPECT_EQ(counters.count, 0u)
       << counters.count << " allocations (" << counters.bytes
       << " bytes) leaked into the steady-state chunked decode loop";
-}
-
-TEST(AllocCountTest, L1CacheHitPathIsAllocationFree) {
-  // The scale-out design leans on the per-shard L1 hit being a hash, one
-  // atomic<shared_ptr> load, a key compare, and two stamp checks — no heap.
-  // A regression here (say, a string copy or a logging allocation sneaking
-  // into lookup()) would put an allocator hot spot back on every cached
-  // reply of every shard.
-  nserver::L1FileCache l1(128, 256 * 1024,
-                          std::chrono::milliseconds(60000));
-  auto data = std::make_shared<nserver::FileData>();
-  data->path = "/hot.txt";
-  data->bytes.assign(4096, 'h');
-  const std::string key = "/hot.txt";
-  constexpr uint64_t kEpoch = 1;
-  l1.promote(key, data, kEpoch);
-  for (int i = 0; i < 16; ++i) {  // warm-up: the hit path, not first touch
-    ASSERT_NE(l1.lookup(key, kEpoch), nullptr);
-  }
-
-  reset_alloc_counters();
-  size_t served = 0;
-  for (int i = 0; i < 4096; ++i) {
-    auto hit = l1.lookup(key, kEpoch);
-    if (hit != nullptr && hit->bytes.size() == 4096) ++served;
-  }
-  const AllocCounters counters = alloc_counters();
-  EXPECT_EQ(served, 4096u);
-  EXPECT_EQ(counters.count, 0u)
-      << counters.count << " allocations (" << counters.bytes
-      << " bytes) leaked into the L1 hit path";
 }
 
 TEST(AllocCountTest, QuickRunEmitsValidJson) {

@@ -10,7 +10,6 @@
 
 #include "nserver/cache_policy.hpp"
 #include "nserver/file_cache.hpp"
-#include "nserver/l1_cache.hpp"
 #include "tests/test_util.hpp"
 
 namespace cops::nserver {
@@ -355,98 +354,6 @@ INSTANTIATE_TEST_SUITE_P(AllPolicies, CachePolicyParamTest,
                                            CachePolicyKind::kLruMin,
                                            CachePolicyKind::kLruThreshold,
                                            CachePolicyKind::kHyperG));
-
-// ---------- two-tier split: the per-shard L1 ----------------------------------
-
-constexpr auto kTtl = std::chrono::milliseconds(60000);
-
-TEST(L1FileCache, HitAfterPromoteUnderCurrentEpoch) {
-  L1FileCache l1(8, 4096, kTtl);
-  l1.promote("/a", make_file("/a", 100), /*epoch=*/1);
-  auto hit = l1.lookup("/a", 1);
-  ASSERT_NE(hit, nullptr);
-  EXPECT_EQ(hit->size(), 100u);
-  EXPECT_EQ(l1.hits(), 1u);
-  EXPECT_EQ(l1.promotions(), 1u);
-}
-
-TEST(L1FileCache, StaleEpochIsAMiss) {
-  // An entry promoted under epoch E must vanish the moment the L2 reports
-  // E+1 — that is how erase/clear/invalidation reach every shard replica.
-  L1FileCache l1(8, 4096, kTtl);
-  l1.promote("/a", make_file("/a", 100), 1);
-  EXPECT_EQ(l1.lookup("/a", 2), nullptr);
-  EXPECT_EQ(l1.misses(), 1u);
-  // Re-promotion under the new epoch serves again.
-  l1.promote("/a", make_file("/a", 100), 2);
-  EXPECT_NE(l1.lookup("/a", 2), nullptr);
-}
-
-TEST(L1FileCache, TtlZeroStepsAsideEntirely) {
-  // Same contract as the L2's revalidate interval 0: every lookup must
-  // re-check, so the L1 never serves.
-  L1FileCache l1(8, 4096, std::chrono::milliseconds(0));
-  l1.promote("/a", make_file("/a", 100), 1);
-  EXPECT_EQ(l1.lookup("/a", 1), nullptr);
-  EXPECT_EQ(l1.hits(), 0u);
-}
-
-TEST(L1FileCache, OversizedEntryStaysL2Only) {
-  L1FileCache l1(8, /*entry_max_bytes=*/256, kTtl);
-  l1.promote("/big", make_file("/big", 1000), 1);
-  EXPECT_EQ(l1.promotions(), 0u);
-  EXPECT_EQ(l1.lookup("/big", 1), nullptr);
-}
-
-TEST(L1FileCache, WrongKeyInSharedSlotIsAMiss) {
-  // Direct-mapped: whatever occupies the slot, a key mismatch must never
-  // serve another file's bytes.
-  L1FileCache l1(1, 4096, kTtl);  // every key maps to the single slot
-  l1.promote("/a", make_file("/a", 10), 1);
-  EXPECT_EQ(l1.lookup("/b", 1), nullptr);
-  // A colliding promotion displaces the previous occupant.
-  l1.promote("/b", make_file("/b", 20), 1);
-  EXPECT_EQ(l1.lookup("/a", 1), nullptr);
-  ASSERT_NE(l1.lookup("/b", 1), nullptr);
-}
-
-TEST(L1FileCache, ClearDropsEverySlot) {
-  L1FileCache l1(8, 4096, kTtl);
-  l1.promote("/a", make_file("/a", 10), 1);
-  l1.promote("/b", make_file("/b", 10), 1);
-  l1.clear();
-  EXPECT_EQ(l1.lookup("/a", 1), nullptr);
-  EXPECT_EQ(l1.lookup("/b", 1), nullptr);
-}
-
-TEST(L1FileCache, HitRateComputed) {
-  L1FileCache l1(8, 4096, kTtl);
-  l1.promote("/a", make_file("/a", 10), 1);
-  (void)l1.lookup("/a", 1);
-  (void)l1.lookup("/a", 1);
-  (void)l1.lookup("/b", 1);
-  EXPECT_NEAR(l1.hit_rate(), 2.0 / 3.0, 1e-9);
-}
-
-TEST(FileCache, InvalidationEpochBumpsOnEraseAndClearNotOnEviction) {
-  auto cache = make_cache(CachePolicyKind::kLru, 300);
-  const uint64_t start = cache.invalidation_epoch();
-
-  // Capacity eviction leaves the on-disk files unchanged — L1 replicas of
-  // the evicted entries are still byte-correct, so the epoch must hold.
-  cache.insert("/a", make_file("/a", 100));
-  cache.insert("/b", make_file("/b", 100));
-  cache.insert("/c", make_file("/c", 100));
-  cache.insert("/d", make_file("/d", 100));  // evicts
-  EXPECT_GT(cache.evictions(), 0u);
-  EXPECT_EQ(cache.invalidation_epoch(), start);
-
-  cache.erase("/d");
-  const uint64_t after_erase = cache.invalidation_epoch();
-  EXPECT_GT(after_erase, start);
-  cache.clear();
-  EXPECT_GT(cache.invalidation_epoch(), after_erase);
-}
 
 }  // namespace
 }  // namespace cops::nserver

@@ -418,7 +418,7 @@ TEST(NServerTemplate, BufferMgmtOptionCrosscutsGeneratedUnits) {
 }
 
 TEST(NServerTemplate, BufferMgmtAppendsWithoutRenumbering) {
-  // No S2 column or README row either; S3-S6 keep their labels.
+  // No S2 column or README row either; S3-S5 keep their labels.
   const auto tmpl = make_nserver_template();
   for (const auto& spec : tmpl.options().specs()) {
     EXPECT_NE(spec.label.rfind("S2:", 0), 0u) << spec.label;
@@ -429,8 +429,8 @@ TEST(NServerTemplate, BufferMgmtAppendsWithoutRenumbering) {
   const auto& readme = rendered.value().at("README.md");
   EXPECT_EQ(readme.find("S2 "), std::string::npos);
   EXPECT_EQ(readme.find("buffer management"), std::string::npos);
-  for (const char* row : {"S3 body framing", "S4 proxy upstream",
-                          "S5 overload", "S6 accept path"}) {
+  for (const char* row :
+       {"S3 body framing", "S4 proxy upstream", "S5 overload"}) {
     EXPECT_NE(readme.find(row), std::string::npos) << row;
   }
 }
@@ -636,84 +636,65 @@ TEST(NServerTemplate, OverloadAppendsWithoutRenumbering) {
 }
 
 TEST(NServerTemplate, AcceptPathOptionCrosscutsGeneratedUnits) {
-  const auto tmpl = make_nserver_template();
-  // Both presets default to dispatch (the paper's single-listener servers
-  // are untouched); flipping to reuseport emits the shard unit and wires
-  // the accept path + per-shard L1 sizing into the options block.
-  auto dispatch_set = nserver_http_options();
-  auto reuseport_set = dispatch_set;
-  reuseport_set.set("accept_path", "reuseport");
-  auto off = tmpl.render_all(dispatch_set,
-                             {{"app_name", "A"}, {"listen_port", "0"}});
-  auto on = tmpl.render_all(reuseport_set,
-                            {{"app_name", "A"}, {"listen_port", "0"}});
-  ASSERT_TRUE(off.is_ok());
-  ASSERT_TRUE(on.is_ok());
-  EXPECT_TRUE(on.value().count("shard_config.hpp"));
-  EXPECT_FALSE(off.value().count("shard_config.hpp"));
-  EXPECT_NE(on.value().at("traits.hpp").find("kReuseportAccept = true"),
-            std::string::npos);
-  EXPECT_NE(off.value().at("traits.hpp").find("kReuseportAccept = false"),
-            std::string::npos);
-  EXPECT_NE(on.value().at("server_main.cpp").find("AcceptPath::kReuseport"),
-            std::string::npos);
-  EXPECT_NE(off.value().at("server_main.cpp").find("AcceptPath::kDispatch"),
-            std::string::npos);
-  EXPECT_NE(on.value().at("shard_config.hpp").find("kShardListeners"),
-            std::string::npos);
-  // The preset keeps a file cache, so the shard unit sizes the L1 tier and
-  // server_main wires it through.
-  EXPECT_NE(on.value().at("shard_config.hpp").find("kCacheL1Entries"),
-            std::string::npos);
-  EXPECT_NE(on.value().at("server_main.cpp").find("cache_l1_entries"),
-            std::string::npos);
-  EXPECT_EQ(off.value().at("server_main.cpp").find("cache_l1_entries"),
-            std::string::npos);
-  // Both shipped presets stay on dispatch.
-  EXPECT_EQ(nserver_http_options().get("accept_path"), "dispatch");
-  EXPECT_EQ(nserver_ftp_options().get("accept_path"), "dispatch");
-}
-
-TEST(NServerTemplate, AcceptPathWithoutCacheSkipsL1Sizing) {
-  // The nested conditional: a cacheless reuseport server still gets its
-  // shard unit, but no L1 tier constants (the L1 fronts the L2 — without
-  // an L2 there is nothing to front).
-  const auto tmpl = make_nserver_template();
-  auto set = nserver_http_options();
-  set.set("accept_path", "reuseport");
-  set.set("file_cache", "none");
-  auto rendered =
-      tmpl.render_all(set, {{"app_name", "A"}, {"listen_port", "0"}});
-  ASSERT_TRUE(rendered.is_ok());
-  const auto& shard = rendered.value().at("shard_config.hpp");
-  EXPECT_NE(shard.find("kShardListeners"), std::string::npos);
-  EXPECT_EQ(shard.find("kCacheL1Entries"), std::string::npos);
-  EXPECT_EQ(rendered.value().at("server_main.cpp").find("cache_l1_entries"),
-            std::string::npos);
-}
-
-TEST(NServerTemplate, AcceptPathAppendsWithoutRenumbering) {
-  // accept_path joins Table 2 as its own column while everything already
-  // there stays put; in the README option table it rows after overload.
+  // Every server has one listener on shard 0 and one cache tier, so the
+  // retired S6 accept_path crosscuts nothing: no "Shard Accept" row in the
+  // matrix, no shard unit, and neither the reuseport trait nor the L1 sizing
+  // anywhere in the generated code.
   const auto tmpl = make_nserver_template();
   auto matrix = tmpl.crosscut();
   ASSERT_TRUE(matrix.is_ok());
-  EXPECT_TRUE(matrix.value().at("Shard Accept").at("accept_path").existence);
-  EXPECT_TRUE(matrix.value().at("Overload Manager").at("overload").existence);
+  EXPECT_EQ(matrix.value().count("Shard Accept"), 0u);
+  for (const auto& [unit, row] : matrix.value()) {
+    EXPECT_EQ(row.count("accept_path"), 0u) << unit;
+  }
+  for (const auto& preset : {nserver_http_options(), nserver_ftp_options()}) {
+    auto rendered =
+        tmpl.render_all(preset, {{"app_name", "A"}, {"listen_port", "0"}});
+    ASSERT_TRUE(rendered.is_ok()) << rendered.status().to_string();
+    EXPECT_FALSE(rendered.value().count("shard_config.hpp"));
+    for (const auto& [file, text] : rendered.value()) {
+      EXPECT_EQ(text.find("kReuseportAccept"), std::string::npos) << file;
+      EXPECT_EQ(text.find("kCacheL1"), std::string::npos) << file;
+    }
+  }
+}
+
+TEST(NServerTemplate, AcceptPathWithoutCacheSkipsL1Sizing) {
+  // An options file still naming accept_path, with either old value, fails
+  // as an unknown option instead of being silently ignored.
+  const auto tmpl = make_nserver_template();
+  for (const char* value : {"dispatch", "reuseport"}) {
+    auto stale = nserver_http_options();
+    stale.set("accept_path", value);
+    const auto problems =
+        tmpl.options().validate(tmpl.options().with_defaults(stale));
+    ASSERT_EQ(problems.size(), 1u) << value;
+    EXPECT_EQ(problems[0], "unknown option 'accept_path'");
+    EXPECT_FALSE(
+        tmpl.render_all(stale, {{"app_name", "A"}, {"listen_port", "0"}})
+            .is_ok())
+        << value;
+  }
+}
+
+TEST(NServerTemplate, AcceptPathAppendsWithoutRenumbering) {
+  // Table 2's columns end at S5 (the overload column), and the README option
+  // table has no S6 row.
+  const auto tmpl = make_nserver_template();
+  ASSERT_FALSE(tmpl.options().specs().empty());
+  EXPECT_EQ(tmpl.options().specs().back().label, "S5: Overload policy");
   auto rendered = tmpl.render_all(nserver_http_options(),
                                   {{"app_name", "A"}, {"listen_port", "0"}});
   ASSERT_TRUE(rendered.is_ok());
   const auto& readme = rendered.value().at("README.md");
-  const size_t overload_row = readme.find("S5 overload");
-  const size_t accept_row = readme.find("S6 accept path");
-  ASSERT_NE(overload_row, std::string::npos);
-  ASSERT_NE(accept_row, std::string::npos);
-  EXPECT_LT(overload_row, accept_row) << "accept_path must append after S5";
+  EXPECT_NE(readme.find("S5 overload"), std::string::npos);
+  EXPECT_EQ(readme.find("S6"), std::string::npos);
+  EXPECT_EQ(readme.find("accept path"), std::string::npos);
 }
 
 TEST(NServerTemplate, IoBackendAppendsWithoutRenumbering) {
   // The paper's O1-O12 (with the O11+ export column) keep Table 2's order
-  // and the post-paper S1-S6 append after them.  There is no S7 column and
+  // and the post-paper S3-S5 append after them.  There is no S7 column and
   // no S7 row in the generated README option table.
   const auto tmpl = make_nserver_template();
   std::vector<std::string> columns;
@@ -722,13 +703,13 @@ TEST(NServerTemplate, IoBackendAppendsWithoutRenumbering) {
   }
   const std::vector<std::string> table2 = {
       "O1", "O2",   "O3", "O4", "O5", "O6", "O7", "O8", "O9", "O10",
-      "O11", "O12", "O11+", "S3", "S4", "S5", "S6"};
+      "O11", "O12", "O11+", "S3", "S4", "S5"};
   EXPECT_EQ(columns, table2);
   auto rendered = tmpl.render_all(nserver_http_options(),
                                   {{"app_name", "A"}, {"listen_port", "0"}});
   ASSERT_TRUE(rendered.is_ok());
   const auto& readme = rendered.value().at("README.md");
-  EXPECT_NE(readme.find("S6 accept path"), std::string::npos);
+  EXPECT_NE(readme.find("S5 overload"), std::string::npos);
   EXPECT_EQ(readme.find("S7"), std::string::npos);
 }
 

@@ -1,19 +1,7 @@
-// Simnet coverage for the S6 shared-nothing accept path (scale-out PR).
-//
-// The generative contract: `accept_path` must be *observationally
-// invisible*.  A client cannot tell whether its connection came through the
-// classic single listener plus dispatch hop or through one of N
-// SO_REUSEPORT listeners — only throughput changes.  The differential test
-// below enforces exactly that: per seed, the same scripted clients replay
-// against both configurations (same shard count) and every client's reply
-// stream must match byte for byte, Date header included (the simulated
-// clock makes replies bit-identical per seed).
-//
-// Also covered here, because only the simulation makes them deterministic:
-// the listener group's round-robin connection spread, per-shard L1 cache
-// warm-up (each shard promotes independently; the L2 fill is shared), and
-// the flagship trace-determinism guarantee extended to multi-shard
-// reuseport runs.
+// Simnet coverage for a multi-shard server (O1 > 1).  The single listener
+// on shard 0 dispatches connections round-robin; only the simulation makes
+// that spread, and the event trace of N reactor threads, deterministic
+// enough to assert exactly.
 #include <utime.h>
 
 #include <chrono>
@@ -46,8 +34,8 @@ std::string fixture_body(size_t i) {
 }
 
 // One scripted client: connect time, request bytes, and the send schedule
-// (piece boundaries and times), all derived from the seed alone so the
-// dispatch and reuseport runs replay identical inputs.
+// (piece boundaries and times), all derived from the seed alone so two runs
+// of one seed replay identical inputs.
 struct ClientScript {
   int connect_ms = 0;
   std::vector<std::pair<int, std::string>> sends;  // (time ms, piece)
@@ -67,7 +55,7 @@ std::vector<ClientScript> build_scripts(uint64_t seed, size_t n_clients) {
               ".txt HTTP/1.1\r\nHost: sim\r\n" +
               (last ? "Connection: close\r\n" : "") + "\r\n";
     }
-    // Arbitrary TCP segmentation on top of the accept path under test.
+    // Arbitrary TCP segmentation on top of the sharded server.
     size_t pos = 0;
     int when = script.connect_ms + 2;
     while (pos < wire.size()) {
@@ -87,11 +75,10 @@ struct SessionResult {
   std::vector<std::string> trace;
 };
 
-// Replays the seed's scripts against a fresh server in the requested
-// accept-path configuration and returns every client's observations.
-SessionResult run_scaleout_session(uint64_t seed, nserver::AcceptPath path,
-                                   int shards, size_t n_clients,
-                                   size_t l1_entries = 0) {
+// Replays the seed's scripts against a fresh server with `shards`
+// dispatchers and returns every client's observations.
+SessionResult run_scaleout_session(uint64_t seed, int shards,
+                                   size_t n_clients) {
   SimEngine engine(seed);
   SCOPED_TRACE("scaleout seed=" + std::to_string(seed));
 
@@ -99,21 +86,19 @@ SessionResult run_scaleout_session(uint64_t seed, nserver::AcceptPath path,
   for (size_t i = 0; i < 4; ++i) {
     const std::string name = "f" + std::to_string(i) + ".txt";
     dir.write_file(name, fixture_body(i));
-    // Pin the mtime: the dispatch and reuseport sessions each write their
-    // own fixture copies, and a wall-clock second boundary between the two
-    // would otherwise make Last-Modified differ and fail the byte-compare.
+    // Pin the mtime: each session writes its own fixture copies, and a
+    // wall-clock second boundary between two sessions would otherwise make
+    // Last-Modified differ.
     struct utimbuf times{1000000000, 1000000000};
     ::utime((dir.path() / name).c_str(), &times);
   }
 
   auto options = http::CopsHttpServer::default_options();
   make_deterministic(options);
-  // The whole point of this suite is the multi-shard accept path, so the
-  // shard count is restored *after* make_deterministic pinned it to one —
-  // the engine's poller token rotation keeps N reactors deterministic.
+  // The whole point of this suite is the multi-shard server, so the shard
+  // count is restored *after* make_deterministic pinned it to one — the
+  // engine's poller token rotation keeps N reactors deterministic.
   options.dispatcher_threads = shards;
-  options.accept_path = path;
-  options.cache_l1_entries = l1_entries;
   options.listen_port = kPort;
   http::HttpServerConfig config;
   config.doc_root = dir.str();
@@ -150,46 +135,14 @@ SessionResult run_scaleout_session(uint64_t seed, nserver::AcceptPath path,
   return result;
 }
 
-// ---- the differential guarantee -------------------------------------------
+// ---- dispatch --------------------------------------------------------------
 
-class ScaleoutDifferentialTest : public ::testing::TestWithParam<int> {};
-
-TEST_P(ScaleoutDifferentialTest, ReuseportMatchesDispatchByteForByte) {
-  const auto seed = static_cast<uint64_t>(GetParam());
-  constexpr size_t kClients = 6;
-  const SessionResult dispatch = run_scaleout_session(
-      seed, nserver::AcceptPath::kDispatch, /*shards=*/2, kClients);
-  const SessionResult reuseport = run_scaleout_session(
-      seed, nserver::AcceptPath::kReuseport, /*shards=*/2, kClients);
-
-  ASSERT_EQ(dispatch.replies.size(), kClients);
-  ASSERT_EQ(reuseport.replies.size(), kClients);
-  for (size_t c = 0; c < kClients; ++c) {
-    EXPECT_EQ(dispatch.replies[c], reuseport.replies[c])
-        << "client " << c << " observed different reply bytes across "
-        << "accept paths (seed " << seed << ")";
-    EXPECT_FALSE(dispatch.replies[c].empty()) << "client " << c;
-    EXPECT_EQ(dispatch.closed[c], reuseport.closed[c]) << "client " << c;
-    // Every script ends with Connection: close, so both paths must close.
-    EXPECT_TRUE(reuseport.closed[c]) << "client " << c;
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, ScaleoutDifferentialTest,
-                         ::testing::Range(1, 9),
-                         [](const auto& info) {
-                           return "seed" + std::to_string(info.param);
-                         });
-
-// ---- listener-group semantics ----------------------------------------------
-
-TEST(ScaleoutSimTest, ReuseportSpreadsConnectionsRoundRobin) {
-  // Eight clients over four shards: the simulated kernel's round-robin
-  // spread gives every shard exactly two accepts, and the per-shard gauges
-  // (satellite: the `shard` label) report exactly that.
-  const SessionResult result = run_scaleout_session(
-      0x5ca1e, nserver::AcceptPath::kReuseport, /*shards=*/4,
-      /*n_clients=*/8);
+TEST(ScaleoutSimTest, DispatchKeepsTheSingleListener) {
+  // Eight clients over four shards: only shard 0 owns a listener, and the
+  // server's round-robin gives every shard exactly two accepts, which the
+  // per-shard gauges (the `shard` label) report.
+  const SessionResult result =
+      run_scaleout_session(0x5ca1e, /*shards=*/4, /*n_clients=*/8);
   ASSERT_EQ(result.shards.size(), 4u);
   uint64_t total = 0;
   for (const auto& shard : result.shards) {
@@ -198,47 +151,24 @@ TEST(ScaleoutSimTest, ReuseportSpreadsConnectionsRoundRobin) {
     total += shard.accepts;
   }
   EXPECT_EQ(total, 8u);
-}
-
-TEST(ScaleoutSimTest, DispatchKeepsTheSingleListener) {
-  // Same workload through the classic path: connections still end up
-  // sharded (round-robin by the server, not the kernel), so the per-shard
-  // accept gauges spread even though only shard 0 owns a listener.
-  const SessionResult result = run_scaleout_session(
-      0x5ca1e, nserver::AcceptPath::kDispatch, /*shards=*/4,
-      /*n_clients=*/8);
-  ASSERT_EQ(result.shards.size(), 4u);
-  uint64_t total = 0;
-  for (const auto& shard : result.shards) total += shard.accepts;
-  EXPECT_EQ(total, 8u);
-}
-
-TEST(ScaleoutSimTest, EveryShardWarmsItsOwnL1) {
-  // Four clients, two shards, every request hits the same four files: the
-  // first touch on each shard falls through to the shared L2 and promotes;
-  // repeat touches are per-shard L1 hits.  Both shards must show L1
-  // traffic — the tier is per shard, not global.
-  const SessionResult result = run_scaleout_session(
-      77, nserver::AcceptPath::kReuseport, /*shards=*/2, /*n_clients=*/4,
-      /*l1_entries=*/16);
-  ASSERT_EQ(result.shards.size(), 2u);
-  for (const auto& shard : result.shards) {
-    EXPECT_GT(shard.l1_promotions, 0u) << "shard " << shard.shard;
+  // Every script ends with Connection: close.
+  ASSERT_EQ(result.replies.size(), 8u);
+  for (size_t c = 0; c < result.replies.size(); ++c) {
+    EXPECT_FALSE(result.replies[c].empty()) << "client " << c;
+    EXPECT_TRUE(result.closed[c]) << "client " << c;
   }
 }
 
 // ---- determinism ------------------------------------------------------------
 
-TEST(ScaleoutSimTest, SameSeedSameMultiShardReuseportTrace) {
-  // The flagship determinism guarantee holds with four reactor threads and
-  // four racing listeners: the poller token rotation serialises them into
-  // a bit-identical event trace per seed.
-  const SessionResult first = run_scaleout_session(
-      424242, nserver::AcceptPath::kReuseport, /*shards=*/4,
-      /*n_clients=*/6, /*l1_entries=*/16);
-  const SessionResult second = run_scaleout_session(
-      424242, nserver::AcceptPath::kReuseport, /*shards=*/4,
-      /*n_clients=*/6, /*l1_entries=*/16);
+TEST(ScaleoutSimTest, SameSeedSameMultiShardTrace) {
+  // The flagship determinism guarantee holds with four reactor threads: the
+  // poller token rotation serialises them into a bit-identical event trace
+  // per seed.
+  const SessionResult first =
+      run_scaleout_session(424242, /*shards=*/4, /*n_clients=*/6);
+  const SessionResult second =
+      run_scaleout_session(424242, /*shards=*/4, /*n_clients=*/6);
   ASSERT_FALSE(first.trace.empty());
   ASSERT_EQ(first.trace.size(), second.trace.size())
       << "trace lengths diverged across identical runs";

@@ -1,9 +1,7 @@
-// Real-socket tests for the shared-nothing scale-out path: SO_REUSEPORT
-// listener groups at the net layer, the shard-safe connection caps racing
-// across per-shard acceptors, the per-shard/L1 observability surface, and
-// the two-tier cache under concurrent shard traffic (the TSan preset runs
-// this suite — the stress test is the data-race canary for the L1's
-// atomic<shared_ptr> hot path).
+// Real-socket tests for a multi-shard server (O1 = 4): the single listener
+// dispatches round-robin, every accept is accounted on its shard, the
+// connection caps hold under racing clients, and the per-shard gauges reach
+// the admin surface.  The TSan preset runs this suite.
 #include <atomic>
 #include <latch>
 #include <string>
@@ -14,9 +12,6 @@
 
 #include "http/http_server.hpp"
 #include "net/socket.hpp"
-#include "nserver/cache_policy.hpp"
-#include "nserver/file_cache.hpp"
-#include "nserver/l1_cache.hpp"
 #include "tests/test_util.hpp"
 
 namespace cops {
@@ -26,26 +21,9 @@ using http::CopsHttpServer;
 using http::HttpServerConfig;
 using nserver::ServerOptions;
 
-// ---- net layer: SO_REUSEPORT listener groups --------------------------------
+// ---- net layer ------------------------------------------------------------
 
-TEST(ReuseportSocketTest, SiblingListenersShareAPort) {
-  const auto addr = net::InetAddress::parse("127.0.0.1", 0);
-  ASSERT_TRUE(addr.is_ok());
-  auto first =
-      net::TcpListener::listen(addr.value(), /*backlog=*/64, /*reuseport=*/true);
-  ASSERT_TRUE(first.is_ok()) << first.status().to_string();
-  const auto bound = first.value().local_address();
-  ASSERT_TRUE(bound.is_ok());
-
-  // A sibling opened with SO_REUSEPORT joins the group...
-  auto sibling = net::TcpListener::listen(bound.value(), 64, true);
-  EXPECT_TRUE(sibling.is_ok()) << sibling.status().to_string();
-  // ...but a plain listener cannot squat the port.
-  auto intruder = net::TcpListener::listen(bound.value(), 64, false);
-  EXPECT_FALSE(intruder.is_ok());
-}
-
-TEST(ReuseportSocketTest, BacklogParameterAccepted) {
+TEST(TcpListenerTest, BacklogParameterAccepted) {
   // The listen_backlog satellite: the knob must reach listen(2) unclamped
   // by any hardcoded constant.  A bad value is all the kernel would reject,
   // so this is a plumbing check, not a capacity measurement.
@@ -73,10 +51,9 @@ class ScaleoutFixture : public ::testing::Test {
     port_ = server_->port();
   }
 
-  static ServerOptions reuseport_options(int shards) {
+  static ServerOptions sharded_options(int shards) {
     auto options = CopsHttpServer::default_options();
     options.dispatcher_threads = shards;
-    options.accept_path = nserver::AcceptPath::kReuseport;
     options.profiling = true;
     return options;
   }
@@ -90,15 +67,14 @@ class ScaleoutFixture : public ::testing::Test {
   uint16_t port_ = 0;
 };
 
-TEST_F(ScaleoutFixture, ReuseportServesAndAccountsEveryConnection) {
-  start_server(reuseport_options(4));
+TEST_F(ScaleoutFixture, DispatchServesAndAccountsEveryConnection) {
+  start_server(sharded_options(4));
   constexpr int kRequests = 16;
   for (int i = 0; i < kRequests; ++i) {
     const auto response = test::http_get(port_, "/index.html");
     ASSERT_NE(response.find("200 OK"), std::string::npos) << "request " << i;
   }
-  // The kernel chooses the shard per connection (hash-based, so the spread
-  // is not asserted), but no accept may escape the per-shard gauges.
+  // No accept may escape the per-shard gauges.
   const auto snapshot = server_->server().stats_snapshot();
   ASSERT_EQ(snapshot.shards.size(), 4u);
   uint64_t total = 0;
@@ -138,10 +114,10 @@ int race_connections(uint16_t port, int clients) {
 }
 
 TEST_F(ScaleoutFixture, MaxConnectionsCapHoldsAcrossRacingAcceptors) {
-  // Four shards accept concurrently on their own listeners; the global cap
-  // must hold exactly — the reservation pattern in on_accept is what stops
-  // several shards from passing a load-then-check simultaneously.
-  auto options = reuseport_options(4);
+  // Twelve clients race the single acceptor of a four-shard server; the
+  // global cap must hold exactly while admitted connections live on every
+  // shard.
+  auto options = sharded_options(4);
   options.max_connections = 3;
   start_server(options);
 
@@ -159,7 +135,7 @@ TEST_F(ScaleoutFixture, MaxConnectionsCapHoldsAcrossRacingAcceptors) {
 }
 
 TEST_F(ScaleoutFixture, PerIpCapHoldsAcrossRacingAcceptors) {
-  auto options = reuseport_options(4);
+  auto options = sharded_options(4);
   options.max_connections_per_ip = 2;
   start_server(options);
 
@@ -167,118 +143,31 @@ TEST_F(ScaleoutFixture, PerIpCapHoldsAcrossRacingAcceptors) {
   EXPECT_EQ(server_->server().profile().per_ip_rejections, 6u);
 }
 
-// ---- observability: shard label and L1 counters end to end ------------------
+// ---- observability: shard label end to end ---------------------------------
 
-TEST_F(ScaleoutFixture, AdminExportsShardGaugesAndL1Counters) {
-  auto options = reuseport_options(2);
-  options.cache_l1_entries = 32;
+TEST_F(ScaleoutFixture, AdminExportsShardGauges) {
+  auto options = sharded_options(2);
   options.stats_export = nserver::StatsExport::kAdminHttp;
   options.admin_port = 0;
   start_server(options);
   const uint16_t admin_port = server_->admin_port();
   ASSERT_NE(admin_port, 0);
 
-  // Same file over several fresh connections: whichever shards the kernel
-  // picks, every first touch promotes and repeats hit the shard's L1.
   for (int i = 0; i < 6; ++i) {
     ASSERT_NE(test::http_get(port_, "/index.html").find("200 OK"),
               std::string::npos);
   }
-  const auto profile = server_->server().profile();
-  EXPECT_GT(profile.l1_promotions, 0u);
-  EXPECT_GT(profile.l1_hits, 0u);
-  EXPECT_GT(profile.l1_hit_rate, 0.0);
-  // The profiler report renders the tier (satellite: profiler surface).
-  EXPECT_NE(profile.to_string().find("l1_hits="), std::string::npos);
 
   const auto stats = test::http_get(admin_port, "/stats");
-  for (const char* metric :
-       {"nserver_cache_l1_hits_total", "nserver_cache_l1_promotions_total",
-        "nserver_cache_l1_hit_rate",
-        "nserver_shard_accepts_total{shard=\"0\"}",
-        "nserver_shard_accepts_total{shard=\"1\"}",
-        "nserver_shard_connections_open{shard=\"0\"}",
-        "nserver_shard_l1_hit_rate{shard=\"1\"}"}) {
+  for (const char* metric : {"nserver_shard_accepts_total{shard=\"0\"}",
+                             "nserver_shard_accepts_total{shard=\"1\"}",
+                             "nserver_shard_connections_open{shard=\"0\"}"}) {
     EXPECT_NE(stats.find(metric), std::string::npos) << metric;
   }
 
   const auto json = test::http_get(admin_port, "/stats.json");
-  for (const char* token : {"\"shards\":[", "\"l1_hits\"", "\"l1_promotions\"",
-                            "\"l1_hit_rate\"", "\"accepts\""}) {
+  for (const char* token : {"\"shards\":[", "\"accepts\""}) {
     EXPECT_NE(json.find(token), std::string::npos) << token;
-  }
-}
-
-// ---- two-tier cache under concurrent shard traffic --------------------------
-
-TEST(TwoTierCacheStressTest, AllShardsMissAndPromoteTheSameHotFile) {
-  // The worst case for the tier split: every "shard" (thread) hammers one
-  // hot key, racing lookups against promotions, while a saboteur thread
-  // periodically invalidates the L2 (epoch bump) — so promoted entries go
-  // stale mid-race and every shard re-misses and re-promotes.  Run under
-  // the TSan preset this is the data-race check for the L1 hot path; in
-  // every preset it checks the tiers never serve bytes that do not match
-  // the backing entry.
-  test::TempDir dir;
-  const std::string body = "hot file body: twelve dozen bytes of payload\n";
-  dir.write_file("hot.txt", body);
-  const std::string key = dir.str() + "/hot.txt";
-
-  nserver::FileCache l2(
-      nserver::make_cache_policy(nserver::CachePolicyKind::kLru, 64 * 1024),
-      1 << 20);
-  constexpr int kShards = 4;
-  constexpr int kIterations = 3000;
-  std::vector<std::unique_ptr<nserver::L1FileCache>> l1s;
-  for (int i = 0; i < kShards; ++i) {
-    l1s.push_back(std::make_unique<nserver::L1FileCache>(
-        8, 256 * 1024, std::chrono::milliseconds(1000)));
-  }
-
-  std::atomic<bool> stop{false};
-  std::atomic<uint64_t> corrupt{0};
-  std::vector<std::thread> shards;
-  for (int s = 0; s < kShards; ++s) {
-    shards.emplace_back([&, s] {
-      auto& l1 = *l1s[s];
-      for (int i = 0; i < kIterations; ++i) {
-        const uint64_t epoch = l2.invalidation_epoch();
-        nserver::FileDataPtr data = l1.lookup(key, epoch);
-        if (data == nullptr) {
-          data = l2.lookup(key);
-          if (data == nullptr) {
-            auto loaded = nserver::FileIoService::read_file(key);
-            if (!loaded.is_ok()) {
-              corrupt.fetch_add(1);
-              continue;
-            }
-            data = loaded.value();
-            l2.insert(key, data);
-          }
-          l1.promote(key, data, epoch);
-        }
-        if (data->bytes != body) corrupt.fetch_add(1);
-      }
-    });
-  }
-  std::thread saboteur([&] {
-    while (!stop.load(std::memory_order_relaxed)) {
-      l2.erase(key);  // bumps the invalidation epoch
-      std::this_thread::yield();
-    }
-  });
-  for (auto& t : shards) t.join();
-  stop.store(true);
-  saboteur.join();
-
-  EXPECT_EQ(corrupt.load(), 0u);
-  for (int s = 0; s < kShards; ++s) {
-    // Every shard both promoted (the saboteur guarantees repeated misses)
-    // and completed all iterations.
-    EXPECT_GT(l1s[s]->promotions(), 0u) << "shard " << s;
-    EXPECT_EQ(l1s[s]->hits() + l1s[s]->misses(),
-              static_cast<uint64_t>(kIterations))
-        << "shard " << s;
   }
 }
 
