@@ -29,7 +29,6 @@ Connection::Connection(Server& server, net::Reactor& reactor,
 Connection::~Connection() { buffer_pool_->release(in_.release_storage()); }
 
 void Connection::start() {
-  want_read_ = true;
   auto status = reactor_.register_handler(socket_.fd(), this, net::kReadable);
   if (!status.is_ok()) {
     COPS_WARN("connection " << id_ << ": register failed: "
@@ -56,14 +55,17 @@ void Connection::handle_event(int /*fd*/, uint32_t readiness) {
   if ((readiness & net::kWritable) != 0) on_writable();
   if (closed()) return;
   if ((readiness & net::kReadable) == 0) return;
-  if (want_read_) {
-    on_readable();
-  } else {
+  if (read_state_.load(std::memory_order_acquire) != ReadState::kReading) {
     // Lazy disarm: start_pipeline() left read interest armed, and bytes
-    // arrived while the request is in the processor.  Drop the interest
-    // now so level-triggered epoll does not report them on every pass;
-    // resume_reading() re-arms it and they are read then.
+    // arrived while the request is away.  update_interest() drops the
+    // interest so level-triggered epoll does not report them on every
+    // pass; resume_reading() re-arms it and they are read then.  If a
+    // processor handed the token back meanwhile, reading stays armed and
+    // the bytes are read now.
     update_interest();
+  }
+  if (read_state_.load(std::memory_order_acquire) == ReadState::kReading) {
+    on_readable();
   }
 }
 
@@ -76,7 +78,7 @@ void Connection::on_readable() {
                                                    : "read-error");
     return;
   }
-  last_activity_ = now();
+  last_activity_.store(now(), std::memory_order_relaxed);
   server_.note_event(EventKind::kRead, id_, "bytes");
   bytes_read_total_.fetch_add(n.value(), std::memory_order_relaxed);
   if (server_.options_.profiling) profiler_bytes_read(n.value());
@@ -91,15 +93,23 @@ void Connection::start_pipeline() {
   // Pipeline token moves from the socket to the Event Processor: stop
   // reading until this request cycle resolves.  Read interest stays armed
   // in epoll; handle_event() drops it only if bytes arrive meanwhile.
-  want_read_ = false;
-  pipeline_active_ = true;
+  ReadState reading = ReadState::kReading;
+  if (!read_state_.compare_exchange_strong(reading, ReadState::kAway,
+                                           std::memory_order_acq_rel)) {
+    // A reply whose write blocked took the token back (send_reply()); the
+    // bytes just read wait in in_ until its drain continues the pipeline.
+    return;
+  }
+  decode_next();
+}
+
+void Connection::decode_next() {
   if (server_.options_.profiling) trace_.begin_request(trace_now_us());
   server_.submit_decode(shared_from_this());
 }
 
 void Connection::resume_reading() {
   if (closed()) return;
-  pipeline_active_ = false;
   // Decode said "need more".  A non-empty in-buffer means the peer is mid-
   // request: start the slowloris clock (once — see partial_since()).  An
   // empty buffer means we are cleanly between requests.
@@ -109,16 +119,16 @@ void Connection::resume_reading() {
     partial_since_ = now();
   }
   // Data may already be buffered in the kernel; with level-triggered epoll
-  // re-arming read interest (a no-op unless handle_event() dropped it) is
-  // sufficient to get a new readable event.
-  want_read_ = true;
+  // re-arming read interest (a no-op unless it was dropped) is sufficient
+  // to get a new readable event.
+  read_state_.store(ReadState::kReading, std::memory_order_release);
   update_interest();
-  last_activity_ = now();
+  last_activity_.store(now(), std::memory_order_relaxed);
 }
 
 void Connection::continue_pipeline() {
   if (closed()) return;
-  if (close_after_reply_) {
+  if (close_after_reply_.load(std::memory_order_relaxed)) {
     close("close-after-reply");
     return;
   }
@@ -133,28 +143,111 @@ void Connection::continue_pipeline() {
   }
   // More pipelined requests sit in the in-buffer; go around the Decode loop
   // again before re-arming the socket.
-  pipeline_active_ = true;
-  if (server_.options_.profiling) trace_.begin_request(trace_now_us());
-  server_.submit_decode(shared_from_this());
+  decode_next();
+}
+
+void Connection::send_reply(EncodedReply reply) {
+  // O2 = No: keep the posted path (see the ownership notes in the header).
+  if (server_.processor_->inline_mode()) {
+    post_send(std::move(reply), /*completes_request=*/true);
+    return;
+  }
+  std::unique_lock lock(send_mutex_);
+  if (closed() || out_.readable() > 0 ||
+      posts_in_flight_.load(std::memory_order_acquire) > 0) {
+    lock.unlock();
+    post_send(std::move(reply), /*completes_request=*/true);
+    return;
+  }
+  count_reply_copies(reply);
+  out_.push(std::move(reply));
+  // The stamps belong to this request only while the token is held.
+  const int64_t read_done_us = trace_.read_done_us.load(TraceContext::kRelaxed);
+  const int64_t encode_done_us =
+      trace_.encode_done_us.load(TraceContext::kRelaxed);
+  const bool closing = close_after_reply_.load(std::memory_order_relaxed);
+  const bool pipelined = !in_.empty();
+  bool returned = false;
+  if (!closing && !pipelined) {
+    // Hand the read token back before the write, so the peer's next
+    // request finds reading armed however soon it follows the reply.
+    partial_since_ = TimePoint{};
+    ReadState away = ReadState::kAway;
+    returned = read_state_.compare_exchange_strong(
+        away, ReadState::kReading, std::memory_order_acq_rel);
+  }
+  const DrainResult result = drain_locked();
+  if (result == DrainResult::kBlocked) {
+    // The dispatcher finishes the drain on writable.  A returned token is
+    // taken back so no further request is read meanwhile.  If the
+    // dispatcher already started the next request, that request's reply
+    // ends the drain, so this one is counted now.
+    ReadState reading = ReadState::kReading;
+    const bool holds_token =
+        !returned || read_state_.compare_exchange_strong(
+                         reading, ReadState::kAway, std::memory_order_acq_rel);
+    if (holds_token) {
+      reply_pending_drain_ = true;
+    } else {
+      note_reply_sent(read_done_us, encode_done_us);
+    }
+    lock.unlock();
+    reactor_.post([self = shared_from_this()] { self->on_writable(); });
+    return;
+  }
+  lock.unlock();
+  if (result == DrainResult::kError) {
+    reactor_.post([self = shared_from_this()] { self->close("write-error"); });
+    return;
+  }
+  note_reply_sent(read_done_us, encode_done_us);
+  if (returned) return;
+  if (closing) {
+    reactor_.post(
+        [self = shared_from_this()] { self->close("close-after-reply"); });
+  } else if (pipelined) {
+    // The next request is already buffered: this thread still holds the
+    // token and queues its Decode, as continue_pipeline() would.
+    partial_since_ = TimePoint{};
+    decode_next();
+  } else {
+    // Bytes arrived before the send and read interest was dropped; only
+    // the dispatcher can re-arm it.
+    reactor_.post([self = shared_from_this()] { self->resume_reading(); });
+  }
+}
+
+void Connection::post_send(EncodedReply reply, bool completes_request) {
+  posts_in_flight_.fetch_add(1, std::memory_order_acq_rel);
+  reactor_.post([self = shared_from_this(), reply = std::move(reply),
+                 completes_request]() mutable {
+    self->queue_send(std::move(reply), completes_request);
+    self->posts_in_flight_.fetch_sub(1, std::memory_order_acq_rel);
+  });
 }
 
 void Connection::queue_send(EncodedReply reply, bool completes_request) {
   if (closed()) return;
-  if (server_.options_.profiling && reply.copied_bytes > 0) {
+  count_reply_copies(reply);
+  std::unique_lock lock(send_mutex_);
+  out_.push(std::move(reply));
+  if (completes_request) reply_pending_drain_ = true;
+  flush_out(std::move(lock));
+}
+
+void Connection::count_reply_copies(const EncodedReply& reply) {
+  if (!server_.options_.profiling) return;
+  if (reply.copied_bytes > 0) {
     server_.profiler_.count_send_copied(reply.copied_bytes);
   }
   // Chunk-framed replies (body_framing=chunked) are counted here — the one
   // spot every encode path funnels through — not in the Encode hooks.
-  if (server_.options_.profiling && reply.chunked_framed) {
-    server_.profiler_.count_send_chunked();
-  }
-  out_.push(std::move(reply));
-  if (completes_request) reply_pending_drain_ = true;
-  flush_out();
+  if (reply.chunked_framed) server_.profiler_.count_send_chunked();
 }
 
-void Connection::queue_send(std::string bytes, bool completes_request) {
-  queue_send(EncodedReply::from_string(std::move(bytes)), completes_request);
+bool Connection::send_pending() {
+  std::lock_guard lock(send_mutex_);
+  return out_.readable() > 0;
 }
 
 namespace {
@@ -163,10 +256,10 @@ namespace {
 constexpr int kSendIovBatch = 16;
 }  // namespace
 
-void Connection::flush_out() {
+Connection::DrainResult Connection::drain_locked() {
   // Drain loop: scatter-gather the leading memory segments into one writev
   // per round; a leading file segment goes out via sendfile instead.  Stop
-  // on would-block (write interest re-arms below) or error.
+  // on would-block or error.
   while (out_.readable() > 0) {
     const Result<size_t> n = [&]() -> Result<size_t> {
       if (out_.front_is_file()) {
@@ -191,50 +284,69 @@ void Connection::flush_out() {
       return sent;
     }();
     if (!n.is_ok()) {
-      if (n.status().code() != StatusCode::kWouldBlock) {
-        close("write-error");
-        return;
-      }
-      break;
+      return n.status().code() == StatusCode::kWouldBlock
+                 ? DrainResult::kBlocked
+                 : DrainResult::kError;
     }
     bytes_sent_total_.fetch_add(n.value(), std::memory_order_relaxed);
     if (server_.options_.profiling) {
       server_.profiler_.count_bytes_sent(n.value());
     }
-    last_activity_ = now();
+    last_activity_.store(now(), std::memory_order_relaxed);
   }
-  const bool drained = out_.readable() == 0;
-  if (drained && reply_pending_drain_) {
-    reply_pending_drain_ = false;
+  return DrainResult::kDrained;
+}
+
+void Connection::flush_out(std::unique_lock<std::mutex> lock) {
+  if (closed()) return;
+  const DrainResult result = drain_locked();
+  const bool completed = result == DrainResult::kDrained &&
+                         std::exchange(reply_pending_drain_, false);
+  lock.unlock();
+  if (result == DrainResult::kError) {
+    close("write-error");
+    return;
+  }
+  if (completed) {
     after_reply_sent();
     if (closed()) return;
   }
-  const bool need_write = out_.readable() > 0;
+  const bool need_write = result == DrainResult::kBlocked;
   if (need_write != want_write_) {
     want_write_ = need_write;
     update_interest();
   }
 }
 
-void Connection::on_writable() { flush_out(); }
+void Connection::on_writable() { flush_out(std::unique_lock(send_mutex_)); }
 
 void Connection::after_reply_sent() {
-  server_.note_event(EventKind::kSend, id_, "reply-drained");
-  if (server_.options_.profiling) {
-    server_.profiler_.count_reply();
-    const int64_t now_us = trace_now_us();
-    server_.profiler_.record_stage(
-        Stage::kWrite, TraceContext::elapsed(trace_.encode_done_us, now_us));
-    server_.profiler_.record_stage(
-        Stage::kTotal, TraceContext::elapsed(trace_.read_done_us, now_us));
-  }
+  note_reply_sent(trace_.read_done_us.load(TraceContext::kRelaxed),
+                  trace_.encode_done_us.load(TraceContext::kRelaxed));
   continue_pipeline();
+}
+
+void Connection::note_reply_sent(int64_t read_done_us,
+                                 int64_t encode_done_us) {
+  server_.note_event(EventKind::kSend, id_, "reply-drained");
+  if (!server_.options_.profiling) return;
+  server_.profiler_.count_reply();
+  const int64_t now_us = trace_now_us();
+  server_.profiler_.record_stage(
+      Stage::kWrite, TraceContext::elapsed(encode_done_us, now_us));
+  server_.profiler_.record_stage(
+      Stage::kTotal, TraceContext::elapsed(read_done_us, now_us));
 }
 
 void Connection::update_interest() {
   if (!registered_ || closed()) return;
+  // A mask without EPOLLIN must be visible to a processor about to hand
+  // the token back: kAway→kAwayDisarmed, unless it is back already.
+  ReadState state = ReadState::kAway;
+  read_state_.compare_exchange_strong(state, ReadState::kAwayDisarmed,
+                                      std::memory_order_acq_rel);
   uint32_t interest = 0;
-  if (want_read_) interest |= net::kReadable;
+  if (state == ReadState::kReading) interest |= net::kReadable;
   if (want_write_) interest |= net::kWritable;
   reactor_.update_interest(socket_.fd(), interest);
 }
@@ -246,7 +358,11 @@ void Connection::close(const std::string& reason) {
     reactor_.deregister(socket_.fd());
     registered_ = false;
   }
-  socket_.close();
+  {
+    // A processor may be inside drain_locked() on this socket.
+    std::lock_guard lock(send_mutex_);
+    socket_.close();
+  }
   server_.note_event(EventKind::kShutdown, id_, reason.c_str());
   server_.remove_connection(*this);
 }

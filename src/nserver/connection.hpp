@@ -3,30 +3,64 @@
 // Owns one accepted socket and drives the generated halves of the five-step
 // request cycle: Read Request (socket → in buffer) and Send Reply (out
 // buffer → socket).  The application-dependent steps in between run on
-// Event Processor threads; this class is only ever mutated on its reactor
-// (dispatcher) thread — worker threads reach it exclusively through
-// Reactor::post, which is what makes the hook code lock-free.
+// Event Processor threads.  Reading, epoll interest, closing and the
+// connection maps are confined to the reactor (dispatcher) thread; with a
+// separate processor pool (O2 = Yes) the thread that encoded a reply also
+// sends it (send_reply()).  Hooks stay lock-free either way.
 //
-// Pipeline token invariant: per connection exactly one of these holds —
-//   (a) read interest is armed (waiting for request bytes),
-//   (b) an event for this connection is queued/executing in a processor, or
-//   (c) a reply is draining through the out buffer.
-// The token passes (a)→(b) on read, (b)→(c) on reply, (c)→(b) after the
-// reply drains (pipelined requests) or (c)→(a) when the in-buffer is empty.
-// Both moves out of (c) happen on the dispatcher, so a keep-alive request
-// costs one dispatcher→processor→dispatcher round trip.
+// The pipeline token is split into a read side and a write side.
 //
-// "Armed" means want_read_, not the epoll mask: (a)→(b) leaves read
-// interest registered, and handle_event() drops it only if bytes arrive
-// while the token is away (lazy disarm).  With level-triggered epoll those
-// bytes are reported again once (c)→(a) re-arms, so no Read happens while
-// a request is in the processor, and a request cycle with no early bytes
-// costs no epoll_ctl at all.
+// Read side — read_state_, an atomic word:
+//   kReading       the socket holds the token: read interest is armed and
+//                  the dispatcher may read into in_ and start a request.
+//   kAway          a pipeline step holds it (a processor event, or a reply
+//                  draining on the dispatcher).  Read interest is still
+//                  registered in epoll (lazy disarm).
+//   kAwayDisarmed  as kAway, but the dispatcher has dropped read interest,
+//                  so handing the token back needs update_interest() on the
+//                  dispatcher.
+// Only the dispatcher leaves kReading (start_pipeline(), a CAS), except in
+// one case below, and only the holder leaves kAway/kAwayDisarmed.  Whoever
+// holds the token owns in_, partial_since_ and trace_; the CAS or the post
+// that hands the token over orders those fields.  pipeline_active() is
+// read_state_ != kReading, so the reaper needs no second flag.
+//   * Lazy disarm: update_interest() turns kAway into kAwayDisarmed by CAS
+//     before it writes a mask without EPOLLIN.  Bytes that arrive while a
+//     request is away are then reported again, level-triggered, once
+//     resume_reading() re-arms; a cycle with no early bytes costs no
+//     epoll_ctl at all.
+//   * Processor return: a reply that completes a request with an empty
+//     in_, no close pending and nothing queued ahead of it returns the
+//     token by CAS kAway→kReading *before* its write, so a peer that sends
+//     its next request the instant the reply lands finds the socket armed.
+//     If the CAS fails (kAwayDisarmed: bytes arrived first), the reply is
+//     still written inline and resume_reading() is posted.
+//   * Backpressure: if that early-returned reply cannot drain, the writer
+//     takes the token back by CAS kReading→kAway — the one exception above.
+//     The dispatcher then reads no further request until the drain ends
+//     (after_reply_sent()).  If the dispatcher's start_pipeline() won the
+//     race instead, one more request runs, and its reply queues behind the
+//     backlog, so a peer that never reads gets at most two requests served.
+//
+// Write side — send_mutex_ guards out_, reply_pending_drain_ and every
+// write to the socket; close() holds it around socket_.close(), so a
+// processor never writes to a closed or reused descriptor.  Both threads
+// drain out_ through drain_locked(), the one writev/sendfile loop.  A
+// processor writes only when out_ is empty and posts_in_flight_ is 0 — no
+// earlier send from this connection is still on its way to the dispatcher —
+// so bytes leave in the order the hooks produced them.  Otherwise, and
+// always under O2 = No (SPED, where the simulator's determinism contract
+// fixes the order of posts), the reply is posted to the dispatcher
+// (post_send()) and drained there.
+//
+// A keep-alive request therefore costs one readable event on the
+// dispatcher and no post: Read → Decode/Handle/Encode → Send.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
 #include <memory>
+#include <mutex>
 #include <string>
 
 #include "common/buffer_pool.hpp"
@@ -55,14 +89,17 @@ class Connection : public net::EventHandler,
   // net::EventHandler — invoked by the Event Dispatcher.
   void handle_event(int fd, uint32_t readiness) override;
 
+  // ---- sending (any thread) ---------------------------------------------
+  // Sends the reply that completes the current request.  Called by the
+  // thread that resolved it, which holds the pipeline token: with a
+  // separate processor pool that thread writes the reply itself (see the
+  // ownership notes above); otherwise the reply is posted.
+  void send_reply(EncodedReply reply);
+  // Posts `reply` to the dispatcher, which queues and drains it.  When
+  // `completes_request` is true the pipeline continues after the drain.
+  void post_send(EncodedReply reply, bool completes_request);
+
   // ---- reactor-thread operations (workers invoke via Reactor::post) -----
-  // Moves the reply's segments into the send queue and starts draining.
-  // When `completes_request` is true the pipeline continues after the
-  // drain.
-  void queue_send(EncodedReply reply, bool completes_request);
-  // Thin forwarding overload for callers holding flat bytes (greetings,
-  // raw sends); the string is moved, never copied, into the queue.
-  void queue_send(std::string bytes, bool completes_request);
   // Re-arms read interest (decode needs more data, or a drained reply left
   // the in-buffer empty).
   void resume_reading();
@@ -79,13 +116,20 @@ class Connection : public net::EventHandler,
   }
   [[nodiscard]] net::Reactor& reactor() { return reactor_; }
   [[nodiscard]] const std::string& peer() const { return peer_; }
-  [[nodiscard]] TimePoint last_activity() const { return last_activity_; }
-  [[nodiscard]] bool pipeline_active() const { return pipeline_active_; }
+  [[nodiscard]] TimePoint last_activity() const {
+    return last_activity_.load(std::memory_order_relaxed);
+  }
+  [[nodiscard]] bool pipeline_active() const {
+    return read_state_.load(std::memory_order_acquire) != ReadState::kReading;
+  }
+  // True while reply bytes wait in the out buffer.  Takes the write lock.
+  [[nodiscard]] bool send_pending();
   // When the connection is stuck mid-request (bytes buffered, nothing the
   // decoder could parse), the instant the partial request *started* —
   // deliberately not refreshed as more bytes trickle in, so a slowloris
   // peer cannot stay under the header_read_timeout by drip-feeding.
-  // TimePoint{} = not mid-request.  Reactor thread only.
+  // TimePoint{} = not mid-request.  Written by the token holder; read on
+  // the reactor thread while pipeline_active() is false.
   [[nodiscard]] TimePoint partial_since() const { return partial_since_; }
 
   // Request-scheduling priority (option O8).  Written only inside the
@@ -122,19 +166,35 @@ class Connection : public net::EventHandler,
   // inactive, and by the worker only while it is active.
   ByteBuffer& in_buffer() { return in_; }
 
-  void set_close_after_reply() { close_after_reply_ = true; }
+  // Written in place by the token holder, like set_priority().
+  void set_close_after_reply() {
+    close_after_reply_.store(true, std::memory_order_relaxed);
+  }
 
  private:
   friend class Server;
 
+  enum class ReadState : uint8_t { kReading, kAway, kAwayDisarmed };
+  enum class DrainResult { kDrained, kBlocked, kError };
+
   void on_readable();
-  void on_writable();
   void profiler_bytes_read(size_t n);
   // Moves the pipeline token from socket to processor.
   void start_pipeline();
+  // Queues the next Decode; the caller holds the token.
+  void decode_next();
+  // Dispatcher side of post_send().
+  void queue_send(EncodedReply reply, bool completes_request);
+  void count_reply_copies(const EncodedReply& reply);
   // A completed reply finished draining: continue or close.
   void after_reply_sent();
-  void flush_out();
+  void note_reply_sent(int64_t read_done_us, int64_t encode_done_us);
+  // The one writev/sendfile loop; the caller holds send_mutex_.
+  DrainResult drain_locked();
+  // Dispatcher: drains under `lock`, then arms write interest or finishes
+  // the reply.
+  void flush_out(std::unique_lock<std::mutex> lock);
+  void on_writable();
   void update_interest();
 
   Server& server_;
@@ -151,7 +211,12 @@ class Connection : public net::EventHandler,
   // in_ when close() runs).  The connection holds its own reference so the
   // return outlives any Server teardown ordering.
   std::shared_ptr<BufferPool> buffer_pool_;
+  // Guards out_ and reply_pending_drain_ (a completed reply is in out_).
+  std::mutex send_mutex_;
   SendQueue out_;
+  bool reply_pending_drain_ = false;
+  // post_send() calls whose queue_send() has not run yet.
+  std::atomic<uint32_t> posts_in_flight_{0};
   std::shared_ptr<void> app_state_;
   TraceContext trace_;
   std::atomic<uint64_t> bytes_read_total_{0};
@@ -159,14 +224,12 @@ class Connection : public net::EventHandler,
   std::atomic<uint64_t> requests_total_{0};
 
   std::atomic<bool> closed_{false};
-  bool want_read_ = false;
-  bool want_write_ = false;
-  bool registered_ = false;
-  bool pipeline_active_ = false;
-  bool reply_pending_drain_ = false;  // a completed reply is in out_
-  bool close_after_reply_ = false;
+  std::atomic<ReadState> read_state_{ReadState::kReading};
+  bool want_write_ = false;  // reactor thread
+  bool registered_ = false;  // reactor thread
+  std::atomic<bool> close_after_reply_{false};
   int priority_ = 0;
-  TimePoint last_activity_;
+  std::atomic<TimePoint> last_activity_;
   TimePoint partial_since_{};  // slowloris clock (see partial_since())
   // Per-IP accounting key (empty = not counted, e.g. outbound connections);
   // Server::remove_connection releases the slot.

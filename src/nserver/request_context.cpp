@@ -86,10 +86,7 @@ std::shared_ptr<RequestContext> RequestContext::make_handle() const {
 }
 
 void RequestContext::send_segments(EncodedReply reply) {
-  auto conn = conn_;
-  conn->reactor().post([conn, reply = std::move(reply)]() mutable {
-    conn->queue_send(std::move(reply), /*completes_request=*/false);
-  });
+  conn_->post_send(std::move(reply), /*completes_request=*/false);
 }
 
 bool RequestContext::mark_resolved() {
@@ -103,10 +100,7 @@ bool RequestContext::mark_resolved() {
 }
 
 void RequestContext::send(std::string bytes) {
-  auto conn = conn_;
-  conn->reactor().post([conn, bytes = std::move(bytes)]() mutable {
-    conn->queue_send(std::move(bytes), /*completes_request=*/false);
-  });
+  send_segments(EncodedReply::from_string(std::move(bytes)));
 }
 
 void RequestContext::reply(std::any response) {
@@ -115,10 +109,7 @@ void RequestContext::reply(std::any response) {
 
 void RequestContext::reply_raw(std::string bytes) {
   if (!mark_resolved()) return;
-  auto conn = conn_;
-  conn->reactor().post([conn, bytes = std::move(bytes)]() mutable {
-    conn->queue_send(std::move(bytes), /*completes_request=*/true);
-  });
+  conn_->send_reply(EncodedReply::from_string(std::move(bytes)));
 }
 
 void RequestContext::finish() {
@@ -127,10 +118,7 @@ void RequestContext::finish() {
   conn->reactor().post([conn] { conn->continue_pipeline(); });
 }
 
-void RequestContext::close_after_reply() {
-  auto conn = conn_;
-  conn->reactor().post([conn] { conn->set_close_after_reply(); });
-}
+void RequestContext::close_after_reply() { conn_->set_close_after_reply(); }
 
 void RequestContext::close() {
   mark_resolved();

@@ -195,7 +195,7 @@ size_t Server::count_active_pipelines() {
     shard.reactor->post([&shard, &count] {
       size_t active = 0;
       for (const auto& [id, conn] : shard.connections) {
-        if (conn->pipeline_active()) ++active;
+        if (conn->pipeline_active() || conn->send_pending()) ++active;
       }
       count.set_value(active);
     });
@@ -521,10 +521,7 @@ void Server::resolve_with_reply(RequestContext& ctx, std::any response) {
     profiler_.record_stage(Stage::kEncode,
                            TraceContext::elapsed(trace.resolve_us, now_us));
   }
-  auto conn = ctx.conn_;
-  conn->reactor().post([conn, reply = std::move(reply)]() mutable {
-    conn->queue_send(std::move(reply), /*completes_request=*/true);
-  });
+  ctx.conn_->send_reply(std::move(reply));
 }
 
 // ---- services ---------------------------------------------------------------

@@ -16,7 +16,9 @@
 //
 // Option O1 (dispatcher threads) instantiates N reactors; connections are
 // sharded round-robin and each shard's state is confined to its reactor
-// thread (no locks on the connection path).
+// thread.  The one lock on the connection path guards a connection's out
+// buffer, which its reactor and the processor that sends a reply share
+// (see connection.hpp).
 #pragma once
 
 #include <atomic>
@@ -90,6 +92,11 @@ class Server {
   [[nodiscard]] EventProcessor& processor() { return *processor_; }
   [[nodiscard]] FileIoService* file_service() { return file_service_.get(); }
   [[nodiscard]] DebugTracer* tracer() { return tracer_.get(); }
+  // Callbacks shard `shard`'s dispatcher has run: ready sockets, timers
+  // and posts (read by the request-cycle tests).
+  [[nodiscard]] uint64_t events_dispatched(size_t shard) const {
+    return shards_[shard]->reactor->events_dispatched();
+  }
 
   // Installs the Custom cache-eviction hook (O6 = Custom) — must be called
   // before start().
@@ -182,8 +189,8 @@ class Server {
   // Internal event accounting: debug trace (O10) + logging (O12).
   void note_event(EventKind kind, uint64_t conn_id, const char* detail);
 
-  // Counts connections with an active pipeline step (reactor-confined
-  // state, gathered by hopping onto each dispatcher).
+  // Counts connections with an active pipeline step or reply bytes still
+  // queued (gathered by hopping onto each dispatcher).
   size_t count_active_pipelines();
 
   void remove_connection(Connection& conn);

@@ -3,10 +3,11 @@
 //
 // One trace accompanies the single in-flight request of a connection (the
 // pipeline-token invariant guarantees at most one).  Stages are stamped by
-// whichever thread runs the step — dispatcher for read/write, processor for
-// decode/handle/encode — so the fields are relaxed atomics: a stamp is a
-// single store, a stage duration a single load, and no stamp synchronizes
-// with another (the pipeline's own hand-offs already order them).
+// whichever thread runs the step — dispatcher for read, processor for
+// decode/handle/encode, either for the write — so the fields are relaxed
+// atomics: a stamp is a single store, a stage duration a single load, and
+// no stamp synchronizes with another (the pipeline's own hand-offs already
+// order them).
 #pragma once
 
 #include <atomic>
@@ -46,17 +47,12 @@ struct TraceContext {
   // Elapsed micros from `since` to `until`, or -1 when either stamp is
   // missing (stage skipped, e.g. O3 = No removes Encode).
   [[nodiscard]] static int64_t elapsed(const std::atomic<int64_t>& since,
-                                       const std::atomic<int64_t>& until) {
-    const int64_t a = since.load(kRelaxed);
-    const int64_t b = until.load(kRelaxed);
-    if (a == 0 || b == 0 || b < a) return -1;
-    return b - a;
-  }
-  [[nodiscard]] static int64_t elapsed(const std::atomic<int64_t>& since,
                                        int64_t until_us) {
-    const int64_t a = since.load(kRelaxed);
-    if (a == 0 || until_us == 0 || until_us < a) return -1;
-    return until_us - a;
+    return elapsed(since.load(kRelaxed), until_us);
+  }
+  [[nodiscard]] static int64_t elapsed(int64_t since_us, int64_t until_us) {
+    if (since_us == 0 || until_us == 0 || until_us < since_us) return -1;
+    return until_us - since_us;
   }
 };
 

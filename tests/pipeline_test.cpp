@@ -3,7 +3,10 @@
 // overload control end-to-end.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <mutex>
 #include <thread>
+#include <vector>
 
 #include "http/http_server.hpp"
 #include "nserver/request_context.hpp"
@@ -553,6 +556,347 @@ TEST(RequestCycleTest, OneDecodeAndOneProcessorEventPerKeepAliveRequest) {
   EXPECT_LT(first_at, both.find("<html>second</html>")) << both;
   settled_processed(server.processor());
   EXPECT_EQ(hooks->empty_decodes.load(), 0u);
+  server.stop();
+}
+
+
+// Waits until shard 0's dispatcher has run nothing new for a few
+// milliseconds: its count is bumped after a pass, which can be after the
+// client already holds the reply.
+uint64_t settled_dispatched(const Server& server) {
+  uint64_t last = server.events_dispatched(0);
+  for (int i = 0; i < 400; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    const uint64_t now_dispatched = server.events_dispatched(0);
+    if (now_dispatched == last) break;
+    last = now_dispatched;
+  }
+  return last;
+}
+
+// With a processor pool the thread that encoded a reply sends it: the only
+// dispatcher callback a keep-alive request costs is its readable event
+// (two when the reply was posted back for the send).
+TEST(RequestCycleTest, OneDispatcherCallbackPerKeepAliveRequest) {
+  test::TempDir dir;
+  const std::string body = "<html>sent by the processor</html>";
+  dir.write_file("index.html", body);
+  http::HttpServerConfig config;
+  config.doc_root = dir.str();
+  auto options = http::CopsHttpServer::default_options();
+  options.listen_port = 0;
+  options.housekeeping_interval = std::chrono::hours(1);  // no timer passes
+  http::CopsHttpServer server(options, config);
+  ASSERT_TRUE(server.start().is_ok());
+
+  test::BlockingClient client;
+  ASSERT_TRUE(client.connect("127.0.0.1", server.port()));
+  ASSERT_NE(test::http_get(server.port(), "/index.html", true, &client)
+                .find(body),
+            std::string::npos);  // warm-up: the cache miss goes to file I/O
+  const uint64_t before = settled_dispatched(server.server());
+
+  constexpr uint64_t kRequests = 500;
+  for (uint64_t i = 0; i < kRequests; ++i) {
+    ASSERT_NE(test::http_get(server.port(), "/index.html", true, &client)
+                  .find(body),
+              std::string::npos)
+        << "request " << i;
+  }
+  EXPECT_EQ(settled_dispatched(server.server()) - before, kRequests);
+  server.stop();
+}
+
+// Line echo whose Handle holds each request until the test releases it,
+// so the next request can arrive while the previous one is away.
+class HeldReplyHooks : public AppHooks {
+ public:
+  DecodeResult decode(RequestContext&, ByteBuffer& in) override {
+    const size_t eol = in.find("\n");
+    if (eol == std::string_view::npos) return DecodeResult::need_more();
+    std::string line(in.view().substr(0, eol));
+    in.consume(eol + 1);
+    return DecodeResult::request_ready(std::move(line));
+  }
+  void handle(RequestContext& ctx, std::any request) override {
+    std::lock_guard lock(mutex_);
+    held_ = ctx.make_handle();
+    line_ = std::any_cast<std::string>(std::move(request));
+    handled_.fetch_add(1);
+  }
+  std::string encode(RequestContext&, std::any response) override {
+    return std::any_cast<std::string>(std::move(response)) + "\n";
+  }
+  // Waits for the `n`th request to reach Handle.
+  bool wait_handled(int n) {
+    for (int i = 0; i < 1000 && handled_.load() < n; ++i) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    }
+    return handled_.load() >= n;
+  }
+  // Replies to the held request from the calling thread.
+  bool release() {
+    std::shared_ptr<RequestContext> held;
+    std::string line;
+    {
+      std::lock_guard lock(mutex_);
+      held = std::exchange(held_, nullptr);
+      line = line_;
+    }
+    if (!held) return false;
+    held->reply("ECHO:" + line);
+    return true;
+  }
+
+ private:
+  std::mutex mutex_;
+  std::shared_ptr<RequestContext> held_;
+  std::string line_;
+  std::atomic<int> handled_{0};
+};
+
+// Request 2 arrives while request 1 is held in Handle, so the dispatcher
+// drops read interest and the reply cannot hand the read token straight
+// back: it is still written by the releasing thread, the re-arm goes to
+// the dispatcher, and request 2 is read and answered after it.
+TEST(RequestCycleTest, RequestArrivingDuringHandleIsAnsweredInOrder) {
+  auto hooks = std::make_shared<HeldReplyHooks>();
+  ServerOptions options;
+  options.listen_port = 0;
+  Server server(options, hooks);
+  ASSERT_TRUE(server.start().is_ok());
+
+  test::BlockingClient client;
+  ASSERT_TRUE(client.connect("127.0.0.1", server.port()));
+  ASSERT_TRUE(client.send_all("one\n"));
+  ASSERT_TRUE(hooks->wait_handled(1));
+  ASSERT_TRUE(client.send_all("two\n"));
+  // Let the dispatcher see request 2 while request 1 is away.
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  ASSERT_TRUE(hooks->release());
+  ASSERT_TRUE(hooks->wait_handled(2));
+  ASSERT_TRUE(hooks->release());
+  EXPECT_EQ(client.read_until("ECHO:two\n"), "ECHO:one\nECHO:two\n");
+  server.stop();
+}
+
+// ---- hazards of sending from the processor ---------------------------------
+
+std::string file_pattern(size_t size, char salt) {
+  std::string out(size, '\0');
+  for (size_t i = 0; i < size; ++i) {
+    out[i] = static_cast<char>('a' + (i * 7 + i / 4093 + salt) % 26);
+  }
+  return out;
+}
+
+// A loopback client socket whose receive buffer is `rcvbuf` bytes, so the
+// server's writes block as soon as the kernel buffers fill.
+int connect_small_window(uint16_t port, int rcvbuf) {
+  const int fd = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
+  if (fd < 0) return -1;
+  ::setsockopt(fd, SOL_SOCKET, SO_RCVBUF, &rcvbuf, sizeof(rcvbuf));
+  timeval tv{};
+  tv.tv_sec = 10;
+  ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(port);
+  ::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
+  if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
+    ::close(fd);
+    return -1;
+  }
+  return fd;
+}
+
+bool send_all(int fd, const std::string& data) {
+  size_t sent = 0;
+  while (sent < data.size()) {
+    const ssize_t n =
+        ::send(fd, data.data() + sent, data.size() - sent, MSG_NOSIGNAL);
+    if (n < 0 && errno == EINTR) continue;
+    if (n <= 0) return false;
+    sent += static_cast<size_t>(n);
+  }
+  return true;
+}
+
+// Reads one HTTP reply from `fd` and checks it is a 200 carrying exactly
+// `body`; `pending` carries bytes read past the reply into the next call.
+::testing::AssertionResult read_reply(int fd, std::string& pending,
+                                      const std::string& body) {
+  char buf[64 * 1024];
+  auto fill = [&] {
+    ssize_t n;
+    do {
+      n = ::recv(fd, buf, sizeof(buf), 0);
+    } while (n < 0 && errno == EINTR);
+    if (n <= 0) return false;
+    pending.append(buf, static_cast<size_t>(n));
+    return true;
+  };
+  size_t header_end;
+  while ((header_end = pending.find("\r\n\r\n")) == std::string::npos) {
+    if (!fill()) return ::testing::AssertionFailure() << "no reply head";
+  }
+  const std::string head = pending.substr(0, header_end);
+  pending.erase(0, header_end + 4);
+  if (head.rfind("HTTP/1.1 200", 0) != 0) {
+    return ::testing::AssertionFailure() << "status: " << head;
+  }
+  const std::string length = "Content-Length: " + std::to_string(body.size());
+  if (head.find(length) == std::string::npos) {
+    return ::testing::AssertionFailure() << "head: " << head;
+  }
+  size_t matched = 0;
+  while (matched < body.size()) {
+    if (pending.empty() && !fill()) {
+      return ::testing::AssertionFailure()
+             << "body cut at " << matched << " of " << body.size();
+    }
+    const size_t take = std::min(pending.size(), body.size() - matched);
+    if (pending.compare(0, take, body, matched, take) != 0) {
+      return ::testing::AssertionFailure() << "body differs near " << matched;
+    }
+    matched += take;
+    pending.erase(0, take);
+  }
+  return ::testing::AssertionSuccess();
+}
+
+uint64_t requests_served(Server& server) {
+  uint64_t total = 0;
+  for (const auto& conn : server.stats_snapshot().connections) {
+    total += conn.requests;
+  }
+  return total;
+}
+
+// A peer that asks for large files and reads nothing cannot make the
+// server buffer replies without bound: a reply that hands the read token
+// back before a write that then blocks takes it back, so at most one more
+// request is read until the peer drains.  Then every reply arrives whole
+// and in order.
+TEST(RequestCycleTest, NonReadingPeerGetsAtMostTwoRequestsServed) {
+  test::TempDir dir;
+  // Each reply is larger than the server's send buffer can ever grow
+  // (tcp_wmem max, 4 MiB by default) plus the client's small window.
+  constexpr size_t kFileBytes = 8 << 20;
+  const std::string bodies[2] = {file_pattern(kFileBytes, 0),
+                                 file_pattern(kFileBytes, 1)};
+  dir.write_file("a.bin", bodies[0]);
+  dir.write_file("b.bin", bodies[1]);
+  http::HttpServerConfig config;
+  config.doc_root = dir.str();
+  auto options = http::CopsHttpServer::default_options();
+  options.listen_port = 0;
+  options.profiling = true;  // per-connection request totals
+  options.stats_export = StatsExport::kAdminHttp;
+  http::CopsHttpServer server(options, config);
+  ASSERT_TRUE(server.start().is_ok());
+
+  const int fd = connect_small_window(server.port(), 16 * 1024);
+  ASSERT_GE(fd, 0);
+  auto get = [](int i) {
+    return std::string("GET /") + (i % 2 == 0 ? "a" : "b") +
+           ".bin HTTP/1.1\r\nHost: t\r\n\r\n";
+  };
+  constexpr int kRequests = 8;
+  // One request at a time: each would find the in-buffer empty and hand
+  // the read token back before a write that then blocks.
+  uint64_t most = 0;
+  for (int i = 0; i < kRequests; ++i) {
+    ASSERT_TRUE(send_all(fd, get(i)));
+    std::this_thread::sleep_for(std::chrono::milliseconds(30));
+    most = std::max(most, requests_served(server.server()));
+  }
+  for (int i = 0; i < 10; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    most = std::max(most, requests_served(server.server()));
+  }
+  EXPECT_GE(most, 1u);
+  EXPECT_LE(most, 2u);
+
+  const int rcvbuf = 1 << 20;
+  ::setsockopt(fd, SOL_SOCKET, SO_RCVBUF, &rcvbuf, sizeof(rcvbuf));
+  std::string pending;
+  for (int i = 0; i < kRequests; ++i) {
+    ASSERT_TRUE(read_reply(fd, pending, bodies[i % 2])) << "reply " << i;
+  }
+  EXPECT_TRUE(pending.empty());
+  EXPECT_EQ(requests_served(server.server()), uint64_t{kRequests});
+  ::close(fd);
+  server.stop();
+}
+
+// Peers that reset while their reply is being written — before the first
+// byte or midway — must not leak the connection or disturb other peers'
+// replies.  Files below 256 KiB are cached and go out with writev, larger
+// ones through sendfile; both are covered.
+TEST(RequestCycleTest, PeersResettingMidReplyLeaveNoConnection) {
+  test::TempDir dir;
+  const std::string bodies[2] = {file_pattern(200 * 1024, 2),
+                                 file_pattern(2 << 20, 3)};
+  dir.write_file("mid.bin", bodies[0]);
+  dir.write_file("big.bin", bodies[1]);
+  http::HttpServerConfig config;
+  config.doc_root = dir.str();
+  auto options = http::CopsHttpServer::default_options();
+  options.listen_port = 0;
+  http::CopsHttpServer server(options, config);
+  ASSERT_TRUE(server.start().is_ok());
+
+  constexpr int kThreads = 4;
+  constexpr int kRounds = 16;
+  std::atomic<int> verified{0};
+  std::atomic<int> failures{0};
+  std::vector<std::thread> peers;
+  for (int t = 0; t < kThreads; ++t) {
+    peers.emplace_back([&, t] {
+      for (int round = 0; round < kRounds; ++round) {
+        const int which = (t + round) % 2;
+        const int fd = connect_small_window(server.port(), 16 * 1024);
+        if (fd < 0) {
+          failures.fetch_add(1);
+          continue;
+        }
+        const std::string path = which == 0 ? "/mid.bin" : "/big.bin";
+        if (!send_all(fd, "GET " + path + " HTTP/1.1\r\nHost: t\r\n\r\n")) {
+          failures.fetch_add(1);
+        }
+        switch (round % 4) {
+          case 0:
+            break;  // reset at once: the reply may not have started
+          case 1: {
+            char byte;
+            ::recv(fd, &byte, 1, 0);  // reset once the reply is flowing
+            break;
+          }
+          default: {
+            std::string pending;
+            if (read_reply(fd, pending, bodies[which])) {
+              verified.fetch_add(1);
+            } else {
+              failures.fetch_add(1);
+            }
+            ::close(fd);
+            continue;
+          }
+        }
+        const linger reset{1, 0};
+        ::setsockopt(fd, SOL_SOCKET, SO_LINGER, &reset, sizeof(reset));
+        ::close(fd);
+      }
+    });
+  }
+  for (auto& peer : peers) peer.join();
+  EXPECT_EQ(failures.load(), 0);
+  EXPECT_EQ(verified.load(), kThreads * kRounds / 2);
+  for (int i = 0; i < 500 && server.server().connection_count() > 0; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  EXPECT_EQ(server.server().connection_count(), 0u);
   server.stop();
 }
 
