@@ -24,7 +24,6 @@ void usage() {
       "          [--cache-mb N] [--scheduling] [--overload] [--idle-ms N]\n"
       "          [--overload-mode watermark|adaptive] [--overload-target-ms N]\n"
       "          [--auto-index] [--debug] [--profiling] [--logging]\n"
-      "          [--body-framing content_length|chunked] [--chunked-min BYTES]\n"
       "          [--backlog N]\n"
       "          [--admin] [--admin-port N] [--run-seconds N] [--version]");
 }
@@ -100,12 +99,6 @@ int main(int argc, char** argv) {
       options.profiling = true;
       options.stats_export = cops::nserver::StatsExport::kAdminHttp;
       options.admin_port = static_cast<uint16_t>(std::atoi(next()));
-    } else if (arg == "--body-framing") {
-      options.body_framing = std::string(next()) == "chunked"
-                                 ? cops::nserver::BodyFraming::kChunked
-                                 : cops::nserver::BodyFraming::kContentLength;
-    } else if (arg == "--chunked-min") {
-      options.chunked_min_bytes = static_cast<size_t>(std::atol(next()));
     } else if (arg == "--version") {
       std::puts("cops_http (N-Server pattern instance)");
       return 0;

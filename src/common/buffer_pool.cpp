@@ -103,39 +103,4 @@ size_t BufferPool::free_buffers() const {
   return free_list_.size();
 }
 
-// ---- Arena ------------------------------------------------------------------
-
-Arena::Arena(size_t chunk_bytes)
-    : chunk_bytes_(std::max<size_t>(chunk_bytes, 64)) {}
-
-Arena::~Arena() {
-  for (auto& chunk : chunks_) ::operator delete(chunk.data);
-}
-
-void* Arena::allocate(size_t bytes, size_t align) {
-  if (bytes == 0) bytes = 1;
-  while (true) {
-    if (current_ < chunks_.size()) {
-      Chunk& chunk = chunks_[current_];
-      const size_t aligned = (offset_ + align - 1) & ~(align - 1);
-      if (aligned + bytes <= chunk.size) {
-        offset_ = aligned + bytes;
-        return chunk.data + aligned;
-      }
-      // This chunk is full; try the next recycled one.
-      ++current_;
-      offset_ = 0;
-      continue;
-    }
-    const size_t size = std::max(chunk_bytes_, bytes + align);
-    chunks_.push_back({static_cast<char*>(::operator new(size)), size});
-    heap_bytes_ += size;
-  }
-}
-
-void Arena::reset() {
-  current_ = 0;
-  offset_ = 0;
-}
-
 }  // namespace cops

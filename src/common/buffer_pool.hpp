@@ -1,6 +1,6 @@
 // Slab/pool layer for the allocation-free request path.
 //
-// Three recyclers, all thread-safe, all counting how often they could hand
+// Two recyclers, both thread-safe, both counting how often they could hand
 // back recycled memory (hit) versus having to grow from the heap (miss):
 //
 //   SlabPool    fixed-size blocks carved from large chunks — backs pooled
@@ -11,8 +11,6 @@
 //               read buffers (ByteBuffer::adopt_storage/release_storage),
 //               so accepting a connection reuses a previous connection's
 //               grown buffer instead of re-growing a fresh one.
-//   Arena       bump allocator for small, same-lifetime scratch; reset()
-//               recycles every chunk in O(1).
 //
 // The heap-traffic counters (hits / misses / heap bytes) surface on /stats
 // as cops_pool_hits_total, cops_pool_misses_total, cops_alloc_bytes_total.
@@ -131,35 +129,6 @@ class BufferPool {
   std::atomic<uint64_t> hits_{0};
   std::atomic<uint64_t> misses_{0};
   std::atomic<uint64_t> heap_bytes_{0};
-};
-
-// Bump allocator for small scratch allocations that all die together.  Not
-// thread-safe (one arena per owner); reset() recycles chunks without
-// touching the heap.
-class Arena {
- public:
-  explicit Arena(size_t chunk_bytes = 4096);
-  ~Arena();
-  Arena(const Arena&) = delete;
-  Arena& operator=(const Arena&) = delete;
-
-  void* allocate(size_t bytes, size_t align = alignof(std::max_align_t));
-  void reset();
-
-  [[nodiscard]] size_t chunk_count() const { return chunks_.size(); }
-  [[nodiscard]] uint64_t heap_bytes() const { return heap_bytes_; }
-
- private:
-  struct Chunk {
-    char* data;
-    size_t size;
-  };
-
-  const size_t chunk_bytes_;
-  std::vector<Chunk> chunks_;
-  size_t current_ = 0;  // chunk being bumped
-  size_t offset_ = 0;   // bump cursor within it
-  uint64_t heap_bytes_ = 0;
 };
 
 }  // namespace cops

@@ -1,18 +1,9 @@
 #include "common/send_queue.hpp"
 
+#include <algorithm>
 #include <cassert>
-#include <cstdio>
 
 namespace cops {
-
-namespace {
-// "<hex-size>\r\n" — the owned framing line that precedes each chunk.
-std::string chunk_size_line(size_t n) {
-  char buf[2 * sizeof(size_t) + 3];
-  const int len = std::snprintf(buf, sizeof(buf), "%zx\r\n", n);
-  return std::string(buf, static_cast<size_t>(len));
-}
-}  // namespace
 
 void EncodedReply::add_owned(std::string bytes) {
   if (bytes.empty()) return;
@@ -42,35 +33,6 @@ void EncodedReply::add_file(std::shared_ptr<const void> keepalive, int fd,
   seg.file_start = offset;
   seg.len = len;
   segments.push_back(std::move(seg));
-}
-
-void EncodedReply::add_shared_chunked(std::shared_ptr<const void> keepalive,
-                                      const char* data, size_t len,
-                                      size_t chunk_bytes) {
-  if (chunk_bytes == 0) chunk_bytes = len;
-  for (size_t at = 0; at < len; at += chunk_bytes) {
-    const size_t take = std::min(chunk_bytes, len - at);
-    add_owned(chunk_size_line(take));
-    add_shared(keepalive, data + at, take);
-    add_owned("\r\n");
-  }
-}
-
-void EncodedReply::add_file_chunked(std::shared_ptr<const void> keepalive,
-                                    int fd, uint64_t offset, size_t len,
-                                    size_t chunk_bytes) {
-  if (chunk_bytes == 0) chunk_bytes = len;
-  for (size_t at = 0; at < len; at += chunk_bytes) {
-    const size_t take = std::min(chunk_bytes, len - at);
-    add_owned(chunk_size_line(take));
-    add_file(keepalive, fd, offset + at, take);
-    add_owned("\r\n");
-  }
-}
-
-void EncodedReply::add_last_chunk() {
-  add_owned("0\r\n\r\n");
-  chunked_framed = true;
 }
 
 size_t EncodedReply::size() const {

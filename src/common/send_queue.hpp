@@ -53,35 +53,18 @@ struct SendSegment {
 
 // One encoded reply: the Encode step's product, moved intact into the
 // connection's SendQueue.  `copied_bytes` counts bytes that were
-// materialised into owned storage on the way here (headers and chunk
-// framing always; bodies only when inline or flattened) — the profiler's
-// bytes-copied-per-reply metric.
+// materialised into owned storage on the way here (headers always; bodies
+// only when inline or flattened) — the profiler's bytes-copied-per-reply
+// metric.
 struct EncodedReply {
   std::vector<SendSegment> segments;
   size_t copied_bytes = 0;
-  // True once add_last_chunk() sealed a chunk-framed body — lets the
-  // connection count chunked replies without re-inspecting segments.
-  bool chunked_framed = false;
 
   void add_owned(std::string bytes);
   void add_shared(std::shared_ptr<const void> keepalive, const char* data,
                   size_t len);
   void add_file(std::shared_ptr<const void> keepalive, int fd, uint64_t offset,
                 size_t len);
-
-  // --- chunked transfer-coding framing (RFC 7230 §4.1) -------------------
-  // Frames `len` body bytes as chunks of at most `chunk_bytes` each
-  // (0 = one single chunk): per chunk an owned hex size line, the zero-copy
-  // shared/file slice, and an owned CRLF — only the ~10-byte framing is
-  // copied, the body still rides refcounted storage or sendfile through the
-  // same writev gather loop.  Call add_last_chunk() once after the final
-  // slice to emit the "0\r\n\r\n" terminator and seal the reply.
-  void add_shared_chunked(std::shared_ptr<const void> keepalive,
-                          const char* data, size_t len,
-                          size_t chunk_bytes = 0);
-  void add_file_chunked(std::shared_ptr<const void> keepalive, int fd,
-                        uint64_t offset, size_t len, size_t chunk_bytes = 0);
-  void add_last_chunk();
 
   [[nodiscard]] size_t size() const;
   [[nodiscard]] bool empty() const { return segments.empty(); }

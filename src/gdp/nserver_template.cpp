@@ -46,20 +46,10 @@ OptionTable make_nserver_option_table() {
   // column numbering of the original options is preserved.
   table.add({"stats_export", "O11+: Statistics export", OptionType::kEnum,
              {"none", "admin_http"}, "none"});
-  // Body-framing extension — appended after the paper's options so the
-  // Table 1/Table 2 column numbering is preserved: how the Encode Reply
-  // step frames response bodies.  `content_length` is the classical
-  // one-length-header shape; `chunked` advertises Transfer-Encoding: chunked
-  // and frames large bodies in fixed windows (RFC 7230 §4.1) — the
-  // streaming-reply shape — with only the tiny framing lines copied, the
-  // body segments staying zero-copy.  Chunked *request* decoding is
-  // unconditional either way.
-  table.add({"body_framing", "S3: Body framing", OptionType::kEnum,
-             {"content_length", "chunked"}, "content_length"});
-  // Proxy-upstream extension — appended after S3, again preserving the
-  // earlier column numbering: how a generated *proxy* tier (src/proxy)
-  // obtains upstream connections.  `per_request` opens a fresh backend
-  // connection per proxied exchange (the classical CGI-era shape);
+  // Proxy-upstream extension — appended after O11+, preserving the earlier
+  // column numbering (S4 keeps its label): how a generated *proxy* tier
+  // (src/proxy) obtains upstream connections.  `per_request` opens a fresh
+  // backend connection per proxied exchange (the classical CGI-era shape);
   // `pooled` keeps completed keep-alive connections in per-backend pools
   // with caps, LIFO idle reuse, and a single stale-connection retry.  The
   // plain N-Server ignores the option; the proxy front end consumes it.
@@ -183,11 +173,6 @@ inline constexpr bool kLogging = false;
 inline constexpr bool kAdminExport = true;
 //% else
 inline constexpr bool kAdminExport = false;
-//% end
-//% if body_framing == "chunked"
-inline constexpr bool kChunkedReplies = true;
-//% else
-inline constexpr bool kChunkedReplies = false;
 //% end
 //% if proxy_upstream == "pooled"
 inline constexpr bool kPooledUpstream = true;
@@ -463,32 +448,6 @@ inline constexpr bool kCountPools = true;
 }  // namespace ${app_name}_gen
 )tmpl";
 
-constexpr const char* kFramingConfigHpp = R"tmpl(// Generated: chunked reply framing (exists when body_framing = chunked).
-// The Encode Reply step frames bodies with chunked transfer coding
-// (RFC 7230 section 4.1): per window an owned hex size line, the zero-copy
-// body slice, and a CRLF — riding the same writev/sendfile gather loop as
-// length-framed replies.  Request-side chunked decoding is always on; this
-// unit only configures the reply side.
-#pragma once
-
-#include <cstddef>
-
-namespace ${app_name}_gen {
-
-// Bodies at or above this size are chunk-framed; smaller replies keep
-// Content-Length, where the length is already known and framing overhead
-// buys nothing.
-inline constexpr std::size_t kChunkedMinBytes = 4u * 1024u;
-// Size of each chunk window on the reply side.
-inline constexpr std::size_t kReplyChunkBytes = 64u * 1024u;
-//% if profiling
-// Profiling (O11) exports the chunked-reply counter.
-inline constexpr bool kCountChunkedReplies = true;
-//% end
-
-}  // namespace ${app_name}_gen
-)tmpl";
-
 constexpr const char* kProxyConfigHpp = R"tmpl(// Generated: pooled upstream connections (exists when proxy_upstream = pooled).
 // A proxy tier built from this instance (cops::proxy::ProxyServer) keeps
 // completed upstream keep-alive connections in per-backend pools instead of
@@ -645,9 +604,6 @@ constexpr const char* kServerMainCpp = R"tmpl(// Generated server main for ${app
 //% end
 #include "buffer_config.hpp"
 #include "event_config.hpp"
-//% if body_framing == "chunked"
-#include "framing_config.hpp"
-//% end
 //% if proxy_upstream == "pooled"
 #include "proxy_config.hpp"
 //% end
@@ -744,19 +700,6 @@ int main() {
   options.admin_host = ${app_name}_gen::kAdminHost;
   options.admin_port = ${app_name}_gen::kAdminPort;
 //% end
-//% if body_framing == "chunked"
-  options.body_framing = cops::nserver::BodyFraming::kChunked;
-  options.chunked_min_bytes = ${app_name}_gen::kChunkedMinBytes;
-  options.reply_chunk_bytes = ${app_name}_gen::kReplyChunkBytes;
-//% else
-  options.body_framing = cops::nserver::BodyFraming::kContentLength;
-//% end
-//% if proxy_upstream == "pooled"
-  options.upstream_mode = cops::nserver::UpstreamMode::kPooled;
-  options.upstream_pool_cap = ${app_name}_gen::kUpstreamPoolCap;
-//% else
-  options.upstream_mode = cops::nserver::UpstreamMode::kPerRequest;
-//% end
   options.listen_port = ${listen_port};
   options.listen_backlog = ${app_name}_gen::kListenBacklog;
 
@@ -822,7 +765,6 @@ Option settings baked into this instance:
 | O11 profiling | ${profiling} |
 | O12 logging | ${logging} |
 | O11+ statistics export | ${stats_export} |
-| S3 body framing | ${body_framing} |
 | S4 proxy upstream | ${proxy_upstream} |
 | S5 overload | ${overload} |
 
@@ -850,8 +792,6 @@ PatternTemplate make_nserver_template() {
   tmpl.add_file({"send_config.hpp", "Send Reply", "", kSendConfigHpp});
   tmpl.add_file({"buffer_config.hpp", "Buffer Management", "",
                  kBufferConfigHpp});
-  tmpl.add_file({"framing_config.hpp", "Body Framing",
-                 "body_framing == \"chunked\"", kFramingConfigHpp});
   tmpl.add_file({"proxy_config.hpp", "Proxy Upstream",
                  "proxy_upstream == \"pooled\"", kProxyConfigHpp});
   tmpl.add_file({"overload_config.hpp", "Overload Manager",
@@ -881,7 +821,6 @@ OptionSet nserver_http_options() {
   set.set("mode", "production");
   set.set("profiling", "no");
   set.set("logging", "no");
-  set.set("body_framing", "content_length");
   set.set("proxy_upstream", "per_request");
   set.set("overload", "watermark");
   return set;
@@ -901,7 +840,6 @@ OptionSet nserver_ftp_options() {
   set.set("mode", "production");
   set.set("profiling", "no");
   set.set("logging", "no");
-  set.set("body_framing", "content_length");
   set.set("proxy_upstream", "per_request");
   set.set("overload", "watermark");
   return set;

@@ -114,13 +114,6 @@ void HttpAppHooks::handle(nserver::RequestContext& ctx, std::any request) {
   const std::string fs_path = config_.doc_root + path;
 
   const bool head_only = req.method == Method::kHead;
-  // Body framing (S3): chunked replies are an HTTP/1.1-only coding, and
-  // only worth the framing overhead for bodies past the threshold; HEAD
-  // replies have no body to frame.  The actual size check waits for the
-  // fetch below.
-  const bool allow_chunked =
-      ctx.body_framing() == nserver::BodyFraming::kChunked && !head_only &&
-      req.version_major == 1 && req.version_minor >= 1;
   // Conditional GET: a valid If-Modified-Since newer than the file yields
   // 304 Not Modified (no body) — the cache-friendly path browsers use.
   int64_t if_modified_since = -1;
@@ -128,7 +121,7 @@ void HttpAppHooks::handle(nserver::RequestContext& ctx, std::any request) {
     if_modified_since = parse_http_date(std::string(*header));
   }
   ctx.fetch_file(
-      fs_path, [this, keep_alive, head_only, allow_chunked, path,
+      fs_path, [this, keep_alive, head_only, path,
                 if_modified_since](nserver::RequestContext& ctx,
                                    Result<nserver::FileDataPtr> file) {
         if (!file.is_ok()) {
@@ -153,14 +146,8 @@ void HttpAppHooks::handle(nserver::RequestContext& ctx, std::any request) {
         resp.file = file.value();
         resp.head_only = head_only;
         resp.set_header("Content-Type", std::string(mime_type_for(path)));
-        if (allow_chunked &&
-            file.value()->size() >= ctx.chunked_min_bytes()) {
-          resp.chunked = true;
-          resp.chunk_bytes = ctx.reply_chunk_bytes();
-        } else {
-          resp.set_header("Content-Length",
-                          std::to_string(file.value()->size()));
-        }
+        resp.set_header("Content-Length",
+                        std::to_string(file.value()->size()));
         resp.set_header("Last-Modified",
                         format_http_date(file.value()->mtime_seconds));
         resp.set_header("Connection", keep_alive ? "keep-alive" : "close");
@@ -236,10 +223,6 @@ nserver::ServerOptions CopsHttpServer::default_options() {
   options.mode = nserver::ServerMode::kProduction;                 // O10
   options.profiling = false;                                       // O11
   options.logging = false;                                         // O12
-  // S3: length-framed replies — the static-content default.  Chunked reply
-  // framing is opt-in (streaming/proxy deployments); chunked *request*
-  // decoding is unconditional.
-  options.body_framing = nserver::BodyFraming::kContentLength;
   return options;
 }
 

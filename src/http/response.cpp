@@ -1,6 +1,5 @@
 #include "http/response.hpp"
 
-#include <algorithm>
 #include <string_view>
 
 #include "http/http_date.hpp"
@@ -19,25 +18,6 @@ size_t digits_of(size_t v) {
     ++d;
   }
   return d;
-}
-
-size_t hex_digits_of(size_t v) {
-  size_t d = 1;
-  while (v >= 16) {
-    v /= 16;
-    ++d;
-  }
-  return d;
-}
-
-void append_hex(std::string& out, size_t v) {
-  char buf[2 * sizeof(size_t)];
-  size_t at = sizeof(buf);
-  do {
-    buf[--at] = "0123456789abcdef"[v % 16];
-    v /= 16;
-  } while (v > 0);
-  out.append(buf + at, sizeof(buf) - at);
 }
 }  // namespace
 
@@ -63,10 +43,7 @@ std::string HttpResponse::serialize_headers() const {
   const std::string_view reason = reason_phrase(status);
   const bool need_server = find_header("Server") == nullptr;
   const bool need_date = find_header("Date") == nullptr;
-  // Chunked replies advertise the coding instead of a length — emitting
-  // both would hand intermediaries the same framing ambiguity the request
-  // parser rejects with a 400.
-  const bool need_length = !chunked && find_header("Content-Length") == nullptr;
+  const bool need_length = find_header("Content-Length") == nullptr;
   const size_t length = body_size();
 
   // Exact byte count: the serialized block must never reallocate.
@@ -75,7 +52,6 @@ std::string HttpResponse::serialize_headers() const {
   if (need_server) total += sizeof("Server: COPS-HTTP/1.0\r\n") - 1;
   if (need_date) total += 6 /* "Date: " */ + kHttpDateLength + 2;
   if (need_length) total += 16 /* "Content-Length: " */ + digits_of(length) + 2;
-  if (chunked) total += sizeof("Transfer-Encoding: chunked\r\n") - 1;
   for (const auto& [name, value] : headers) {
     total += name.size() + 2 + value.size() + 2;
   }
@@ -98,7 +74,6 @@ std::string HttpResponse::serialize_headers() const {
     out += std::to_string(length);
     out += "\r\n";
   }
-  if (chunked) out += "Transfer-Encoding: chunked\r\n";
   for (const auto& [name, value] : headers) {
     out += name;
     out += ": ";
@@ -113,29 +88,8 @@ std::string HttpResponse::serialize() const {
   std::string out = serialize_headers();
   if (head_only) return out;
   const std::string_view bytes = file ? std::string_view(file->bytes) : body;
-  if (!chunked) {
-    out.reserve(out.size() + bytes.size());
-    out += bytes;
-    return out;
-  }
-  // Chunk framing with the same windows encode_segments() uses, so both
-  // describe bit-identical streams.  Exact reserve: per window a hex size
-  // line + CRLF, the data, a CRLF; then "0\r\n\r\n".
-  const size_t window = chunk_bytes == 0 ? bytes.size() : chunk_bytes;
-  size_t framed = 5 /* last chunk */;
-  for (size_t at = 0; at < bytes.size(); at += window) {
-    const size_t take = std::min(window, bytes.size() - at);
-    framed += hex_digits_of(take) + 2 + take + 2;
-  }
-  out.reserve(out.size() + framed);
-  for (size_t at = 0; at < bytes.size(); at += window) {
-    const size_t take = std::min(window, bytes.size() - at);
-    append_hex(out, take);
-    out += "\r\n";
-    out.append(bytes.data() + at, take);
-    out += "\r\n";
-  }
-  out += "0\r\n\r\n";
+  out.reserve(out.size() + bytes.size());
+  out += bytes;
   return out;
 }
 
@@ -148,19 +102,7 @@ EncodedReply encode_segments(const HttpResponse& resp) {
   const auto& file = resp.file;
   EncodedReply reply;
   reply.add_owned(resp.serialize_headers());
-  if (resp.chunked) {
-    // The ~10-byte size/CRLF framing lines are owned segments, the body
-    // windows stay refcounted cache slices or sendfile ranges — zero-copy
-    // is preserved, and the windows match serialize()'s.
-    if (file->fd >= 0) {
-      reply.add_file_chunked(file, file->fd, 0, file->fd_size,
-                             resp.chunk_bytes);
-    } else {
-      reply.add_shared_chunked(file, file->bytes.data(), file->bytes.size(),
-                               resp.chunk_bytes);
-    }
-    reply.add_last_chunk();
-  } else if (file->fd >= 0) {
+  if (file->fd >= 0) {
     // Large uncached file opened for sendfile: the kernel moves the bytes.
     reply.add_file(file, file->fd, 0, file->fd_size);
   } else {

@@ -23,12 +23,6 @@ struct HttpResponse {
   std::string body;
   cops::nserver::FileDataPtr file;
   bool head_only = false;  // HEAD: emit headers, suppress body bytes
-  // Chunked transfer coding (RFC 7230 §4.1): the header block advertises
-  // "Transfer-Encoding: chunked" instead of Content-Length, and the body is
-  // framed in windows of `chunk_bytes`.  serialize() and encode_segments()
-  // use the same windows, so they describe identical wire bytes.
-  bool chunked = false;
-  size_t chunk_bytes = 64 * 1024;
 
   void set_header(std::string name, std::string value);
   [[nodiscard]] const std::string* find_header(std::string_view name) const;
@@ -37,22 +31,21 @@ struct HttpResponse {
   }
 
   // Serializes status line + headers + the blank separator line.  Adds
-  // Content-Length (or "Transfer-Encoding: chunked" when `chunked`), Server,
-  // and Date headers if absent.  This is the owned prefix of a segmented
-  // reply; the body rides as a refcounted slice.
+  // Content-Length, Server, and Date headers if absent.  This is the owned
+  // prefix of a segmented reply; the body rides as a refcounted slice.
   [[nodiscard]] std::string serialize_headers() const;
 
-  // Serializes status line + headers + body into one flat buffer,
-  // chunk-framing the body when `chunked`.  Reserves the exact size up
-  // front.  The reference encode_segments() must match byte for byte (for a
-  // descriptor-backed file, with the body read from the descriptor).
+  // Serializes status line + headers + body into one flat buffer, reserving
+  // the exact size up front.  The reference encode_segments() must match
+  // byte for byte (for a descriptor-backed file, with the body read from
+  // the descriptor).
   [[nodiscard]] std::string serialize() const;
 };
 
 // The reply as send segments: one flat buffer for inline bodies, HEAD and
 // empty files; otherwise an owned header block plus the body as a
 // refcounted cache slice (memory-backed file) or a sendfile range
-// (descriptor-backed file), chunk-framed when `chunked`.
+// (descriptor-backed file).
 [[nodiscard]] EncodedReply encode_segments(const HttpResponse& resp);
 
 // Builds a simple HTML error page response.

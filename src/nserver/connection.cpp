@@ -240,9 +240,6 @@ void Connection::count_reply_copies(const EncodedReply& reply) {
   if (reply.copied_bytes > 0) {
     server_.profiler_.count_send_copied(reply.copied_bytes);
   }
-  // Chunk-framed replies (body_framing=chunked) are counted here — the one
-  // spot every encode path funnels through — not in the Encode hooks.
-  if (reply.chunked_framed) server_.profiler_.count_send_chunked();
 }
 
 bool Connection::send_pending() {

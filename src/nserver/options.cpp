@@ -31,10 +31,6 @@ const char* to_string(StatsExport mode) {
   return mode == StatsExport::kNone ? "None" : "AdminHttp";
 }
 
-const char* to_string(BodyFraming framing) {
-  return framing == BodyFraming::kContentLength ? "ContentLength" : "Chunked";
-}
-
 const char* to_string(UpstreamMode mode) {
   return mode == UpstreamMode::kPerRequest ? "PerRequest" : "Pooled";
 }
@@ -116,14 +112,6 @@ std::string ServerOptions::validate() const {
       return "overload: overload_retry_after_max must be >= "
              "overload_retry_after";
     }
-  }
-  if (body_framing == BodyFraming::kChunked && reply_chunk_bytes == 0) {
-    return "body_framing: chunked replies need a positive chunk window "
-           "(reply_chunk_bytes)";
-  }
-  if (upstream_mode == UpstreamMode::kPooled && upstream_pool_cap == 0) {
-    return "upstream_mode: pooled upstream connections need a positive "
-           "per-backend cap (upstream_pool_cap)";
   }
   if (stats_export == StatsExport::kAdminHttp && !profiling) {
     return "O11+: the admin export serves the profiler's statistics; "

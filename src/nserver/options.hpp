@@ -52,28 +52,13 @@ enum class StatsExport {
   kAdminHttp,  // second listener serving /stats, /stats.json, /healthz
 };
 
-// Body-framing option: how the Encode Reply step frames response bodies on
-// the wire.  kContentLength is the classic static-content shape — one
-// length header, body bytes verbatim.  kChunked advertises
-// "Transfer-Encoding: chunked" and frames large HTTP/1.1 bodies in
-// fixed-size chunks (RFC 7230 §4.1), the prerequisite for streaming replies
-// whose length is unknown up front; the ~10-byte-per-chunk framing lines
-// are owned segments riding the same writev/sendfile gather loop, so the
-// body bytes themselves stay zero-copy.  Request-side chunked *decoding* is
-// always on — this option only selects the reply framing.
-enum class BodyFraming {
-  kContentLength,
-  kChunked,
-};
-
-// Upstream-connection option for proxy deployments (S4, appended after
-// body_framing): how the streaming L7 data plane (src/proxy) manages its
-// server-facing connections.  kPerRequest opens a fresh upstream connection
-// per proxied request (the shape of the original examples/http_proxy);
-// kPooled keeps completed upstream connections in per-backend keep-alive
-// pools with caps, idle reuse, and a single stale-connection retry.  The
-// core Server ignores it — the generated proxy config unit and
-// proxy::ProxyServer consume it.
+// Upstream-connection option for proxy deployments (S4): how the streaming
+// L7 data plane (src/proxy) manages its server-facing connections.
+// kPerRequest opens a fresh upstream connection per proxied request (the
+// shape of the original examples/http_proxy); kPooled keeps completed
+// upstream connections in per-backend keep-alive pools with caps, idle
+// reuse, and a single stale-connection retry.  It is not a ServerOptions
+// field: proxy::ProxyConfig::upstream_mode carries it to proxy::ProxyServer.
 enum class UpstreamMode {
   kPerRequest,
   kPooled,
@@ -103,7 +88,6 @@ enum class IoBackend {
 [[nodiscard]] const char* to_string(CachePolicyKind kind);
 [[nodiscard]] const char* to_string(ServerMode mode);
 [[nodiscard]] const char* to_string(StatsExport mode);
-[[nodiscard]] const char* to_string(BodyFraming framing);
 [[nodiscard]] const char* to_string(UpstreamMode mode);
 [[nodiscard]] const char* to_string(OverloadMode mode);
 [[nodiscard]] const char* to_string(IoBackend backend);
@@ -193,24 +177,7 @@ struct ServerOptions {
   // O12: logging.
   bool logging = false;
 
-  // Body-framing option (S3, appended after O12 to preserve the paper's
-  // option numbering).  See enum BodyFraming.
-  BodyFraming body_framing = BodyFraming::kContentLength;
-  // kChunked only: HTTP/1.1 file replies at or above this size are sent
-  // chunk-framed; smaller bodies (and every error/listing/HEAD reply) keep
-  // Content-Length, where the length is already known and chunk overhead
-  // buys nothing.
-  size_t chunked_min_bytes = 4 * 1024;
-  // kChunked only: size of each chunk window on the reply side.
-  size_t reply_chunk_bytes = 64 * 1024;
-
-  // Upstream-connection option (appended after body_framing; proxy
-  // deployments only — see enum UpstreamMode and src/proxy).
-  UpstreamMode upstream_mode = UpstreamMode::kPerRequest;
-  // kPooled only: per-backend connection cap (in-flight + idle).
-  size_t upstream_pool_cap = 8;
-
-  // Overload-control option (S5, appended after upstream_mode).  Only
+  // Overload-control option (S5, appended after O12).  Only
   // meaningful with overload_control on; see enum OverloadMode.
   OverloadMode overload_mode = OverloadMode::kWatermark;
   // kAdaptive only — CoDel admission parameters: the control loop sheds

@@ -23,7 +23,6 @@ std::string ProfilerSnapshot::to_string() const {
       << " send_writev_calls=" << send_writev_calls
       << " send_bytes_copied=" << send_bytes_copied
       << " send_sendfile_bytes=" << send_sendfile_bytes
-      << " send_chunked_replies=" << send_chunked_replies
       << " cache_hit_rate=" << cache_hit_rate;
   for (size_t i = 0; i < kStageCount; ++i) {
     if (stages[i].count() == 0) continue;
@@ -92,7 +91,6 @@ ProfilerSnapshot Profiler::snapshot(uint64_t events_processed,
   s.send_writev_calls = send_writevs_.load();
   s.send_bytes_copied = send_copied_.load();
   s.send_sendfile_bytes = send_sendfile_.load();
-  s.send_chunked_replies = send_chunked_.load();
   s.events_processed = events_processed;
   s.cache_hit_rate = cache_hit_rate;
   s.cache_invalidations = cache_invalidations;
@@ -117,7 +115,6 @@ void Profiler::reset() {
   send_writevs_.store(0);
   send_copied_.store(0);
   send_sendfile_.store(0);
-  send_chunked_.store(0);
   std::lock_guard lock(shards_mutex_);
   for (auto& shard : shards_) {
     for (auto& histogram : shard->histograms) histogram.reset();

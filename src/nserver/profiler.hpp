@@ -68,7 +68,6 @@ struct ProfilerSnapshot {
   uint64_t send_writev_calls = 0;      // send path: completed writev gathers
   uint64_t send_bytes_copied = 0;      // bytes materialised per reply path
   uint64_t send_sendfile_bytes = 0;    // bytes moved by sendfile(2)
-  uint64_t send_chunked_replies = 0;   // replies framed with chunked coding
   // Recycler totals, aggregated over every shard's context slab +
   // read-buffer pool by Server::profile().
   uint64_t pool_hits = 0;        // allocations served from a free-list
@@ -104,7 +103,6 @@ class Profiler {
   void count_send_sendfile(uint64_t n) {
     send_sendfile_.fetch_add(n, kRelaxed);
   }
-  void count_send_chunked() { send_chunked_.fetch_add(1, kRelaxed); }
 
   // Records a stage latency into this thread's shard.  Negative durations
   // (missing stamp — the stage was skipped) are dropped.
@@ -144,7 +142,6 @@ class Profiler {
   std::atomic<uint64_t> send_writevs_{0};
   std::atomic<uint64_t> send_copied_{0};
   std::atomic<uint64_t> send_sendfile_{0};
-  std::atomic<uint64_t> send_chunked_{0};
 
   // Profilers are identified by a never-recycled id so the thread-local
   // shard cache can never alias a new profiler with a destroyed one that

@@ -69,18 +69,6 @@ void RequestContext::note_shed() {
 
 TraceContext& RequestContext::trace() { return conn_->trace(); }
 
-BodyFraming RequestContext::body_framing() const {
-  return server_.options_.body_framing;
-}
-
-size_t RequestContext::chunked_min_bytes() const {
-  return server_.options_.chunked_min_bytes;
-}
-
-size_t RequestContext::reply_chunk_bytes() const {
-  return server_.options_.reply_chunk_bytes;
-}
-
 std::shared_ptr<RequestContext> RequestContext::make_handle() const {
   return server_.make_context(conn_);
 }

@@ -77,12 +77,6 @@ class RequestContext : public std::enable_shared_from_this<RequestContext> {
   // own reference stamps; the framework resets it per request.
   [[nodiscard]] TraceContext& trace();
 
-  // The server's configured reply body framing (S3) and its thresholds.
-  // Handle/Encode hooks consult these to decide between Content-Length and
-  // chunked transfer coding on the reply side.
-  [[nodiscard]] BodyFraming body_framing() const;
-  [[nodiscard]] size_t chunked_min_bytes() const;
-  [[nodiscard]] size_t reply_chunk_bytes() const;
 
   // ---- output ------------------------------------------------------------
   // Enqueues bytes without completing the request (multi-part replies,

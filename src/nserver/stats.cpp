@@ -140,10 +140,6 @@ std::string render_prometheus(const StatsSnapshot& s) {
   append_metric(out, "cops_send_sendfile_bytes_total", "counter",
                 "Reply bytes moved by sendfile(2) (files >= 256 KiB).",
                 c.send_sendfile_bytes);
-  append_metric(out, "cops_send_chunked_replies_total", "counter",
-                "Replies framed with chunked transfer coding "
-                "(body_framing=chunked).",
-                c.send_chunked_replies);
   append_metric(out, "cops_pool_hits_total", "counter",
                 "Pool allocations served from a free-list.",
                 c.pool_hits);
@@ -256,7 +252,6 @@ std::string render_json(const StatsSnapshot& s) {
   append_json_field(out, "send_writev_calls", c.send_writev_calls);
   append_json_field(out, "send_bytes_copied", c.send_bytes_copied);
   append_json_field(out, "send_sendfile_bytes", c.send_sendfile_bytes);
-  append_json_field(out, "send_chunked_replies", c.send_chunked_replies);
   append_json_field(out, "pool_hits", c.pool_hits);
   append_json_field(out, "pool_misses", c.pool_misses);
   append_json_field(out, "alloc_bytes", c.pool_alloc_bytes);

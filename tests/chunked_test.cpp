@@ -7,10 +7,11 @@
 //      virtual tick through a full nserver echo stack decodes to exactly
 //      the bytes a Content-Length POST of the same body produces, under
 //      fault-free and chaos plans, bit-identically per seed;
-//   3. simnet download checks — body_framing=chunked replies carry the file
-//      bytes intact, over writev (cached files) and sendfile (files of
-//      256 KiB or more) alike, byte-identical to HttpResponse::serialize(),
-//      plus full-stack 100-continue / 417 / obs-fold regression coverage.
+//   3. simnet download checks — replies are Content-Length framed (HEAD
+//      included) and carry the file bytes intact, over writev (cached files)
+//      and sendfile (files of 256 KiB or more) alike, byte-identical to
+//      HttpResponse::serialize(), plus full-stack 100-continue / 417 /
+//      obs-fold regression coverage.
 #include <algorithm>
 #include <any>
 #include <chrono>
@@ -320,7 +321,7 @@ INSTANTIATE_TEST_SUITE_P(Seeds, ChunkedUploadSeedTest, ::testing::Range(1, 5),
                            return "seed" + std::to_string(info.param);
                          });
 
-// ---- chunked downloads: body_framing=chunked over writev and sendfile --------
+// ---- downloads: Content-Length framing over writev and sendfile -------------
 
 std::string small_file() { return "alpha file: the quick brown fox\n"; }
 std::string big_file() {
@@ -332,66 +333,14 @@ std::string big_file() {
   return out;
 }
 
-// De-chunks a chunked message body.  Returns false on any framing violation.
-bool dechunk(std::string_view stream, std::string& body, std::string& error) {
-  size_t pos = 0;
-  while (true) {
-    const size_t eol = stream.find("\r\n", pos);
-    if (eol == std::string_view::npos) {
-      error = "missing CRLF after chunk size";
-      return false;
-    }
-    size_t size = 0;
-    size_t digits = 0;
-    for (size_t i = pos; i < eol; ++i) {
-      const char c = stream[i];
-      int v;
-      if (c >= '0' && c <= '9') v = c - '0';
-      else if (c >= 'a' && c <= 'f') v = c - 'a' + 10;
-      else if (c >= 'A' && c <= 'F') v = c - 'A' + 10;
-      else break;
-      size = size * 16 + static_cast<size_t>(v);
-      ++digits;
-    }
-    if (digits == 0) {
-      error = "no hex digits in chunk size line";
-      return false;
-    }
-    pos = eol + 2;
-    if (size == 0) break;  // last-chunk; no trailers expected from us
-    if (pos + size + 2 > stream.size()) {
-      error = "truncated chunk data";
-      return false;
-    }
-    body.append(stream.substr(pos, size));
-    pos += size;
-    if (stream.substr(pos, 2) != "\r\n") {
-      error = "chunk data not CRLF-terminated";
-      return false;
-    }
-    pos += 2;
-  }
-  if (stream.substr(pos, 2) != "\r\n") {
-    error = "missing trailer terminator";
-    return false;
-  }
-  pos += 2;
-  if (pos != stream.size()) {
-    error = "trailing bytes after last chunk";
-    return false;
-  }
-  return true;
-}
-
 struct DownloadRun {
   std::string received;
   // Concatenated HttpResponse::serialize() of every reply.
   std::string expected;
 };
 
-DownloadRun run_download(uint64_t seed, const FaultPlan& plan,
-                         const std::string& wire) {
-  SimEngine engine(seed, plan);
+DownloadRun run_download(uint64_t seed, const std::string& wire) {
+  SimEngine engine(seed, FaultPlan::none());
   SCOPED_TRACE("download seed=" + std::to_string(seed));
 
   test::TempDir dir;
@@ -409,11 +358,6 @@ DownloadRun run_download(uint64_t seed, const FaultPlan& plan,
   auto options = http::CopsHttpServer::default_options();
   make_deterministic(options);
   options.listen_port = 8090;
-  // Chunk-frame replies of 64 bytes and up, in 256-byte chunks: a.txt
-  // (32 B) stays Content-Length, b.bin (2000 B) goes out in 8 chunks.
-  options.body_framing = nserver::BodyFraming::kChunked;
-  options.chunked_min_bytes = 64;
-  options.reply_chunk_bytes = 256;
   http::HttpServerConfig config;
   config.doc_root = dir.str();
   auto hooks = std::make_shared<test::SerializeRecorder>(config);
@@ -440,30 +384,10 @@ std::string get_b_wire() {
 
 class ChunkedDownloadSeedTest : public ::testing::TestWithParam<int> {};
 
-TEST_P(ChunkedDownloadSeedTest, ChunkedReplyCarriesFileBytesIntact) {
-  const auto seed = static_cast<uint64_t>(GetParam());
-  for (const auto& plan : {FaultPlan::none(), FaultPlan::chaos()}) {
-    const DownloadRun run = run_download(seed, plan, get_b_wire());
-    const size_t header_end = run.received.find("\r\n\r\n");
-    ASSERT_NE(header_end, std::string::npos) << run.received;
-    const std::string head = run.received.substr(0, header_end);
-    EXPECT_NE(head.find("Transfer-Encoding: chunked"), std::string::npos)
-        << head;
-    EXPECT_EQ(head.find("Content-Length"), std::string::npos) << head;
-    std::string body;
-    std::string error;
-    ASSERT_TRUE(dechunk(
-        std::string_view(run.received).substr(header_end + 4), body, error))
-        << error << "\nreceived:\n" << run.received;
-    EXPECT_EQ(body, big_file());
-  }
-}
-
 TEST_P(ChunkedDownloadSeedTest, SmallFileStaysContentLengthFramed) {
   const auto seed = static_cast<uint64_t>(GetParam());
   const DownloadRun run = run_download(
-      seed, FaultPlan::none(),
-      "GET /a.txt HTTP/1.1\r\nHost: sim\r\nConnection: close\r\n\r\n");
+      seed, "GET /a.txt HTTP/1.1\r\nHost: sim\r\nConnection: close\r\n\r\n");
   const size_t header_end = run.received.find("\r\n\r\n");
   ASSERT_NE(header_end, std::string::npos);
   const std::string head = run.received.substr(0, header_end);
@@ -475,8 +399,7 @@ TEST_P(ChunkedDownloadSeedTest, SmallFileStaysContentLengthFramed) {
 TEST_P(ChunkedDownloadSeedTest, HeadRequestIsNeverChunked) {
   const auto seed = static_cast<uint64_t>(GetParam());
   const DownloadRun run = run_download(
-      seed, FaultPlan::none(),
-      "HEAD /b.bin HTTP/1.1\r\nHost: sim\r\nConnection: close\r\n\r\n");
+      seed, "HEAD /b.bin HTTP/1.1\r\nHost: sim\r\nConnection: close\r\n\r\n");
   const size_t header_end = run.received.find("\r\n\r\n");
   ASSERT_NE(header_end, std::string::npos);
   const std::string head = run.received.substr(0, header_end);
@@ -486,16 +409,15 @@ TEST_P(ChunkedDownloadSeedTest, HeadRequestIsNeverChunked) {
 }
 
 TEST_P(ChunkedDownloadSeedTest, CopyWritevSendfileByteIdentical) {
-  // serialize() frames the chunks into one flat string (the copy); the
-  // cached b.bin gathers owned size lines around zero-copy cache slices
-  // (writev); c.bin, at the sendfile threshold, interleaves owned framing
-  // with in-kernel file sends.  Both must put the copy's bytes on the wire.
+  // serialize() flattens headers and body into one string (the copy); the
+  // cached b.bin gathers the owned header block and a zero-copy cache slice
+  // (writev); c.bin, at the sendfile threshold, follows its header block
+  // with an in-kernel file send.  Both must put the copy's bytes on the
+  // wire.
   const auto seed = static_cast<uint64_t>(GetParam());
-  const DownloadRun writev =
-      run_download(seed, FaultPlan::none(), get_b_wire());
+  const DownloadRun writev = run_download(seed, get_b_wire());
   const DownloadRun sendfile = run_download(
-      seed, FaultPlan::none(),
-      "GET /c.bin HTTP/1.1\r\nHost: sim\r\nConnection: close\r\n\r\n");
+      seed, "GET /c.bin HTTP/1.1\r\nHost: sim\r\nConnection: close\r\n\r\n");
   ASSERT_FALSE(writev.expected.empty());
   ASSERT_GT(sendfile.expected.size(), nserver::kSendfileMinBytes);
   EXPECT_EQ(writev.received, writev.expected);

@@ -9,7 +9,6 @@
 #include "common/jain.hpp"
 #include "common/mpmc_queue.hpp"
 #include "common/quota_priority_queue.hpp"
-#include "common/rate_limiter.hpp"
 #include "common/source_stats.hpp"
 #include "common/string_util.hpp"
 #include "common/thread_pool.hpp"
@@ -384,28 +383,6 @@ TEST(Zipf, EmpiricalFrequencyMatchesTheory) {
   for (int i = 0; i < n; ++i) counts[z(rng)]++;
   EXPECT_NEAR(static_cast<double>(counts[0]) / n, z.probability(0), 0.01);
   EXPECT_NEAR(static_cast<double>(counts[5]) / n, z.probability(5), 0.01);
-}
-
-// ---------- RateLimiter ------------------------------------------------------
-
-TEST(RateLimiter, BurstAllowsImmediateAcquire) {
-  RateLimiter limiter(1000.0, 100.0);
-  EXPECT_TRUE(limiter.try_acquire(100.0));
-  EXPECT_FALSE(limiter.try_acquire(50.0));
-}
-
-TEST(RateLimiter, RefillsOverTime) {
-  RateLimiter limiter(10000.0, 10.0);
-  EXPECT_TRUE(limiter.try_acquire(10.0));
-  std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  EXPECT_TRUE(limiter.try_acquire(10.0));  // ~50 tokens refilled
-}
-
-TEST(RateLimiter, DebtDelaysFutureAcquires) {
-  RateLimiter limiter(1000.0, 10.0);
-  limiter.acquire_debt(1000.0);
-  const auto wait = limiter.time_until_available(0.0);
-  EXPECT_GT(wait.count(), 0);
 }
 
 // ---------- string_util ------------------------------------------------------

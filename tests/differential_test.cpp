@@ -368,21 +368,18 @@ bool read_chunked_response(test::BlockingClient& client,
   }
 }
 
-// A chunked-framing backend (nserver option body_framing=chunked) relayed
-// through the proxy must deliver the same de-framed body as a direct fetch.
+// A chunk-framing origin relayed through the proxy must deliver the same
+// de-framed body as a direct fetch from that origin.
 TEST_F(ProxyDifferentialFixture, ChunkedDownloadMatchesDirect) {
-  auto options = http::CopsHttpServer::default_options();
-  options.body_framing = nserver::BodyFraming::kChunked;
-  options.chunked_min_bytes = 256;
-  options.reply_chunk_bytes = 1024;
-  http::HttpServerConfig backend_config;
-  backend_config.doc_root = dir_.str();
-  http::CopsHttpServer chunked_backend(options, backend_config);
-  ASSERT_TRUE(chunked_backend.start().is_ok());
+  test::ScriptedBackend origin(
+      0, [this](const test::ScriptedBackend::Request&) {
+        return test::chunked_response(big_, 1024);
+      });
+  ASSERT_TRUE(origin.ok());
 
   proxy::ProxyConfig config;
   proxy::ProxyServer chunked_proxy(config);
-  chunked_proxy.add_backend(net::InetAddress::loopback(chunked_backend.port()));
+  chunked_proxy.add_backend(net::InetAddress::loopback(origin.port()));
   ASSERT_TRUE(chunked_proxy.start().is_ok());
 
   const std::string request =
@@ -390,7 +387,7 @@ TEST_F(ProxyDifferentialFixture, ChunkedDownloadMatchesDirect) {
   std::string direct_status, direct_body;
   {
     test::BlockingClient client;
-    ASSERT_TRUE(client.connect("127.0.0.1", chunked_backend.port()));
+    ASSERT_TRUE(client.connect("127.0.0.1", origin.port()));
     ASSERT_TRUE(client.send_all(request));
     ASSERT_TRUE(read_chunked_response(client, direct_status, direct_body));
   }
@@ -406,7 +403,7 @@ TEST_F(ProxyDifferentialFixture, ChunkedDownloadMatchesDirect) {
   EXPECT_EQ(proxied_body, big_);
 
   chunked_proxy.stop();
-  chunked_backend.stop();
+  origin.stop();
 }
 
 // 100 keep-alive requests on one downstream connection must be served off

@@ -288,15 +288,6 @@ TEST(Options, ZeroDispatchersInvalid) {
   EXPECT_NE(options.validate(), "");
 }
 
-TEST(Options, PooledUpstreamNeedsPositiveCap) {
-  ServerOptions options;
-  options.upstream_mode = UpstreamMode::kPooled;
-  options.upstream_pool_cap = 0;
-  EXPECT_NE(options.validate(), "");
-  options.upstream_pool_cap = 4;
-  EXPECT_EQ(options.validate(), "");
-}
-
 TEST(Options, EnumToString) {
   EXPECT_STREQ(to_string(CompletionMode::kAsynchronous), "Asynchronous");
   EXPECT_STREQ(to_string(ThreadAllocation::kDynamic), "Dynamic");

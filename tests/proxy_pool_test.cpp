@@ -147,6 +147,24 @@ TEST(UpstreamPoolTest, AbandonFreesTheCapSlot) {
   EXPECT_EQ(pool.acquire(0, &out), UpstreamPool::Acquire::kConnect);
 }
 
+// The pool cap is validated where it is read: start() refuses pooled
+// upstream connections with a zero per-backend cap.
+TEST(ProxyServerStartTest, PooledUpstreamNeedsPositiveCap) {
+  ProxyConfig config;
+  config.upstream_mode = nserver::UpstreamMode::kPooled;
+  config.pool_max_per_backend = 0;
+  ProxyServer rejected(config);
+  rejected.add_backend(net::InetAddress::loopback(1));
+  const Status status = rejected.start();
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << status.to_string();
+
+  config.pool_max_per_backend = 4;
+  ProxyServer accepted(config);
+  accepted.add_backend(net::InetAddress::loopback(1));
+  ASSERT_TRUE(accepted.start().is_ok());
+  accepted.stop();
+}
+
 // ---- lb_policy: the selection helpers ---------------------------------------
 
 // Regression for the round-robin shrink bug: the cursor free-runs across

@@ -1,8 +1,8 @@
 // Request-path pooling tests.
 //
 // Four layers:
-//   1. Unit coverage of the slab/pool layer (SlabPool, BufferPool, Arena)
-//      and of ByteBuffer storage adoption + HeaderMap arena reuse.
+//   1. Unit coverage of the slab/pool layer (SlabPool, BufferPool) and of
+//      ByteBuffer storage adoption + HeaderMap arena reuse.
 //   2. Pool behaviour under pressure: exhaustion grows the pool (counted as
 //      misses), recycling turns subsequent traffic into hits.
 //   3. Scratch-vs-fresh parsing: every HTTP and FTP corpus entry parses
@@ -129,30 +129,6 @@ TEST(BufferPoolTest, FreeListIsBoundedAndUndersizedRejected) {
   EXPECT_EQ(pool.free_buffers(), 2u);
   pool.release(std::vector<uint8_t>(16));  // under block size: dropped
   EXPECT_EQ(pool.free_buffers(), 2u);
-}
-
-// ---- Arena ---------------------------------------------------------------
-
-TEST(ArenaTest, BumpAllocatesAlignedAndResetsInPlace) {
-  Arena arena(256);
-  void* a = arena.allocate(10, 8);
-  void* b = arena.allocate(10, 8);
-  EXPECT_NE(a, b);
-  EXPECT_EQ(reinterpret_cast<uintptr_t>(a) % 8, 0u);
-  EXPECT_EQ(reinterpret_cast<uintptr_t>(b) % 8, 0u);
-  // Overflow the first chunk; a second one is added.
-  arena.allocate(300, 8);
-  EXPECT_GE(arena.chunk_count(), 2u);
-  const uint64_t footprint = arena.heap_bytes();
-
-  // reset() recycles: the same sequence fits in the existing chunks.
-  for (int round = 0; round < 5; ++round) {
-    arena.reset();
-    arena.allocate(10, 8);
-    arena.allocate(10, 8);
-    arena.allocate(300, 8);
-  }
-  EXPECT_EQ(arena.heap_bytes(), footprint);
 }
 
 // ---- ByteBuffer storage adoption -----------------------------------------

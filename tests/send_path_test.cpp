@@ -175,18 +175,15 @@ TEST(EncodeSegmentsTest, GatheredSegmentsEqualSerializeForEveryReplyShape) {
   struct Shape {
     const char* name;
     nserver::FileDataPtr file;  // null = inline body
-    bool chunked;
     bool head_only;
   };
   const std::vector<Shape> shapes = {
-      {"cached", small.value(), false, false},
-      {"fd-backed", fd_backed.value(), false, false},
-      {"chunked cached", in_memory.value(), true, false},
-      {"chunked fd-backed", fd_backed.value(), true, false},
-      {"HEAD cached", small.value(), false, true},
-      {"HEAD fd-backed", fd_backed.value(), false, true},
-      {"inline body", nullptr, false, false},
-      {"empty file", empty.value(), false, false},
+      {"cached", small.value(), false},
+      {"fd-backed", fd_backed.value(), false},
+      {"HEAD cached", small.value(), true},
+      {"HEAD fd-backed", fd_backed.value(), true},
+      {"inline body", nullptr, false},
+      {"empty file", empty.value(), false},
   };
   for (const auto& shape : shapes) {
     SCOPED_TRACE(shape.name);
@@ -199,8 +196,6 @@ TEST(EncodeSegmentsTest, GatheredSegmentsEqualSerializeForEveryReplyShape) {
       resp.file = shape.file;
       resp.set_header("Content-Type", "application/octet-stream");
     }
-    resp.chunked = shape.chunked;
-    resp.chunk_bytes = 64 * 1024;
     resp.head_only = shape.head_only;
     http::HttpResponse reference = resp;
     if (shape.file == fd_backed.value()) reference.file = in_memory.value();

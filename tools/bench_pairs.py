@@ -16,8 +16,15 @@ base's interquartile range (IQR), the pairs each side won, and two verdicts:
               (ties count for neither) and its median beats the base median
               by more than the base IQR; "worse" for the mirror case;
               otherwise "no call".
-  bound rule  "ok" when the working tree's median is no worse than the
-              base's by more than the metric's bound, else "OVER".
+  bound rule  "OVER" when the working tree's median is worse than the
+              base's by more than the metric's bound; otherwise
+              "unresolved" when the base IQR is wider than bound x base
+              median (the spread hides a regression of that size) and not
+              every working-tree run beats every base run; otherwise "ok".
+
+Each workload's header also gives each side's failed share, the sum of
+`failed` over the sum of `attempted` in the result JSON of every run, and
+the number of runs that printed no result at all.
 
 perfbench/ is only run, never modified.
 """
@@ -69,13 +76,20 @@ def judge(metric, base, head):
     else:
         verdict = "no call"
     worse_by = -gap / abs(b_med) if b_med else 0.0
+    dominates = min(sign * h for h in head) > max(sign * b for b in base)
+    if worse_by > metric["bound"]:
+        bound = "OVER"
+    elif iqr > metric["bound"] * abs(b_med) and not dominates:
+        bound = "unresolved"
+    else:
+        bound = "ok"
     return {
         "metric": metric["name"], "base_median": b_med, "head_median": h_med,
         "base_q1": b_q1, "base_q3": b_q3, "head_q1": h_q1, "head_q3": h_q3,
         "base_iqr": iqr,
         "change": (h_med - b_med) / b_med if b_med else 0.0,
         "won": won, "lost": lost, "verdict": verdict,
-        "bound": "ok" if worse_by <= metric["bound"] else "OVER",
+        "bound": bound,
     }
 
 
@@ -133,11 +147,10 @@ def main():
                         for i in complete]
                 if base:
                     rows.append(judge(metric, base, head))
-            failed = {side: sum(r["failed"] if r else 1 for r in runs[side])
-                      for side in runs}
+            health = {side: failed_share(runs[side]) for side in runs}
             report["workloads"][workload] = {"runs": runs, "rows": rows,
-                                             "failed": failed}
-            print_table(workload, len(complete), seconds, rows, failed)
+                                             "health": health}
+            print_table(workload, len(complete), seconds, rows, health)
     finally:
         subprocess.run(["git", "worktree", "remove", "--force", base_tree])
     if args.json:
@@ -146,13 +159,29 @@ def main():
     return 0
 
 
+def failed_share(runs):
+    """The side's failed share over every run that printed a result, and
+    the number of runs that printed none."""
+    results = [r for r in runs if r]
+    failed = sum(r["failed"] for r in results)
+    attempted = sum(r["attempted"] for r in results)
+    return {"failed": failed, "attempted": attempted,
+            "share": failed / attempted if attempted else 0.0,
+            "without_result": len(runs) - len(results)}
+
+
 def num(v):
     return "{:,.0f}".format(v) if abs(v) >= 1000 else "{:.4g}".format(v)
 
 
-def print_table(workload, pairs, seconds, rows, failed):
-    print("\n%s: %d pairs of %g s runs; failed operations base=%d head=%d" %
-          (workload, pairs, seconds, failed["base"], failed["head"]))
+def print_table(workload, pairs, seconds, rows, health):
+    print("\n%s: %d pairs of %g s runs" % (workload, pairs, seconds))
+    for side in ("base", "head"):
+        h = health[side]
+        print("  %s: failed share %.3g (%d of %d operations); "
+              "runs without result %d" %
+              (side, h["share"], h["failed"], h["attempted"],
+               h["without_result"]))
     print("%-22s %30s %30s %8s %7s %10s  %-8s %s" %
           ("metric", "base median [q1, q3]", "head median [q1, q3]", "change",
            "won", "base IQR", "gain", "bound"))
