@@ -73,29 +73,45 @@ BufferPool::BufferPool(size_t block_bytes, size_t max_free)
   free_list_.reserve(max_free_);
 }
 
-std::vector<uint8_t> BufferPool::acquire() {
+ByteStorage BufferPool::acquire() {
   {
     std::lock_guard lock(mutex_);
     if (!free_list_.empty()) {
       hits_.fetch_add(1, std::memory_order_relaxed);
-      std::vector<uint8_t> storage = std::move(free_list_.back());
+      ByteStorage storage = std::move(free_list_.back());
       free_list_.pop_back();
       return storage;
     }
   }
   misses_.fetch_add(1, std::memory_order_relaxed);
   heap_bytes_.fetch_add(block_bytes_, std::memory_order_relaxed);
-  std::vector<uint8_t> storage;
+  ByteStorage storage;
   storage.reserve(block_bytes_);
   return storage;
 }
 
-void BufferPool::release(std::vector<uint8_t> storage) {
+void BufferPool::release(ByteStorage storage) {
   if (storage.capacity() < block_bytes_) return;  // never handed out by us
   storage.clear();
   std::lock_guard lock(mutex_);
-  if (free_list_.size() >= max_free_) return;  // cap the idle footprint
+  // Cap the idle footprint at one block per user.
+  if (free_list_.size() >= std::max(max_free_, users_)) return;
   free_list_.push_back(std::move(storage));
+}
+
+void BufferPool::add_user() {
+  std::lock_guard lock(mutex_);
+  ++users_;
+}
+
+void BufferPool::remove_user() {
+  ByteStorage surplus;  // declared first: freed after the lock is released
+  std::lock_guard lock(mutex_);
+  --users_;
+  if (free_list_.size() > std::max(max_free_, users_)) {
+    surplus = std::move(free_list_.back());
+    free_list_.pop_back();
+  }
 }
 
 size_t BufferPool::free_buffers() const {

@@ -7,13 +7,22 @@
 //               RequestContext allocation via PoolAllocator +
 //               std::allocate_shared (object and control block share one
 //               slab block, one freelist push/pop per request).
-//   BufferPool  recycles std::vector<uint8_t> backing stores for connection
-//               read buffers (ByteBuffer::adopt_storage/release_storage),
-//               so accepting a connection reuses a previous connection's
-//               grown buffer instead of re-growing a fresh one.
+//   BufferPool  recycles ByteStorage backing stores for connection read
+//               buffers (ByteBuffer::adopt_storage/release_storage).  A
+//               connection holds a block only while a request is in
+//               flight: it acquires one when bytes arrive and returns it
+//               as soon as its in-buffer is empty between requests, so a
+//               block cycles through the pool once per request, not once
+//               per connection, and an idle connection holds none.  The
+//               free list keeps a block for every open connection, so the
+//               per-request cycling misses only when more requests than
+//               ever before are in flight at once.
 //
 // The heap-traffic counters (hits / misses / heap bytes) surface on /stats
 // as cops_pool_hits_total, cops_pool_misses_total, cops_alloc_bytes_total.
+// Because a read block cycles once per request, cops_pool_hits_total
+// counts about one read-block hit per request on top of the request-context
+// hits.
 #pragma once
 
 #include <atomic>
@@ -23,6 +32,8 @@
 #include <mutex>
 #include <new>
 #include <vector>
+
+#include "common/byte_buffer.hpp"
 
 namespace cops {
 
@@ -99,15 +110,24 @@ class PoolAllocator {
   std::shared_ptr<SlabPool> pool_;
 };
 
-// Recycles vector<uint8_t> backing stores (connection read buffers).  Every
+// Recycles ByteStorage backing stores (connection read buffers).  Every
 // handed-out vector has capacity >= block_bytes(); a vector that grew while
 // in use comes back with its larger capacity and benefits the next user.
+//
+// The free list keeps up to max(max_free, users) blocks.  A user (a
+// connection) holds at most one block at a time and registers for its
+// lifetime with add_user()/remove_user().  Once the users have held their
+// most blocks at one moment, acquires only hit and heap_bytes() stays flat,
+// however often the blocks cycle; a departing user takes one surplus free
+// block with it.
 class BufferPool {
  public:
   explicit BufferPool(size_t block_bytes, size_t max_free = 64);
 
-  [[nodiscard]] std::vector<uint8_t> acquire();
-  void release(std::vector<uint8_t> storage);
+  [[nodiscard]] ByteStorage acquire();
+  void release(ByteStorage storage);
+  void add_user();
+  void remove_user();
 
   [[nodiscard]] size_t block_bytes() const { return block_bytes_; }
   [[nodiscard]] size_t free_buffers() const;
@@ -125,7 +145,8 @@ class BufferPool {
   const size_t block_bytes_;
   const size_t max_free_;
   mutable std::mutex mutex_;
-  std::vector<std::vector<uint8_t>> free_list_;
+  std::vector<ByteStorage> free_list_;
+  size_t users_ = 0;
   std::atomic<uint64_t> hits_{0};
   std::atomic<uint64_t> misses_{0};
   std::atomic<uint64_t> heap_bytes_{0};

@@ -47,16 +47,16 @@ void ByteBuffer::clear() {
   prepared_ = 0;
 }
 
-void ByteBuffer::adopt_storage(std::vector<uint8_t>&& storage) {
+void ByteBuffer::adopt_storage(ByteStorage&& storage) {
   data_ = std::move(storage);
   data_.clear();
   read_pos_ = 0;
   prepared_ = 0;
 }
 
-std::vector<uint8_t> ByteBuffer::release_storage() {
-  std::vector<uint8_t> storage = std::move(data_);
-  data_ = std::vector<uint8_t>();
+ByteStorage ByteBuffer::release_storage() {
+  ByteStorage storage = std::move(data_);
+  data_ = ByteStorage();
   read_pos_ = 0;
   prepared_ = 0;
   return storage;

@@ -8,11 +8,36 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <vector>
 
 namespace cops {
+
+// Allocator whose no-argument construct() default-initialises, so
+// resize() on a vector of bytes leaves the new bytes unwritten instead of
+// zero-filling them.  Construction from a value has no member here, so
+// std::allocator_traits constructs it as it would for std::allocator.
+template <typename T>
+struct DefaultInitAllocator : std::allocator<T> {
+  template <typename U>
+  struct rebind {
+    using other = DefaultInitAllocator<U>;
+  };
+
+  using std::allocator<T>::allocator;
+
+  template <typename U>
+  void construct(U* ptr) noexcept(
+      std::is_nothrow_default_constructible_v<U>) {
+    ::new (static_cast<void*>(ptr)) U;
+  }
+};
+
+// Backing store of a ByteBuffer and of the BufferPool blocks it adopts.
+using ByteStorage = std::vector<uint8_t, DefaultInitAllocator<uint8_t>>;
 
 class ByteBuffer {
  public:
@@ -27,7 +52,8 @@ class ByteBuffer {
   void append_byte(uint8_t b) { data_.push_back(b); }
   // Reserves `len` writable bytes at the end and returns a pointer to them;
   // the caller must follow with commit(n), n <= len, giving the number of
-  // bytes actually written (e.g. by ::read()).
+  // bytes actually written (e.g. by ::read()).  The bytes are not
+  // initialised, so preparing a large window costs nothing per byte.
   uint8_t* prepare(size_t len);
   void commit(size_t len);
 
@@ -46,15 +72,19 @@ class ByteBuffer {
 
   [[nodiscard]] bool empty() const { return readable() == 0; }
   [[nodiscard]] size_t capacity() const { return data_.capacity(); }
+  // Bytes prepare() can hand out without growing the backing store.
+  [[nodiscard]] size_t tail_room() const {
+    return data_.capacity() - data_.size();
+  }
   void clear();
 
   // ---- storage recycling (pooled read buffers) -------------------------
   // Replaces the backing store with a (typically pre-reserved, pooled)
   // vector; any buffered bytes are discarded.
-  void adopt_storage(std::vector<uint8_t>&& storage);
+  void adopt_storage(ByteStorage&& storage);
   // Surrenders the backing store (for return to a BufferPool), leaving the
   // buffer empty with no capacity.
-  [[nodiscard]] std::vector<uint8_t> release_storage();
+  [[nodiscard]] ByteStorage release_storage();
 
   // Extracts everything readable as a string (consuming it).
   std::string take_string();
@@ -62,7 +92,7 @@ class ByteBuffer {
  private:
   void maybe_compact();
 
-  std::vector<uint8_t> data_;
+  ByteStorage data_;
   size_t read_pos_ = 0;
   size_t prepared_ = 0;  // bytes grown by prepare() awaiting commit()
 };

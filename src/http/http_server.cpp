@@ -145,6 +145,7 @@ void HttpAppHooks::handle(nserver::RequestContext& ctx, std::any request) {
         resp.status = StatusCode::kOk;
         resp.file = file.value();
         resp.head_only = head_only;
+        resp.headers.reserve(4);
         resp.set_header("Content-Type", std::string(mime_type_for(path)));
         resp.set_header("Content-Length",
                         std::to_string(file.value()->size()));

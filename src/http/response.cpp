@@ -101,6 +101,7 @@ EncodedReply encode_segments(const HttpResponse& resp) {
   }
   const auto& file = resp.file;
   EncodedReply reply;
+  reply.segments.reserve(2);  // headers + body
   reply.add_owned(resp.serialize_headers());
   if (file->fd >= 0) {
     // Large uncached file opened for sendfile: the kernel moves the bytes.

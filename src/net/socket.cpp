@@ -7,6 +7,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <mutex>
 
@@ -151,10 +152,12 @@ Status TcpSocket::finish_connect() const {
 }
 
 Result<size_t> TcpSocket::read(ByteBuffer& buf, size_t max_bytes) {
-  uint8_t* dst = buf.prepare(max_bytes);
+  size_t window = std::min(buf.tail_room(), max_bytes);
+  if (window < kMinReadWindow) window = max_bytes;
+  uint8_t* dst = buf.prepare(window);
   ssize_t n;
   do {
-    n = sys_read(fd_.get(), dst, max_bytes);
+    n = sys_read(fd_.get(), dst, window);
     // A signal interrupting the read is not an error and not would-block:
     // retry immediately (there may be bytes waiting behind the EINTR).
   } while (n < 0 && errno == EINTR);

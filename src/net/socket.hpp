@@ -61,6 +61,14 @@ class TcpSocket {
 
   // Reads available bytes into `buf`; the value is the byte count.
   // kWouldBlock when nothing is available, kClosed on orderly EOF.
+  //
+  // The read window is the free tail of `buf` (tail_room()), capped at
+  // `max_bytes`, so a small request read into a pooled block leaves the
+  // block at its size.  Only when the tail is smaller than kMinReadWindow
+  // does the window become `max_bytes`, growing `buf`: a request larger
+  // than its block, or a buffer with no storage yet.  The window is never
+  // initialised (ByteBuffer::prepare), so its size costs nothing per byte.
+  static constexpr size_t kMinReadWindow = 2 * 1024;
   Result<size_t> read(ByteBuffer& buf, size_t max_bytes = 64 * 1024);
   // Writes from `buf`, consuming what was sent; kWouldBlock if the socket
   // buffer is full (0 or more bytes may still have been consumed — the

@@ -20,13 +20,21 @@ Connection::Connection(Server& server, net::Reactor& reactor,
   if (auto addr = socket_.peer_address(); addr.is_ok()) {
     peer_ = addr.value().to_string();
   }
-  // Adopt a recycled read-buffer backing store instead of growing a fresh
-  // vector from nothing.
+  // The read block is acquired when bytes arrive (on_readable()), not
+  // here: a connection that never sends holds none.  Registering as a user
+  // lets the pool keep a free block for every connection of the shard.
   buffer_pool_ = server_.shards_[shard_index_]->read_buffer_pool;
-  in_.adopt_storage(buffer_pool_->acquire());
+  buffer_pool_->add_user();
 }
 
-Connection::~Connection() { buffer_pool_->release(in_.release_storage()); }
+Connection::~Connection() {
+  buffer_pool_->release(in_.release_storage());
+  buffer_pool_->remove_user();
+}
+
+void Connection::release_idle_read_block() {
+  if (in_.empty()) buffer_pool_->release(in_.release_storage());
+}
 
 void Connection::start() {
   auto status = reactor_.register_handler(socket_.fd(), this, net::kReadable);
@@ -70,9 +78,13 @@ void Connection::handle_event(int /*fd*/, uint32_t readiness) {
 }
 
 void Connection::on_readable() {
+  if (in_.capacity() == 0) in_.adopt_storage(buffer_pool_->acquire());
   auto n = socket_.read(in_);
   if (!n.is_ok()) {
-    if (n.status().code() == StatusCode::kWouldBlock) return;
+    if (n.status().code() == StatusCode::kWouldBlock) {
+      release_idle_read_block();
+      return;
+    }
     // Orderly EOF or reset: the peer is gone.
     close(n.status().code() == StatusCode::kClosed ? "peer-closed"
                                                    : "read-error");
@@ -112,9 +124,11 @@ void Connection::resume_reading() {
   if (closed()) return;
   // Decode said "need more".  A non-empty in-buffer means the peer is mid-
   // request: start the slowloris clock (once — see partial_since()).  An
-  // empty buffer means we are cleanly between requests.
+  // empty buffer means we are cleanly between requests, and the read block
+  // goes back to the pool.
   if (in_.empty()) {
     partial_since_ = TimePoint{};
+    release_idle_read_block();
   } else if (partial_since_ == TimePoint{}) {
     partial_since_ = now();
   }
@@ -170,8 +184,10 @@ void Connection::send_reply(EncodedReply reply) {
   bool returned = false;
   if (!closing && !pipelined) {
     // Hand the read token back before the write, so the peer's next
-    // request finds reading armed however soon it follows the reply.
+    // request finds reading armed however soon it follows the reply.  The
+    // empty in_ returns its block first: after the CAS it is not ours.
     partial_since_ = TimePoint{};
+    release_idle_read_block();
     ReadState away = ReadState::kAway;
     returned = read_state_.compare_exchange_strong(
         away, ReadState::kReading, std::memory_order_acq_rel);

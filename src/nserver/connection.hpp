@@ -178,6 +178,8 @@ class Connection : public net::EventHandler,
   enum class DrainResult { kDrained, kBlocked, kError };
 
   void on_readable();
+  // Returns in_'s block to the pool if in_ is empty; the token holder.
+  void release_idle_read_block();
   void profiler_bytes_read(size_t n);
   // Moves the pipeline token from socket to processor.
   void start_pipeline();
@@ -205,11 +207,18 @@ class Connection : public net::EventHandler,
   const size_t shard_index_;
   std::string peer_;
 
+  // The read buffer.  Its block comes from buffer_pool_ only while a
+  // request is in flight: on_readable() acquires one when in_ has no
+  // storage, and the read-token holder returns it whenever it finds in_
+  // empty between requests — in send_reply() before the CAS that hands
+  // the token back, and in resume_reading() (which continue_pipeline()
+  // reaches on the SPED path).  An idle connection therefore holds no
+  // block.  close() never returns it, because a processor may still be
+  // decoding from in_; ~Connection returns whatever is left.
   ByteBuffer in_;
-  // Where in_'s backing store came from and returns to
-  // (in ~Connection — never earlier, a worker may still be decoding from
-  // in_ when close() runs).  The connection holds its own reference so the
-  // return outlives any Server teardown ordering.
+  // Held by the connection itself so the return outlives any Server
+  // teardown ordering.  The connection is one of the pool's users for its
+  // lifetime, so the pool keeps a free block for it between requests.
   std::shared_ptr<BufferPool> buffer_pool_;
   // Guards out_ and reply_pending_drain_ (a completed reply is in out_).
   std::mutex send_mutex_;

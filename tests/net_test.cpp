@@ -1,11 +1,14 @@
 // Tests for the networking substrate: sockets, reactor, event sources,
 // timers, acceptor/connector.
 #include <gtest/gtest.h>
+#include <sys/socket.h>
+#include <unistd.h>
 
 #include <atomic>
 #include <thread>
 #include <vector>
 
+#include "common/buffer_pool.hpp"
 #include "net/acceptor.hpp"
 #include "net/connector.hpp"
 #include "net/event_source.hpp"
@@ -107,6 +110,37 @@ TEST(TcpSocket, ReadAfterPeerCloseReturnsClosed) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
   EXPECT_EQ(status.code(), StatusCode::kClosed);
+}
+
+// A small read lands in the free tail of a pooled block and leaves the
+// block at its size; only a tail below the floor grows the buffer.
+TEST(TcpSocket, ReadFillsTheBlockTailWithoutGrowing) {
+  int fds[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM | SOCK_NONBLOCK, 0, fds), 0);
+  TcpSocket reader{Fd(fds[0])};
+  const Fd writer(fds[1]);
+  BufferPool pool(16 * 1024);
+  ByteBuffer buf;
+  buf.adopt_storage(pool.acquire());
+  const size_t block = buf.capacity();
+
+  const std::string request(40, 'g');
+  ASSERT_EQ(::write(writer.get(), request.data(), request.size()), 40);
+  auto n = reader.read(buf);
+  ASSERT_TRUE(n.is_ok());
+  EXPECT_EQ(n.value(), 40u);
+  EXPECT_EQ(buf.view(), request);
+  EXPECT_EQ(buf.capacity(), block);
+
+  // Fill the block to within the floor: the next read grows it.
+  const std::string fill(block - 40 - TcpSocket::kMinReadWindow / 2, 'f');
+  buf.append(fill);
+  ASSERT_EQ(::write(writer.get(), request.data(), request.size()), 40);
+  n = reader.read(buf);
+  ASSERT_TRUE(n.is_ok());
+  EXPECT_EQ(n.value(), 40u);
+  EXPECT_GT(buf.capacity(), block);
+  EXPECT_EQ(buf.readable(), 40 + fill.size() + 40);
 }
 
 // ---------- TimerQueue -------------------------------------------------------

@@ -900,5 +900,148 @@ TEST(RequestCycleTest, PeersResettingMidReplyLeaveNoConnection) {
   server.stop();
 }
 
+// A GET whose head is `head_bytes` long (padded with one X-Pad header), or
+// the shortest head when `head_bytes` is 0.
+std::string padded_get(const std::string& path, size_t head_bytes) {
+  std::string head = "GET " + path + " HTTP/1.1\r\nHost: t\r\n";
+  const std::string pad_name = "X-Pad: ";
+  if (head_bytes > 0) {
+    head += pad_name +
+            std::string(head_bytes - head.size() - pad_name.size() - 4, 'p') +
+            "\r\n";
+  }
+  return head + "\r\n";
+}
+
+// A connection holds a pooled read block only while a request is in
+// flight: the dispatcher acquires one on readable, and the processor that
+// writes the reply returns it.  Small GETs alternate with GETs whose head
+// is just under max_header_bytes and arrives in 1 KiB pieces, so the head
+// outgrows the 16 KiB block mid-request; then one pipelined burst straddles
+// a block boundary.  Every reply arrives whole and in order.
+TEST(RequestCycleTest, ReadBlocksCycleThroughThePoolAcrossLargeHeads) {
+  test::TempDir dir;
+  const std::string bodies[2] = {file_pattern(300, 4), file_pattern(5000, 5)};
+  dir.write_file("small.html", bodies[0]);
+  dir.write_file("other.html", bodies[1]);
+  http::HttpServerConfig config;
+  config.doc_root = dir.str();
+  auto options = http::CopsHttpServer::default_options();
+  options.listen_port = 0;
+  http::CopsHttpServer server(options, config);
+  ASSERT_TRUE(server.start().is_ok());
+  const int fd = connect_small_window(server.port(), 1 << 20);
+  ASSERT_GE(fd, 0);
+
+  const size_t large_head = http::ParseLimits{}.max_header_bytes - 64;
+  std::string pending;
+  for (int round = 0; round < 6; ++round) {
+    ASSERT_TRUE(send_all(fd, padded_get("/small.html", 0)));
+    ASSERT_TRUE(read_reply(fd, pending, bodies[0])) << "round " << round;
+    const std::string large = padded_get("/other.html", large_head);
+    for (size_t at = 0; at < large.size(); at += 1024) {
+      ASSERT_TRUE(send_all(fd, large.substr(at, 1024)));
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    ASSERT_TRUE(read_reply(fd, pending, bodies[1])) << "round " << round;
+  }
+
+  // 40 requests of ~600 B in one write: about 24 KiB, so the burst crosses
+  // the end of a 16 KiB block.
+  constexpr int kBurst = 40;
+  std::string burst;
+  for (int i = 0; i < kBurst; ++i) {
+    burst += padded_get(i % 2 == 0 ? "/small.html" : "/other.html", 600);
+  }
+  ASSERT_TRUE(send_all(fd, burst));
+  for (int i = 0; i < kBurst; ++i) {
+    ASSERT_TRUE(read_reply(fd, pending, bodies[i % 2])) << "burst " << i;
+  }
+  EXPECT_TRUE(pending.empty());
+  ::close(fd);
+  server.stop();
+}
+
+// Several hundred keep-alive connections on the preset's one shard have a
+// request in flight at once, round after round, with adaptive overload
+// control on: each round sends every connection the first half of a GET,
+// waits until the dispatcher has taken a read block for each, then sends
+// the second halves.  Read blocks cycle through the pool once per request,
+// and the pool keeps a free block for every connection, so over all the
+// rounds the recyclers miss at most once per connection (plus a few slab
+// chunks), and neither the pool-miss nor the heap-bytes monitor engages a
+// tier.  The loop-delay target is set far out of reach: it measures the
+// host's speed, not the pools.
+TEST(RequestCycleTest, ConcurrentBurstsOnOneShardEngageNoOverloadTier) {
+  constexpr size_t kConnections = 300;
+  constexpr int kRounds = 12;
+  test::TempDir dir;
+  const std::string body = file_pattern(300, 6);
+  dir.write_file("index.html", body);
+  http::HttpServerConfig config;
+  config.doc_root = dir.str();
+  auto options = http::CopsHttpServer::default_options();
+  options.listen_port = 0;
+  options.overload_control = true;
+  options.overload_mode = OverloadMode::kAdaptive;
+  options.overload_target_delay = std::chrono::seconds(10);
+  options.overload_max_heap_bytes = 32u << 20;
+  http::CopsHttpServer server(options, config);
+  ASSERT_TRUE(server.start().is_ok());
+  auto& core = server.server();
+  ASSERT_EQ(options.dispatcher_threads, 1);
+
+  std::vector<int> fds;
+  for (size_t i = 0; i < kConnections; ++i) {
+    const int fd = connect_small_window(server.port(), 64 * 1024);
+    ASSERT_GE(fd, 0) << "connection " << i;
+    fds.push_back(fd);
+    // Keep the acceptor's backlog short of overflowing.
+    for (int w = 0; i % 64 == 63 && w < 1000 && core.connection_count() <= i;
+         ++w) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    }
+  }
+  const std::string request = "GET /index.html HTTP/1.1\r\nHost: t\r\n\r\n";
+  const size_t split = request.size() / 2;
+  auto acquires = [&core] {
+    const auto profile = core.profile();
+    return profile.pool_hits + profile.pool_misses;
+  };
+  const uint64_t misses_before = core.profile().pool_misses;
+  int max_tier = 0;
+  for (int round = 0; round < kRounds; ++round) {
+    const uint64_t acquired = acquires();
+    for (const int fd : fds) ASSERT_TRUE(send_all(fd, request.substr(0, split)));
+    for (int w = 0; w < 2000 && acquires() < acquired + kConnections; ++w) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    for (const int fd : fds) ASSERT_TRUE(send_all(fd, request.substr(split)));
+    for (const int fd : fds) {
+      std::string pending;
+      ASSERT_TRUE(read_reply(fd, pending, body)) << "round " << round;
+    }
+    max_tier = std::max(max_tier,
+                        static_cast<int>(core.overload_manager()->tier()));
+  }
+  // Let the control loop sample the final counters.
+  const uint64_t ticks = core.overload_manager()->snapshot().ticks;
+  for (int i = 0; i < 200 && core.overload_manager()->snapshot().ticks <
+                                 ticks + 3;
+       ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  const auto snapshot = core.overload_manager()->snapshot();
+  max_tier = std::max(max_tier, static_cast<int>(snapshot.tier));
+
+  EXPECT_LE(core.profile().pool_misses - misses_before, kConnections + 16);
+  EXPECT_EQ(max_tier, static_cast<int>(OverloadTier::kNone));
+  for (const auto& monitor : snapshot.monitors) {
+    EXPECT_LT(monitor.smoothed, 0.5) << monitor.name;
+  }
+  for (const int fd : fds) ::close(fd);
+  server.stop();
+}
+
 }  // namespace
 }  // namespace cops::nserver

@@ -123,12 +123,31 @@ TEST(BufferPoolTest, AcquireReleaseRecyclesCapacity) {
 
 TEST(BufferPoolTest, FreeListIsBoundedAndUndersizedRejected) {
   BufferPool pool(4096, /*max_free=*/2);
-  pool.release(std::vector<uint8_t>(8192));
-  pool.release(std::vector<uint8_t>(8192));
-  pool.release(std::vector<uint8_t>(8192));  // over max_free: dropped
+  pool.release(ByteStorage(8192));
+  pool.release(ByteStorage(8192));
+  pool.release(ByteStorage(8192));  // over max_free: dropped
   EXPECT_EQ(pool.free_buffers(), 2u);
-  pool.release(std::vector<uint8_t>(16));  // under block size: dropped
+  pool.release(ByteStorage(16));  // under block size: dropped
   EXPECT_EQ(pool.free_buffers(), 2u);
+}
+
+// Registered users raise the free-list cap to one block per user, and a
+// departing user trims one surplus block.
+TEST(BufferPoolTest, FreeListKeepsABlockPerUser) {
+  BufferPool pool(4096, /*max_free=*/2);
+  for (int i = 0; i < 5; ++i) pool.add_user();
+  std::vector<ByteStorage> held;
+  for (int round = 0; round < 2; ++round) {
+    for (int i = 0; i < 5; ++i) held.push_back(pool.acquire());
+    for (auto& storage : held) pool.release(std::move(storage));
+    held.clear();
+    EXPECT_EQ(pool.free_buffers(), 5u);
+  }
+  EXPECT_EQ(pool.misses(), 5u);  // the second burst only hits
+  EXPECT_EQ(pool.hits(), 5u);
+  EXPECT_EQ(pool.heap_bytes(), 5u * 4096);
+  for (int i = 0; i < 4; ++i) pool.remove_user();
+  EXPECT_EQ(pool.free_buffers(), 2u);  // back to max_free
 }
 
 // ---- ByteBuffer storage adoption -----------------------------------------

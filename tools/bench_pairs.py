@@ -26,6 +26,13 @@ Each workload's header also gives each side's failed share, the sum of
 `failed` over the sum of `attempted` in the result JSON of every run, and
 the number of runs that printed no result at all.
 
+With --trace-runs N, each workload's pairs are followed by N alternating
+`--trace 1` runs per side, and a second table gives, for every per_layer
+metric of BENCHMARK.json, each side's median and the change.  The table
+always includes client.cpu_us_per_req: the load generator's cost per
+request tracks the speed of the host, so a shift in it beside a server
+metric's change is host drift rather than the change under test.
+
 perfbench/ is only run, never modified.
 """
 import argparse
@@ -37,11 +44,12 @@ import subprocess
 import sys
 
 
-def run_side(tree, build, workload, seed, seconds):
+def run_side(tree, build, workload, seed, seconds, trace=0):
     """One perfbench run; returns its JSON result (None if it printed none)."""
     env = dict(os.environ, CARGO_TARGET_DIR=build)
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
-           "--seed", str(seed), "--seconds", repr(seconds), "--trace", "0"]
+           "--seed", str(seed), "--seconds", repr(seconds),
+           "--trace", str(trace)]
     out = subprocess.run(cmd, cwd=tree, env=env, stdout=subprocess.PIPE,
                          stderr=subprocess.DEVNULL, text=True)
     lines = out.stdout.strip().splitlines()
@@ -103,6 +111,9 @@ def main():
                         help="workload to run (repeatable; default: all)")
     parser.add_argument("--work-dir", default=".bench_pairs",
                         help="holds the base worktree and both builds")
+    parser.add_argument("--trace-runs", type=int, default=0,
+                        help="traced runs per side after each workload's "
+                             "pairs (default: none)")
     parser.add_argument("--json", help="also write every run and row here")
     args = parser.parse_args()
 
@@ -125,38 +136,92 @@ def main():
               "workloads": {}}
     try:
         for workload in workloads:
-            runs = {"base": [], "head": []}
-            for seed in range(1, args.pairs + 1):
-                order = ("base", "head") if seed % 2 else ("head", "base")
-                for side in order:
-                    tree, build = sides[side]
-                    result = run_side(tree, build, workload, seed, seconds)
-                    runs[side].append(result)
-                    ok = result is not None and result.get("correct")
-                    print("%s seed %d %s: %s" % (workload, seed, side,
-                                                 "ok" if ok else "FAILED"),
-                          file=sys.stderr)
-            rows = []
-            complete = [i for i in range(args.pairs)
-                        if runs["base"][i] and runs["head"][i]]
-            for metric in bench["end_to_end"]:
-                name = metric["name"]
-                base = [runs["base"][i]["metrics"][name]["value"]
-                        for i in complete]
-                head = [runs["head"][i]["metrics"][name]["value"]
-                        for i in complete]
-                if base:
-                    rows.append(judge(metric, base, head))
-            health = {side: failed_share(runs[side]) for side in runs}
-            report["workloads"][workload] = {"runs": runs, "rows": rows,
-                                             "health": health}
-            print_table(workload, len(complete), seconds, rows, health)
+            report["workloads"][workload] = run_workload(
+                bench, sides, workload, args.pairs, seconds, args.trace_runs)
     finally:
         subprocess.run(["git", "worktree", "remove", "--force", base_tree])
     if args.json:
         with open(args.json, "w") as f:
             json.dump(report, f, indent=1)
     return 0
+
+
+def alternating_runs(sides, workload, runs, seconds, trace):
+    """`runs` alternating runs per side, the base first in odd ones."""
+    out = {"base": [], "head": []}
+    for seed in range(1, runs + 1):
+        order = ("base", "head") if seed % 2 else ("head", "base")
+        for side in order:
+            tree, build = sides[side]
+            result = run_side(tree, build, workload, seed, seconds, trace)
+            out[side].append(result)
+            ok = result is not None and result.get("correct")
+            print("%s seed %d %s%s: %s" % (workload, seed, side,
+                                           " traced" if trace else "",
+                                           "ok" if ok else "FAILED"),
+                  file=sys.stderr)
+    return out
+
+
+def metric_values(runs, name, complete):
+    return [runs[i]["metrics"][name]["value"] for i in complete]
+
+
+def run_workload(bench, sides, workload, pairs, seconds, trace_runs):
+    """The pairs of one workload, then its traced runs; prints the tables
+    and returns the workload's report."""
+    runs = alternating_runs(sides, workload, pairs, seconds, 0)
+    rows = []
+    complete = [i for i in range(pairs)
+                if runs["base"][i] and runs["head"][i]]
+    for metric in bench["end_to_end"]:
+        base = metric_values(runs["base"], metric["name"], complete)
+        head = metric_values(runs["head"], metric["name"], complete)
+        if base:
+            rows.append(judge(metric, base, head))
+    health = {side: failed_share(runs[side]) for side in runs}
+    print_table(workload, len(complete), seconds, rows, health)
+    report = {"runs": runs, "rows": rows, "health": health}
+    if trace_runs > 0:
+        traced = alternating_runs(sides, workload, trace_runs, seconds, 1)
+        report["traced_runs"] = traced
+        report["trace_rows"] = trace_rows(bench, traced)
+        print_trace_table(workload, traced, report["trace_rows"])
+    return report
+
+
+def trace_rows(bench, traced):
+    """Per-side medians of every per_layer metric over the traced runs
+    that printed a result (each side's own runs, unpaired)."""
+    names = [m["name"] for m in bench["per_layer"]]
+    if "client.cpu_us_per_req" not in names:
+        names.append("client.cpu_us_per_req")
+    rows = []
+    for name in names:
+        medians = {}
+        for side in ("base", "head"):
+            values = [r["metrics"][name]["value"] for r in traced[side]
+                      if r and name in r["metrics"]]
+            medians[side] = statistics.median(values) if values else None
+        b, h = medians["base"], medians["head"]
+        change = (h - b) / b if b and h is not None else None
+        rows.append({"metric": name, "base_median": b, "head_median": h,
+                     "change": change})
+    return rows
+
+
+def print_trace_table(workload, traced, rows):
+    counts = {side: sum(1 for r in traced[side] if r) for side in traced}
+    print("\n%s: traced runs (--trace 1), %d base and %d head with a result" %
+          (workload, counts["base"], counts["head"]))
+    print("%-32s %14s %14s %8s" % ("per-layer metric", "base median",
+                                    "head median", "change"))
+    for r in rows:
+        b, h = r["base_median"], r["head_median"]
+        print("%-32s %14s %14s %8s" %
+              (r["metric"], "-" if b is None else num(b),
+               "-" if h is None else num(h),
+               "-" if r["change"] is None else "%+.1f%%" % (100 * r["change"])))
 
 
 def failed_share(runs):
