@@ -13,7 +13,8 @@ RelaySession::RelaySession(uint64_t id, net::Reactor& reactor,
       backend_(std::move(backend)),
       on_done_(std::move(on_done)),
       buffer_cap_(buffer_cap) {
-  client_.set_nodelay(true);
+  // The client socket inherited TCP_NODELAY from the listener; the
+  // outbound backend socket did not.
   backend_.set_nodelay(true);
   inbound_ = {&client_, &backend_, {}, false, false, &to_backend_bytes_};
   outbound_ = {&backend_, &client_, {}, false, false, &to_client_bytes_};

@@ -24,6 +24,8 @@ void SlabPool::grow_locked() {
   chunks_.push_back(chunk);
   heap_bytes_.fetch_add(block_bytes_ * blocks_per_chunk_,
                         std::memory_order_relaxed);
+  live_bytes_.fetch_add(block_bytes_ * blocks_per_chunk_,
+                        std::memory_order_relaxed);
   if (free_list_.capacity() < chunks_.size() * blocks_per_chunk_) {
     free_list_.reserve(chunks_.size() * blocks_per_chunk_ * 2);
   }
@@ -37,6 +39,7 @@ void* SlabPool::allocate(size_t bytes) {
     // Oversize: straight heap allocation, never pooled.
     misses_.fetch_add(1, std::memory_order_relaxed);
     heap_bytes_.fetch_add(bytes, std::memory_order_relaxed);
+    live_bytes_.fetch_add(bytes, std::memory_order_relaxed);
     return ::operator new(bytes);
   }
   std::lock_guard lock(mutex_);
@@ -54,6 +57,7 @@ void* SlabPool::allocate(size_t bytes) {
 void SlabPool::deallocate(void* ptr, size_t bytes) noexcept {
   if (ptr == nullptr) return;
   if (bytes > block_bytes_) {
+    live_bytes_.fetch_sub(bytes, std::memory_order_relaxed);
     ::operator delete(ptr);
     return;
   }
@@ -85,6 +89,7 @@ ByteStorage BufferPool::acquire() {
   }
   misses_.fetch_add(1, std::memory_order_relaxed);
   heap_bytes_.fetch_add(block_bytes_, std::memory_order_relaxed);
+  live_bytes_.fetch_add(block_bytes_, std::memory_order_relaxed);
   ByteStorage storage;
   storage.reserve(block_bytes_);
   return storage;
@@ -93,11 +98,16 @@ ByteStorage BufferPool::acquire() {
 void BufferPool::release(ByteStorage storage) {
   if (storage.capacity() < block_bytes_) return;  // never handed out by us
   storage.clear();
-  std::lock_guard lock(mutex_);
-  // Cap the idle footprint at one block per user.
-  if (free_list_.size() >= std::max(max_free_, users_)) return;
-  free_list_.push_back(std::move(storage));
-}
+  {
+    std::lock_guard lock(mutex_);
+    // Cap the idle footprint at one block per user.
+    if (free_list_.size() < std::max(max_free_, users_)) {
+      free_list_.push_back(std::move(storage));
+      return;
+    }
+  }
+  live_bytes_.fetch_sub(block_bytes_, std::memory_order_relaxed);
+}  // past retention: `storage` is freed here
 
 void BufferPool::add_user() {
   std::lock_guard lock(mutex_);
@@ -105,14 +115,16 @@ void BufferPool::add_user() {
 }
 
 void BufferPool::remove_user() {
-  ByteStorage surplus;  // declared first: freed after the lock is released
-  std::lock_guard lock(mutex_);
-  --users_;
-  if (free_list_.size() > std::max(max_free_, users_)) {
+  ByteStorage surplus;
+  {
+    std::lock_guard lock(mutex_);
+    --users_;
+    if (free_list_.size() <= std::max(max_free_, users_)) return;
     surplus = std::move(free_list_.back());
     free_list_.pop_back();
   }
-}
+  live_bytes_.fetch_sub(block_bytes_, std::memory_order_relaxed);
+}  // `surplus` is freed here, after the lock is released
 
 size_t BufferPool::free_buffers() const {
   std::lock_guard lock(mutex_);

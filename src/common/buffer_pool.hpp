@@ -20,6 +20,9 @@
 //
 // The heap-traffic counters (hits / misses / heap bytes) surface on /stats
 // as cops_pool_hits_total, cops_pool_misses_total, cops_alloc_bytes_total.
+// heap_bytes() only grows; live_bytes() is the gauge beside it
+// (cops_alloc_live_bytes), which falls when a pool frees memory, and is
+// what the adaptive overload manager's heap_bytes monitor reads.
 // Because a read block cycles once per request, cops_pool_hits_total
 // counts about one read-block hit per request on top of the request-context
 // hits.
@@ -64,6 +67,10 @@ class SlabPool {
   [[nodiscard]] uint64_t heap_bytes() const {
     return heap_bytes_.load(std::memory_order_relaxed);
   }
+  // Heap bytes held now: heap_bytes() less the oversize blocks freed.
+  [[nodiscard]] uint64_t live_bytes() const {
+    return live_bytes_.load(std::memory_order_relaxed);
+  }
 
  private:
   void grow_locked();
@@ -76,6 +83,7 @@ class SlabPool {
   std::atomic<uint64_t> hits_{0};
   std::atomic<uint64_t> misses_{0};
   std::atomic<uint64_t> heap_bytes_{0};
+  std::atomic<uint64_t> live_bytes_{0};
 };
 
 // Minimal std allocator over a shared SlabPool, for allocate_shared and
@@ -119,12 +127,14 @@ class PoolAllocator {
 // lifetime with add_user()/remove_user().  Once the users have held their
 // most blocks at one moment, acquires only hit and heap_bytes() stays flat,
 // however often the blocks cycle; a departing user takes one surplus free
-// block with it.
+// block with it.  heap_bytes() counts block_bytes() per block ever made;
+// live_bytes() counts them per block not yet freed, handed out or free.
 class BufferPool {
  public:
   explicit BufferPool(size_t block_bytes, size_t max_free = 64);
 
   [[nodiscard]] ByteStorage acquire();
+  // Takes back a block acquire() handed out (an empty storage is ignored).
   void release(ByteStorage storage);
   void add_user();
   void remove_user();
@@ -140,6 +150,9 @@ class BufferPool {
   [[nodiscard]] uint64_t heap_bytes() const {
     return heap_bytes_.load(std::memory_order_relaxed);
   }
+  [[nodiscard]] uint64_t live_bytes() const {
+    return live_bytes_.load(std::memory_order_relaxed);
+  }
 
  private:
   const size_t block_bytes_;
@@ -150,6 +163,7 @@ class BufferPool {
   std::atomic<uint64_t> hits_{0};
   std::atomic<uint64_t> misses_{0};
   std::atomic<uint64_t> heap_bytes_{0};
+  std::atomic<uint64_t> live_bytes_{0};
 };
 
 }  // namespace cops

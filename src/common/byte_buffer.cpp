@@ -5,10 +5,21 @@
 
 namespace cops {
 
+void ByteStorage::reserve(size_t n) {
+  if (n <= capacity_) return;
+  // make_unique_for_overwrite: the new bytes are left uninitialised.
+  auto bytes = std::make_unique_for_overwrite<uint8_t[]>(n);
+  if (size_ > 0) std::memcpy(bytes.get(), bytes_.get(), size_);
+  bytes_ = std::move(bytes);
+  capacity_ = n;
+}
+
 void ByteBuffer::append(const void* bytes, size_t len) {
   assert(prepared_ == 0 && "append during an open prepare/commit window");
-  const auto* p = static_cast<const uint8_t*>(bytes);
-  data_.insert(data_.end(), p, p + len);
+  if (len == 0) return;
+  const size_t at = data_.size();
+  data_.resize(at + len);
+  std::memcpy(data_.data() + at, bytes, len);
 }
 
 uint8_t* ByteBuffer::prepare(size_t len) {
@@ -73,7 +84,9 @@ void ByteBuffer::maybe_compact() {
     data_.clear();
     read_pos_ = 0;
   } else if (read_pos_ > 4096 && read_pos_ > data_.size() / 2) {
-    data_.erase(data_.begin(), data_.begin() + static_cast<ptrdiff_t>(read_pos_));
+    const size_t left = data_.size() - read_pos_;
+    std::memmove(data_.data(), data_.data() + read_pos_, left);
+    data_.resize(left);
     read_pos_ = 0;
   }
 }

@@ -3,7 +3,7 @@
 // This is the unit of data exchange between the Read Request / Send Reply
 // steps and the application hook methods (Decode / Handle / Encode).  It is
 // modelled on Java NIO's ByteBuffer, which the paper's generated servers use,
-// but with the usual C++ idiom of a contiguous std::vector backing store.
+// over one contiguous backing store (ByteStorage).
 #pragma once
 
 #include <cstddef>
@@ -11,45 +11,61 @@
 #include <memory>
 #include <string>
 #include <string_view>
-#include <type_traits>
-#include <vector>
+#include <utility>
 
 namespace cops {
 
-// Allocator whose no-argument construct() default-initialises, so
-// resize() on a vector of bytes leaves the new bytes unwritten instead of
-// zero-filling them.  Construction from a value has no member here, so
-// std::allocator_traits constructs it as it would for std::allocator.
-template <typename T>
-struct DefaultInitAllocator : std::allocator<T> {
-  template <typename U>
-  struct rebind {
-    using other = DefaultInitAllocator<U>;
-  };
-
-  using std::allocator<T>::allocator;
-
-  template <typename U>
-  void construct(U* ptr) noexcept(
-      std::is_nothrow_default_constructible_v<U>) {
-    ::new (static_cast<void*>(ptr)) U;
+// Backing store of a ByteBuffer and of the BufferPool blocks it adopts: a
+// byte array with a size and a capacity, like std::vector<uint8_t>, except
+// that resize() and clear() never touch the bytes.  A read window of 64 KiB
+// therefore costs nothing per byte in any build; a vector constructs and
+// destroys each byte, which an unoptimised build runs as a loop.
+class ByteStorage {
+ public:
+  ByteStorage() = default;
+  explicit ByteStorage(size_t size) { resize(size); }
+  ByteStorage(ByteStorage&& other) noexcept
+      : bytes_(std::move(other.bytes_)),
+        size_(std::exchange(other.size_, 0)),
+        capacity_(std::exchange(other.capacity_, 0)) {}
+  ByteStorage& operator=(ByteStorage&& other) noexcept {
+    bytes_ = std::move(other.bytes_);
+    size_ = std::exchange(other.size_, 0);
+    capacity_ = std::exchange(other.capacity_, 0);
+    return *this;
   }
-};
 
-// Backing store of a ByteBuffer and of the BufferPool blocks it adopts.
-using ByteStorage = std::vector<uint8_t, DefaultInitAllocator<uint8_t>>;
+  [[nodiscard]] uint8_t* data() { return bytes_.get(); }
+  [[nodiscard]] const uint8_t* data() const { return bytes_.get(); }
+  [[nodiscard]] size_t size() const { return size_; }
+  [[nodiscard]] size_t capacity() const { return capacity_; }
+  [[nodiscard]] bool empty() const { return size_ == 0; }
+
+  // Grows the capacity to at least `n`, keeping the first size() bytes.
+  void reserve(size_t n);
+  // New bytes are uninitialised.  Growth at least doubles the capacity.
+  void resize(size_t n) {
+    if (n > capacity_) reserve(n > 2 * capacity_ ? n : 2 * capacity_);
+    size_ = n;
+  }
+  void clear() { size_ = 0; }
+
+ private:
+  std::unique_ptr<uint8_t[]> bytes_;
+  size_t size_ = 0;
+  size_t capacity_ = 0;
+};
 
 class ByteBuffer {
  public:
   ByteBuffer() = default;
   explicit ByteBuffer(size_t reserve) { data_.reserve(reserve); }
-  explicit ByteBuffer(std::string_view initial)
-      : data_(initial.begin(), initial.end()) {}
+  explicit ByteBuffer(std::string_view initial) { append(initial); }
 
   // ---- write side -----------------------------------------------------
   void append(const void* bytes, size_t len);
   void append(std::string_view text) { append(text.data(), text.size()); }
-  void append_byte(uint8_t b) { data_.push_back(b); }
+  void append_byte(uint8_t b) { append(&b, 1); }
   // Reserves `len` writable bytes at the end and returns a pointer to them;
   // the caller must follow with commit(n), n <= len, giving the number of
   // bytes actually written (e.g. by ::read()).  The bytes are not

@@ -293,7 +293,9 @@ inline constexpr std::size_t kCacheSizeThreshold = 64u * 1024u;
 //% if file_cache == "custom"
 // Custom replacement policy hook (paper: "a programmer can implement a
 // different cache replacement policy by simply adding code to a hook
-// method").  Fill in the victim choice:
+// method").  Fill in the victim choice: the hook receives the live
+// entries as a cops::nserver::CacheEntryList, most recently used first,
+// and the incoming object's size, and returns the key to evict.
 cops::nserver::CustomEvictionHook make_eviction_hook();
 //% end
 //% if profiling

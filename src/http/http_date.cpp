@@ -1,6 +1,7 @@
 #include "http/http_date.hpp"
 
 #include <cstdio>
+#include <cstring>
 #include <ctime>
 #include <mutex>
 #include <string_view>
@@ -152,14 +153,48 @@ int64_t parse_asctime(std::string_view value) {
 }  // namespace
 
 std::string format_http_date(int64_t unix_seconds) {
-  const time_t t = static_cast<time_t>(unix_seconds);
-  tm utc{};
-  gmtime_r(&t, &utc);
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%s, %02d %s %04d %02d:%02d:%02d GMT",
-                kDays[utc.tm_wday], utc.tm_mday, kMonths[utc.tm_mon],
-                utc.tm_year + 1900, utc.tm_hour, utc.tm_min, utc.tm_sec);
-  return buf;
+  // Civil date from the day count (Hinnant's civil_from_days), written
+  // straight into the fixed-width form: no gmtime_r, no format parsing.
+  int64_t days = unix_seconds / 86400;
+  int64_t secs = unix_seconds % 86400;
+  if (secs < 0) {
+    secs += 86400;
+    --days;
+  }
+  const int64_t z = days + 719468;
+  const int64_t era = (z >= 0 ? z : z - 146096) / 146097;
+  const auto doe = static_cast<unsigned>(z - era * 146097);
+  const unsigned yoe = (doe - doe / 1460 + doe / 36524 - doe / 146096) / 365;
+  const unsigned doy = doe - (365 * yoe + yoe / 4 - yoe / 100);
+  const unsigned mp = (5 * doy + 2) / 153;
+  const unsigned mday = doy - (153 * mp + 2) / 5 + 1;
+  const unsigned mon = mp < 10 ? mp + 2 : mp - 10;  // 0 = January
+  const int64_t year = static_cast<int64_t>(yoe) + era * 400 + (mon < 2);
+  const auto wday = static_cast<unsigned>(((days % 7) + 11) % 7);  // 0 = Sun
+  const auto hour = static_cast<unsigned>(secs / 3600);
+  const auto min = static_cast<unsigned>(secs / 60 % 60);
+  const auto sec = static_cast<unsigned>(secs % 60);
+  if (year < 0 || year > 9999) {  // outside IMF-fixdate's four digits
+    char buf[64];
+    std::snprintf(buf, sizeof(buf), "%s, %02u %s %04lld %02u:%02u:%02u GMT",
+                  kDays[wday], mday, kMonths[mon],
+                  static_cast<long long>(year), hour, min, sec);
+    return buf;
+  }
+  char out[kHttpDateLength + 1] = "Thu, 01 Jan 1970 00:00:00 GMT";
+  const auto two = [&out](size_t at, unsigned v) {
+    out[at] = static_cast<char>('0' + v / 10);
+    out[at + 1] = static_cast<char>('0' + v % 10);
+  };
+  std::memcpy(out, kDays[wday], 3);
+  two(5, mday);
+  std::memcpy(out + 8, kMonths[mon], 3);
+  two(12, static_cast<unsigned>(year / 100));
+  two(14, static_cast<unsigned>(year % 100));
+  two(17, hour);
+  two(20, min);
+  two(23, sec);
+  return std::string(out, kHttpDateLength);
 }
 
 int64_t parse_http_date(const std::string& value) {

@@ -54,9 +54,13 @@ void Acceptor::close() {
 }
 
 void Acceptor::handle_event(int /*fd*/, uint32_t /*readiness*/) {
-  // Accept everything available; the listener is edge-insensitive (level-
-  // triggered epoll) but draining here saves wakeups.
-  while (true) {
+  // Accept one connection, then exactly as many more as the queue holds at
+  // that moment.  Draining until EAGAIN would end every burst in a failed
+  // accept4, which costs more than a successful one (the kernel builds the
+  // new socket's file before it finds the queue empty).  Connections that
+  // arrive later keep the level-triggered listener readable.
+  size_t budget = 1;
+  for (size_t i = 0; i < budget; ++i) {
     auto sock = listener_.accept();
     if (!sock.is_ok()) {
       const auto code = sock.status().code();
@@ -69,6 +73,7 @@ void Acceptor::handle_event(int /*fd*/, uint32_t /*readiness*/) {
       return;
     }
     ++accepted_;
+    if (i == 0) budget += listener_.pending();
     on_accept_(std::move(sock).take());
   }
 }

@@ -46,6 +46,11 @@ Status SocketEventSource::deregister(int fd) {
   return poller_.remove(fd);
 }
 
+void SocketEventSource::forget(int fd) {
+  handlers_.erase(fd);
+  poller_.forget(fd);
+}
+
 Status SocketEventSource::add_wakeup_fd(int fd) {
   wakeup_fd_ = fd;
   return poller_.add(fd, kReadable);

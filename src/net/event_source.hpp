@@ -38,6 +38,10 @@ class EventSource {
                                   uint32_t interest) = 0;
   virtual Status update_interest(int fd, uint32_t interest) = 0;
   virtual Status deregister(int fd) = 0;
+  // Drops the handler of an fd its caller is about to close, with no
+  // syscall: closing the only descriptor of a socket removes it from the
+  // epoll set.
+  virtual void forget(int fd) = 0;
 
   // Upper bound this source wants on the poll sleep, given `proposed` ms.
   [[nodiscard]] virtual int preferred_timeout_ms(int proposed) const = 0;
@@ -56,6 +60,7 @@ class SocketEventSource : public EventSource {
   // re-state their interest freely without paying an epoll_ctl for it.
   Status update_interest(int fd, uint32_t interest) override;
   Status deregister(int fd) override;
+  void forget(int fd) override;
   [[nodiscard]] int preferred_timeout_ms(int proposed) const override {
     return proposed;
   }
@@ -106,6 +111,7 @@ class EventSourceDecorator : public EventSource {
     return inner_->update_interest(fd, interest);
   }
   Status deregister(int fd) override { return inner_->deregister(fd); }
+  void forget(int fd) override { inner_->forget(fd); }
   [[nodiscard]] int preferred_timeout_ms(int proposed) const override {
     return inner_->preferred_timeout_ms(proposed);
   }

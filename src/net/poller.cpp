@@ -64,6 +64,12 @@ Status Poller::remove(int fd) {
   return Status::ok();
 }
 
+void Poller::forget(int fd) {
+  if (is_sim_fd(fd)) [[unlikely]] {
+    (void)sim_backend()->sim_poll_remove(this, fd);
+  }
+}
+
 Result<size_t> Poller::wait(std::vector<ReadyFd>& out, int timeout_ms) {
   // While a simulation backend is installed the wait is answered entirely
   // from the simulator: virtual time advances instead of sleeping, and the

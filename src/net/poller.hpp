@@ -23,6 +23,10 @@ class Poller {
   Status add(int fd, uint32_t interest);
   Status modify(int fd, uint32_t interest);
   Status remove(int fd);
+  // For an fd about to be closed: nothing for the kernel, whose close
+  // removes it from the epoll set; a sim fd is removed from the simulated
+  // set, as remove() would.
+  void forget(int fd);
 
   // Waits up to timeout_ms (-1 = forever); appends ready fds to `out` and
   // returns the number of ready descriptors.

@@ -35,6 +35,9 @@ class Reactor {
     return source_->update_interest(fd, interest);
   }
   Status deregister(int fd) { return source_->deregister(fd); }
+  // For an fd the caller closes next: drops its handler without an
+  // epoll_ctl(DEL), since the close removes it from the epoll set.
+  void forget(int fd) { source_->forget(fd); }
 
   // ---- timers (reactor thread only) -------------------------------------
   TimerQueue::TimerId run_after(Duration delay, std::function<void()> fn) {

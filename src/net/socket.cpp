@@ -69,7 +69,9 @@ ssize_t sys_sendfile(int out_fd, int in_fd, uint64_t offset, size_t count) {
   return ::sendfile(out_fd, in_fd, &off, count);
 }
 
-int sys_accept(int fd) {
+// `peer` receives the client's address from accept4 itself, so no
+// getpeername follows; it is left untouched for a sim listener.
+int sys_accept(int fd, sockaddr_in* peer) {
   if (is_sim_fd(fd)) [[unlikely]] {
     // A signal interrupting accept is not a failure: retry so the simnet
     // accept_eintr fault resolves within one dispatch instead of bouncing
@@ -84,7 +86,9 @@ int sys_accept(int fd) {
   // Same for the real call: a signal can interrupt accept4.
   int client;
   do {
-    client = ::accept4(fd, nullptr, nullptr, SOCK_NONBLOCK | SOCK_CLOEXEC);
+    socklen_t len = sizeof(*peer);
+    client = ::accept4(fd, reinterpret_cast<sockaddr*>(peer), &len,
+                       SOCK_NONBLOCK | SOCK_CLOEXEC);
   } while (client < 0 && errno == EINTR);
   return client;
 }
@@ -123,11 +127,11 @@ Result<TcpSocket> TcpSocket::connect(const InetAddress& peer) {
   const auto& raw = peer.raw();
   const int rc = ::connect(fd.get(), reinterpret_cast<const sockaddr*>(&raw),
                            sizeof(raw));
-  if (rc == 0) return TcpSocket(std::move(fd));
+  if (rc == 0) return TcpSocket(std::move(fd), peer);
   // EINTR on a non-blocking connect means the attempt continues
   // asynchronously (POSIX) — same handling as EINPROGRESS, not a failure.
   if (errno == EINPROGRESS || errno == EINTR) {
-    TcpSocket sock(std::move(fd));
+    TcpSocket sock(std::move(fd), peer);
     // Caller must wait for writability; signal with kWouldBlock... but we
     // still need to hand the socket back.  Convention: return the socket;
     // callers treat a valid socket whose connect may be pending uniformly
@@ -262,6 +266,7 @@ Result<InetAddress> TcpSocket::local_address() const {
 }
 
 Result<InetAddress> TcpSocket::peer_address() const {
+  if (peer_) return *peer_;
   if (is_sim_fd(fd_.get())) {
     return sim_backend()->sim_peer_address(fd_.get());
   }
@@ -283,6 +288,12 @@ Result<TcpListener> TcpListener::listen(const InetAddress& addr, int backlog) {
   if (!fd.valid()) return Status::from_errno("socket");
   const int one = 1;
   ::setsockopt(fd.get(), SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
+  // Accepted sockets inherit TCP_NODELAY from the listener on Linux, so
+  // one call here replaces a setsockopt per connection.
+  if (::setsockopt(fd.get(), IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one)) <
+      0) {
+    return Status::from_errno("setsockopt(TCP_NODELAY)");
+  }
   const auto& raw = addr.raw();
   if (::bind(fd.get(), reinterpret_cast<const sockaddr*>(&raw), sizeof(raw)) <
       0) {
@@ -293,8 +304,13 @@ Result<TcpListener> TcpListener::listen(const InetAddress& addr, int backlog) {
 }
 
 Result<TcpSocket> TcpListener::accept() {
-  const int client = sys_accept(fd_.get());
-  if (client >= 0) return TcpSocket(Fd(client));
+  sockaddr_in peer{};
+  const int client = sys_accept(fd_.get(), &peer);
+  if (client >= 0) {
+    // A sim socket answers peer_address() from the simulator.
+    if (is_sim_fd(client)) return TcpSocket(Fd(client));
+    return TcpSocket(Fd(client), InetAddress(peer));
+  }
   if (errno == EAGAIN || errno == EWOULDBLOCK) return Status::would_block();
   // EINTR is retried inside sys_accept; ECONNABORTED means the peer gave up
   // while queued — nothing to do, keep draining.
@@ -306,6 +322,18 @@ Result<TcpSocket> TcpListener::accept() {
     return Status::resource_exhausted("accept: out of file descriptors");
   }
   return Status::from_errno("accept");
+}
+
+size_t TcpListener::pending() const {
+  if (is_sim_fd(fd_.get())) return sim_backend()->sim_accept_pending(fd_.get());
+  // For a LISTEN socket the kernel reports its accept-queue length in
+  // tcpi_unacked.
+  tcp_info info{};
+  socklen_t len = sizeof(info);
+  if (::getsockopt(fd_.get(), IPPROTO_TCP, TCP_INFO, &info, &len) < 0) {
+    return 0;
+  }
+  return info.tcpi_unacked;
 }
 
 Result<InetAddress> TcpListener::local_address() const {

@@ -8,6 +8,7 @@
 #include <sys/uio.h>
 
 #include <cstddef>
+#include <optional>
 #include <utility>
 
 #include "common/byte_buffer.hpp"
@@ -48,6 +49,10 @@ class TcpSocket {
  public:
   TcpSocket() = default;
   explicit TcpSocket(Fd fd) : fd_(std::move(fd)) {}
+  // A socket whose peer is already known (from accept4 or connect) answers
+  // peer_address() without a getpeername.
+  TcpSocket(Fd fd, const InetAddress& peer)
+      : fd_(std::move(fd)), peer_(peer) {}
 
   // Creates a non-blocking socket and starts a connect; kWouldBlock means
   // in progress (wait for writability, then check finish_connect()).
@@ -83,6 +88,8 @@ class TcpSocket {
   // partial-send/kWouldBlock contract as writev.
   Result<size_t> sendfile_from(int in_fd, uint64_t offset, size_t count);
 
+  // Accepted sockets inherit TCP_NODELAY from their listener (see
+  // TcpListener::listen); only outbound sockets need this call.
   Status set_nodelay(bool on);
   void shutdown_write();
   void close() { fd_.reset(); }
@@ -92,13 +99,15 @@ class TcpSocket {
 
  private:
   Fd fd_;
+  std::optional<InetAddress> peer_;
 };
 
 class TcpListener {
  public:
   TcpListener() = default;
 
-  // Binds (with SO_REUSEADDR) and listens.  A small backlog reproduces
+  // Binds (with SO_REUSEADDR) and listens, with TCP_NODELAY set for the
+  // accepted sockets to inherit.  A small backlog reproduces
   // Apache-style SYN drops under overload (see DESIGN.md, Fig. 4); the
   // default is sized for accept bursts, not for that experiment.
   static Result<TcpListener> listen(const InetAddress& addr, int backlog = 512);
@@ -108,6 +117,10 @@ class TcpListener {
 
   // Accepts one connection (non-blocking); the socket is already O_NONBLOCK.
   Result<TcpSocket> accept();
+  // Connections waiting in the accept queue right now (0 if unknown): the
+  // Acceptor accepts exactly this many more after its first accept, so a
+  // drain never ends in a failed accept4.
+  [[nodiscard]] size_t pending() const;
 
   // The actual bound address (resolves port 0 to the kernel-chosen port).
   [[nodiscard]] Result<InetAddress> local_address() const;

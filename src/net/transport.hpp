@@ -66,6 +66,9 @@ class SimBackend {
                                  size_t count);
   // n >= 0 is the accepted (sim) fd.
   virtual SysResult sim_accept(int listen_fd) = 0;
+  // Connections queued on the listener (the tcpi_unacked of a real LISTEN
+  // socket).  A pure query: it draws no fault and no randomness.
+  virtual size_t sim_accept_pending(int listen_fd) = 0;
   virtual void sim_shutdown_write(int fd) = 0;
   virtual void sim_close(int fd) = 0;
   virtual Result<InetAddress> sim_local_address(int fd) = 0;

@@ -43,7 +43,6 @@ class AdminConnection : public net::EventHandler,
       : owner_(owner), id_(id), socket_(std::move(socket)) {}
 
   void start() {
-    (void)socket_.set_nodelay(true);
     auto status =
         owner_.reactor_.register_handler(socket_.fd(), this, net::kReadable);
     if (!status.is_ok()) shutdown();

@@ -1,59 +1,48 @@
 #include "nserver/cache_policy.hpp"
 
 #include <algorithm>
-#include <limits>
 
 namespace cops::nserver {
 namespace {
 
-// Shared bookkeeping: every policy below keeps the live entry table and
-// derives its victim choice from it.  O(n) victim scans are acceptable for
-// web-cache entry counts (thousands); the paper's policies are defined by
-// *what* they evict, not by their asymptotics.
-class TableBackedPolicy : public CachePolicy {
- public:
-  void on_insert(const CacheEntryInfo& info) override {
-    entries_[info.key] = info;
-  }
-  void on_access(const CacheEntryInfo& info) override {
-    entries_[info.key] = info;
-  }
-  void on_erase(const std::string& key) override { entries_.erase(key); }
+// The entry list runs from most to least recently used, so the least
+// recently used entry is back() and a scan from the back meets entries in
+// access order.  Access stamps are unique, which makes every policy's
+// choice below a single well-defined entry.
 
- protected:
-  std::unordered_map<std::string, CacheEntryInfo> entries_;
-};
+std::optional<std::string> key_of(const CacheEntryInfo* info) {
+  if (info == nullptr) return std::nullopt;
+  return info->key;
+}
 
-// Least Recently Used.
-class LruPolicy : public TableBackedPolicy {
- public:
-  std::optional<std::string> choose_victim(size_t) override {
-    const CacheEntryInfo* victim = nullptr;
-    for (const auto& [key, info] : entries_) {
-      if (victim == nullptr || info.last_access_seq < victim->last_access_seq) {
-        victim = &info;
-      }
+// The least frequently used entry; among equals, the least recently used.
+const CacheEntryInfo* least_frequent(const CacheEntryList& entries) {
+  const CacheEntryInfo* victim = nullptr;
+  for (auto it = entries.rbegin(); it != entries.rend(); ++it) {
+    if (victim == nullptr || it->access_count < victim->access_count) {
+      victim = &*it;
     }
-    if (victim == nullptr) return std::nullopt;
-    return victim->key;
+  }
+  return victim;
+}
+
+// Least Recently Used: O(1).
+class LruPolicy : public CachePolicy {
+ public:
+  std::optional<std::string> choose_victim(const CacheEntryList& entries,
+                                           size_t) override {
+    if (entries.empty()) return std::nullopt;
+    return entries.back().key;
   }
   [[nodiscard]] const char* name() const override { return "LRU"; }
 };
 
 // Least Frequently Used; LRU tie-break.
-class LfuPolicy : public TableBackedPolicy {
+class LfuPolicy : public CachePolicy {
  public:
-  std::optional<std::string> choose_victim(size_t) override {
-    const CacheEntryInfo* victim = nullptr;
-    for (const auto& [key, info] : entries_) {
-      if (victim == nullptr || info.access_count < victim->access_count ||
-          (info.access_count == victim->access_count &&
-           info.last_access_seq < victim->last_access_seq)) {
-        victim = &info;
-      }
-    }
-    if (victim == nullptr) return std::nullopt;
-    return victim->key;
+  std::optional<std::string> choose_victim(const CacheEntryList& entries,
+                                           size_t) override {
+    return key_of(least_frequent(entries));
   }
   [[nodiscard]] const char* name() const override { return "LFU"; }
 };
@@ -62,33 +51,21 @@ class LfuPolicy : public TableBackedPolicy {
 // small popular ones survive.  To admit an object of size S, evict the
 // least-recently-used entry among those of size >= S; if none qualifies,
 // halve S and retry.
-class LruMinPolicy : public TableBackedPolicy {
+class LruMinPolicy : public CachePolicy {
  public:
-  std::optional<std::string> choose_victim(size_t incoming_size) override {
-    if (entries_.empty()) return std::nullopt;
+  std::optional<std::string> choose_victim(const CacheEntryList& entries,
+                                           size_t incoming_size) override {
+    if (entries.empty()) return std::nullopt;
     size_t threshold = std::max<size_t>(incoming_size, 1);
     while (true) {
-      const CacheEntryInfo* victim = nullptr;
-      for (const auto& [key, info] : entries_) {
-        if (info.size >= threshold &&
-            (victim == nullptr ||
-             info.last_access_seq < victim->last_access_seq)) {
-          victim = &info;
-        }
+      for (auto it = entries.rbegin(); it != entries.rend(); ++it) {
+        if (it->size >= threshold) return it->key;
       }
-      if (victim != nullptr) return victim->key;
       if (threshold <= 1) break;
       threshold /= 2;
     }
-    // Degenerate: everything is smaller than 1 byte threshold — plain LRU.
-    const CacheEntryInfo* victim = nullptr;
-    for (const auto& [key, info] : entries_) {
-      if (victim == nullptr || info.last_access_seq < victim->last_access_seq) {
-        victim = &info;
-      }
-    }
-    return victim == nullptr ? std::nullopt
-                             : std::optional<std::string>(victim->key);
+    // Degenerate: only empty entries are left — plain LRU.
+    return entries.back().key;
   }
   [[nodiscard]] const char* name() const override { return "LRU-MIN"; }
 };
@@ -108,26 +85,13 @@ class LruThresholdPolicy : public LruPolicy {
 };
 
 // Hyper-G (Williams et al., 1996): evict by least frequency, breaking ties
-// by least recent use, breaking remaining ties by largest size.
-class HyperGPolicy : public TableBackedPolicy {
+// by least recent use, breaking remaining ties by largest size.  The third
+// key never decides, since no two entries share an access stamp.
+class HyperGPolicy : public CachePolicy {
  public:
-  std::optional<std::string> choose_victim(size_t) override {
-    const CacheEntryInfo* victim = nullptr;
-    for (const auto& [key, info] : entries_) {
-      if (victim == nullptr) {
-        victim = &info;
-        continue;
-      }
-      if (info.access_count != victim->access_count) {
-        if (info.access_count < victim->access_count) victim = &info;
-      } else if (info.last_access_seq != victim->last_access_seq) {
-        if (info.last_access_seq < victim->last_access_seq) victim = &info;
-      } else if (info.size > victim->size) {
-        victim = &info;
-      }
-    }
-    if (victim == nullptr) return std::nullopt;
-    return victim->key;
+  std::optional<std::string> choose_victim(const CacheEntryList& entries,
+                                           size_t) override {
+    return key_of(least_frequent(entries));
   }
   [[nodiscard]] const char* name() const override { return "Hyper-G"; }
 };
@@ -135,12 +99,13 @@ class HyperGPolicy : public TableBackedPolicy {
 // Custom: delegates the victim choice to the user hook (the N-Server's
 // "implement a different cache replacement policy by simply adding code to
 // a hook method").
-class CustomPolicy : public TableBackedPolicy {
+class CustomPolicy : public CachePolicy {
  public:
   explicit CustomPolicy(CustomEvictionHook hook) : hook_(std::move(hook)) {}
-  std::optional<std::string> choose_victim(size_t incoming_size) override {
+  std::optional<std::string> choose_victim(const CacheEntryList& entries,
+                                           size_t incoming_size) override {
     if (!hook_) return std::nullopt;
-    return hook_(entries_, incoming_size);
+    return hook_(entries, incoming_size);
   }
   [[nodiscard]] const char* name() const override { return "Custom"; }
 

@@ -5,8 +5,9 @@
 // (Williams et al., 1996) — plus a Custom hook, "a hook method that is
 // called automatically at the appropriate time" for user-defined policies.
 //
-// A policy maintains ordering metadata only; the FileCache owns the entries
-// and asks the policy which key to evict.
+// The FileCache owns the one entry table and keeps its entries in a list,
+// most recently used first; a policy reads that list to pick a victim and
+// keeps no state of its own.
 #pragma once
 
 #include <cstdint>
@@ -15,7 +16,6 @@
 #include <memory>
 #include <optional>
 #include <string>
-#include <unordered_map>
 
 #include "nserver/options.hpp"
 
@@ -27,6 +27,10 @@ struct CacheEntryInfo {
   uint64_t access_count = 0;
   uint64_t last_access_seq = 0;  // monotonically increasing access stamp
 };
+
+// The live entries, most recently used first: last_access_seq falls
+// strictly from front() to back().
+using CacheEntryList = std::list<CacheEntryInfo>;
 
 class CachePolicy {
  public:
@@ -40,23 +44,18 @@ class CachePolicy {
     return true;
   }
 
-  virtual void on_insert(const CacheEntryInfo& info) = 0;
-  virtual void on_access(const CacheEntryInfo& info) = 0;
-  virtual void on_erase(const std::string& key) = 0;
-
-  // Chooses the key to evict to make room for `incoming_size` bytes;
-  // nullopt when the policy tracks nothing (cache then refuses to insert).
+  // Chooses the entry to evict to make room for `incoming_size` bytes;
+  // nullopt refuses (the cache then declines the insert).
   [[nodiscard]] virtual std::optional<std::string> choose_victim(
-      size_t incoming_size) = 0;
+      const CacheEntryList& entries, size_t incoming_size) = 0;
 
   [[nodiscard]] virtual const char* name() const = 0;
 };
 
-// Custom policy hook signature: given the live entry table and the incoming
-// object size, return the key to evict.
+// Custom policy hook signature: given the live entries (most recently used
+// first) and the incoming object size, return the key to evict.
 using CustomEvictionHook = std::function<std::optional<std::string>(
-    const std::unordered_map<std::string, CacheEntryInfo>& entries,
-    size_t incoming_size)>;
+    const CacheEntryList& entries, size_t incoming_size)>;
 
 // Factory covering every built-in kind; kCustom requires `hook`.
 // kLruThreshold uses `size_threshold` as the largest cacheable object.

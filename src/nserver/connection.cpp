@@ -16,9 +16,10 @@ Connection::Connection(Server& server, net::Reactor& reactor,
       generation_(next_generation_.fetch_add(1)),
       shard_index_(shard_index),
       last_activity_(now()) {
-  socket_.set_nodelay(true);
+  // Known from accept4 on an accepted socket: no syscall.  TCP_NODELAY
+  // came from the listener (or Server::connect_peer set it).
   if (auto addr = socket_.peer_address(); addr.is_ok()) {
-    peer_ = addr.value().to_string();
+    peer_address_ = addr.value();
   }
   // The read block is acquired when bytes arrive (on_readable()), not
   // here: a connection that never sends holds none.  Registering as a user
@@ -30,6 +31,10 @@ Connection::Connection(Server& server, net::Reactor& reactor,
 Connection::~Connection() {
   buffer_pool_->release(in_.release_storage());
   buffer_pool_->remove_user();
+}
+
+std::string Connection::peer() const {
+  return peer_address_ ? peer_address_->to_string() : std::string();
 }
 
 void Connection::release_idle_read_block() {
@@ -368,7 +373,8 @@ void Connection::close(const std::string& reason) {
   bool expected = false;
   if (!closed_.compare_exchange_strong(expected, true)) return;
   if (registered_) {
-    reactor_.deregister(socket_.fd());
+    // The close below takes the socket out of the epoll set.
+    reactor_.forget(socket_.fd());
     registered_ = false;
   }
   {

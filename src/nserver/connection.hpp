@@ -61,6 +61,7 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 
 #include "common/buffer_pool.hpp"
@@ -115,7 +116,8 @@ class Connection : public net::EventHandler,
     return closed_.load(std::memory_order_acquire);
   }
   [[nodiscard]] net::Reactor& reactor() { return reactor_; }
-  [[nodiscard]] const std::string& peer() const { return peer_; }
+  // "host:port" of the peer, formatted on demand; empty if unknown.
+  [[nodiscard]] std::string peer() const;
   [[nodiscard]] TimePoint last_activity() const {
     return last_activity_.load(std::memory_order_relaxed);
   }
@@ -205,7 +207,7 @@ class Connection : public net::EventHandler,
   const uint64_t id_;
   const uint64_t generation_;
   const size_t shard_index_;
-  std::string peer_;
+  std::optional<net::InetAddress> peer_address_;
 
   // The read buffer.  Its block comes from buffer_pool_ only while a
   // request is in flight: on_readable() acquires one when in_ has no

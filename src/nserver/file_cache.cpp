@@ -40,10 +40,11 @@ FileDataPtr FileCache::lookup(const std::string& key) {
     return nullptr;
   }
   hits_.fetch_add(1, std::memory_order_relaxed);
-  it->second.info.access_count += 1;
-  it->second.info.last_access_seq = ++access_seq_;
-  if (policy_) policy_->on_access(it->second.info);
-  return it->second.data;
+  Entry& entry = it->second;
+  entry.info->access_count += 1;
+  entry.info->last_access_seq = ++access_seq_;
+  recency_.splice(recency_.begin(), recency_, entry.info);
+  return entry.data;
 }
 
 bool FileCache::insert(const std::string& key, FileDataPtr data) {
@@ -55,24 +56,21 @@ bool FileCache::insert(const std::string& key, FileDataPtr data) {
   if (size > capacity_bytes_) return false;
 
   // Replace an existing entry under the same key.
-  if (entries_.count(key) != 0) erase_locked(key);
+  erase_locked(key);
 
   // Evict until the object fits.
   while (size_bytes_ + size > capacity_bytes_) {
-    auto victim = policy_->choose_victim(size);
+    auto victim = policy_->choose_victim(recency_, size);
     if (!victim || entries_.count(*victim) == 0) return false;
     erase_locked(*victim);
     evictions_.fetch_add(1, std::memory_order_relaxed);
   }
 
-  Entry entry;
-  entry.data = std::move(data);
-  entry.info = {key, size, /*access_count=*/1,
-                /*last_access_seq=*/++access_seq_};
-  entry.last_validated = now();
-  policy_->on_insert(entry.info);
+  const auto info = recency_.insert(
+      recency_.begin(), CacheEntryInfo{key, size, /*access_count=*/1,
+                                       /*last_access_seq=*/++access_seq_});
+  entries_.emplace(info->key, Entry{std::move(data), info, now()});
   size_bytes_ += size;
-  entries_.emplace(key, std::move(entry));
   return true;
 }
 
@@ -84,17 +82,16 @@ void FileCache::erase(const std::string& key) {
 void FileCache::erase_locked(const std::string& key) {
   auto it = entries_.find(key);
   if (it == entries_.end()) return;
-  size_bytes_ -= it->second.info.size;
-  if (policy_) policy_->on_erase(key);
-  entries_.erase(it);
+  const auto info = it->second.info;
+  size_bytes_ -= info->size;
+  entries_.erase(it);  // first: its key views the node's string
+  recency_.erase(info);
 }
 
 void FileCache::clear() {
   std::lock_guard lock(mutex_);
-  for (const auto& [key, entry] : entries_) {
-    if (policy_) policy_->on_erase(key);
-  }
   entries_.clear();
+  recency_.clear();
   size_bytes_ = 0;
 }
 

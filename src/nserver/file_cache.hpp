@@ -6,6 +6,10 @@
 // cache.  The cache is byte-capacity bounded; the replacement policy is a
 // strategy object (see cache_policy.hpp).
 //
+// One table: a hash map from key to entry, and the entries' metadata in a
+// list kept most recently used first.  A hit costs one hash lookup and a
+// splice to the front; LRU takes its victim from the back in O(1).
+//
 // Thread-safe: hook methods running on any Event Processor thread may look
 // up and insert concurrently.
 #pragma once
@@ -16,6 +20,7 @@
 #include <mutex>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 
 #include "common/clock.hpp"
@@ -34,7 +39,8 @@ class FileCache {
     revalidate_interval_ = interval;
   }
 
-  // nullptr on miss.  Hits bump the policy's recency/frequency stamps.
+  // nullptr on miss.  A hit bumps the entry's recency/frequency stamps and
+  // moves it to the front of the recency list.
   // A hit whose backing file changed on disk (mtime or size mismatch) or
   // disappeared is invalidated — dropped and reported as a miss — so a
   // modified file is never served stale beyond the revalidate interval.
@@ -63,7 +69,7 @@ class FileCache {
  private:
   struct Entry {
     FileDataPtr data;
-    CacheEntryInfo info;
+    CacheEntryList::iterator info;  // this entry's node in recency_
     TimePoint last_validated{};
   };
 
@@ -76,7 +82,10 @@ class FileCache {
   std::chrono::milliseconds revalidate_interval_{1000};
 
   mutable std::mutex mutex_;
-  std::unordered_map<std::string, Entry> entries_;
+  // Keyed by views of the key strings held in recency_'s nodes, which
+  // stay put while the entry lives (splice moves no node).
+  std::unordered_map<std::string_view, Entry> entries_;
+  CacheEntryList recency_;
   size_t size_bytes_ = 0;
   uint64_t access_seq_ = 0;
 

@@ -73,6 +73,7 @@ struct ProfilerSnapshot {
   uint64_t pool_hits = 0;        // allocations served from a free-list
   uint64_t pool_misses = 0;      // pool had to grow (or oversize fallback)
   uint64_t pool_alloc_bytes = 0; // heap bytes the pools pulled in total
+  uint64_t pool_live_bytes = 0;  // of those, the bytes not freed since
   double cache_hit_rate = 0.0;
 
   // Merged per-stage latency distributions (index by Stage).

@@ -11,7 +11,7 @@ RequestContext::RequestContext(Server& server, std::shared_ptr<Connection> conn)
 
 uint64_t RequestContext::connection_id() const { return conn_->id(); }
 
-const std::string& RequestContext::peer() const { return conn_->peer(); }
+std::string RequestContext::peer() const { return conn_->peer(); }
 
 std::shared_ptr<void>& RequestContext::app_state() {
   return conn_->app_state();

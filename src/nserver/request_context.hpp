@@ -36,7 +36,7 @@ class RequestContext : public std::enable_shared_from_this<RequestContext> {
 
   // ---- identity ----------------------------------------------------------
   [[nodiscard]] uint64_t connection_id() const;
-  [[nodiscard]] const std::string& peer() const;
+  [[nodiscard]] std::string peer() const;
   // Arbitrary per-connection session state owned by the application.
   [[nodiscard]] std::shared_ptr<void>& app_state();
   [[nodiscard]] bool connection_closed() const;

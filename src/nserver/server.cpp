@@ -255,6 +255,7 @@ void Server::on_accept(net::TcpSocket socket) {
   }
   std::string ip_key;
   if (options_.max_connections_per_ip != 0) {
+    // The address accept4 returned: no getpeername.
     if (auto addr = socket.peer_address(); addr.is_ok()) {
       ip_key = addr.value().host();
       std::lock_guard lock(ip_counts_mutex_);
@@ -331,6 +332,8 @@ void Server::connect_peer(const net::InetAddress& peer,
             on_done(socket.status());
             return;
           }
+          // An outbound socket has no listener to inherit TCP_NODELAY from.
+          (void)socket.value().set_nodelay(true);
           const size_t shard_index =
               next_shard_.fetch_add(1, std::memory_order_relaxed) %
               shards_.size();
@@ -689,14 +692,7 @@ void Server::build_adaptive_monitors() {
   if (options_.overload_max_heap_bytes > 0) {
     overload_->add_monitor(std::make_unique<GaugeMonitor>(
         "heap_bytes",
-        [this] {
-          uint64_t n = 0;
-          for (const auto& shard : shards_) {
-            n += shard->ctx_pool->heap_bytes() +
-                 shard->read_buffer_pool->heap_bytes();
-          }
-          return static_cast<double>(n);
-        },
+        [this] { return static_cast<double>(pool_live_bytes()); },
         static_cast<double>(options_.overload_max_heap_bytes)));
   }
 }
@@ -820,7 +816,16 @@ ProfilerSnapshot Server::profile() const {
     snapshot.pool_alloc_bytes +=
         shard->ctx_pool->heap_bytes() + shard->read_buffer_pool->heap_bytes();
   }
+  snapshot.pool_live_bytes = pool_live_bytes();
   return snapshot;
+}
+
+uint64_t Server::pool_live_bytes() const {
+  uint64_t n = 0;
+  for (const auto& shard : shards_) {
+    n += shard->ctx_pool->live_bytes() + shard->read_buffer_pool->live_bytes();
+  }
+  return n;
 }
 
 StatsSnapshot Server::stats_snapshot() const {

@@ -183,6 +183,8 @@ class Server {
   // time) is the event-loop lag a newly ready request experiences.
   void build_overload_manager();
   void build_adaptive_monitors();
+  // Heap bytes the shards' pools hold now (the heap_bytes monitor's gauge).
+  [[nodiscard]] uint64_t pool_live_bytes() const;
   void launch_overload_probes();
   void schedule_loop_lag_probe(size_t shard_index, Duration interval);
 

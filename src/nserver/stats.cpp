@@ -149,6 +149,9 @@ std::string render_prometheus(const StatsSnapshot& s) {
   append_metric(out, "cops_alloc_bytes_total", "counter",
                 "Heap bytes acquired by the request-path pools.",
                 c.pool_alloc_bytes);
+  append_metric(out, "cops_alloc_live_bytes", "gauge",
+                "Heap bytes the request-path pools hold now.",
+                c.pool_live_bytes);
   append_metric(out, "nserver_connections_open", "gauge",
                 "Currently open connections.", s.connections_open);
   append_metric(out, "nserver_processor_queue_depth", "gauge",
@@ -255,6 +258,7 @@ std::string render_json(const StatsSnapshot& s) {
   append_json_field(out, "pool_hits", c.pool_hits);
   append_json_field(out, "pool_misses", c.pool_misses);
   append_json_field(out, "alloc_bytes", c.pool_alloc_bytes);
+  append_json_field(out, "alloc_live_bytes", c.pool_live_bytes);
   append_json_field(out, "connections_open", s.connections_open);
   append_json_field(out, "queue_depth", s.queue_depth);
   append_json_field(out, "processor_threads", s.processor_threads);

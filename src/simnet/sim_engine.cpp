@@ -456,6 +456,14 @@ net::SysResult SimEngine::sim_accept(int listen_fd) {
   return {fd, 0};
 }
 
+size_t SimEngine::sim_accept_pending(int listen_fd) {
+  Lock lock(mutex_);
+  auto it = fds_.find(listen_fd);
+  if (it == fds_.end() || !it->second.is_listener) return 0;
+  const auto& listener = listeners_[it->second.port];
+  return listener.fd == listen_fd ? listener.pending.size() : 0;
+}
+
 net::SysResult SimEngine::sim_read(int fd, void* buf, size_t len) {
   Lock lock(mutex_);
   auto entry = fds_.find(fd);

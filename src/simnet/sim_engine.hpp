@@ -150,6 +150,7 @@ class SimEngine : public net::SimBackend {
   net::SysResult sim_sendfile(int out_fd, int in_fd, uint64_t offset,
                               size_t count) override;
   net::SysResult sim_accept(int listen_fd) override;
+  size_t sim_accept_pending(int listen_fd) override;
   void sim_shutdown_write(int fd) override;
   void sim_close(int fd) override;
   Result<net::InetAddress> sim_local_address(int fd) override;

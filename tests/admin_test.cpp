@@ -154,6 +154,31 @@ TEST_F(AdminFixture, StatsJsonAndPerConnectionGauges) {
   EXPECT_NE(body.find("\"peer\":\"127.0.0.1:"), std::string::npos);
 }
 
+// The peer address comes from accept4 and is formatted on demand: each
+// connection's entry names its own client's address and port.
+TEST_F(AdminFixture, StatsJsonNamesEachPeersAddress) {
+  start_server(admin_options());
+  test::BlockingClient first;
+  test::BlockingClient second;
+  ASSERT_TRUE(first.connect("127.0.0.1", port_));
+  ASSERT_TRUE(second.connect("127.0.0.1", port_));
+  ASSERT_FALSE(test::http_get(port_, "/index.html", true, &first).empty());
+  ASSERT_FALSE(test::http_get(port_, "/index.html", true, &second).empty());
+
+  const auto response = test::http_get(admin_port_, "/stats.json");
+  const auto body = response.substr(response.find("\r\n\r\n") + 4);
+  for (const auto* client : {&first, &second}) {
+    sockaddr_in local{};
+    socklen_t len = sizeof(local);
+    ASSERT_EQ(::getsockname(client->fd(), reinterpret_cast<sockaddr*>(&local),
+                            &len),
+              0);
+    const std::string peer =
+        "\"peer\":\"127.0.0.1:" + std::to_string(ntohs(local.sin_port)) + "\"";
+    EXPECT_NE(body.find(peer), std::string::npos) << peer << " in " << body;
+  }
+}
+
 TEST_F(AdminFixture, LoadgenScrapeMatchesObservedResponses) {
   start_server(admin_options());
   loadgen::ClientConfig config;

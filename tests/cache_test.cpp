@@ -3,10 +3,13 @@
 
 #include <sys/stat.h>
 
+#include <algorithm>
 #include <chrono>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <random>
+#include <vector>
 
 #include "nserver/cache_policy.hpp"
 #include "nserver/file_cache.hpp"
@@ -292,10 +295,10 @@ TEST(HyperGPolicy, FrequencyTieBrokenByRecency) {
 TEST(CustomPolicy, HookChoosesVictim) {
   // Evict the largest entry, whatever the recency (a user-supplied policy).
   CustomEvictionHook hook =
-      [](const std::unordered_map<std::string, CacheEntryInfo>& entries,
+      [](const CacheEntryList& entries,
          size_t) -> std::optional<std::string> {
     const CacheEntryInfo* victim = nullptr;
-    for (const auto& [key, info] : entries) {
+    for (const auto& info : entries) {
       if (victim == nullptr || info.size > victim->size) victim = &info;
     }
     return victim == nullptr ? std::nullopt
@@ -346,6 +349,178 @@ TEST_P(CachePolicyParamTest, LookupAfterManyEvictionsStillConsistent) {
   // Entry count must match the bytes accounting (8 × 100 fits).
   EXPECT_LE(cache.entry_count(), 8u);
   EXPECT_EQ(cache.size_bytes(), cache.entry_count() * 100);
+}
+
+// ---------- model check: one table with a recency list ---------------------------
+//
+// The reference model keeps every entry's size, access count and access
+// stamp in a map and picks victims by scanning it, with the rules each
+// policy was first written with.  The cache under test must evict the same
+// victims, in the same order, and agree on every hit, insert and byte.
+
+struct ModelEntry {
+  size_t size = 0;
+  uint64_t count = 0;
+  uint64_t seq = 0;
+};
+
+class ReferenceCache {
+ public:
+  ReferenceCache(CachePolicyKind kind, size_t capacity, size_t threshold)
+      : kind_(kind), capacity_(capacity), threshold_(threshold) {}
+
+  bool lookup(const std::string& key) {
+    auto it = entries_.find(key);
+    if (it == entries_.end()) return false;
+    it->second.count += 1;
+    it->second.seq = ++seq_;
+    return true;
+  }
+
+  bool insert(const std::string& key, size_t size) {
+    if (kind_ == CachePolicyKind::kLruThreshold && size > threshold_) {
+      return false;
+    }
+    if (size > capacity_) return false;
+    erase(key);
+    while (bytes_ + size > capacity_) {
+      const std::string victim = choose_victim(size);
+      victims.push_back(victim);
+      erase(victim);
+    }
+    entries_[key] = {size, 1, ++seq_};
+    bytes_ += size;
+    return true;
+  }
+
+  void erase(const std::string& key) {
+    auto it = entries_.find(key);
+    if (it == entries_.end()) return;
+    bytes_ -= it->second.size;
+    entries_.erase(it);
+  }
+
+  [[nodiscard]] size_t bytes() const { return bytes_; }
+  [[nodiscard]] size_t entries() const { return entries_.size(); }
+  std::vector<std::string> victims;
+
+ private:
+  // Scans for the entry `better` prefers over every other.
+  template <typename Better>
+  std::string scan(Better better) const {
+    const std::pair<const std::string, ModelEntry>* best = nullptr;
+    for (const auto& entry : entries_) {
+      if (best == nullptr || better(entry.second, best->second)) best = &entry;
+    }
+    return best->first;
+  }
+
+  std::string choose_victim(size_t incoming) const {
+    const auto older = [](const ModelEntry& a, const ModelEntry& b) {
+      return a.seq < b.seq;
+    };
+    switch (kind_) {
+      case CachePolicyKind::kLfu:
+        return scan([](const ModelEntry& a, const ModelEntry& b) {
+          return a.count < b.count || (a.count == b.count && a.seq < b.seq);
+        });
+      case CachePolicyKind::kHyperG:
+        return scan([](const ModelEntry& a, const ModelEntry& b) {
+          if (a.count != b.count) return a.count < b.count;
+          if (a.seq != b.seq) return a.seq < b.seq;
+          return a.size > b.size;
+        });
+      case CachePolicyKind::kLruMin:
+        for (size_t threshold = std::max<size_t>(incoming, 1);;
+             threshold /= 2) {
+          const std::pair<const std::string, ModelEntry>* best = nullptr;
+          for (const auto& entry : entries_) {
+            if (entry.second.size >= threshold &&
+                (best == nullptr || older(entry.second, best->second))) {
+              best = &entry;
+            }
+          }
+          if (best != nullptr) return best->first;
+          if (threshold <= 1) return scan(older);
+        }
+      default:
+        return scan(older);
+    }
+  }
+
+  CachePolicyKind kind_;
+  size_t capacity_;
+  size_t threshold_;
+  std::map<std::string, ModelEntry> entries_;
+  size_t bytes_ = 0;
+  uint64_t seq_ = 0;
+};
+
+// Records the victims the policy under test chooses.
+class RecordingPolicy : public CachePolicy {
+ public:
+  RecordingPolicy(std::unique_ptr<CachePolicy> inner,
+                  std::vector<std::string>* victims)
+      : inner_(std::move(inner)), victims_(victims) {}
+  [[nodiscard]] bool admit(const std::string& key,
+                           size_t size) const override {
+    return inner_->admit(key, size);
+  }
+  std::optional<std::string> choose_victim(const CacheEntryList& entries,
+                                           size_t incoming_size) override {
+    auto victim = inner_->choose_victim(entries, incoming_size);
+    if (victim) victims_->push_back(*victim);
+    return victim;
+  }
+  [[nodiscard]] const char* name() const override { return inner_->name(); }
+
+ private:
+  std::unique_ptr<CachePolicy> inner_;
+  std::vector<std::string>* victims_;
+};
+
+TEST_P(CachePolicyParamTest, RandomTracesMatchTheReferenceModel) {
+  constexpr size_t kCapacity = 4000;
+  constexpr size_t kThreshold = 400;
+  for (uint32_t seed = 1; seed <= 20; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    std::vector<std::string> victims;
+    FileCache cache(std::make_unique<RecordingPolicy>(
+                        make_cache_policy(GetParam(), kThreshold), &victims),
+                    kCapacity);
+    cache.set_revalidate_interval(std::chrono::hours(24));
+    ReferenceCache model(GetParam(), kCapacity, kThreshold);
+    std::mt19937 rng(seed);
+    // Skewed keys (the smaller of two draws), so counts and stamps spread.
+    std::uniform_int_distribution<int> key_dist(0, 59);
+    std::uniform_int_distribution<size_t> size_dist(0, 600);
+    std::uniform_int_distribution<int> op_dist(0, 99);
+    uint64_t hits = 0;
+    for (int step = 0; step < 3000; ++step) {
+      const std::string key =
+          "/f" + std::to_string(std::min(key_dist(rng), key_dist(rng)));
+      const int op = op_dist(rng);
+      if (op < 60) {
+        const bool hit = model.lookup(key);
+        hits += hit ? 1 : 0;
+        ASSERT_EQ(cache.lookup(key) != nullptr, hit) << "step " << step;
+      } else if (op < 95) {
+        const size_t size = size_dist(rng);
+        ASSERT_EQ(cache.insert(key, make_file(key, size)),
+                  model.insert(key, size))
+            << "step " << step;
+      } else {
+        cache.erase(key);
+        model.erase(key);
+      }
+      ASSERT_EQ(victims, model.victims) << "step " << step;
+      ASSERT_EQ(cache.size_bytes(), model.bytes()) << "step " << step;
+      ASSERT_EQ(cache.entry_count(), model.entries()) << "step " << step;
+    }
+    EXPECT_EQ(cache.hits(), hits);
+    EXPECT_EQ(cache.evictions(), model.victims.size());
+    EXPECT_GT(model.victims.size(), 100u);  // the trace did evict
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(AllPolicies, CachePolicyParamTest,

@@ -1,6 +1,9 @@
 // Unit tests for the HTTP protocol library.
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <ctime>
+
 #include "common/byte_buffer.hpp"
 #include "http/http_date.hpp"
 #include "http/mime.hpp"
@@ -586,6 +589,58 @@ TEST(Mime, UnknownFallsBack) {
 TEST(HttpDate, FormatsRfc7231) {
   // 2003-08-04 12:30:45 UTC
   EXPECT_EQ(format_http_date(1060000245), "Mon, 04 Aug 2003 12:30:45 GMT");
+}
+
+// The reference the formatter replaced: the C library's broken-down time.
+std::string gmtime_http_date(int64_t unix_seconds) {
+  static constexpr const char* kDayNames[7] = {"Sun", "Mon", "Tue", "Wed",
+                                               "Thu", "Fri", "Sat"};
+  static constexpr const char* kMonthNames[12] = {
+      "Jan", "Feb", "Mar", "Apr", "May", "Jun",
+      "Jul", "Aug", "Sep", "Oct", "Nov", "Dec"};
+  const time_t t = static_cast<time_t>(unix_seconds);
+  tm utc{};
+  gmtime_r(&t, &utc);
+  char buf[64];
+  std::snprintf(buf, sizeof(buf), "%s, %02d %s %04d %02d:%02d:%02d GMT",
+                kDayNames[utc.tm_wday], utc.tm_mday, kMonthNames[utc.tm_mon],
+                utc.tm_year + 1900, utc.tm_hour, utc.tm_min, utc.tm_sec);
+  return buf;
+}
+
+TEST(HttpDate, FormatMatchesGmtimeOverEverySecondOfADay) {
+  const int64_t day = 1'709'164'800;  // 2024-02-29, a leap day
+  for (int64_t t = day; t < day + 86400; ++t) {
+    ASSERT_EQ(format_http_date(t), gmtime_http_date(t)) << t;
+  }
+}
+
+TEST(HttpDate, FormatMatchesGmtimeAtMonthAndLeapYearEdges) {
+  // One second either side of every month start from 1970 to 2404, which
+  // crosses the 100- and 400-year leap rules (2000 leaps, 2100 does not).
+  int64_t month_start = 0;
+  for (int year = 1970; year <= 2404; ++year) {
+    const bool leap = (year % 4 == 0 && year % 100 != 0) || year % 400 == 0;
+    const int lengths[12] = {31, leap ? 29 : 28, 31, 30, 31, 30,
+                             31, 31, 30, 31, 30, 31};
+    for (const int length : lengths) {
+      for (const int64_t t : {month_start - 1, month_start, month_start + 1}) {
+        if (t < 0) continue;
+        ASSERT_EQ(format_http_date(t), gmtime_http_date(t)) << t;
+      }
+      month_start += int64_t{length} * 86400;
+    }
+  }
+}
+
+TEST(HttpDate, FormatMatchesGmtimeFrom1970Through9999) {
+  const int64_t last = 253'402'300'799;  // 9999-12-31 23:59:59
+  // A stride coprime to the day, so the samples sweep every time of day.
+  for (int64_t t = 0; t < last; t += 3'196'441) {
+    ASSERT_EQ(format_http_date(t), gmtime_http_date(t)) << t;
+  }
+  EXPECT_EQ(format_http_date(last), gmtime_http_date(last));
+  EXPECT_EQ(format_http_date(last), "Fri, 31 Dec 9999 23:59:59 GMT");
 }
 
 TEST(HttpDate, NowIsParsableShape) {

@@ -6,7 +6,8 @@
 // per connection twice: while the connections have sent nothing, and after
 // each has sent one GET, read its reply and gone idle.  A connection holds
 // a read block only while a request is in flight, so neither figure may
-// include one (a block is 16 KiB).
+// include one (a block is 16 KiB).  A second test churns 300 connections
+// through one shard and checks the pools' live-bytes gauge falls back.
 #define COPS_ALLOC_COUNTER_IMPLEMENT
 #include "bench/alloc_counter.hpp"
 
@@ -161,6 +162,62 @@ TEST(IdleSoakTest, IdleConnectionsHoldNoReadBuffer) {
       << "live heap per keep-alive connection idle after one GET";
 
   for (const int fd : fds) ::close(fd);
+  server.stop();
+}
+
+// Connection churn must not walk the pools' heap gauge (what the adaptive
+// heap_bytes monitor reads) towards its budget: blocks freed past the pool's
+// retention leave the gauge, while the heap counter keeps them.
+TEST(IdleSoakTest, ChurnedReadBlocksLeaveTheLiveGauge) {
+  constexpr size_t kHolders = 300;
+  constexpr uint64_t kBlock = 16 * 1024;  // the server's read block
+  constexpr uint64_t kRetained = 64;      // BufferPool's default max_free
+  if (!enough_descriptors(2 * kHolders + 256)) {
+    GTEST_SKIP() << "RLIMIT_NOFILE cannot hold " << 2 * kHolders
+                 << " descriptors";
+  }
+  test::TempDir dir;
+  dir.write_file("index.html", "<html>churn</html>");
+  http::HttpServerConfig config;
+  config.doc_root = dir.str();
+  auto options = http::CopsHttpServer::default_options();
+  options.listen_port = 0;
+  ASSERT_EQ(options.dispatcher_threads, 1);  // one shard, one pool
+  http::CopsHttpServer server(options, config);
+  ASSERT_TRUE(server.start().is_ok());
+  auto& core = server.server();
+
+  // Each connection sends half a request, so its read block stays with it.
+  std::vector<int> fds;
+  for (size_t i = 0; i < kHolders; ++i) {
+    const int fd = connect_blocking(server.port());
+    ASSERT_GE(fd, 0) << "connection " << i;
+    const std::string half = "GET /index.html HTTP/1.1\r\nHost: churn\r\n";
+    ASSERT_EQ(::send(fd, half.data(), half.size(), MSG_NOSIGNAL),
+              static_cast<ssize_t>(half.size()));
+    fds.push_back(fd);
+  }
+  for (int i = 0; i < 1000 && core.profile().pool_live_bytes <
+                                   kHolders * kBlock; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  const auto held = core.profile();
+  ASSERT_GE(held.pool_live_bytes, kHolders * kBlock);
+
+  for (const int fd : fds) ::close(fd);
+  for (int i = 0; i < 1000 && core.connection_count() > 0; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  ASSERT_EQ(core.connection_count(), 0u);
+  const auto after = core.profile();
+  RecordProperty("live_bytes_held", std::to_string(held.pool_live_bytes));
+  RecordProperty("live_bytes_after", std::to_string(after.pool_live_bytes));
+  // The counter keeps every block it ever made ...
+  EXPECT_GE(after.pool_alloc_bytes, kHolders * kBlock);
+  // ... while the gauge drops every read block past the retained free list:
+  // what is left is that free list plus the context slab.
+  const uint64_t context_slab = held.pool_live_bytes - kHolders * kBlock;
+  EXPECT_LE(after.pool_live_bytes, kRetained * kBlock + context_slab);
   server.stop();
 }
 

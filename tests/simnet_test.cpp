@@ -6,6 +6,7 @@
 // Every fault-injecting test prints the replay seed on failure via
 // SCOPED_TRACE, so a red run can be reproduced bit-identically.
 #include <any>
+#include <cerrno>
 #include <memory>
 #include <string>
 #include <utility>
@@ -16,6 +17,8 @@
 #include "common/byte_buffer.hpp"
 #include "common/clock.hpp"
 #include "http/http_server.hpp"
+#include "net/acceptor.hpp"
+#include "net/reactor.hpp"
 #include "net/socket.hpp"
 #include "nserver/request_context.hpp"
 #include "nserver/server.hpp"
@@ -145,6 +148,50 @@ TEST(SimEngineTest, SynDropWhenBacklogFull) {
   EXPECT_TRUE(c1->connected());
   EXPECT_FALSE(c2->connected());
   EXPECT_NE(engine.trace_text().find("syn-drop"), std::string::npos);
+}
+
+// Counts the accept calls made on the engine's listeners, and how many of
+// them found the queue empty.
+class AcceptCountingEngine : public SimEngine {
+ public:
+  using SimEngine::SimEngine;
+  net::SysResult sim_accept(int listen_fd) override {
+    const net::SysResult r = SimEngine::sim_accept(listen_fd);
+    ++calls;
+    if (r.n < 0 && r.err == EAGAIN) ++empty;
+    return r;
+  }
+  int calls = 0;
+  int empty = 0;
+};
+
+// One readiness pass accepts the whole burst: one accept, then as many
+// more as the queue held, and no accept that comes back EAGAIN.
+TEST(SimEngineTest, AcceptorTakesABurstInOnePassWithoutEagain) {
+  AcceptCountingEngine engine(12);
+  net::Reactor reactor;
+  std::vector<net::TcpSocket> accepted;
+  net::Acceptor acceptor(reactor, [&](net::TcpSocket socket) {
+    accepted.push_back(std::move(socket));
+  });
+  ASSERT_TRUE(acceptor.open(net::InetAddress::loopback(9005), 16).is_ok());
+  constexpr int kBurst = 6;
+  for (int i = 0; i < kBurst; ++i) engine.new_client()->connect(9005);
+  engine.pump();
+
+  acceptor.handle_event(-1, net::kReadable);
+  EXPECT_EQ(accepted.size(), static_cast<size_t>(kBurst));
+  EXPECT_EQ(engine.calls, kBurst);
+  EXPECT_EQ(engine.empty, 0);
+
+  // A later arrival is the next pass's: the listener stays readable.
+  engine.new_client()->connect(9005);
+  engine.pump();
+  acceptor.handle_event(-1, net::kReadable);
+  EXPECT_EQ(accepted.size(), static_cast<size_t>(kBurst + 1));
+  EXPECT_EQ(engine.calls, kBurst + 1);
+  EXPECT_EQ(engine.empty, 0);
+  EXPECT_EQ(acceptor.accepted_count(), static_cast<uint64_t>(kBurst + 1));
 }
 
 TEST(SimEngineTest, AcceptBurstDrainsUnderEintr) {

@@ -5,12 +5,16 @@ Run from the repository root:
 
     python3 tools/bench_pairs.py HEAD --pairs 10 --seconds 40
 
-The base revision is checked out into a git worktree under --work-dir.
-Pair i runs `perfbench/run.py --seed i` once on each side, the base first
-in odd pairs and the working tree first in even ones; each side builds into
-its own directory under --work-dir.  Per workload and end-to-end metric of
-BENCHMARK.json the script prints both sides' medians and quartiles, the
-base's interquartile range (IQR), the pairs each side won, and two verdicts:
+The base revision is checked out into a git worktree under --work-dir, or
+--base-tree names a checkout of it made beforehand (say with git archive).
+Pair i runs `perfbench/run.py --seed S+i-1` once on each side, where S is
+--first-seed (default 1), the base first in odd pairs and the working tree
+first in even ones; each side builds into its own directory under
+--work-dir.  A second set of pairs on fresh seeds is `--first-seed 11`.
+
+Per workload and end-to-end metric of BENCHMARK.json the script prints
+both sides' medians and quartiles, the base's interquartile range (IQR),
+the pairs each side won, and two verdicts:
 
   gain rule   "better" when the working tree wins at least 9/10 of the pairs
               (ties count for neither) and its median beats the base median
@@ -114,6 +118,12 @@ def main():
     parser.add_argument("--trace-runs", type=int, default=0,
                         help="traced runs per side after each workload's "
                              "pairs (default: none)")
+    parser.add_argument("--first-seed", type=int, default=1,
+                        help="seed of the first pair; pair i runs seed "
+                             "first-seed + i - 1 (default: 1)")
+    parser.add_argument("--base-tree",
+                        help="an existing checkout of the base revision, "
+                             "used instead of a worktree")
     parser.add_argument("--json", help="also write every run and row here")
     args = parser.parse_args()
 
@@ -122,35 +132,43 @@ def main():
     seconds = args.seconds or bench["run_seconds"]
     workloads = args.workload or [w["name"] for w in bench["workloads"]]
     work = os.path.abspath(args.work_dir)
-    base_tree = os.path.join(work, "base")
     os.makedirs(work, exist_ok=True)
-    if os.path.exists(base_tree):
-        subprocess.run(["git", "worktree", "remove", "--force", base_tree],
-                       check=True)
-    subprocess.run(["git", "worktree", "add", "--detach", base_tree,
-                    args.base], check=True, stdout=subprocess.DEVNULL)
+    if args.base_tree:
+        base_tree = os.path.abspath(args.base_tree)
+    else:
+        base_tree = os.path.join(work, "base")
+        if os.path.exists(base_tree):
+            subprocess.run(["git", "worktree", "remove", "--force",
+                            base_tree], check=True)
+        subprocess.run(["git", "worktree", "add", "--detach", base_tree,
+                        args.base], check=True, stdout=subprocess.DEVNULL)
     sides = {"base": (base_tree, os.path.join(work, "build-base")),
              "head": (os.getcwd(), os.path.join(work, "build-head"))}
 
     report = {"base": args.base, "seconds": seconds, "pairs": args.pairs,
-              "workloads": {}}
+              "first_seed": args.first_seed, "workloads": {}}
     try:
         for workload in workloads:
             report["workloads"][workload] = run_workload(
-                bench, sides, workload, args.pairs, seconds, args.trace_runs)
+                bench, sides, workload, args.pairs, seconds, args.trace_runs,
+                args.first_seed)
     finally:
-        subprocess.run(["git", "worktree", "remove", "--force", base_tree])
+        if not args.base_tree:
+            subprocess.run(["git", "worktree", "remove", "--force",
+                            base_tree])
     if args.json:
         with open(args.json, "w") as f:
             json.dump(report, f, indent=1)
     return 0
 
 
-def alternating_runs(sides, workload, runs, seconds, trace):
-    """`runs` alternating runs per side, the base first in odd ones."""
+def alternating_runs(sides, workload, runs, seconds, trace, first_seed):
+    """`runs` alternating runs per side on seeds first_seed onwards, the
+    base first in odd ones."""
     out = {"base": [], "head": []}
-    for seed in range(1, runs + 1):
-        order = ("base", "head") if seed % 2 else ("head", "base")
+    for i in range(1, runs + 1):
+        seed = first_seed + i - 1
+        order = ("base", "head") if i % 2 else ("head", "base")
         for side in order:
             tree, build = sides[side]
             result = run_side(tree, build, workload, seed, seconds, trace)
@@ -167,10 +185,11 @@ def metric_values(runs, name, complete):
     return [runs[i]["metrics"][name]["value"] for i in complete]
 
 
-def run_workload(bench, sides, workload, pairs, seconds, trace_runs):
+def run_workload(bench, sides, workload, pairs, seconds, trace_runs,
+                 first_seed):
     """The pairs of one workload, then its traced runs; prints the tables
     and returns the workload's report."""
-    runs = alternating_runs(sides, workload, pairs, seconds, 0)
+    runs = alternating_runs(sides, workload, pairs, seconds, 0, first_seed)
     rows = []
     complete = [i for i in range(pairs)
                 if runs["base"][i] and runs["head"][i]]
@@ -183,7 +202,8 @@ def run_workload(bench, sides, workload, pairs, seconds, trace_runs):
     print_table(workload, len(complete), seconds, rows, health)
     report = {"runs": runs, "rows": rows, "health": health}
     if trace_runs > 0:
-        traced = alternating_runs(sides, workload, trace_runs, seconds, 1)
+        traced = alternating_runs(sides, workload, trace_runs, seconds, 1,
+                                  first_seed)
         report["traced_runs"] = traced
         report["trace_rows"] = trace_rows(bench, traced)
         print_trace_table(workload, traced, report["trace_rows"])
