@@ -1,9 +1,10 @@
 // Chat server: demonstrates server-initiated sends across connections.
 //
 // Every line a client sends is broadcast to every other connected client —
-// exercising the User event source (broadcasts are posted onto each target
-// connection's dispatcher from the worker handling the sender's request)
-// and the on_connect/on_close lifecycle hooks.
+// exercising server-initiated sends (the worker handling the sender's
+// request writes each broadcast to the target socket itself; a write that
+// would block is finished by the target's dispatcher) and the
+// on_connect/on_close lifecycle hooks.
 //
 //   $ ./chat_server 9002 &
 //   $ nc 127.0.0.1 9002      (in two terminals)
@@ -20,8 +21,8 @@
 namespace {
 
 // The room holds one long-lived RequestContext per member; a context keeps
-// its connection reachable and its send() is thread-safe (it posts to the
-// connection's own dispatcher).
+// its connection reachable and its send() is thread-safe (it writes under
+// the connection's send lock).
 class ChatRoom {
  public:
   void join(uint64_t id, cops::nserver::RequestContextPtr ctx) {

@@ -1,4 +1,4 @@
-// Bounded multi-producer multi-consumer FIFO queue.
+// Unbounded multi-producer multi-consumer FIFO queue.
 //
 // This is the incoming event queue of an EventProcessor when event scheduling
 // (option O8) is disabled.  Blocking pop with shutdown support lets the
@@ -18,31 +18,16 @@ namespace cops {
 template <typename T>
 class MpmcQueue {
  public:
-  explicit MpmcQueue(size_t capacity = 0) : capacity_(capacity) {}
+  MpmcQueue() = default;
 
   MpmcQueue(const MpmcQueue&) = delete;
   MpmcQueue& operator=(const MpmcQueue&) = delete;
 
-  // Pushes an item; blocks while the queue is at capacity (capacity 0 means
-  // unbounded).  Returns false if the queue was shut down.
+  // Appends an item.  Returns false if the queue was shut down.
   bool push(T item) {
-    std::unique_lock lock(mutex_);
-    not_full_.wait(lock, [&] {
-      return shutdown_ || capacity_ == 0 || items_.size() < capacity_;
-    });
-    if (shutdown_) return false;
-    items_.push_back(std::move(item));
-    lock.unlock();
-    not_empty_.notify_one();
-    return true;
-  }
-
-  // Non-blocking push; fails when full or shut down.
-  bool try_push(T item) {
     {
       std::lock_guard lock(mutex_);
       if (shutdown_) return false;
-      if (capacity_ != 0 && items_.size() >= capacity_) return false;
       items_.push_back(std::move(item));
     }
     not_empty_.notify_one();
@@ -56,18 +41,14 @@ class MpmcQueue {
     if (items_.empty()) return std::nullopt;
     T item = std::move(items_.front());
     items_.pop_front();
-    lock.unlock();
-    not_full_.notify_one();
     return item;
   }
 
   std::optional<T> try_pop() {
-    std::unique_lock lock(mutex_);
+    std::lock_guard lock(mutex_);
     if (items_.empty()) return std::nullopt;
     T item = std::move(items_.front());
     items_.pop_front();
-    lock.unlock();
-    not_full_.notify_one();
     return item;
   }
 
@@ -78,24 +59,17 @@ class MpmcQueue {
       shutdown_ = true;
     }
     not_empty_.notify_all();
-    not_full_.notify_all();
   }
 
   [[nodiscard]] size_t size() const {
     std::lock_guard lock(mutex_);
     return items_.size();
   }
-  [[nodiscard]] bool is_shutdown() const {
-    std::lock_guard lock(mutex_);
-    return shutdown_;
-  }
 
  private:
   mutable std::mutex mutex_;
   std::condition_variable not_empty_;
-  std::condition_variable not_full_;
   std::deque<T> items_;
-  size_t capacity_;
   bool shutdown_ = false;
 };
 

@@ -3,8 +3,10 @@
 namespace cops {
 
 ThreadPool::ThreadPool(size_t num_threads) {
-  std::lock_guard lock(mutex_);
-  spawn_locked(num_threads);
+  workers_.reserve(num_threads);
+  for (size_t i = 0; i < num_threads; ++i) {
+    workers_.emplace_back([this] { worker_loop(); });
+  }
 }
 
 ThreadPool::~ThreadPool() { stop(); }
@@ -13,79 +15,17 @@ bool ThreadPool::submit(std::function<void()> task) {
   return tasks_.push(std::move(task));
 }
 
-void ThreadPool::resize(size_t target) {
-  std::lock_guard lock(mutex_);
-  if (stopped_) return;
-  reap_retired_locked();
-  const size_t current = workers_.size();
-  if (target > current) {
-    spawn_locked(target - current);
-  } else if (target < current) {
-    // Mark the surplus workers for retirement and nudge the queue with
-    // no-op tasks so sleepers wake and observe their flag.
-    size_t to_retire = current - target;
-    for (auto it = workers_.rbegin(); it != workers_.rend() && to_retire > 0;
-         ++it) {
-      if (!it->retired->load()) {
-        it->retired->store(true);
-        --to_retire;
-        tasks_.push([] {});
-      }
-    }
-  }
-}
-
 void ThreadPool::stop() {
-  {
-    std::lock_guard lock(mutex_);
-    if (stopped_) return;
-    stopped_ = true;
-  }
   tasks_.shutdown();
-  std::vector<Worker> workers;
-  {
-    std::lock_guard lock(mutex_);
-    workers.swap(workers_);
-  }
-  for (auto& w : workers) {
-    if (w.thread.joinable()) w.thread.join();
-  }
-}
-
-size_t ThreadPool::num_threads() const {
   std::lock_guard lock(mutex_);
-  size_t alive = 0;
-  for (const auto& w : workers_) {
-    if (!w.retired->load()) ++alive;
+  for (auto& worker : workers_) {
+    if (worker.joinable()) worker.join();
   }
-  return alive;
+  workers_.clear();
 }
 
-void ThreadPool::spawn_locked(size_t count) {
-  for (size_t i = 0; i < count; ++i) {
-    auto retired = std::make_shared<std::atomic<bool>>(false);
-    workers_.push_back(
-        {std::thread([this, retired] { worker_loop(retired); }), retired});
-  }
-}
-
-void ThreadPool::worker_loop(std::shared_ptr<std::atomic<bool>> retired) {
-  while (!retired->load()) {
-    auto task = tasks_.pop();
-    if (!task) return;  // shutdown + drained
-    (*task)();
-  }
-}
-
-void ThreadPool::reap_retired_locked() {
-  for (auto it = workers_.begin(); it != workers_.end();) {
-    if (it->retired->load() && it->thread.joinable()) {
-      it->thread.detach();  // retired workers exit on their own
-      it = workers_.erase(it);
-    } else {
-      ++it;
-    }
-  }
+void ThreadPool::worker_loop() {
+  while (auto task = tasks_.pop()) (*task)();  // empty: shut down + drained
 }
 
 }  // namespace cops

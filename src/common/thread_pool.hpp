@@ -1,15 +1,11 @@
-// Resizable worker thread pool.
+// Fixed-size worker thread pool.
 //
-// Used (a) by the EventProcessor to run event handlers (option O2) and (b) by
-// the proactor-emulation file I/O service.  The pool is resizable at runtime
-// to support option O5 (dynamic event thread allocation): the
-// ProcessorController grows/shrinks the pool based on queue pressure.
+// Runs the proactor-emulation file I/O service's blocking reads (option O4,
+// asynchronous completions).  The EventProcessor has its own workers.
 #pragma once
 
-#include <atomic>
 #include <cstddef>
 #include <functional>
-#include <memory>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -29,30 +25,17 @@ class ThreadPool {
   // Enqueues a task; returns false after stop().
   bool submit(std::function<void()> task);
 
-  // Grows or shrinks the pool to `target` threads.  Shrinking is
-  // cooperative: poison tasks ask idle workers to retire.
-  void resize(size_t target);
-
   // Stops accepting tasks, drains the queue, joins all workers.
   void stop();
 
-  [[nodiscard]] size_t num_threads() const;
   [[nodiscard]] size_t queue_depth() const { return tasks_.size(); }
 
  private:
-  struct Worker {
-    std::thread thread;
-    std::shared_ptr<std::atomic<bool>> retired;
-  };
-
-  void spawn_locked(size_t count);
-  void worker_loop(std::shared_ptr<std::atomic<bool>> retired);
-  void reap_retired_locked();
+  void worker_loop();
 
   MpmcQueue<std::function<void()>> tasks_;
-  mutable std::mutex mutex_;
-  std::vector<Worker> workers_;
-  bool stopped_ = false;
+  std::mutex mutex_;  // serializes stop()'s joins
+  std::vector<std::thread> workers_;
 };
 
 }  // namespace cops

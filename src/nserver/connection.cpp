@@ -50,9 +50,8 @@ void Connection::start() {
     return;
   }
   registered_ = true;
-  // on_connect hook: greeting etc.  Runs on the dispatcher; any send() it
-  // performs is posted back to this reactor and ordered before request
-  // replies.
+  // on_connect hook: greeting etc.  Runs on the dispatcher, which writes
+  // any send() it performs before a request can start.
   auto ctx = server_.make_context(shared_from_this());
   server_.hooks_->on_connect(*ctx);
 }
@@ -166,19 +165,16 @@ void Connection::continue_pipeline() {
 }
 
 void Connection::send_reply(EncodedReply reply) {
-  // O2 = No: keep the posted path (see the ownership notes in the header).
-  if (server_.processor_->inline_mode()) {
-    post_send(std::move(reply), /*completes_request=*/true);
-    return;
-  }
   std::unique_lock lock(send_mutex_);
-  if (closed() || out_.readable() > 0 ||
-      posts_in_flight_.load(std::memory_order_acquire) > 0) {
-    lock.unlock();
-    post_send(std::move(reply), /*completes_request=*/true);
+  if (closed()) return;
+  count_reply_copies(reply);
+  if (out_.readable() > 0) {
+    // The pending dispatcher drain sends it after the bytes ahead of it
+    // and continues the pipeline.
+    out_.push(std::move(reply));
+    reply_pending_drain_ = true;
     return;
   }
-  count_reply_copies(reply);
   out_.push(std::move(reply));
   // The stamps belong to this request only while the token is held.
   const int64_t read_done_us = trace_.read_done_us.load(TraceContext::kRelaxed);
@@ -212,13 +208,10 @@ void Connection::send_reply(EncodedReply reply) {
     } else {
       note_reply_sent(read_done_us, encode_done_us);
     }
-    lock.unlock();
-    reactor_.post([self = shared_from_this()] { self->on_writable(); });
-    return;
   }
   lock.unlock();
-  if (result == DrainResult::kError) {
-    reactor_.post([self = shared_from_this()] { self->close("write-error"); });
+  if (result != DrainResult::kDrained) {
+    post_drain_result(result);
     return;
   }
   note_reply_sent(read_done_us, encode_done_us);
@@ -228,9 +221,15 @@ void Connection::send_reply(EncodedReply reply) {
         [self = shared_from_this()] { self->close("close-after-reply"); });
   } else if (pipelined) {
     // The next request is already buffered: this thread still holds the
-    // token and queues its Decode, as continue_pipeline() would.
+    // token and queues its Decode, as continue_pipeline() would.  Under
+    // O2 = No that Decode would run inline, so it goes through the
+    // dispatcher (see the ownership notes in the header).
     partial_since_ = TimePoint{};
-    decode_next();
+    if (server_.processor_->inline_mode()) {
+      reactor_.post([self = shared_from_this()] { self->decode_next(); });
+    } else {
+      decode_next();
+    }
   } else {
     // Bytes arrived before the send and read interest was dropped; only
     // the dispatcher can re-arm it.
@@ -238,22 +237,24 @@ void Connection::send_reply(EncodedReply reply) {
   }
 }
 
-void Connection::post_send(EncodedReply reply, bool completes_request) {
-  posts_in_flight_.fetch_add(1, std::memory_order_acq_rel);
-  reactor_.post([self = shared_from_this(), reply = std::move(reply),
-                 completes_request]() mutable {
-    self->queue_send(std::move(reply), completes_request);
-    self->posts_in_flight_.fetch_sub(1, std::memory_order_acq_rel);
-  });
+void Connection::send(EncodedReply bytes) {
+  std::unique_lock lock(send_mutex_);
+  if (closed()) return;
+  count_reply_copies(bytes);
+  const bool drain_pending = out_.readable() > 0;
+  out_.push(std::move(bytes));
+  if (drain_pending) return;
+  const DrainResult result = drain_locked();
+  lock.unlock();
+  post_drain_result(result);
 }
 
-void Connection::queue_send(EncodedReply reply, bool completes_request) {
-  if (closed()) return;
-  count_reply_copies(reply);
-  std::unique_lock lock(send_mutex_);
-  out_.push(std::move(reply));
-  if (completes_request) reply_pending_drain_ = true;
-  flush_out(std::move(lock));
+void Connection::post_drain_result(DrainResult result) {
+  if (result == DrainResult::kBlocked) {
+    reactor_.post([self = shared_from_this()] { self->on_writable(); });
+  } else if (result == DrainResult::kError) {
+    reactor_.post([self = shared_from_this()] { self->close("write-error"); });
+  }
 }
 
 void Connection::count_reply_copies(const EncodedReply& reply) {
@@ -315,7 +316,8 @@ Connection::DrainResult Connection::drain_locked() {
   return DrainResult::kDrained;
 }
 
-void Connection::flush_out(std::unique_lock<std::mutex> lock) {
+void Connection::on_writable() {
+  std::unique_lock lock(send_mutex_);
   if (closed()) return;
   const DrainResult result = drain_locked();
   const bool completed = result == DrainResult::kDrained &&
@@ -335,8 +337,6 @@ void Connection::flush_out(std::unique_lock<std::mutex> lock) {
     update_interest();
   }
 }
-
-void Connection::on_writable() { flush_out(std::unique_lock(send_mutex_)); }
 
 void Connection::after_reply_sent() {
   note_reply_sent(trace_.read_done_us.load(TraceContext::kRelaxed),
@@ -377,11 +377,17 @@ void Connection::close(const std::string& reason) {
     reactor_.forget(socket_.fd());
     registered_ = false;
   }
+  net::TcpSocket doomed;
   {
-    // A processor may be inside drain_locked() on this socket.
+    // Another thread may be inside drain_locked() on this socket: take it
+    // out under the write lock, so every later writer finds it gone, and
+    // close it after.  A simnet-scripted action can take send_mutex_ inside
+    // the engine lock that a simulated close takes, so the close must not
+    // run under send_mutex_.
     std::lock_guard lock(send_mutex_);
-    socket_.close();
+    doomed = std::move(socket_);
   }
+  doomed.close();
   server_.note_event(EventKind::kShutdown, id_, reason.c_str());
   server_.remove_connection(*this);
 }

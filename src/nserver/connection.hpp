@@ -3,10 +3,11 @@
 // Owns one accepted socket and drives the generated halves of the five-step
 // request cycle: Read Request (socket → in buffer) and Send Reply (out
 // buffer → socket).  The application-dependent steps in between run on
-// Event Processor threads.  Reading, epoll interest, closing and the
-// connection maps are confined to the reactor (dispatcher) thread; with a
-// separate processor pool (O2 = Yes) the thread that encoded a reply also
-// sends it (send_reply()).  Hooks stay lock-free either way.
+// Event Processor threads, or on the dispatcher itself under O2 = No.
+// Reading, epoll interest, closing and the connection maps are confined to
+// the reactor (dispatcher) thread; the thread that produced reply bytes
+// writes them (send_reply(), send()), whatever the O2 value.  Hooks stay
+// lock-free either way.
 //
 // The pipeline token is split into a read side and a write side.
 //
@@ -29,29 +30,36 @@
 //     request is away are then reported again, level-triggered, once
 //     resume_reading() re-arms; a cycle with no early bytes costs no
 //     epoll_ctl at all.
-//   * Processor return: a reply that completes a request with an empty
-//     in_, no close pending and nothing queued ahead of it returns the
-//     token by CAS kAway→kReading *before* its write, so a peer that sends
-//     its next request the instant the reply lands finds the socket armed.
-//     If the CAS fails (kAwayDisarmed: bytes arrived first), the reply is
-//     still written inline and resume_reading() is posted.
+//   * Early return: a reply that completes a request with an empty in_, no
+//     close pending and nothing queued ahead of it returns the token by CAS
+//     kAway→kReading *before* its write, so a peer that sends its next
+//     request the instant the reply lands finds the socket armed.  If the
+//     CAS fails (kAwayDisarmed: bytes arrived first), the reply is still
+//     written by its thread and resume_reading() is posted.
 //   * Backpressure: if that early-returned reply cannot drain, the writer
 //     takes the token back by CAS kReading→kAway — the one exception above.
 //     The dispatcher then reads no further request until the drain ends
 //     (after_reply_sent()).  If the dispatcher's start_pipeline() won the
 //     race instead, one more request runs, and its reply queues behind the
 //     backlog, so a peer that never reads gets at most two requests served.
+//   * Pipelined bytes: a reply that leaves a next request in in_ keeps the
+//     token and queues that request's Decode.  Under O2 = No the Decode is
+//     posted to the dispatcher instead of called, so a pipelined burst does
+//     not recurse Decode → Send → Decode on one stack, and a reply written
+//     on a file-I/O thread (an async completion) does not run the next
+//     Decode there.
 //
 // Write side — send_mutex_ guards out_, reply_pending_drain_ and every
-// write to the socket; close() holds it around socket_.close(), so a
-// processor never writes to a closed or reused descriptor.  Both threads
-// drain out_ through drain_locked(), the one writev/sendfile loop.  A
-// processor writes only when out_ is empty and posts_in_flight_ is 0 — no
-// earlier send from this connection is still on its way to the dispatcher —
-// so bytes leave in the order the hooks produced them.  Otherwise, and
-// always under O2 = No (SPED, where the simulator's determinism contract
-// fixes the order of posts), the reply is posted to the dispatcher
-// (post_send()) and drained there.
+// write to the socket; close() takes the socket out under it and closes
+// the descriptor after, so no thread writes to a closed or reused one.
+// Every thread drains out_ through drain_locked(), the one writev/sendfile
+// loop.  Invariant: a non-empty out_ always has a dispatcher drain pending
+// — either EPOLLOUT is armed or on_writable() is posted.  A writer that
+// finds out_ empty writes itself, and posts on_writable() if its write
+// blocks; a writer that finds bytes queued pushes behind them and leaves
+// them to that drain, so bytes leave in the order the hooks produced them.
+// A completed reply queued that way sets reply_pending_drain_, and the
+// drain continues the pipeline.
 //
 // A keep-alive request therefore costs one readable event on the
 // dispatcher and no post: Read → Decode/Handle/Encode → Send.
@@ -92,13 +100,13 @@ class Connection : public net::EventHandler,
 
   // ---- sending (any thread) ---------------------------------------------
   // Sends the reply that completes the current request.  Called by the
-  // thread that resolved it, which holds the pipeline token: with a
-  // separate processor pool that thread writes the reply itself (see the
-  // ownership notes above); otherwise the reply is posted.
+  // thread that resolved it, which holds the pipeline token and writes the
+  // reply itself (see the ownership notes above).  Dropped if closed.
   void send_reply(EncodedReply reply);
-  // Posts `reply` to the dispatcher, which queues and drains it.  When
-  // `completes_request` is true the pipeline continues after the drain.
-  void post_send(EncodedReply reply, bool completes_request);
+  // Sends bytes that complete no request (greetings, intermediate
+  // replies, server push), written by the calling thread behind anything
+  // already queued.  Dropped if closed.
+  void send(EncodedReply bytes);
 
   // ---- reactor-thread operations (workers invoke via Reactor::post) -----
   // Re-arms read interest (decode needs more data, or a drained reply left
@@ -187,17 +195,17 @@ class Connection : public net::EventHandler,
   void start_pipeline();
   // Queues the next Decode; the caller holds the token.
   void decode_next();
-  // Dispatcher side of post_send().
-  void queue_send(EncodedReply reply, bool completes_request);
   void count_reply_copies(const EncodedReply& reply);
   // A completed reply finished draining: continue or close.
   void after_reply_sent();
   void note_reply_sent(int64_t read_done_us, int64_t encode_done_us);
   // The one writev/sendfile loop; the caller holds send_mutex_.
   DrainResult drain_locked();
-  // Dispatcher: drains under `lock`, then arms write interest or finishes
-  // the reply.
-  void flush_out(std::unique_lock<std::mutex> lock);
+  // After a write off the dispatcher's drain: a blocked write posts
+  // on_writable(), a failed one posts close().
+  void post_drain_result(DrainResult result);
+  // Dispatcher: drains out_, then arms write interest or finishes the
+  // reply.
   void on_writable();
   void update_interest();
 
@@ -213,10 +221,9 @@ class Connection : public net::EventHandler,
   // request is in flight: on_readable() acquires one when in_ has no
   // storage, and the read-token holder returns it whenever it finds in_
   // empty between requests — in send_reply() before the CAS that hands
-  // the token back, and in resume_reading() (which continue_pipeline()
-  // reaches on the SPED path).  An idle connection therefore holds no
-  // block.  close() never returns it, because a processor may still be
-  // decoding from in_; ~Connection returns whatever is left.
+  // the token back, and in resume_reading().  An idle connection therefore
+  // holds no block.  close() never returns it, because a processor may
+  // still be decoding from in_; ~Connection returns whatever is left.
   ByteBuffer in_;
   // Held by the connection itself so the return outlives any Server
   // teardown ordering.  The connection is one of the pool's users for its
@@ -226,8 +233,6 @@ class Connection : public net::EventHandler,
   std::mutex send_mutex_;
   SendQueue out_;
   bool reply_pending_drain_ = false;
-  // post_send() calls whose queue_send() has not run yet.
-  std::atomic<uint32_t> posts_in_flight_{0};
   std::shared_ptr<void> app_state_;
   TraceContext trace_;
   std::atomic<uint64_t> bytes_read_total_{0};

@@ -74,7 +74,7 @@ std::shared_ptr<RequestContext> RequestContext::make_handle() const {
 }
 
 void RequestContext::send_segments(EncodedReply reply) {
-  conn_->post_send(std::move(reply), /*completes_request=*/false);
+  conn_->send(std::move(reply));
 }
 
 bool RequestContext::mark_resolved() {

@@ -79,10 +79,12 @@ class RequestContext : public std::enable_shared_from_this<RequestContext> {
 
 
   // ---- output ------------------------------------------------------------
-  // Enqueues bytes without completing the request (multi-part replies,
-  // greetings, FTP intermediate responses).
+  // Sends bytes without completing the request (multi-part replies,
+  // greetings, FTP intermediate responses).  The calling thread writes
+  // them, behind any bytes of this connection still queued; a write that
+  // would block is finished by the dispatcher.
   void send(std::string bytes);
-  // Segment-level variant of send(): enqueues an EncodedReply (owned header
+  // Segment-level variant of send(): sends an EncodedReply (owned header
   // bytes + refcounted body slices) without completing the request.
   void send_segments(EncodedReply reply);
   // Completes the request: response → Encode Reply hook (O3) → Send Reply.

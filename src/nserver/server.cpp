@@ -277,20 +277,30 @@ void Server::on_accept(net::TcpSocket socket) {
   shards_[shard_index]->accepts.fetch_add(1, std::memory_order_relaxed);
   if (options_.profiling) profiler_.count_accept();
   const bool counted = options_.max_connections != 0;
+  hand_off(shard_index, std::move(socket),
+           [this, shard_index, counted,
+            ip_key = std::move(ip_key)](net::TcpSocket sock) mutable {
+             add_connection(shard_index, std::move(sock), std::move(ip_key),
+                            counted);
+           });
+}
+
+template <typename Adopt>
+void Server::hand_off(size_t shard_index, net::TcpSocket socket,
+                      Adopt adopt) {
   if (shard_index == 0) {
-    add_connection(shard_index, std::move(socket), std::move(ip_key), counted);
-  } else {
-    // Hand the socket to its shard's dispatcher thread.
-    auto* raw = new net::TcpSocket(std::move(socket));
-    shards_[shard_index]->reactor->post(
-        [this, shard_index, raw, counted,
-         ip_key = std::move(ip_key)]() mutable {
-          net::TcpSocket sock(std::move(*raw));
-          delete raw;
-          add_connection(shard_index, std::move(sock), std::move(ip_key),
-                         counted);
-        });
+    adopt(std::move(socket));
+    return;
   }
+  // A posted std::function must be copyable, so the move-only socket rides
+  // in a heap box.
+  auto* raw = new net::TcpSocket(std::move(socket));
+  shards_[shard_index]->reactor->post(
+      [raw, adopt = std::move(adopt)]() mutable {
+        net::TcpSocket sock(std::move(*raw));
+        delete raw;
+        adopt(std::move(sock));
+      });
 }
 
 uint64_t Server::add_connection(size_t shard_index, net::TcpSocket socket,
@@ -338,17 +348,11 @@ void Server::connect_peer(const net::InetAddress& peer,
               next_shard_.fetch_add(1, std::memory_order_relaxed) %
               shards_.size();
           if (options_.profiling) profiler_.count_accept();
-          if (shard_index == 0) {
-            on_done(add_connection(0, std::move(socket).take()));
-            return;
-          }
-          auto* raw = new net::TcpSocket(std::move(socket).take());
-          shards_[shard_index]->reactor->post(
-              [this, shard_index, raw, on_done = std::move(on_done)] {
-                net::TcpSocket sock(std::move(*raw));
-                delete raw;
-                on_done(add_connection(shard_index, std::move(sock)));
-              });
+          hand_off(shard_index, std::move(socket).take(),
+                   [this, shard_index, on_done = std::move(on_done)](
+                       net::TcpSocket sock) {
+                     on_done(add_connection(shard_index, std::move(sock)));
+                   });
         });
     if (!status.is_ok()) on_done(status);
   });

@@ -157,6 +157,11 @@ class Server {
   // num_connections_ (the reserving cap check), so don't count it twice.
   uint64_t add_connection(size_t shard_index, net::TcpSocket socket,
                           std::string ip_key = {}, bool counted = false);
+  // Runs `adopt(socket)` on the dispatcher of shard `shard_index`.  Called
+  // on shard 0's reactor, so shard 0 adopts inline; any other shard gets
+  // the socket through a post.
+  template <typename Adopt>
+  void hand_off(size_t shard_index, net::TcpSocket socket, Adopt adopt);
 
   // ---- pipeline steps (processor threads unless O2 = No) -----------------
   void submit_decode(const std::shared_ptr<Connection>& conn);

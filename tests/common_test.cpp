@@ -110,13 +110,6 @@ TEST(MpmcQueue, TryPopEmptyReturnsNullopt) {
   EXPECT_FALSE(q.try_pop().has_value());
 }
 
-TEST(MpmcQueue, BoundedTryPushFailsWhenFull) {
-  MpmcQueue<int> q(2);
-  EXPECT_TRUE(q.try_push(1));
-  EXPECT_TRUE(q.try_push(2));
-  EXPECT_FALSE(q.try_push(3));
-}
-
 TEST(MpmcQueue, ShutdownDrainsThenReturnsNullopt) {
   MpmcQueue<int> q;
   q.push(42);
@@ -254,28 +247,6 @@ TEST(ThreadPool, ExecutesSubmittedTasks) {
   }
   pool.stop();
   EXPECT_EQ(count.load(), 100);
-}
-
-TEST(ThreadPool, ResizeGrows) {
-  ThreadPool pool(1);
-  pool.resize(4);
-  EXPECT_EQ(pool.num_threads(), 4u);
-  pool.stop();
-}
-
-TEST(ThreadPool, ResizeShrinks) {
-  ThreadPool pool(4);
-  pool.resize(1);
-  // Retirement is cooperative; give workers a moment to observe it.
-  for (int i = 0; i < 100 && pool.num_threads() > 1; ++i) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  }
-  EXPECT_EQ(pool.num_threads(), 1u);
-  // Pool still works after shrinking.
-  std::atomic<int> count{0};
-  pool.submit([&count] { count.fetch_add(1); });
-  pool.stop();
-  EXPECT_EQ(count.load(), 1);
 }
 
 TEST(ThreadPool, SubmitAfterStopFails) {

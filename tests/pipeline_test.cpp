@@ -16,6 +16,16 @@
 namespace cops::nserver {
 namespace {
 
+// `n` bytes of a pattern that shifts every 4093 bytes, so a misplaced or
+// repeated chunk of a bulk send shows.
+std::string bulk_payload(size_t n) {
+  std::string out(n, '\0');
+  for (size_t i = 0; i < n; ++i) {
+    out[i] = static_cast<char>('a' + (i + i / 4093) % 26);
+  }
+  return out;
+}
+
 // Line-echo hooks with instrumentation knobs.
 class ProbeHooks : public AppHooks {
  public:
@@ -29,6 +39,9 @@ class ProbeHooks : public AppHooks {
   std::atomic<bool> defer{false};
   // Artificial per-request handle cost.
   std::atomic<int> handle_delay_ms{0};
+  // When non-zero, handle() first send()s bulk_payload(bulk_bytes), then
+  // replies.
+  std::atomic<size_t> bulk_bytes{0};
   std::function<int(const std::string&)> classify;
 
   void on_connect(RequestContext& ctx) override {
@@ -62,6 +75,7 @@ class ProbeHooks : public AppHooks {
       ctx.reply(std::string("BYE"));
       return;
     }
+    if (const size_t n = bulk_bytes.load(); n > 0) ctx.send(bulk_payload(n));
     if (defer.load()) {
       // Resolve from a foreign thread — contexts are thread-safe carriers.
       // Resolution responsibility transfers to the handle; this context is
@@ -560,127 +574,7 @@ TEST(RequestCycleTest, OneDecodeAndOneProcessorEventPerKeepAliveRequest) {
 }
 
 
-// Waits until shard 0's dispatcher has run nothing new for a few
-// milliseconds: its count is bumped after a pass, which can be after the
-// client already holds the reply.
-uint64_t settled_dispatched(const Server& server) {
-  uint64_t last = server.events_dispatched(0);
-  for (int i = 0; i < 400; ++i) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
-    const uint64_t now_dispatched = server.events_dispatched(0);
-    if (now_dispatched == last) break;
-    last = now_dispatched;
-  }
-  return last;
-}
-
-// With a processor pool the thread that encoded a reply sends it: the only
-// dispatcher callback a keep-alive request costs is its readable event
-// (two when the reply was posted back for the send).
-TEST(RequestCycleTest, OneDispatcherCallbackPerKeepAliveRequest) {
-  test::TempDir dir;
-  const std::string body = "<html>sent by the processor</html>";
-  dir.write_file("index.html", body);
-  http::HttpServerConfig config;
-  config.doc_root = dir.str();
-  auto options = http::CopsHttpServer::default_options();
-  options.listen_port = 0;
-  options.housekeeping_interval = std::chrono::hours(1);  // no timer passes
-  http::CopsHttpServer server(options, config);
-  ASSERT_TRUE(server.start().is_ok());
-
-  test::BlockingClient client;
-  ASSERT_TRUE(client.connect("127.0.0.1", server.port()));
-  ASSERT_NE(test::http_get(server.port(), "/index.html", true, &client)
-                .find(body),
-            std::string::npos);  // warm-up: the cache miss goes to file I/O
-  const uint64_t before = settled_dispatched(server.server());
-
-  constexpr uint64_t kRequests = 500;
-  for (uint64_t i = 0; i < kRequests; ++i) {
-    ASSERT_NE(test::http_get(server.port(), "/index.html", true, &client)
-                  .find(body),
-              std::string::npos)
-        << "request " << i;
-  }
-  EXPECT_EQ(settled_dispatched(server.server()) - before, kRequests);
-  server.stop();
-}
-
-// Line echo whose Handle holds each request until the test releases it,
-// so the next request can arrive while the previous one is away.
-class HeldReplyHooks : public AppHooks {
- public:
-  DecodeResult decode(RequestContext&, ByteBuffer& in) override {
-    const size_t eol = in.find("\n");
-    if (eol == std::string_view::npos) return DecodeResult::need_more();
-    std::string line(in.view().substr(0, eol));
-    in.consume(eol + 1);
-    return DecodeResult::request_ready(std::move(line));
-  }
-  void handle(RequestContext& ctx, std::any request) override {
-    std::lock_guard lock(mutex_);
-    held_ = ctx.make_handle();
-    line_ = std::any_cast<std::string>(std::move(request));
-    handled_.fetch_add(1);
-  }
-  std::string encode(RequestContext&, std::any response) override {
-    return std::any_cast<std::string>(std::move(response)) + "\n";
-  }
-  // Waits for the `n`th request to reach Handle.
-  bool wait_handled(int n) {
-    for (int i = 0; i < 1000 && handled_.load() < n; ++i) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(2));
-    }
-    return handled_.load() >= n;
-  }
-  // Replies to the held request from the calling thread.
-  bool release() {
-    std::shared_ptr<RequestContext> held;
-    std::string line;
-    {
-      std::lock_guard lock(mutex_);
-      held = std::exchange(held_, nullptr);
-      line = line_;
-    }
-    if (!held) return false;
-    held->reply("ECHO:" + line);
-    return true;
-  }
-
- private:
-  std::mutex mutex_;
-  std::shared_ptr<RequestContext> held_;
-  std::string line_;
-  std::atomic<int> handled_{0};
-};
-
-// Request 2 arrives while request 1 is held in Handle, so the dispatcher
-// drops read interest and the reply cannot hand the read token straight
-// back: it is still written by the releasing thread, the re-arm goes to
-// the dispatcher, and request 2 is read and answered after it.
-TEST(RequestCycleTest, RequestArrivingDuringHandleIsAnsweredInOrder) {
-  auto hooks = std::make_shared<HeldReplyHooks>();
-  ServerOptions options;
-  options.listen_port = 0;
-  Server server(options, hooks);
-  ASSERT_TRUE(server.start().is_ok());
-
-  test::BlockingClient client;
-  ASSERT_TRUE(client.connect("127.0.0.1", server.port()));
-  ASSERT_TRUE(client.send_all("one\n"));
-  ASSERT_TRUE(hooks->wait_handled(1));
-  ASSERT_TRUE(client.send_all("two\n"));
-  // Let the dispatcher see request 2 while request 1 is away.
-  std::this_thread::sleep_for(std::chrono::milliseconds(50));
-  ASSERT_TRUE(hooks->release());
-  ASSERT_TRUE(hooks->wait_handled(2));
-  ASSERT_TRUE(hooks->release());
-  EXPECT_EQ(client.read_until("ECHO:two\n"), "ECHO:one\nECHO:two\n");
-  server.stop();
-}
-
-// ---- hazards of sending from the processor ---------------------------------
+// ---- raw-socket helpers ----------------------------------------------------
 
 std::string file_pattern(size_t size, char salt) {
   std::string out(size, '\0');
@@ -763,6 +657,223 @@ bool send_all(int fd, const std::string& data) {
     pending.erase(0, take);
   }
   return ::testing::AssertionSuccess();
+}
+
+// Waits until shard 0's dispatcher has run nothing new for a few
+// milliseconds: its count is bumped after a pass, which can be after the
+// client already holds the reply.
+uint64_t settled_dispatched(const Server& server) {
+  uint64_t last = server.events_dispatched(0);
+  for (int i = 0; i < 400; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    const uint64_t now_dispatched = server.events_dispatched(0);
+    if (now_dispatched == last) break;
+    last = now_dispatched;
+  }
+  return last;
+}
+
+// The thread that encoded a reply sends it, with or without a processor
+// pool (O2): the only dispatcher callback a keep-alive request costs is its
+// readable event (two when the reply was posted back for the send).  A
+// pipelined burst, whose Decodes O2 = No posts one by one to keep the
+// stack bounded, is answered whole and in order.
+TEST(RequestCycleTest, OneDispatcherCallbackPerKeepAliveRequest) {
+  test::TempDir dir;
+  const std::string body = "<html>sent by the processor</html>";
+  dir.write_file("index.html", body);
+  const std::string other = "<html>the other file</html>";
+  dir.write_file("other.html", other);
+  http::HttpServerConfig config;
+  config.doc_root = dir.str();
+  for (const bool pool : {true, false}) {
+    SCOPED_TRACE(pool ? "O2 = Yes" : "O2 = No");
+    auto options = http::CopsHttpServer::default_options();
+    options.separate_processor_pool = pool;
+    options.listen_port = 0;
+    options.housekeeping_interval = std::chrono::hours(1);  // no timer passes
+    http::CopsHttpServer server(options, config);
+    ASSERT_TRUE(server.start().is_ok());
+
+    test::BlockingClient client;
+    ASSERT_TRUE(client.connect("127.0.0.1", server.port()));
+    // Warm-up: each first GET misses the cache and goes to file I/O.
+    for (const char* path : {"/index.html", "/other.html"}) {
+      ASSERT_NE(test::http_get(server.port(), path, true, &client)
+                    .find("</html>"),
+                std::string::npos);
+    }
+    const uint64_t before = settled_dispatched(server.server());
+
+    constexpr uint64_t kRequests = 500;
+    for (uint64_t i = 0; i < kRequests; ++i) {
+      ASSERT_NE(test::http_get(server.port(), "/index.html", true, &client)
+                    .find(body),
+                std::string::npos)
+          << "request " << i;
+    }
+    EXPECT_EQ(settled_dispatched(server.server()) - before, kRequests);
+
+    // 300 pipelined GETs and the head of one more in one write; the rest
+    // of the last request follows once the 300 replies are read.
+    auto get = [](int i) {
+      return std::string("GET /") + (i % 2 == 0 ? "index" : "other") +
+             ".html HTTP/1.1\r\nHost: t\r\n\r\n";
+    };
+    constexpr int kPipelined = 300;
+    std::string burst;
+    for (int i = 0; i < kPipelined; ++i) burst += get(i);
+    const std::string last = get(kPipelined);
+    const size_t split = last.size() / 2;
+    ASSERT_TRUE(client.send_all(burst + last.substr(0, split)));
+    std::string pending;
+    for (int i = 0; i < kPipelined; ++i) {
+      ASSERT_TRUE(read_reply(client.fd(), pending, i % 2 == 0 ? body : other))
+          << "pipelined reply " << i;
+    }
+    EXPECT_TRUE(pending.empty());
+    ASSERT_TRUE(client.send_all(last.substr(split)));
+    ASSERT_TRUE(read_reply(client.fd(), pending, body));
+    EXPECT_TRUE(pending.empty());
+    server.stop();
+  }
+}
+
+// Line echo whose Handle holds each request until the test releases it,
+// so the next request can arrive while the previous one is away.
+class HeldReplyHooks : public AppHooks {
+ public:
+  DecodeResult decode(RequestContext&, ByteBuffer& in) override {
+    const size_t eol = in.find("\n");
+    if (eol == std::string_view::npos) return DecodeResult::need_more();
+    std::string line(in.view().substr(0, eol));
+    in.consume(eol + 1);
+    return DecodeResult::request_ready(std::move(line));
+  }
+  void handle(RequestContext& ctx, std::any request) override {
+    std::lock_guard lock(mutex_);
+    held_ = ctx.make_handle();
+    line_ = std::any_cast<std::string>(std::move(request));
+    handled_.fetch_add(1);
+  }
+  std::string encode(RequestContext&, std::any response) override {
+    return std::any_cast<std::string>(std::move(response)) + "\n";
+  }
+  // Waits for the `n`th request to reach Handle.
+  bool wait_handled(int n) {
+    for (int i = 0; i < 1000 && handled_.load() < n; ++i) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    }
+    return handled_.load() >= n;
+  }
+  // Replies to the held request from the calling thread.
+  bool release() {
+    std::shared_ptr<RequestContext> held;
+    std::string line;
+    {
+      std::lock_guard lock(mutex_);
+      held = std::exchange(held_, nullptr);
+      line = line_;
+    }
+    if (!held) return false;
+    held->reply("ECHO:" + line);
+    return true;
+  }
+
+ private:
+  std::mutex mutex_;
+  std::shared_ptr<RequestContext> held_;
+  std::string line_;
+  std::atomic<int> handled_{0};
+};
+
+// Request 2 arrives while request 1 is held in Handle, so the dispatcher
+// drops read interest and the reply cannot hand the read token straight
+// back: it is still written by the releasing thread, the re-arm goes to
+// the dispatcher, and request 2 is read and answered after it.
+TEST(RequestCycleTest, RequestArrivingDuringHandleIsAnsweredInOrder) {
+  auto hooks = std::make_shared<HeldReplyHooks>();
+  ServerOptions options;
+  options.listen_port = 0;
+  Server server(options, hooks);
+  ASSERT_TRUE(server.start().is_ok());
+
+  test::BlockingClient client;
+  ASSERT_TRUE(client.connect("127.0.0.1", server.port()));
+  ASSERT_TRUE(client.send_all("one\n"));
+  ASSERT_TRUE(hooks->wait_handled(1));
+  ASSERT_TRUE(client.send_all("two\n"));
+  // Let the dispatcher see request 2 while request 1 is away.
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  ASSERT_TRUE(hooks->release());
+  ASSERT_TRUE(hooks->wait_handled(2));
+  ASSERT_TRUE(hooks->release());
+  EXPECT_EQ(client.read_until("ECHO:two\n"), "ECHO:one\nECHO:two\n");
+  server.stop();
+}
+
+// ---- hazards of sending from the processor ---------------------------------
+
+// A Handle that send()s more than the socket buffers hold and then replies:
+// the send's write blocks and leaves its tail to the dispatcher, and the
+// reply queues behind it.  The peer reads slowly, gets the bytes in hook
+// order, and is served its next request on the same connection.
+void expect_reply_queues_behind_blocked_send(Server& server,
+                                             ProbeHooks& hooks) {
+  constexpr size_t kBulkBytes = 8 << 20;  // past tcp_wmem max + the window
+  hooks.bulk_bytes = kBulkBytes;
+  const int fd = connect_small_window(server.port(), 16 * 1024);
+  ASSERT_GE(fd, 0);
+  ASSERT_TRUE(send_all(fd, "one\n"));
+  for (int i = 0; i < 1000 && hooks.handled.load() < 1; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  }
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+
+  const std::string expected =
+      "HELLO\n" + bulk_payload(kBulkBytes) + "ECHO:one\n";
+  std::string received;
+  char buf[16 * 1024];
+  while (received.size() < expected.size()) {
+    const ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
+    if (n < 0 && errno == EINTR) continue;
+    if (n <= 0) break;
+    received.append(buf, static_cast<size_t>(n));
+    std::this_thread::sleep_for(std::chrono::microseconds(100));
+  }
+  ASSERT_EQ(received.size(), expected.size());
+  EXPECT_TRUE(received == expected) << "bytes out of hook order";
+
+  hooks.bulk_bytes = 0;
+  ASSERT_TRUE(send_all(fd, "two\n"));
+  std::string next;
+  while (next.size() < 9) {
+    const ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
+    if (n < 0 && errno == EINTR) continue;
+    if (n <= 0) break;
+    next.append(buf, static_cast<size_t>(n));
+  }
+  EXPECT_EQ(next, "ECHO:two\n");
+
+  ::close(fd);
+  for (int i = 0; i < 1000 && server.connection_count() > 0; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  }
+  EXPECT_EQ(server.connection_count(), 0u);
+}
+
+TEST_F(PipelineFixture, ReplyQueuesBehindBlockedSendWithProcessorPool) {
+  ServerOptions options;
+  options.separate_processor_pool = true;
+  start(options);
+  expect_reply_queues_behind_blocked_send(*server_, *hooks_);
+}
+
+TEST_F(PipelineFixture, ReplyQueuesBehindBlockedSendWithoutProcessorPool) {
+  ServerOptions options;
+  options.separate_processor_pool = false;
+  start(options);
+  expect_reply_queues_behind_blocked_send(*server_, *hooks_);
 }
 
 uint64_t requests_served(Server& server) {
