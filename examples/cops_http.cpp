@@ -13,6 +13,7 @@
 #include <thread>
 
 #include "http/http_server.hpp"
+#include "nserver/stats.hpp"
 
 namespace {
 
@@ -132,8 +133,9 @@ int main(int argc, char** argv) {
 
   const auto report = [&] {
     if (!options.profiling) return;
-    const auto snap = server.server().profile();
-    std::printf("profile: %s\n", snap.to_string().c_str());
+    const auto text =
+        cops::nserver::render_prometheus(server.server().stats_snapshot());
+    std::fputs(text.c_str(), stdout);
   };
   if (run_seconds > 0) {
     std::this_thread::sleep_for(std::chrono::seconds(run_seconds));

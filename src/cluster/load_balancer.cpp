@@ -6,6 +6,7 @@
 
 #include "common/logging.hpp"
 #include "nserver/admin_server.hpp"
+#include "nserver/stats.hpp"
 
 namespace cops::cluster {
 
@@ -180,8 +181,7 @@ Status LoadBalancer::start() {
     routes.unhealthy = [this]() -> const char* {
       return stopping_.load() ? "stopping\n" : nullptr;
     };
-    routes.prometheus = [this] { return render_stats_prometheus(); };
-    routes.json = [this] { return render_stats_json(); };
+    routes.metrics = [this](nserver::MetricsWriter& w) { write_stats(w); };
     routes.banner = "cops-cluster admin";
     admin_ = std::make_unique<nserver::AdminServer>(reactor_,
                                                     std::move(routes));
@@ -624,106 +624,44 @@ std::vector<BackendStats> LoadBalancer::backend_stats() {
 
 // ---- admin endpoint -------------------------------------------------------------
 
-namespace {
-
-void append_metric(std::string& out, const std::string& name, const char* type,
-                   uint64_t value) {
-  out += "# TYPE ";
-  out += name;
-  out += ' ';
-  out += type;
-  out += '\n';
-  out += name;
-  out += ' ';
-  out += std::to_string(value);
-  out += '\n';
-}
-
-void append_labeled(std::string& out, const std::string& name, size_t backend,
-                    uint64_t value) {
-  out += name;
-  out += "{backend=\"";
-  out += std::to_string(backend);
-  out += "\"} ";
-  out += std::to_string(value);
-  out += '\n';
-}
-
-}  // namespace
-
-std::string LoadBalancer::render_stats_prometheus() const {
-  std::string out;
-  out.reserve(1024);
-  append_metric(out, "cops_cluster_sessions_total", "counter", total_.load());
-  append_metric(out, "cops_cluster_sessions_active", "gauge", active_.load());
-  append_metric(out, "cops_cluster_dropped_clients_total", "counter",
-                dropped_.load());
-  append_metric(out, "cops_cluster_retries_total", "counter", retries_.load());
-  const struct {
-    const char* name;
-    const char* type;
-    std::function<uint64_t(const BackendStats&)> get;
-  } kSeries[] = {
-      {"cops_cluster_backend_healthy", "gauge",
-       [](const BackendStats& s) { return s.healthy ? 1u : 0u; }},
-      {"cops_cluster_backend_draining", "gauge",
-       [](const BackendStats& s) { return s.draining ? 1u : 0u; }},
-      {"cops_cluster_backend_breaker_state", "gauge",
-       [](const BackendStats& s) { return static_cast<uint64_t>(s.breaker); }},
-      {"cops_cluster_backend_active", "gauge",
-       [](const BackendStats& s) { return s.active; }},
-      {"cops_cluster_backend_connections_total", "counter",
-       [](const BackendStats& s) { return s.connections; }},
-      {"cops_cluster_backend_connect_failures_total", "counter",
-       [](const BackendStats& s) { return s.connect_failures; }},
-      {"cops_cluster_backend_ejections_total", "counter",
-       [](const BackendStats& s) { return s.ejections; }},
-      {"cops_cluster_backend_retries_total", "counter",
-       [](const BackendStats& s) { return s.retries; }},
-      {"cops_cluster_backend_probes_total", "counter",
-       [](const BackendStats& s) { return s.probes; }},
-      {"cops_cluster_backend_probe_failures_total", "counter",
-       [](const BackendStats& s) { return s.probe_failures; }},
-  };
-  for (const auto& series : kSeries) {
-    out += "# TYPE ";
-    out += series.name;
-    out += ' ';
-    out += series.type;
-    out += '\n';
-    for (size_t i = 0; i < backends_.size(); ++i) {
-      append_labeled(out, series.name, i, series.get(backends_[i].stats));
-    }
-  }
-  return out;
-}
-
-std::string LoadBalancer::render_stats_json() const {
-  std::string out = "{";
-  out += "\"sessions_total\":" + std::to_string(total_.load());
-  out += ",\"sessions_active\":" + std::to_string(active_.load());
-  out += ",\"dropped_clients\":" + std::to_string(dropped_.load());
-  out += ",\"retries_total\":" + std::to_string(retries_.load());
-  out += ",\"backends\":[";
+void LoadBalancer::write_stats(nserver::MetricsWriter& w) const {
+  w.counter("cops_cluster_sessions_total", "sessions_total",
+            "Client sessions accepted.", total_.load());
+  w.gauge("cops_cluster_sessions_active", "sessions_active",
+          "Client sessions open now.", static_cast<uint64_t>(active_.load()));
+  w.counter("cops_cluster_dropped_clients_total", "dropped_clients",
+            "Clients dropped with no backend to take them.", dropped_.load());
+  w.counter("cops_cluster_retries_total", "retries_total",
+            "Attempts retried on another backend.", retries_.load());
+  w.begin_table("backends", "backend", "index");
   for (size_t i = 0; i < backends_.size(); ++i) {
-    const auto& s = backends_[i].stats;
-    if (i > 0) out += ',';
-    out += "{\"index\":" + std::to_string(i);
-    out += ",\"address\":\"" + backends_[i].addr.to_string() + "\"";
-    out += std::string(",\"healthy\":") + (s.healthy ? "true" : "false");
-    out += std::string(",\"draining\":") + (s.draining ? "true" : "false");
-    out += std::string(",\"breaker\":\"") + to_string(s.breaker) + "\"";
-    out += ",\"active\":" + std::to_string(s.active);
-    out += ",\"connections\":" + std::to_string(s.connections);
-    out += ",\"connect_failures\":" + std::to_string(s.connect_failures);
-    out += ",\"ejections\":" + std::to_string(s.ejections);
-    out += ",\"retries\":" + std::to_string(s.retries);
-    out += ",\"probes\":" + std::to_string(s.probes);
-    out += ",\"probe_failures\":" + std::to_string(s.probe_failures);
-    out += "}";
+    const BackendStats& s = backends_[i].stats;
+    w.row(i);
+    w.json_string("address", backends_[i].addr.to_string());
+    w.flag("cops_cluster_backend_healthy", "healthy",
+           "1 while active health checks pass.", s.healthy);
+    w.flag("cops_cluster_backend_draining", "draining",
+           "1 while the backend takes no new sessions.", s.draining);
+    w.json_string("breaker", to_string(s.breaker));
+    w.gauge("cops_cluster_backend_breaker_state", "breaker_state",
+            "Circuit breaker (0=closed 1=open 2=half-open).",
+            static_cast<uint64_t>(s.breaker));
+    w.gauge("cops_cluster_backend_active", "active", "Open relays.",
+            static_cast<uint64_t>(s.active));
+    w.counter("cops_cluster_backend_connections_total", "connections",
+              "Relays opened.", s.connections);
+    w.counter("cops_cluster_backend_connect_failures_total", "connect_failures",
+              "Failed upstream connects.", s.connect_failures);
+    w.counter("cops_cluster_backend_ejections_total", "ejections",
+              "Breaker closed-to-open transitions.", s.ejections);
+    w.counter("cops_cluster_backend_retries_total", "retries",
+              "Failures here retried on another backend.", s.retries);
+    w.counter("cops_cluster_backend_probes_total", "probes",
+              "Health probes sent.", s.probes);
+    w.counter("cops_cluster_backend_probe_failures_total", "probe_failures",
+              "Health probes failed.", s.probe_failures);
   }
-  out += "]}";
-  return out;
+  w.end_table();
 }
 
 }  // namespace cops::cluster

@@ -48,6 +48,7 @@
 
 namespace cops::nserver {
 class AdminServer;
+class MetricsWriter;
 }  // namespace cops::nserver
 
 namespace cops::cluster {
@@ -228,9 +229,8 @@ class LoadBalancer {
   void health_tick();
   void start_probe(size_t index);
   void finish_probe(size_t index, bool ok);
-  // Admin endpoint rendering.
-  [[nodiscard]] std::string render_stats_prometheus() const;
-  [[nodiscard]] std::string render_stats_json() const;
+  // The admin endpoint's metrics walk.  Reactor thread.
+  void write_stats(nserver::MetricsWriter& w) const;
 
   LoadBalancerConfig config_;
   std::vector<Backend> backends_;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 
 namespace cops {
 
@@ -68,17 +67,6 @@ void Histogram::reset() {
   count_.store(0);
   sum_.store(0);
   max_.store(0);
-}
-
-std::string Histogram::summary() const {
-  char buf[160];
-  std::snprintf(buf, sizeof(buf),
-                "n=%llu mean=%.1fus p50<=%lldus p99<=%lldus max=%lldus",
-                static_cast<unsigned long long>(count()), mean_micros(),
-                static_cast<long long>(quantile_micros(0.5)),
-                static_cast<long long>(quantile_micros(0.99)),
-                static_cast<long long>(max_micros()));
-  return buf;
 }
 
 }  // namespace cops

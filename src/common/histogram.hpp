@@ -7,7 +7,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <string>
 #include <vector>
 
 namespace cops {
@@ -51,7 +50,6 @@ class Histogram {
   [[nodiscard]] int64_t max_micros() const { return max_.load(); }
 
   void reset();
-  [[nodiscard]] std::string summary() const;
 
   static constexpr int kNumBuckets = 40;  // covers [1us, ~2^39us ≈ 6 days]
 

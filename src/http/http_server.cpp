@@ -92,21 +92,6 @@ void HttpAppHooks::handle(nserver::RequestContext& ctx, std::any request) {
     return;
   }
   std::string path = req.path;
-  if (!config_.status_endpoint.empty() && path == config_.status_endpoint) {
-    const auto snapshot = ctx.server_profile();
-    HttpResponse status_page;
-    status_page.status = StatusCode::kOk;
-    status_page.body =
-        "COPS-HTTP server status\n=======================\n" +
-        snapshot.to_string() + "\nopen_connections=" +
-        std::to_string(ctx.server_connection_count()) + "\nresponses_sent=" +
-        std::to_string(responses_.load()) + "\n";
-    status_page.set_header("Content-Type", "text/plain");
-    status_page.set_header("Connection", keep_alive ? "keep-alive" : "close");
-    if (!keep_alive) ctx.close_after_reply();
-    ctx.reply(std::move(status_page));
-    return;
-  }
   if (config_.auto_index && maybe_serve_directory(ctx, path, keep_alive)) {
     return;
   }

@@ -30,10 +30,6 @@ struct HttpServerConfig {
   // redirect (301) directory paths lacking the trailing slash.
   bool auto_index = false;
 
-  // Serve a live statistics page at this path (Apache mod_status analog;
-  // feeds off option O11's profiler).  Empty = disabled.
-  std::string status_endpoint;
-
   // Event-scheduling priority hook (option O8) — the paper's ISP experiment
   // classifies requests into corporate-portal vs homepage levels with a
   // 13-line hook.  Return the priority level (0 = highest).

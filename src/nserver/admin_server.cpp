@@ -3,6 +3,7 @@
 #include <utility>
 
 #include "common/logging.hpp"
+#include "nserver/stats.hpp"
 
 namespace cops::nserver {
 namespace {
@@ -183,12 +184,15 @@ std::string AdminServer::respond(const std::string& method,
     }
     return admin_response(200, "OK", kTextPlain, "ok\n");
   }
-  if (path == "/stats") {
-    return admin_response(200, "OK", "text/plain; version=0.0.4; charset=utf-8",
-                          routes_.prometheus());
-  }
-  if (path == "/stats.json") {
-    return admin_response(200, "OK", "application/json", routes_.json());
+  if (path == "/stats" || path == "/stats.json") {
+    const bool json = path == "/stats.json";
+    MetricsWriter writer(json ? MetricsFormat::kJson
+                              : MetricsFormat::kPrometheus);
+    routes_.metrics(writer);
+    return admin_response(
+        200, "OK",
+        json ? "application/json" : "text/plain; version=0.0.4; charset=utf-8",
+        writer.finish());
   }
   if (path == "/") {
     return admin_response(200, "OK", kTextPlain,

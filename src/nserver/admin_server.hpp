@@ -9,6 +9,9 @@
 //   GET /stats.json  the same data as one JSON object
 //   GET /            index: the owner's banner line plus the routes
 //
+// The owner supplies one metrics walk; the path picks the MetricsWriter's
+// format (nserver/stats.hpp).
+//
 // The listener and every admin connection live on the owner's reactor (the
 // shard-0 dispatcher in the N-Server; no extra thread); request handling is
 // a route match plus a snapshot of relaxed atomics, so scrapes never
@@ -31,15 +34,16 @@
 namespace cops::nserver {
 
 class AdminConnection;
+class MetricsWriter;
 
 // What an owner serves through the route table.  The callbacks run on the
 // owning reactor's thread.
 struct AdminRoutes {
   // The 503 body while unhealthy (e.g. "draining\n"); nullptr while healthy.
   std::function<const char*()> unhealthy;
-  std::function<std::string()> prometheus;  // GET /stats
-  std::function<std::string()> json;        // GET /stats.json
-  std::string banner;                       // first line of GET /
+  // GET /stats and /stats.json: declares every metric to the writer.
+  std::function<void(MetricsWriter&)> metrics;
+  std::string banner;  // first line of GET /
 };
 
 class AdminServer {

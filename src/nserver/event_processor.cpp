@@ -1,5 +1,7 @@
 #include "nserver/event_processor.hpp"
 
+#include <algorithm>
+
 #include "nserver/profiler.hpp"
 #include "nserver/trace_context.hpp"
 
@@ -29,12 +31,13 @@ bool EventProcessor::submit(Event event) {
     return true;
   }
   if (config_.profiler != nullptr) event.enqueued_us = trace_now_us();
-  if (prio_) {
-    return prio_->push(std::move(event),
-                       static_cast<size_t>(event.priority < 0 ? 0
-                                                              : event.priority));
-  }
-  return fifo_->push(std::move(event));
+  return enqueue(std::move(event));
+}
+
+bool EventProcessor::enqueue(Event event) {
+  if (!prio_) return fifo_->push(std::move(event));
+  const int level = event.priority < 0 ? 0 : event.priority;
+  return prio_->push(std::move(event), static_cast<size_t>(level));
 }
 
 size_t EventProcessor::queue_depth() const {
@@ -46,10 +49,15 @@ std::optional<Event> EventProcessor::pop() {
   return fifo_->pop();
 }
 
-void EventProcessor::worker_loop(std::shared_ptr<std::atomic<bool>> retired) {
-  while (!retired->load(std::memory_order_acquire)) {
-    auto event = pop();
-    if (!event) return;  // shut down and drained
+void EventProcessor::worker_loop() {
+  bool retired = false;
+  // Each event dies at the end of its iteration: a parked worker must not
+  // keep the last action's captures alive.
+  while (auto event = pop()) {
+    if (!event->action) {  // a retire token from resize()
+      retired = true;
+      break;
+    }
     if (config_.profiler != nullptr && event->enqueued_us != 0) {
       config_.profiler->record_stage(Stage::kQueueWait,
                                      trace_now_us() - event->enqueued_us);
@@ -57,49 +65,39 @@ void EventProcessor::worker_loop(std::shared_ptr<std::atomic<bool>> retired) {
     event->action();
     processed_.fetch_add(1, std::memory_order_relaxed);
   }
+  // Shut down and drained, or retired.
+  std::lock_guard lock(mutex_);
+  --live_;
+  if (retired) {
+    --retiring_;
+    retired_.push_back(std::this_thread::get_id());
+  }
 }
 
 void EventProcessor::spawn_locked(size_t count) {
   for (size_t i = 0; i < count; ++i) {
-    auto retired = std::make_shared<std::atomic<bool>>(false);
-    workers_.push_back(
-        {std::thread([this, retired] { worker_loop(retired); }), retired});
+    workers_.emplace_back([this] { worker_loop(); });
+    ++live_;
   }
 }
 
 void EventProcessor::resize(size_t threads) {
   if (inline_mode_ || stopped_.load()) return;
   std::lock_guard lock(mutex_);
-  // Reap previously retired workers.
-  for (auto it = workers_.begin(); it != workers_.end();) {
-    if (it->retired->load() && it->thread.joinable()) {
-      it->thread.detach();
-      it = workers_.erase(it);
-    } else {
-      ++it;
-    }
+  // Join the workers that exited on a token.  Each recorded its id under
+  // this mutex on its way out, so the join waits for nothing but the return.
+  for (const auto id : retired_) {
+    const auto it =
+        std::find_if(workers_.begin(), workers_.end(),
+                     [id](const std::thread& t) { return t.get_id() == id; });
+    it->join();
+    workers_.erase(it);
   }
-  const size_t current = workers_.size();
-  if (threads > current) {
-    spawn_locked(threads - current);
-  } else if (threads < current) {
-    size_t to_retire = current - threads;
-    for (auto it = workers_.rbegin(); it != workers_.rend() && to_retire > 0;
-         ++it) {
-      if (!it->retired->load()) {
-        it->retired->store(true, std::memory_order_release);
-        --to_retire;
-        // Wake a sleeper so it can observe the retire flag.
-        Event nudge;
-        nudge.kind = EventKind::kUser;
-        nudge.action = [] {};
-        if (prio_) {
-          prio_->push(std::move(nudge), 0);
-        } else {
-          fifo_->push(std::move(nudge));
-        }
-      }
-    }
+  retired_.clear();
+  const size_t target = live_ - retiring_;
+  if (threads > target) spawn_locked(threads - target);
+  for (size_t i = threads; i < target; ++i) {
+    if (enqueue(Event{})) ++retiring_;
   }
 }
 
@@ -111,28 +109,23 @@ void EventProcessor::pause_low_priority(bool paused) {
 
 size_t EventProcessor::num_threads() const {
   std::lock_guard lock(mutex_);
-  size_t alive = 0;
-  for (const auto& w : workers_) {
-    if (!w.retired->load()) ++alive;
-  }
-  return alive;
+  return live_;
 }
 
 void EventProcessor::stop() {
-  bool expected = false;
-  if (!stopped_.compare_exchange_strong(expected, true)) {
-    // Already stopped; still make sure threads are joined (idempotent).
-  }
+  stopped_.store(true);
   if (prio_) prio_->shutdown();
   if (fifo_) fifo_->shutdown();
-  std::vector<Worker> workers;
+  std::vector<std::thread> workers;
   {
     std::lock_guard lock(mutex_);
     workers.swap(workers_);
   }
   for (auto& w : workers) {
-    if (w.thread.joinable()) w.thread.join();
+    if (w.joinable()) w.join();
   }
+  std::lock_guard lock(mutex_);
+  retired_.clear();
 }
 
 }  // namespace cops::nserver

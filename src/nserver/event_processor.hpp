@@ -47,14 +47,17 @@ class EventProcessor {
   EventProcessor(const EventProcessor&) = delete;
   EventProcessor& operator=(const EventProcessor&) = delete;
 
-  // Enqueues (or, with zero threads, runs) an event.  Returns false after
-  // stop().
+  // Enqueues (or, with zero threads, runs) an event, which must carry an
+  // action.  Returns false after stop().
   bool submit(Event event);
 
   // Current queue depth — the signal the overload controller watches.
   [[nodiscard]] size_t queue_depth() const;
 
   // Dynamic thread allocation (option O5): grow/shrink the worker pool.
+  // Growing spawns workers at once; shrinking queues one retire token (an
+  // Event without an action) per surplus worker, and the worker that pops
+  // a token exits.  num_threads() counts the workers still running.
   void resize(size_t threads);
   [[nodiscard]] size_t num_threads() const;
 
@@ -75,13 +78,9 @@ class EventProcessor {
   [[nodiscard]] bool inline_mode() const { return inline_mode_; }
 
  private:
-  struct Worker {
-    std::thread thread;
-    std::shared_ptr<std::atomic<bool>> retired;
-  };
-
+  bool enqueue(Event event);
   std::optional<Event> pop();
-  void worker_loop(std::shared_ptr<std::atomic<bool>> retired);
+  void worker_loop();
   void spawn_locked(size_t count);
 
   EventProcessorConfig config_;
@@ -91,7 +90,10 @@ class EventProcessor {
   std::unique_ptr<QuotaPriorityQueue<Event>> prio_;
 
   mutable std::mutex mutex_;
-  std::vector<Worker> workers_;
+  std::vector<std::thread> workers_;      // every worker not yet joined
+  std::vector<std::thread::id> retired_;  // exited on a token; to be joined
+  size_t live_ = 0;                       // workers not yet exited
+  size_t retiring_ = 0;                   // tokens queued but not yet popped
   std::atomic<bool> stopped_{false};
   std::atomic<bool> low_priority_paused_{false};
   std::atomic<uint64_t> processed_{0};

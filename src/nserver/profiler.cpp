@@ -1,36 +1,8 @@
 #include "nserver/profiler.hpp"
 
-#include <sstream>
 #include <unordered_map>
 
 namespace cops::nserver {
-
-std::string ProfilerSnapshot::to_string() const {
-  std::ostringstream out;
-  out << "accepted=" << connections_accepted
-      << " closed=" << connections_closed
-      << " rejected=" << connections_rejected
-      << " bytes_read=" << bytes_read << " bytes_sent=" << bytes_sent
-      << " requests=" << requests_decoded << " replies=" << replies_sent
-      << " decode_errors=" << decode_errors
-      << " events=" << events_processed
-      << " idle_shutdowns=" << idle_shutdowns
-      << " header_timeouts=" << header_timeouts
-      << " overload_suspensions=" << overload_suspensions
-      << " requests_shed=" << requests_shed
-      << " per_ip_rejections=" << per_ip_rejections
-      << " cache_invalidations=" << cache_invalidations
-      << " send_writev_calls=" << send_writev_calls
-      << " send_bytes_copied=" << send_bytes_copied
-      << " send_sendfile_bytes=" << send_sendfile_bytes
-      << " cache_hit_rate=" << cache_hit_rate;
-  for (size_t i = 0; i < kStageCount; ++i) {
-    if (stages[i].count() == 0) continue;
-    out << "\n  " << nserver::to_string(static_cast<Stage>(i)) << ": "
-        << stages[i].summary();
-  }
-  return out.str();
-}
 
 uint64_t Profiler::next_instance_id() {
   static std::atomic<uint64_t> counter{1};

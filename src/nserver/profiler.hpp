@@ -78,8 +78,6 @@ struct ProfilerSnapshot {
 
   // Merged per-stage latency distributions (index by Stage).
   std::array<Histogram, kStageCount> stages;
-
-  [[nodiscard]] std::string to_string() const;
 };
 
 class Profiler {

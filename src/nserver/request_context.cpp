@@ -32,14 +32,6 @@ Result<FileDataPtr> RequestContext::read_file_sync(const std::string& path) {
   return FileIoService::read_file(path);
 }
 
-ProfilerSnapshot RequestContext::server_profile() const {
-  return server_.profile();
-}
-
-size_t RequestContext::server_connection_count() const {
-  return server_.connection_count();
-}
-
 bool RequestContext::should_shed() const {
   OverloadManager* overload = server_.overload_.get();
   if (!overload) return false;

@@ -22,7 +22,6 @@
 #include "common/status.hpp"
 #include "nserver/file_io_service.hpp"
 #include "nserver/options.hpp"
-#include "nserver/profiler.hpp"
 #include "nserver/trace_context.hpp"
 
 namespace cops::nserver {
@@ -58,11 +57,6 @@ class RequestContext : public std::enable_shared_from_this<RequestContext> {
 
   // Direct synchronous read, bypassing the cache (rarely needed).
   [[nodiscard]] Result<FileDataPtr> read_file_sync(const std::string& path);
-
-  // Server observability for hooks (e.g. a status page): the profiler
-  // snapshot and cache counters.  Cheap (relaxed atomic reads).
-  [[nodiscard]] ProfilerSnapshot server_profile() const;
-  [[nodiscard]] size_t server_connection_count() const;
 
   // O9 shed tier: true while the server is overloaded and `overload_shed`
   // is on — the Handle hook should answer with a cheap rejection (HTTP:

@@ -109,8 +109,9 @@ Status Server::start() {
       if (draining()) return "draining\n";
       return accepting() ? nullptr : "overloaded\n";
     };
-    routes.prometheus = [this] { return render_prometheus(stats_snapshot()); };
-    routes.json = [this] { return render_json(stats_snapshot()); };
+    routes.metrics = [this](MetricsWriter& w) {
+      write_stats(w, stats_snapshot());
+    };
     routes.banner = "cops-nserver admin";
     admin_ = std::make_unique<AdminServer>(*shards_[0]->reactor,
                                            std::move(routes));

@@ -7,6 +7,7 @@
 #include "cluster/lb_policy.hpp"
 #include "common/clock.hpp"
 #include "nserver/admin_server.hpp"
+#include "nserver/stats.hpp"
 #include "proxy/proxy_session.hpp"
 
 namespace cops::proxy {
@@ -61,8 +62,7 @@ Status ProxyServer::start() {
     routes.unhealthy = [this]() -> const char* {
       return stopping_.load() ? "stopping\n" : nullptr;
     };
-    routes.prometheus = [this] { return render_stats_prometheus(); };
-    routes.json = [this] { return render_stats_json(); };
+    routes.metrics = [this](nserver::MetricsWriter& w) { write_stats(w); };
     routes.banner = "cops-proxy admin";
     admin_ = std::make_unique<nserver::AdminServer>(reactor_,
                                                     std::move(routes));
@@ -369,150 +369,50 @@ void ProxyServer::emit(const std::string& event) {
 
 // ---- admin endpoint -------------------------------------------------------
 
-namespace {
-
-void append_metric(std::string& out, const char* name, const char* type,
-                   uint64_t value) {
-  out += "# TYPE ";
-  out += name;
-  out += ' ';
-  out += type;
-  out += '\n';
-  out += name;
-  out += ' ';
-  out += std::to_string(value);
-  out += '\n';
-}
-
-std::string format_fraction(double value) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.6f", value);
-  return buf;
-}
-
-}  // namespace
-
-std::string ProxyServer::render_stats_prometheus() const {
-  std::string out;
-  out.reserve(1024);
-  append_metric(out, "cops_proxy_requests_total", "counter",
-                counters_.requests.load(std::memory_order_relaxed));
-  append_metric(out, "cops_proxy_responses_total", "counter",
-                counters_.responses.load(std::memory_order_relaxed));
-  append_metric(out, "cops_proxy_bad_gateway_total", "counter",
-                counters_.bad_gateway.load(std::memory_order_relaxed));
-  append_metric(out, "cops_proxy_gateway_timeout_total", "counter",
-                counters_.gateway_timeout.load(std::memory_order_relaxed));
-  append_metric(out, "cops_proxy_poisoned_upstreams_total", "counter",
-                counters_.poisoned.load(std::memory_order_relaxed));
-  append_metric(out, "cops_proxy_backpressure_events_total", "counter",
-                counters_.backpressure.load(std::memory_order_relaxed));
-  append_metric(out, "cops_proxy_shed_total", "counter",
-                counters_.shed.load(std::memory_order_relaxed));
-  append_metric(out, "cops_proxy_pool_reuse_total", "counter",
-                pool_reuse_total());
-  append_metric(out, "cops_proxy_pool_miss_total", "counter",
-                pool_miss_total());
-  append_metric(out, "cops_proxy_pool_stale_retry_total", "counter",
-                pool_stale_retry_total());
-  out += "# TYPE cops_proxy_backend_in_flight gauge\n";
-  for (size_t i = 0; i < backends_.size(); ++i) {
-    out += "cops_proxy_backend_in_flight{backend=\"";
-    out += std::to_string(i);
-    out += "\"} ";
-    out += std::to_string(in_flight_[i].load(std::memory_order_relaxed));
-    out += '\n';
-  }
-  out += "# TYPE cops_proxy_backend_draining gauge\n";
-  for (size_t i = 0; i < backends_.size(); ++i) {
-    out += "cops_proxy_backend_draining{backend=\"";
-    out += std::to_string(i);
-    out += "\"} ";
-    out += backends_[i].draining ? '1' : '0';
-    out += '\n';
-  }
+void ProxyServer::write_stats(nserver::MetricsWriter& w) const {
+  w.counter("cops_proxy_requests_total", "requests",
+            "Request heads accepted.", counters_.requests.load());
+  w.counter("cops_proxy_responses_total", "responses",
+            "Upstream responses relayed.", counters_.responses.load());
+  w.counter("cops_proxy_bad_gateway_total", "bad_gateway", "502s issued.",
+            counters_.bad_gateway.load());
+  w.counter("cops_proxy_gateway_timeout_total", "gateway_timeout",
+            "504s issued.", counters_.gateway_timeout.load());
+  w.counter("cops_proxy_poisoned_upstreams_total", "poisoned_upstreams",
+            "Upstream connections poisoned.", counters_.poisoned.load());
+  w.counter("cops_proxy_backpressure_events_total", "backpressure_events",
+            "Watermark pause transitions.", counters_.backpressure.load());
+  w.counter("cops_proxy_shed_total", "shed",
+            "503s from the overload manager.", counters_.shed.load());
   if (overload_) {
-    const auto snap = overload_->snapshot();
-    out += "# TYPE cops_proxy_overload_pressure gauge\n";
-    for (const auto& monitor : snap.monitors) {
-      out += "cops_proxy_overload_pressure{monitor=\"";
-      out += monitor.name;
-      out += "\"} ";
-      out += format_fraction(monitor.smoothed);
-      out += '\n';
-    }
-    out += "cops_proxy_overload_pressure{monitor=\"overall\"} ";
-    out += format_fraction(snap.pressure);
-    out += '\n';
-    append_metric(out, "cops_proxy_overload_tier", "gauge",
-                  static_cast<uint64_t>(snap.tier));
-    append_metric(out, "cops_proxy_overload_retry_after_seconds", "gauge",
-                  static_cast<uint64_t>(snap.retry_after.count()));
-    append_metric(out, "cops_proxy_overload_accept_stopped", "gauge",
-                  snap.accept_stopped ? 1 : 0);
+    nserver::write_overload(w, "cops_proxy_overload_", overload_->snapshot());
   }
-  return out;
-}
-
-std::string ProxyServer::render_stats_json() const {
-  std::string out = "{";
-  out += "\"requests\":" +
-         std::to_string(counters_.requests.load(std::memory_order_relaxed));
-  out += ",\"responses\":" +
-         std::to_string(counters_.responses.load(std::memory_order_relaxed));
-  out += ",\"bad_gateway\":" +
-         std::to_string(counters_.bad_gateway.load(std::memory_order_relaxed));
-  out += ",\"gateway_timeout\":" +
-         std::to_string(
-             counters_.gateway_timeout.load(std::memory_order_relaxed));
-  out += ",\"poisoned_upstreams\":" +
-         std::to_string(counters_.poisoned.load(std::memory_order_relaxed));
-  out += ",\"backpressure_events\":" +
-         std::to_string(
-             counters_.backpressure.load(std::memory_order_relaxed));
-  out += ",\"shed\":" +
-         std::to_string(counters_.shed.load(std::memory_order_relaxed));
-  if (overload_) {
-    const auto snap = overload_->snapshot();
-    out += ",\"overload\":{\"pressure\":" + format_fraction(snap.pressure);
-    out += ",\"tier\":" + std::to_string(static_cast<int>(snap.tier));
-    out += ",\"tier_name\":\"";
-    out += nserver::to_string(snap.tier);
-    out += "\",\"retry_after_s\":" + std::to_string(snap.retry_after.count());
-    out += std::string(",\"shedding\":") + (snap.shedding ? "true" : "false");
-    out += std::string(",\"accept_stopped\":") +
-           (snap.accept_stopped ? "true" : "false");
-    out += ",\"monitors\":[";
-    for (size_t i = 0; i < snap.monitors.size(); ++i) {
-      if (i > 0) out += ',';
-      out += "{\"name\":\"" + snap.monitors[i].name + "\"";
-      out += ",\"raw\":" + format_fraction(snap.monitors[i].raw);
-      out += ",\"pressure\":" + format_fraction(snap.monitors[i].pressure);
-      out += ",\"smoothed\":" + format_fraction(snap.monitors[i].smoothed);
-      out += "}";
-    }
-    out += "]}";
-  }
-  out += ",\"pool\":{\"reuse\":" + std::to_string(pool_reuse_total());
-  out += ",\"miss\":" + std::to_string(pool_miss_total());
-  out += ",\"stale_retry\":" + std::to_string(pool_stale_retry_total());
-  out += "},\"backends\":[";
+  w.begin_object("pool");
+  w.counter("cops_proxy_pool_reuse_total", "reuse",
+            "Idle pooled connections reused.", pool_reuse_total());
+  w.counter("cops_proxy_pool_miss_total", "miss",
+            "Upstream connections opened.", pool_miss_total());
+  w.counter("cops_proxy_pool_stale_retry_total", "stale_retry",
+            "Stale reuses retried on a fresh connection.",
+            pool_stale_retry_total());
+  w.end_object();
+  w.begin_table("backends", "backend", "index");
   for (size_t i = 0; i < backends_.size(); ++i) {
-    if (i > 0) out += ',';
-    out += "{\"index\":" + std::to_string(i);
-    out += ",\"address\":\"" + backends_[i].addr.to_string() + "\"";
-    out += std::string(",\"draining\":") +
-           (backends_[i].draining ? "true" : "false");
-    out += ",\"in_flight\":" +
-           std::to_string(in_flight_[i].load(std::memory_order_relaxed));
+    w.row(i);
+    w.json_string("address", backends_[i].addr.to_string());
+    w.flag("cops_proxy_backend_draining", "draining",
+           "1 while the backend is drained out of selection.",
+           backends_[i].draining);
+    w.gauge("cops_proxy_backend_in_flight", "in_flight",
+            "Requests in flight to the backend.",
+            static_cast<uint64_t>(
+                in_flight_[i].load(std::memory_order_relaxed)));
     if (pool_) {
-      out += ",\"pool_in_use\":" + std::to_string(pool_->in_use(i));
-      out += ",\"pool_idle\":" + std::to_string(pool_->idle(i));
+      w.json("pool_in_use", static_cast<uint64_t>(pool_->in_use(i)));
+      w.json("pool_idle", static_cast<uint64_t>(pool_->idle(i)));
     }
-    out += "}";
   }
-  out += "]}";
-  return out;
+  w.end_table();
 }
 
 }  // namespace cops::proxy

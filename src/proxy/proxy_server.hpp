@@ -36,6 +36,7 @@
 
 namespace cops::nserver {
 class AdminServer;
+class MetricsWriter;
 }  // namespace cops::nserver
 
 namespace cops::proxy {
@@ -130,8 +131,8 @@ class ProxyServer {
   void session_done(uint64_t id);
   void emit(const std::string& event);
 
-  [[nodiscard]] std::string render_stats_prometheus() const;
-  [[nodiscard]] std::string render_stats_json() const;
+  // The admin endpoint's metrics walk.  Reactor thread.
+  void write_stats(nserver::MetricsWriter& w) const;
 
   ProxyConfig config_;
   std::vector<Backend> backends_;

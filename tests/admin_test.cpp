@@ -1,8 +1,11 @@
 // End-to-end tests for the O11+ admin/metrics endpoint: a real COPS-HTTP
-// server with stats_export enabled, scraped over the second listener.
+// server with stats_export enabled, scraped over the second listener; and
+// the server's rendering of a fixed snapshot against committed golden files.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <fstream>
+#include <iterator>
 #include <memory>
 #include <string>
 #include <thread>
@@ -327,6 +330,88 @@ TEST_F(AdminFixture, AdminSurvivesManyScrapes) {
   // The index page lists the endpoints.
   EXPECT_NE(test::http_get(admin_port_, "/").find("/stats"),
             std::string::npos);
+}
+
+// ---- golden rendering ----------------------------------------------------------
+
+// A fully populated snapshot with fixed values: cache on, two shards,
+// adaptive overload with two monitors, non-empty stage histograms, and two
+// connections, one with a peer string that needs JSON escaping.
+nserver::StatsSnapshot golden_snapshot() {
+  nserver::StatsSnapshot s;
+  auto& c = s.counters;
+  c.connections_accepted = 101;
+  c.connections_closed = 97;
+  c.connections_rejected = 3;
+  c.bytes_read = 45678;
+  c.bytes_sent = 9876543;
+  c.requests_decoded = 420;
+  c.replies_sent = 419;
+  c.decode_errors = 2;
+  c.events_processed = 1700;
+  c.idle_shutdowns = 5;
+  c.header_timeouts = 1;
+  c.overload_suspensions = 4;
+  c.requests_shed = 6;
+  c.per_ip_rejections = 7;
+  c.send_writev_calls = 400;
+  c.send_bytes_copied = 3210;
+  c.send_sendfile_bytes = 1048576;
+  c.pool_hits = 800;
+  c.pool_misses = 20;
+  c.pool_alloc_bytes = 655360;
+  c.pool_live_bytes = 131072;
+  c.cache_hit_rate = 0.9;
+  const std::vector<std::vector<int64_t>> samples = {
+      {3, 40, 40}, {12, 900}, {5000}, {}, {70, 70, 1200000}, {2000, 250000}};
+  for (size_t stage = 0; stage < samples.size(); ++stage) {
+    for (const int64_t micros : samples[stage]) c.stages[stage].record(micros);
+  }
+  s.connections_open = 4;
+  s.queue_depth = 9;
+  s.processor_threads = 2;
+  s.file_io_pending = 1;
+  s.has_cache = true;
+  s.cache_hits = 900;
+  s.cache_misses = 100;
+  s.cache_evictions = 12;
+  s.cache_invalidations = 2;
+  s.cache_bytes = 123456;
+  s.cache_capacity_bytes = 1048576;
+  s.cache_entries = 42;
+  s.has_overload = true;
+  s.overload.monitors = {{"queue_delay", 0.012, 0.4, 0.35},
+                         {"connections", 120.0, 0.6, 0.55}};
+  s.overload.pressure = 0.55;
+  s.overload.tier = nserver::OverloadTier::kShed;
+  s.overload.conserving = true;
+  s.overload.low_priority_paused = true;
+  s.overload.shedding = true;
+  s.overload.accept_stopped = false;
+  s.overload.retry_after = std::chrono::seconds(3);
+  s.shards = {{.shard = 0, .accepts = 51, .connections_open = 3},
+              {.shard = 1, .accepts = 50, .connections_open = 1}};
+  s.connections = {{7, "10.0.0.1:40000", 100, 2000, 3},
+                   {9, "odd \"peer\"\\\x01", 5, 6, 1}};
+  return s;
+}
+
+std::string read_golden(const std::string& name) {
+  std::ifstream in(std::string(COPS_SOURCE_DIR) + "/tests/golden/" + name,
+                   std::ios::binary);
+  return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
+}
+
+// /stats and /stats.json of a fixed snapshot, byte for byte.  Regenerate the
+// files only for a deliberate format change, and list it in CHANGES.md.
+TEST(StatsGolden, PrometheusAndJsonMatchTheCommittedFiles) {
+  const auto snapshot = golden_snapshot();
+  const auto prometheus = read_golden("admin_stats.prom");
+  const auto json = read_golden("admin_stats.json");
+  ASSERT_FALSE(prometheus.empty());
+  ASSERT_FALSE(json.empty());
+  EXPECT_EQ(nserver::render_prometheus(snapshot), prometheus);
+  EXPECT_EQ(nserver::render_json(snapshot), json);
 }
 
 }  // namespace

@@ -1,12 +1,11 @@
-// Remaining coverage: the logger, the poller, the /server-status endpoint,
-// socket edge cases, and RequestContext double-resolution behaviour.
+// Remaining coverage: the logger, the poller, and socket edge cases.
 #include <gtest/gtest.h>
 
 #include <fstream>
 #include <thread>
 
+#include "common/clock.hpp"
 #include "common/logging.hpp"
-#include "http/http_server.hpp"
 #include "net/poller.hpp"
 #include "net/socket.hpp"
 #include "tests/test_util.hpp"
@@ -81,44 +80,6 @@ TEST(Poller, TimeoutReturnsZero) {
   ASSERT_TRUE(n.is_ok());
   EXPECT_EQ(n.value(), 0u);
   EXPECT_GE(to_millis(now() - start), 25);
-}
-
-// ---- /server-status endpoint ---------------------------------------------------
-
-TEST(StatusEndpoint, ReportsLiveCounters) {
-  test::TempDir docs;
-  docs.write_file("page.html", "content");
-  auto options = http::CopsHttpServer::default_options();
-  options.profiling = true;  // O11 feeds the page
-  http::HttpServerConfig config;
-  config.doc_root = docs.str();
-  config.status_endpoint = "/server-status";
-  http::CopsHttpServer server(options, config);
-  ASSERT_TRUE(server.start().is_ok());
-
-  for (int i = 0; i < 3; ++i) {
-    test::http_get(server.port(), "/page.html");
-  }
-  const auto status_page = test::http_get(server.port(), "/server-status");
-  EXPECT_NE(status_page.find("200 OK"), std::string::npos);
-  EXPECT_NE(status_page.find("COPS-HTTP server status"), std::string::npos);
-  EXPECT_NE(status_page.find("accepted="), std::string::npos);
-  EXPECT_NE(status_page.find("responses_sent="), std::string::npos);
-  // Counters moved: at least the three page fetches.
-  EXPECT_EQ(status_page.find("accepted=0 "), std::string::npos);
-  server.stop();
-}
-
-TEST(StatusEndpoint, DisabledPathFallsThroughTo404) {
-  test::TempDir docs;
-  http::HttpServerConfig config;
-  config.doc_root = docs.str();  // no status_endpoint configured
-  http::CopsHttpServer server(http::CopsHttpServer::default_options(),
-                              config);
-  ASSERT_TRUE(server.start().is_ok());
-  EXPECT_NE(test::http_get(server.port(), "/server-status").find("404"),
-            std::string::npos);
-  server.stop();
 }
 
 // ---- socket edge cases ----------------------------------------------------------

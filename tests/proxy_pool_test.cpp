@@ -481,5 +481,124 @@ TEST(ProxyPoolSimTest, P2CPolicyIsDeterministicPerSeed) {
   EXPECT_EQ(first.second, second.second);
 }
 
+
+// ---- proxy admin endpoint ---------------------------------------------------
+
+TEST(ProxyPoolSimTest, AdminStatsExposeCountersBackendsAndOverload) {
+  SimEngine engine(0xad57);
+  const std::string body(2048, 'x');
+  // Backend 0 stalls each response mid-body for 200ms, so the second request
+  // is still in flight when the scrapes land; backend 1 is drained.
+  ScriptedBackend::Options stalling;
+  stalling.immediate_bytes = 64;
+  stalling.rest_delay = std::chrono::milliseconds(200);
+  ScriptedBackend origin(
+      8401,
+      [&](const ScriptedBackend::Request&) {
+        return test::simple_response(body);
+      },
+      stalling);
+  ScriptedBackend drained(8402, [](const ScriptedBackend::Request&) {
+    return test::simple_response("drained");
+  });
+  ASSERT_TRUE(origin.ok());
+  ASSERT_TRUE(drained.ok());
+
+  ProxyConfig config;
+  config.listen_port = 8400;
+  config.admin_enabled = true;
+  config.admin_port = 8450;
+  config.overload_adaptive = true;
+  ProxyServer proxy(config);
+  proxy.add_backend(net::InetAddress::loopback(8401));
+  proxy.add_backend(net::InetAddress::loopback(8402));
+  ASSERT_TRUE(proxy.start().is_ok());
+  proxy.drain_backend(1);
+
+  auto* first = engine.new_client();
+  auto* second = engine.new_client();
+  auto* stats_scrape = engine.new_client();
+  auto* json_scrape = engine.new_client();
+  engine.at(std::chrono::milliseconds(5), [first] {
+    first->connect(8400);
+    first->send("GET /a HTTP/1.1\r\nHost: o\r\nConnection: close\r\n\r\n");
+  });
+  engine.at(std::chrono::milliseconds(250), [second] {
+    second->connect(8400);
+    second->send("GET /b HTTP/1.1\r\nHost: o\r\nConnection: close\r\n\r\n");
+  });
+  engine.at(std::chrono::milliseconds(300), [&] {
+    stats_scrape->connect(8450);
+    stats_scrape->send(
+        "GET /stats HTTP/1.1\r\nHost: a\r\nConnection: close\r\n\r\n");
+    json_scrape->connect(8450);
+    json_scrape->send(
+        "GET /stats.json HTTP/1.1\r\nHost: a\r\nConnection: close\r\n\r\n");
+  });
+  ASSERT_TRUE(engine.run(std::chrono::seconds(5))) << engine.trace_text();
+  EXPECT_NE(first->received().find(body), std::string::npos);
+  EXPECT_NE(second->received().find(body), std::string::npos);
+
+  const auto& prom = stats_scrape->received();
+  ASSERT_NE(prom.find("200 OK"), std::string::npos) << prom;
+  for (const char* sample : {
+           "\ncops_proxy_requests_total 2\n",
+           "\ncops_proxy_responses_total 1\n",
+           "\ncops_proxy_bad_gateway_total 0\n",
+           "\ncops_proxy_gateway_timeout_total 0\n",
+           "\ncops_proxy_poisoned_upstreams_total 0\n",
+           "\ncops_proxy_backpressure_events_total 0\n",
+           "\ncops_proxy_shed_total 0\n",
+           "\ncops_proxy_pool_reuse_total 1\n",
+           "\ncops_proxy_pool_miss_total 1\n",
+           "\ncops_proxy_pool_stale_retry_total 0\n",
+           "# TYPE cops_proxy_backend_in_flight gauge\n",
+           "\ncops_proxy_backend_in_flight{backend=\"0\"} 1\n",
+           "\ncops_proxy_backend_in_flight{backend=\"1\"} 0\n",
+           "# TYPE cops_proxy_backend_draining gauge\n",
+           "\ncops_proxy_backend_draining{backend=\"0\"} 0\n",
+           "\ncops_proxy_backend_draining{backend=\"1\"} 1\n",
+           "# TYPE cops_proxy_overload_pressure gauge\n",
+           "\ncops_proxy_overload_pressure{monitor=\"pool_waiters\"} 0.000000\n",
+           "\ncops_proxy_overload_pressure{monitor=\"upstream_5xx\"} 0.000000\n",
+           "\ncops_proxy_overload_pressure{monitor=\"overall\"} 0.000000\n",
+           "# TYPE cops_proxy_overload_tier gauge\n",
+           "\ncops_proxy_overload_tier 0\n",
+           "\ncops_proxy_overload_retry_after_seconds 1\n",
+           "\ncops_proxy_overload_accept_stopped 0\n",
+       }) {
+    EXPECT_NE(prom.find(sample), std::string::npos) << sample << prom;
+  }
+
+  const auto& json = json_scrape->received();
+  ASSERT_NE(json.find("200 OK"), std::string::npos) << json;
+  for (const char* field : {
+           "\"requests\":2,",
+           "\"responses\":1,",
+           "\"bad_gateway\":0,",
+           "\"gateway_timeout\":0,",
+           "\"poisoned_upstreams\":0,",
+           "\"backpressure_events\":0,",
+           "\"shed\":0,",
+           "\"pool\":{\"reuse\":1,\"miss\":1,\"stale_retry\":0}",
+           "{\"index\":0,\"address\":\"127.0.0.1:8401\",\"draining\":false,"
+           "\"in_flight\":1,\"pool_in_use\":1,\"pool_idle\":0}",
+           "{\"index\":1,\"address\":\"127.0.0.1:8402\",\"draining\":true,"
+           "\"in_flight\":0,\"pool_in_use\":0,\"pool_idle\":0}",
+           "\"overload\":{\"pressure\":0.000000,\"tier\":0,"
+           "\"tier_name\":\"none\",\"retry_after_s\":1,",
+           "\"shedding\":false,\"accept_stopped\":false,\"monitors\":["
+           "{\"name\":\"pool_waiters\",\"raw\":0.000000,\"pressure\":0.000000,"
+           "\"smoothed\":0.000000},"
+           "{\"name\":\"upstream_5xx\",\"raw\":0.000000,\"pressure\":0.000000,"
+           "\"smoothed\":0.000000}]}",
+       }) {
+    EXPECT_NE(json.find(field), std::string::npos) << field << "\n" << json;
+  }
+  proxy.stop();
+  origin.stop();
+  drained.stop();
+}
+
 }  // namespace
 }  // namespace cops::proxy
