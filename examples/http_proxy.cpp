@@ -2,34 +2,37 @@
 //
 // This used to be a blocking, buffer-everything, connection-per-request
 // demo riding the N-Server's worker pool; it is now the front end of the
-// streaming L7 tier: one reactor, keep-alive upstream pools (generative
-// option proxy_upstream=pooled), streamed request/response bodies in both
-// directions, watermark backpressure, and pluggable backend selection.
+// streaming L7 tier: one reactor, keep-alive upstream pools, streamed
+// request/response bodies in both directions, watermark backpressure, and
+// pluggable backend selection.
 //
-//   $ ./http_proxy 8888 127.0.0.1 8080 [127.0.0.1 8081 ...] \
-//         [--upstream-mode pooled|per_request] [--policy round_robin|...] \
-//         [--admin-port N] [--once]
+//   $ ./http_proxy 8888 127.0.0.1 8080 [127.0.0.1 8081 ...]
+//         [--policy round_robin|...] [--admin-port N] [--once]
 //   $ curl -s http://127.0.0.1:8888/index.html
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "proxy/proxy_server.hpp"
 
+namespace {
+
+int usage() {
+  std::puts(
+      "http_proxy LISTEN_PORT BACKEND_HOST BACKEND_PORT "
+      "[BACKEND_HOST BACKEND_PORT ...]\n"
+      "  [--policy round_robin|least_connections|p2c|ring_hash]\n"
+      "  [--pool-cap N] [--admin-port N] [--once]");
+  return 2;
+}
+
+}  // namespace
+
 int main(int argc, char** argv) {
-  if (argc < 4) {
-    std::puts(
-        "http_proxy LISTEN_PORT BACKEND_HOST BACKEND_PORT "
-        "[BACKEND_HOST BACKEND_PORT ...]\n"
-        "  [--upstream-mode pooled|per_request] [--policy round_robin|"
-        "least_connections|p2c|ring_hash]\n"
-        "  [--pool-cap N] [--admin-port N] [--once]");
-    return 2;
-  }
+  if (argc < 4) return usage();
   cops::proxy::ProxyConfig config;
   config.listen_port = static_cast<uint16_t>(std::atoi(argv[1]));
 
@@ -38,24 +41,11 @@ int main(int argc, char** argv) {
   bool once = false;
   while (arg < argc) {
     const std::string token = argv[arg];
-    if (token == "--upstream-mode") {
+    if (token == "--policy") {
       if (++arg >= argc) break;
-      config.upstream_mode = std::strcmp(argv[arg], "per_request") == 0
-                                 ? cops::nserver::UpstreamMode::kPerRequest
-                                 : cops::nserver::UpstreamMode::kPooled;
-      ++arg;
-    } else if (token == "--policy") {
-      if (++arg >= argc) break;
-      const std::string policy = argv[arg++];
-      if (policy == "least_connections") {
-        config.policy = cops::cluster::BalancePolicy::kLeastConnections;
-      } else if (policy == "p2c") {
-        config.policy = cops::cluster::BalancePolicy::kPowerOfTwoChoices;
-      } else if (policy == "ring_hash") {
-        config.policy = cops::cluster::BalancePolicy::kRingHash;
-      } else {
-        config.policy = cops::cluster::BalancePolicy::kRoundRobin;
-      }
+      const auto policy = cops::cluster::parse_balance_policy(argv[arg++]);
+      if (!policy) return usage();
+      config.policy = *policy;
     } else if (token == "--pool-cap") {
       if (++arg >= argc) break;
       config.pool_max_per_backend = static_cast<size_t>(std::atoi(argv[arg++]));
@@ -94,11 +84,9 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "start failed: %s\n", status.to_string().c_str());
     return 1;
   }
-  std::printf("HTTP proxy on 127.0.0.1:%u -> %zu backend(s), %s upstreams\n",
+  std::printf("HTTP proxy on 127.0.0.1:%u -> %zu backend(s), %s policy\n",
               proxy.port(), backends.size(),
-              config.upstream_mode == cops::nserver::UpstreamMode::kPooled
-                  ? "pooled"
-                  : "per-request");
+              cops::cluster::to_string(config.policy));
   if (config.admin_enabled) {
     std::printf("admin endpoint (/stats, /stats.json, /healthz) on port %u\n",
                 proxy.admin_port());

@@ -1,19 +1,20 @@
-// Pluggable load-balancing selection policies for the cluster front end.
+// Backend selection for the cluster front ends.
 //
 // The LoadBalancer (relay data plane) and the ProxyServer (streaming L7
-// data plane, src/proxy) share these helpers so a policy behaves the same
-// whichever front end hosts it:
+// data plane, src/proxy) both order their backends through one BackendSet,
+// so a policy behaves the same whichever front end hosts it:
 //
 //   * round-robin     — a monotonically increasing cursor, *always reduced
 //                       modulo the live backend count at selection time*.
 //                       The cursor survives backend-set changes; the modulo
 //                       guard (not the cursor) keeps it in range, so a
 //                       shrink can never index past the end (regression:
-//                       proxy_pool_test RoundRobinSurvivesBackendShrink).
-//   * least-loaded    — smallest current load, ties by lowest index
+//                       BackendSetTest.RoundRobinCursorGuardedAcrossShrink).
+//   * least-loaded    — smallest current load first, ties by lowest index
 //                       (deterministic).
 //   * P2C             — power-of-two-choices: two distinct candidates from
-//                       the caller's seeded PRNG, keep the less loaded one.
+//                       the set's seeded PRNG, keep the less loaded one,
+//                       then the backends after it in index order.
 //                       Near-least-loaded balance at O(1) cost and without
 //                       the herding a global argmin causes.
 //   * ring hash       — consistent hashing over `vnodes` virtual nodes per
@@ -21,24 +22,43 @@
 //                       first vnode clockwise, so key→backend affinity is
 //                       stable under backend-set changes except for the
 //                       keys owned by the departed backend.
+//
+// What each tier does with the order stays with the tier: the proxy takes
+// the first backend that is not draining; the balancer filters it through
+// its breaker, health and slow-start passes.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
+#include <optional>
 #include <random>
 #include <string_view>
 #include <vector>
 
+#include "net/inet_address.hpp"
+
 namespace cops::cluster {
 
-// Round-robin selection guarded against a shrunk backend set: the cursor is
-// free-running (callers just increment it per admission) and reduction
-// happens here, against the count that is live *now*.
-[[nodiscard]] size_t pick_round_robin(uint64_t cursor, size_t backend_count);
+enum class BalancePolicy {
+  kRoundRobin,
+  kLeastConnections,
+  // Power of two choices: two seeded-PRNG candidates, keep the less loaded
+  // (near-least-loaded balance without global-argmin herding).
+  kPowerOfTwoChoices,
+  // Consistent-hash affinity: a per-admission key (client IP in the
+  // balancer; request path in the L7 proxy) owns a stable backend.
+  kRingHash,
+};
 
-// Index of the smallest load; ties broken by the lower index.  `loads` must
-// be non-empty.
-[[nodiscard]] size_t pick_least_loaded(const std::vector<size_t>& loads);
+[[nodiscard]] const char* to_string(BalancePolicy policy);
+// Inverse of to_string; nullopt for an unknown name.
+[[nodiscard]] std::optional<BalancePolicy> parse_balance_policy(
+    std::string_view name);
+
+// Round-robin selection guarded against a shrunk backend set: the cursor is
+// free-running and reduction happens here, against the count that is live
+// *now*.
+[[nodiscard]] size_t pick_round_robin(uint64_t cursor, size_t backend_count);
 
 // Power of two choices: draws two distinct indices from `rng` and returns
 // the one with the smaller load (ties: the first drawn).  With one backend
@@ -49,9 +69,11 @@ namespace cops::cluster {
 // Consistent-hash ring (Karger-style, FNV-1a hashed vnodes).
 class HashRing {
  public:
-  // Builds a ring over backends [0, backend_count) with `vnodes` virtual
-  // nodes each.  Deterministic: same inputs, same ring.
-  void build(size_t backend_count, size_t vnodes = 64);
+  // Builds a ring over backends [0, ids.size()) with `vnodes` virtual nodes
+  // each.  A backend's vnode points depend only on its id, so a backend
+  // keeps its keys when others join or leave.  Deterministic: same inputs,
+  // same ring.
+  void build(const std::vector<uint64_t>& ids, size_t vnodes = 64);
 
   // First backend clockwise from hash(key).  Returns SIZE_MAX on an empty
   // ring.
@@ -61,8 +83,6 @@ class HashRing {
   // distinct backend clockwise — the retry order that preserves affinity.
   [[nodiscard]] std::vector<size_t> pick_order(std::string_view key) const;
 
-  [[nodiscard]] bool empty() const { return ring_.empty(); }
-
  private:
   // (point on the ring, backend index), sorted by point.
   std::vector<std::pair<uint64_t, size_t>> ring_;
@@ -70,5 +90,63 @@ class HashRing {
 };
 
 [[nodiscard]] uint64_t fnv1a64(std::string_view bytes);
+
+// The backends of one front end and the policy that orders them.  Owns the
+// addresses, the drain flag, the per-backend load (the tier decides what a
+// unit of load is), the round-robin cursor, the seeded PRNG and the hash
+// ring.  Not thread-safe: the owning tier uses it on its reactor thread.
+class BackendSet {
+ public:
+  BackendSet(BalancePolicy policy, uint64_t seed);
+
+  void add(const net::InetAddress& addr);
+  // Decommission: later backends shift down one index.  The hash ring is
+  // rebuilt over the survivors, who keep their keys.
+  void remove(size_t index);
+
+  [[nodiscard]] size_t size() const { return members_.size(); }
+  [[nodiscard]] const net::InetAddress& address(size_t index) const {
+    return members_[index].addr;
+  }
+  [[nodiscard]] bool draining(size_t index) const {
+    return members_[index].draining;
+  }
+  // False (and no change) when the flag already has that value.
+  bool set_draining(size_t index, bool draining);
+  [[nodiscard]] size_t load(size_t index) const { return loads_[index]; }
+  void add_load(size_t index) { loads_[index] += 1; }
+  void release_load(size_t index) {
+    if (loads_[index] > 0) loads_[index] -= 1;
+  }
+
+  // Starts one admission: steps the round-robin cursor once.
+  void admit() { admissions_ += 1; }
+  // Every backend, in the current admission's preference order under the
+  // policy.  Under P2C each call draws its two candidates afresh.
+  [[nodiscard]] std::vector<size_t> order(std::string_view affinity_key);
+
+  // The set's seeded stream; a tier draws its own randomness (breaker
+  // jitter, slow start) from it so one seed replays the whole front end.
+  [[nodiscard]] std::mt19937_64& rng() { return rng_; }
+
+ private:
+  struct Member {
+    net::InetAddress addr;
+    uint64_t id = 0;  // ring identity: the add() sequence number
+    bool draining = false;
+  };
+
+  void rebuild_ring();
+
+  BalancePolicy policy_;
+  std::vector<Member> members_;
+  std::vector<size_t> loads_;  // parallel to members_ (pick_p2c's input)
+  uint64_t next_id_ = 0;
+  // Free-running; reduced modulo the live count at pick time, never stored
+  // reduced, so a shrink cannot leave it pointing past the end.
+  uint64_t admissions_ = 0;
+  std::mt19937_64 rng_;
+  HashRing ring_;  // kRingHash only
+};
 
 }  // namespace cops::cluster

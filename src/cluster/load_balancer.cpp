@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <future>
-#include <numeric>
+#include <random>
 
 #include "common/logging.hpp"
 #include "nserver/admin_server.hpp"
@@ -18,20 +18,6 @@ const char* to_string(BreakerState state) {
       return "open";
     case BreakerState::kHalfOpen:
       return "half-open";
-  }
-  return "?";
-}
-
-const char* to_string(BalancePolicy policy) {
-  switch (policy) {
-    case BalancePolicy::kRoundRobin:
-      return "round_robin";
-    case BalancePolicy::kLeastConnections:
-      return "least_connections";
-    case BalancePolicy::kPowerOfTwoChoices:
-      return "p2c";
-    case BalancePolicy::kRingHash:
-      return "ring_hash";
   }
   return "?";
 }
@@ -139,7 +125,8 @@ class HealthProbe : public net::EventHandler,
 };
 
 LoadBalancer::LoadBalancer(LoadBalancerConfig config)
-    : config_(std::move(config)), rng_(config_.resilience.seed) {}
+    : config_(std::move(config)),
+      set_(config_.policy, config_.resilience.seed) {}
 
 LoadBalancer::~LoadBalancer() { stop(); }
 
@@ -149,8 +136,8 @@ void LoadBalancer::add_backend(const net::InetAddress& addr) {
 
 void LoadBalancer::add_backend(const net::InetAddress& addr,
                                const net::InetAddress& health_addr) {
+  set_.add(addr);
   Backend backend;
-  backend.addr = addr;
   backend.health_addr = health_addr;
   backends_.push_back(std::move(backend));
 }
@@ -161,9 +148,6 @@ Status LoadBalancer::start() {
   }
   if (backends_.empty()) {
     return Status::invalid_argument("no backends configured");
-  }
-  if (config_.policy == BalancePolicy::kRingHash) {
-    ring_.build(backends_.size());
   }
   connector_ = std::make_unique<net::Connector>(reactor_);
   acceptor_ = std::make_unique<net::Acceptor>(
@@ -235,13 +219,11 @@ void LoadBalancer::stop() {
 
 void LoadBalancer::drain_backend(size_t index, bool draining) {
   if (!launched_.load()) {
-    if (index < backends_.size()) backends_[index].stats.draining = draining;
+    if (index < set_.size()) set_.set_draining(index, draining);
     return;
   }
   reactor_.post([this, index, draining] {
-    if (index >= backends_.size()) return;
-    if (backends_[index].stats.draining == draining) return;
-    backends_[index].stats.draining = draining;
+    if (index >= set_.size() || !set_.set_draining(index, draining)) return;
     emit(std::string(draining ? "drain" : "undrain") +
          " backend=" + std::to_string(index));
   });
@@ -263,6 +245,7 @@ void LoadBalancer::remove_backend(size_t index) {
       }
     }
     backends_.erase(backends_.begin() + static_cast<long>(index));
+    set_.remove(index);
     // Relays to the removed backend keep running but their stats slot is
     // gone; sessions bound to later backends shift down with the vector.
     for (auto it = session_backend_.begin(); it != session_backend_.end();) {
@@ -272,9 +255,6 @@ void LoadBalancer::remove_backend(size_t index) {
         if (it->second > index) it->second -= 1;
         ++it;
       }
-    }
-    if (config_.policy == BalancePolicy::kRingHash) {
-      ring_.build(backends_.size());
     }
     emit("remove backend=" + std::to_string(index));
   };
@@ -301,7 +281,7 @@ void LoadBalancer::on_accept(net::TcpSocket client) {
     auto peer = admission->client->peer_address();
     if (peer.is_ok()) admission->affinity_key = peer.value().host();
   }
-  ++round_robin_next_;
+  set_.admit();
   if (!attempt_next(admission)) {
     dropped_.fetch_add(1, std::memory_order_relaxed);
     admission->client->close();
@@ -309,9 +289,9 @@ void LoadBalancer::on_accept(net::TcpSocket client) {
 }
 
 bool LoadBalancer::backend_eligible(size_t index) {
-  auto& backend = backends_[index];
-  if (backend.stats.draining) return false;
+  if (set_.draining(index)) return false;
   if (!config_.resilience.enabled) return true;
+  auto& backend = backends_[index];
   if (config_.resilience.health_checks && !backend.stats.healthy) return false;
   switch (backend.stats.breaker) {
     case BreakerState::kClosed:
@@ -341,47 +321,11 @@ bool LoadBalancer::passes_slow_start(size_t index) {
   // backend takes load gradually instead of absorbing a thundering herd.
   const double weight = to_seconds(elapsed) / to_seconds(window);
   std::uniform_real_distribution<double> dist(0.0, 1.0);
-  return dist(rng_) < weight;
-}
-
-std::vector<size_t> LoadBalancer::candidate_order(const Admission& admission) {
-  const size_t n = backends_.size();
-  std::vector<size_t> order(n);
-  std::iota(order.begin(), order.end(), 0);
-  switch (config_.policy) {
-    case BalancePolicy::kLeastConnections:
-      std::stable_sort(order.begin(), order.end(), [this](size_t a, size_t b) {
-        return backends_[a].stats.active < backends_[b].stats.active;
-      });
-      break;
-    case BalancePolicy::kPowerOfTwoChoices: {
-      std::vector<size_t> loads(n);
-      for (size_t i = 0; i < n; ++i) loads[i] = backends_[i].stats.active;
-      const size_t winner = pick_p2c(rng_, loads);
-      std::rotate(order.begin(), order.begin() + static_cast<long>(winner),
-                  order.end());
-      break;
-    }
-    case BalancePolicy::kRingHash: {
-      auto ring_order = ring_.pick_order(admission.affinity_key);
-      if (!ring_order.empty()) order = std::move(ring_order);
-      break;
-    }
-    case BalancePolicy::kRoundRobin: {
-      // The cursor free-runs; the modulo guard against the *live* count is
-      // what keeps a shrunk backend set in range (see lb_policy.hpp).
-      const size_t hint = pick_round_robin(round_robin_next_ - 1, n);
-      std::rotate(order.begin(), order.begin() + static_cast<long>(hint),
-                  order.end());
-      break;
-    }
-  }
-  return order;
+  return dist(set_.rng()) < weight;
 }
 
 int LoadBalancer::choose_candidate(const Admission& admission) {
-  if (backends_.empty()) return -1;
-  const std::vector<size_t> order = candidate_order(admission);
+  const std::vector<size_t> order = set_.order(admission.affinity_key);
   // Pass 1: eligible, honouring slow-start weighting.
   for (size_t index : order) {
     if (admission.was_tried(index) || !backend_eligible(index)) continue;
@@ -396,7 +340,7 @@ int LoadBalancer::choose_candidate(const Admission& admission) {
   // Last resort: any untried, non-draining backend — a fast failure there
   // beats dropping the client without trying.
   for (size_t index : order) {
-    if (!admission.was_tried(index) && !backends_[index].stats.draining) {
+    if (!admission.was_tried(index) && !set_.draining(index)) {
       return static_cast<int>(index);
     }
   }
@@ -448,17 +392,17 @@ bool LoadBalancer::attempt_next(const std::shared_ptr<Admission>& admission) {
     sessions_.emplace(id, std::move(session));
     session_backend_.emplace(id, index);
     backends_[index].stats.connections += 1;
-    backends_[index].stats.active += 1;
+    set_.add_load(index);
     active_.fetch_add(1, std::memory_order_relaxed);
     total_.fetch_add(1, std::memory_order_relaxed);
   };
   Status status;
   const auto timeout = config_.resilience.connect_timeout;
   if (config_.resilience.enabled && timeout > Duration::zero()) {
-    status = connector_->connect(backends_[index].addr, timeout,
+    status = connector_->connect(set_.address(index), timeout,
                                  std::move(on_result));
   } else {
-    status = connector_->connect(backends_[index].addr, std::move(on_result));
+    status = connector_->connect(set_.address(index), std::move(on_result));
   }
   if (!status.is_ok()) {
     // Synchronous refusal (dead local port): count it and keep going.
@@ -485,7 +429,8 @@ Duration LoadBalancer::breaker_backoff(int exponent) {
   if (resilience.breaker_jitter > 0.0) {
     std::uniform_real_distribution<double> dist(-resilience.breaker_jitter,
                                                 resilience.breaker_jitter);
-    backoff = std::chrono::duration_cast<Duration>(backoff * (1.0 + dist(rng_)));
+    backoff = std::chrono::duration_cast<Duration>(
+        backoff * (1.0 + dist(set_.rng())));
   }
   return backoff;
 }
@@ -544,7 +489,7 @@ void LoadBalancer::health_tick() {
 
 void LoadBalancer::start_probe(size_t index) {
   auto& backend = backends_[index];
-  if (backend.probe_inflight || backend.stats.draining) return;
+  if (backend.probe_inflight || set_.draining(index)) return;
   backend.probe_inflight = true;
   backend.stats.probes += 1;
   auto status = connector_->connect(
@@ -600,8 +545,7 @@ void LoadBalancer::finish_probe(size_t index, bool ok) {
 void LoadBalancer::session_done(uint64_t id) {
   auto backend_it = session_backend_.find(id);
   if (backend_it != session_backend_.end()) {
-    auto& stats = backends_[backend_it->second].stats;
-    if (stats.active > 0) stats.active -= 1;
+    set_.release_load(backend_it->second);
     session_backend_.erase(backend_it);
   }
   // Deleting the session inside its own callback would free the object
@@ -616,7 +560,11 @@ std::vector<BackendStats> LoadBalancer::backend_stats() {
   reactor_.post([this, &result] {
     std::vector<BackendStats> stats;
     stats.reserve(backends_.size());
-    for (const auto& backend : backends_) stats.push_back(backend.stats);
+    for (size_t i = 0; i < backends_.size(); ++i) {
+      stats.push_back(backends_[i].stats);
+      stats.back().active = set_.load(i);
+      stats.back().draining = set_.draining(i);
+    }
     result.set_value(std::move(stats));
   });
   return fut.get();
@@ -637,17 +585,17 @@ void LoadBalancer::write_stats(nserver::MetricsWriter& w) const {
   for (size_t i = 0; i < backends_.size(); ++i) {
     const BackendStats& s = backends_[i].stats;
     w.row(i);
-    w.json_string("address", backends_[i].addr.to_string());
+    w.json_string("address", set_.address(i).to_string());
     w.flag("cops_cluster_backend_healthy", "healthy",
            "1 while active health checks pass.", s.healthy);
     w.flag("cops_cluster_backend_draining", "draining",
-           "1 while the backend takes no new sessions.", s.draining);
+           "1 while the backend takes no new sessions.", set_.draining(i));
     w.json_string("breaker", to_string(s.breaker));
     w.gauge("cops_cluster_backend_breaker_state", "breaker_state",
             "Circuit breaker (0=closed 1=open 2=half-open).",
             static_cast<uint64_t>(s.breaker));
     w.gauge("cops_cluster_backend_active", "active", "Open relays.",
-            static_cast<uint64_t>(s.active));
+            static_cast<uint64_t>(set_.load(i)));
     w.counter("cops_cluster_backend_connections_total", "connections",
               "Relays opened.", s.connections);
     w.counter("cops_cluster_backend_connect_failures_total", "connect_failures",

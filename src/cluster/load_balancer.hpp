@@ -35,7 +35,6 @@
 #include <chrono>
 #include <functional>
 #include <memory>
-#include <random>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -52,19 +51,6 @@ class MetricsWriter;
 }  // namespace cops::nserver
 
 namespace cops::cluster {
-
-enum class BalancePolicy {
-  kRoundRobin,
-  kLeastConnections,
-  // Power of two choices: two seeded-PRNG candidates, keep the less loaded
-  // (near-least-loaded balance without global-argmin herding).
-  kPowerOfTwoChoices,
-  // Consistent-hash affinity: a per-admission key (client IP here; request
-  // path in the L7 proxy) owns a stable backend via lb_policy's HashRing.
-  kRingHash,
-};
-
-[[nodiscard]] const char* to_string(BalancePolicy policy);
 
 enum class BreakerState {
   kClosed,    // healthy: requests flow
@@ -159,10 +145,10 @@ class LoadBalancer {
   // Removes backend `index` from the set entirely (a decommission, not a
   // drain): in-flight relays to it keep running, but no new admission can
   // pick it and its stats slot disappears.  Selection state is re-anchored
-  // against the shrunk set — the round-robin cursor keeps free-running and
-  // is reduced modulo the live count at pick time (see lb_policy.hpp), the
-  // hash ring is rebuilt, and admissions whose `tried` vector was sized
-  // before the shrink are index-guarded.  Thread-safe; applied on the
+  // against the shrunk set by BackendSet (lb_policy.hpp): the round-robin
+  // cursor keeps free-running and is reduced modulo the live count at pick
+  // time, and the hash ring is rebuilt.  Admissions whose `tried` vector was
+  // sized before the shrink are index-guarded.  Thread-safe; applied on the
   // reactor.
   void remove_backend(size_t index);
 
@@ -179,8 +165,8 @@ class LoadBalancer {
   friend class HealthProbe;
 
   struct Backend {
-    net::InetAddress addr;
     net::InetAddress health_addr;
+    // `active` and `draining` live in set_; backend_stats() fills them in.
     BackendStats stats;
     // Breaker + health runtime (reactor thread only).
     int consecutive_failures = 0;
@@ -214,8 +200,6 @@ class LoadBalancer {
   // out of candidates or budget (client dropped).
   bool attempt_next(const std::shared_ptr<Admission>& admission);
   [[nodiscard]] int choose_candidate(const Admission& admission);
-  // Candidate visit order for the active policy (all live backends).
-  [[nodiscard]] std::vector<size_t> candidate_order(const Admission& admission);
   [[nodiscard]] bool backend_eligible(size_t index);
   [[nodiscard]] bool passes_slow_start(size_t index);
   void note_backend_failure(size_t index);
@@ -233,7 +217,10 @@ class LoadBalancer {
   void write_stats(nserver::MetricsWriter& w) const;
 
   LoadBalancerConfig config_;
-  std::vector<Backend> backends_;
+  // Addresses, drain flags, active-relay loads and the policy order; its
+  // PRNG also draws the breaker jitter and the slow-start admissions.
+  BackendSet set_;
+  std::vector<Backend> backends_;  // parallel to set_
   net::Reactor reactor_;
   std::unique_ptr<net::Acceptor> acceptor_;
   std::unique_ptr<net::Connector> connector_;
@@ -241,13 +228,7 @@ class LoadBalancer {
   std::unordered_map<uint64_t, std::shared_ptr<RelaySession>> sessions_;
   std::unordered_map<uint64_t, size_t> session_backend_;
   std::unordered_map<size_t, std::shared_ptr<class HealthProbe>> probes_;
-  std::mt19937_64 rng_;  // reactor thread only
-  HashRing ring_;        // kRingHash: rebuilt when the backend set changes
   uint64_t next_session_id_ = 1;
-  // Free-running admission counter; reduced modulo the *live* backend count
-  // at selection time (pick_round_robin), never stored reduced — so a
-  // backend-set shrink cannot leave it pointing past the end.
-  uint64_t round_robin_next_ = 0;
   uint64_t health_timer_ = 0;
   bool health_timer_armed_ = false;
   uint16_t port_ = 0;

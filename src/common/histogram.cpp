@@ -54,12 +54,15 @@ int64_t Histogram::quantile_micros(double q) const {
   if (n == 0) return 0;
   q = std::clamp(q, 0.0, 1.0);
   const auto target = static_cast<uint64_t>(std::ceil(q * static_cast<double>(n)));
+  // A bucket's upper bound can lie above every recorded sample; no quantile
+  // exceeds the maximum.
+  const int64_t max = max_.load();
   uint64_t cumulative = 0;
   for (int i = 0; i < kNumBuckets; ++i) {
     cumulative += buckets_[static_cast<size_t>(i)].load();
-    if (cumulative >= target) return bucket_upper(i);
+    if (cumulative >= target) return std::min(bucket_upper(i), max);
   }
-  return bucket_upper(kNumBuckets - 1);
+  return max;
 }
 
 void Histogram::reset() {

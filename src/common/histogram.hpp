@@ -45,7 +45,7 @@ class Histogram {
   [[nodiscard]] static int64_t bucket_upper_micros(int bucket);
   [[nodiscard]] double mean_micros() const;
   // q in [0,1]; returns the upper bound of the bucket containing the
-  // q-quantile sample (0 when empty).
+  // q-quantile sample, clamped to max_micros() (0 when empty).
   [[nodiscard]] int64_t quantile_micros(double q) const;
   [[nodiscard]] int64_t max_micros() const { return max_.load(); }
 

@@ -46,18 +46,10 @@ OptionTable make_nserver_option_table() {
   // column numbering of the original options is preserved.
   table.add({"stats_export", "O11+: Statistics export", OptionType::kEnum,
              {"none", "admin_http"}, "none"});
-  // Proxy-upstream extension — appended after O11+, preserving the earlier
-  // column numbering (S4 keeps its label): how a generated *proxy* tier
-  // (src/proxy) obtains upstream connections.  `per_request` opens a fresh
-  // backend connection per proxied exchange (the classical CGI-era shape);
-  // `pooled` keeps completed keep-alive connections in per-backend pools
-  // with caps, LIFO idle reuse, and a single stale-connection retry.  The
-  // plain N-Server ignores the option; the proxy front end consumes it.
-  table.add({"proxy_upstream", "S4: Proxy upstream connections",
-             OptionType::kEnum, {"per_request", "pooled"}, "per_request"});
-  // Overload-policy extension — appended after S4, again preserving the
-  // earlier column numbering: which monitors and tiers the O9
-  // OverloadManager control loop runs to decide it is overloaded.
+  // Overload-policy extension — appended after O11+, again preserving the
+  // earlier column numbering (S5 keeps its label; S1-S4, S6 and S7 were
+  // retired): which monitors and tiers the O9 OverloadManager control loop
+  // runs to decide it is overloaded.
   // `watermark` is the classical static queue-length gate (suspend accept
   // above the high mark, resume below the low); `adaptive` uses CoDel
   // queue-*delay* admission plus pluggable resource monitors driving
@@ -173,11 +165,6 @@ inline constexpr bool kLogging = false;
 inline constexpr bool kAdminExport = true;
 //% else
 inline constexpr bool kAdminExport = false;
-//% end
-//% if proxy_upstream == "pooled"
-inline constexpr bool kPooledUpstream = true;
-//% else
-inline constexpr bool kPooledUpstream = false;
 //% end
 //% if overload == "adaptive"
 inline constexpr bool kAdaptiveOverload = true;
@@ -450,32 +437,6 @@ inline constexpr bool kCountPools = true;
 }  // namespace ${app_name}_gen
 )tmpl";
 
-constexpr const char* kProxyConfigHpp = R"tmpl(// Generated: pooled upstream connections (exists when proxy_upstream = pooled).
-// A proxy tier built from this instance (cops::proxy::ProxyServer) keeps
-// completed upstream keep-alive connections in per-backend pools instead of
-// opening one per proxied exchange: caps bound the connection count, idle
-// reuse is LIFO (the hottest socket stays in rotation), and a reused
-// connection that dies before its first response byte is retried exactly
-// once on a fresh connection.
-#pragma once
-
-#include <cstddef>
-
-namespace ${app_name}_gen {
-
-// Per-backend connection cap (in-flight + idle) and idle-list bound.
-inline constexpr std::size_t kUpstreamPoolCap = 8;
-inline constexpr std::size_t kUpstreamPoolMaxIdle = 8;
-// Request bytes retained for the stale-connection replay, per exchange.
-inline constexpr std::size_t kUpstreamRetryBufferBytes = 64u * 1024u;
-//% if profiling
-// Profiling (O11) exports the pool counters (reuse / miss / stale retry).
-inline constexpr bool kCountUpstreamPool = true;
-//% end
-
-}  // namespace ${app_name}_gen
-)tmpl";
-
 constexpr const char* kOverloadConfigHpp = R"tmpl(// Generated: adaptive overload manager (exists when overload = adaptive).
 // Replaces the static queue-length watermarks with the OverloadManager
 // control loop: CoDel-style queue-delay admission (sliding minimum over the
@@ -606,9 +567,6 @@ constexpr const char* kServerMainCpp = R"tmpl(// Generated server main for ${app
 //% end
 #include "buffer_config.hpp"
 #include "event_config.hpp"
-//% if proxy_upstream == "pooled"
-#include "proxy_config.hpp"
-//% end
 //% if overload == "adaptive"
 #include "overload_config.hpp"
 //% end
@@ -767,7 +725,6 @@ Option settings baked into this instance:
 | O11 profiling | ${profiling} |
 | O12 logging | ${logging} |
 | O11+ statistics export | ${stats_export} |
-| S4 proxy upstream | ${proxy_upstream} |
 | S5 overload | ${overload} |
 
 Implement the hook methods in `hooks.cpp` (the three application-dependent
@@ -794,8 +751,6 @@ PatternTemplate make_nserver_template() {
   tmpl.add_file({"send_config.hpp", "Send Reply", "", kSendConfigHpp});
   tmpl.add_file({"buffer_config.hpp", "Buffer Management", "",
                  kBufferConfigHpp});
-  tmpl.add_file({"proxy_config.hpp", "Proxy Upstream",
-                 "proxy_upstream == \"pooled\"", kProxyConfigHpp});
   tmpl.add_file({"overload_config.hpp", "Overload Manager",
                  "overload == \"adaptive\"", kOverloadConfigHpp});
   tmpl.add_file({"reactor_config.hpp", "Reactor", "", kReactorConfigHpp});
@@ -823,7 +778,6 @@ OptionSet nserver_http_options() {
   set.set("mode", "production");
   set.set("profiling", "no");
   set.set("logging", "no");
-  set.set("proxy_upstream", "per_request");
   set.set("overload", "watermark");
   return set;
 }
@@ -842,7 +796,6 @@ OptionSet nserver_ftp_options() {
   set.set("mode", "production");
   set.set("profiling", "no");
   set.set("logging", "no");
-  set.set("proxy_upstream", "per_request");
   set.set("overload", "watermark");
   return set;
 }

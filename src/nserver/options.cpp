@@ -31,10 +31,6 @@ const char* to_string(StatsExport mode) {
   return mode == StatsExport::kNone ? "None" : "AdminHttp";
 }
 
-const char* to_string(UpstreamMode mode) {
-  return mode == UpstreamMode::kPerRequest ? "PerRequest" : "Pooled";
-}
-
 const char* to_string(OverloadMode mode) {
   return mode == OverloadMode::kWatermark ? "Watermark" : "Adaptive";
 }

@@ -52,22 +52,10 @@ enum class StatsExport {
   kAdminHttp,  // second listener serving /stats, /stats.json, /healthz
 };
 
-// Upstream-connection option for proxy deployments (S4): how the streaming
-// L7 data plane (src/proxy) manages its server-facing connections.
-// kPerRequest opens a fresh upstream connection per proxied request (the
-// shape of the original examples/http_proxy); kPooled keeps completed
-// upstream connections in per-backend keep-alive pools with caps, idle
-// reuse, and a single stale-connection retry.  It is not a ServerOptions
-// field: proxy::ProxyConfig::upstream_mode carries it to proxy::ProxyServer.
-enum class UpstreamMode {
-  kPerRequest,
-  kPooled,
-};
-
-// Overload-control option (S5, appended after proxy_upstream to preserve
-// the paper's option numbering): which monitors and tiers the O9
-// OverloadManager runs.  kWatermark is the paper's static two-watermark
-// gate on queue *length* (make_watermark_manager): stop accept, and shed
+// Overload-control option (S5, appended after O11+ to preserve the paper's
+// option numbering): which monitors and tiers the O9 OverloadManager runs.
+// kWatermark is the paper's static two-watermark gate on queue *length*
+// (make_watermark_manager): stop accept, and shed
 // when overload_shed is on.  kAdaptive uses CoDel-style admission on
 // measured queue *delay* plus connection / pool / heap pressure monitors,
 // EWMA smoothing, and graduated actions (conserve timeouts → pause
@@ -88,7 +76,6 @@ enum class IoBackend {
 [[nodiscard]] const char* to_string(CachePolicyKind kind);
 [[nodiscard]] const char* to_string(ServerMode mode);
 [[nodiscard]] const char* to_string(StatsExport mode);
-[[nodiscard]] const char* to_string(UpstreamMode mode);
 [[nodiscard]] const char* to_string(OverloadMode mode);
 [[nodiscard]] const char* to_string(IoBackend backend);
 

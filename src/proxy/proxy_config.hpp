@@ -4,11 +4,11 @@
 // buffer-everything, connection-per-request demo into a production-shaped
 // tier on the cluster substrate: one reactor, an Acceptor for the client
 // side, a Connector + per-backend keep-alive pools for the upstream side,
-// and streamed bodies with watermark backpressure in between.  Most knobs
-// mirror an existing subsystem's vocabulary on purpose: the balance policy
-// comes from src/cluster, the upstream mode from the generative option
-// table (nserver::UpstreamMode, option `proxy_upstream`), and header limits
-// from the HTTP parse layer.
+// and streamed bodies with watermark backpressure in between.  Upstream
+// connections are always pooled.  Most knobs mirror an existing subsystem's
+// vocabulary on purpose: the balance policy comes from src/cluster (the
+// same BackendSet orders the L4 balancer's backends), the overload knobs
+// from the core server, and header limits from the HTTP parse layer.
 #pragma once
 
 #include <chrono>
@@ -16,9 +16,9 @@
 #include <functional>
 #include <string>
 
-#include "cluster/load_balancer.hpp"
+#include "cluster/lb_policy.hpp"
+#include "common/clock.hpp"
 #include "http/request_parser.hpp"
-#include "nserver/options.hpp"
 #include "nserver/overload_manager.hpp"
 
 namespace cops::proxy {
@@ -28,19 +28,15 @@ struct ProxyConfig {
   uint16_t listen_port = 0;  // 0 = kernel-assigned
   int listen_backlog = 512;
 
-  // Generative option `proxy_upstream`: per_request opens a fresh upstream
-  // connection per proxied request; pooled keeps completed connections in
-  // per-backend keep-alive pools (caps, LIFO idle reuse, one stale retry).
-  nserver::UpstreamMode upstream_mode = nserver::UpstreamMode::kPooled;
-  // Pooled only: per-backend connection cap (in-flight + idle) and idle
-  // list bound.
+  // Upstream keep-alive pools: per-backend connection cap (in-flight +
+  // idle; must be positive) and idle list bound.  Idle reuse is LIFO.
   size_t pool_max_per_backend = 8;
   size_t pool_max_idle_per_backend = 8;
 
   // Backend selection.  Ring-hash affinity keys on the request target, so
   // a path consistently lands on the same backend (cache locality).
   cluster::BalancePolicy policy = cluster::BalancePolicy::kRoundRobin;
-  uint64_t seed = 0x5eedu;  // P2C candidate PRNG
+  uint64_t seed = 0x5eedu;  // the BackendSet's PRNG (P2C candidates)
 
   // Upstream deadlines: per-attempt connect (0 = none) and time allowed
   // between the request being fully relayed and the response head arriving
@@ -55,7 +51,7 @@ struct ProxyConfig {
   size_t high_watermark = 256 * 1024;
   size_t low_watermark = 64 * 1024;
 
-  // Stale-connection retry (pooled): request bytes are retained until the
+  // Stale-connection retry: request bytes are retained until the
   // first response byte, up to this cap.  A *reused* connection that dies
   // with zero response bytes is retried exactly once on a fresh connection;
   // past the cap the retry disarms and the failure surfaces as 502.

@@ -13,40 +13,33 @@
 namespace cops::proxy {
 
 ProxyServer::ProxyServer(ProxyConfig config)
-    : config_(std::move(config)), rng_(config_.seed) {}
+    : config_(std::move(config)),
+      backends_(config_.policy, config_.seed),
+      pool_(0, {.max_per_backend = config_.pool_max_per_backend,
+                .max_idle_per_backend = config_.pool_max_idle_per_backend}) {}
 
 ProxyServer::~ProxyServer() { stop(); }
 
 void ProxyServer::add_backend(const net::InetAddress& addr) {
-  backends_.push_back(Backend{addr, false});
+  backends_.add(addr);
+  pool_.add_backend();
 }
 
 Status ProxyServer::start() {
   if (started_.exchange(true)) {
     return Status::invalid_argument("already started");
   }
-  if (backends_.empty()) {
+  if (backends_.size() == 0) {
     return Status::invalid_argument("proxy: no backends configured");
   }
   if (config_.low_watermark >= config_.high_watermark) {
     return Status::invalid_argument(
         "proxy: low_watermark must be below high_watermark");
   }
-  in_flight_ = std::vector<std::atomic<size_t>>(backends_.size());
+  if (config_.pool_max_per_backend == 0) {
+    return Status::invalid_argument("proxy: upstream needs a positive pool cap");
+  }
   waiters_.assign(backends_.size(), {});
-  if (config_.upstream_mode == nserver::UpstreamMode::kPooled) {
-    if (config_.pool_max_per_backend == 0) {
-      return Status::invalid_argument(
-          "proxy: pooled upstream_mode needs a positive pool cap");
-    }
-    UpstreamPool::Config pool_config;
-    pool_config.max_per_backend = config_.pool_max_per_backend;
-    pool_config.max_idle_per_backend = config_.pool_max_idle_per_backend;
-    pool_ = std::make_unique<UpstreamPool>(backends_.size(), pool_config);
-  }
-  if (config_.policy == cluster::BalancePolicy::kRingHash) {
-    ring_.build(backends_.size());
-  }
   connector_ = std::make_unique<net::Connector>(reactor_);
   acceptor_ = std::make_unique<net::Acceptor>(
       reactor_, [this](net::TcpSocket client) { on_accept(std::move(client)); });
@@ -91,19 +84,16 @@ void ProxyServer::build_overload_manager() {
   // exactly the demand the upstreams cannot absorb.  The lambda runs inside
   // tick(), which only ever executes on the reactor thread — the same
   // thread that mutates waiters_ — so no lock is needed.
-  if (pool_) {
-    const double capacity =
-        static_cast<double>(backends_.size()) *
-        static_cast<double>(config_.pool_max_per_backend);
-    overload_->add_monitor(std::make_unique<nserver::GaugeMonitor>(
-        "pool_waiters",
-        [this] {
-          size_t total = 0;
-          for (const auto& queue : waiters_) total += queue.size();
-          return static_cast<double>(total);
-        },
-        capacity));
-  }
+  const double capacity = static_cast<double>(backends_.size()) *
+                          static_cast<double>(config_.pool_max_per_backend);
+  overload_->add_monitor(std::make_unique<nserver::GaugeMonitor>(
+      "pool_waiters",
+      [this] {
+        size_t total = 0;
+        for (const auto& queue : waiters_) total += queue.size();
+        return static_cast<double>(total);
+      },
+      capacity));
   // Upstream failure fraction over the tick window: 502s + 504s per request
   // head.  A quarter of traffic failing upstream reads as full pressure.
   overload_->add_monitor(std::make_unique<nserver::RateMonitor>(
@@ -153,7 +143,7 @@ void ProxyServer::stop() {
     sessions.reserve(sessions_.size());
     for (auto& [id, session] : sessions_) sessions.push_back(session);
     for (auto& session : sessions) session->abort("proxy-stop");
-    if (pool_) pool_->close_all();
+    pool_.close_all();
     done.set_value();
   });
   fut.wait();
@@ -163,10 +153,10 @@ void ProxyServer::stop() {
 
 void ProxyServer::drain_backend(size_t index, bool draining) {
   auto apply = [this, index, draining] {
-    if (index >= backends_.size()) return;
-    if (backends_[index].draining == draining) return;
-    backends_[index].draining = draining;
-    if (pool_) pool_->drain(index, draining);
+    if (index >= backends_.size() || !backends_.set_draining(index, draining)) {
+      return;
+    }
+    pool_.drain(index, draining);
     emit(std::string(draining ? "proxy-drain" : "proxy-undrain") +
          " backend=" + std::to_string(index));
   };
@@ -191,50 +181,9 @@ void ProxyServer::on_accept(net::TcpSocket client) {
 }
 
 int ProxyServer::select_backend(std::string_view affinity_key) {
-  const size_t count = backends_.size();
-  if (count == 0) return -1;
-  auto eligible = [this](size_t index) { return !backends_[index].draining; };
-  auto least_loaded_eligible = [&]() -> int {
-    int best = -1;
-    for (size_t i = 0; i < count; ++i) {
-      if (!eligible(i)) continue;
-      if (best < 0 ||
-          in_flight_[i].load(std::memory_order_relaxed) <
-              in_flight_[static_cast<size_t>(best)].load(
-                  std::memory_order_relaxed)) {
-        best = static_cast<int>(i);
-      }
-    }
-    return best;
-  };
-  switch (config_.policy) {
-    case cluster::BalancePolicy::kRoundRobin: {
-      // Free-running cursor, reduced modulo the *live* count at pick time
-      // (the shrink-safety contract shared with the LoadBalancer).
-      const uint64_t cursor = round_robin_next_++;
-      for (size_t step = 0; step < count; ++step) {
-        const size_t index = cluster::pick_round_robin(cursor + step, count);
-        if (eligible(index)) return static_cast<int>(index);
-      }
-      return -1;
-    }
-    case cluster::BalancePolicy::kLeastConnections:
-      return least_loaded_eligible();
-    case cluster::BalancePolicy::kPowerOfTwoChoices: {
-      std::vector<size_t> loads(count);
-      for (size_t i = 0; i < count; ++i) {
-        loads[i] = in_flight_[i].load(std::memory_order_relaxed);
-      }
-      const size_t pick = cluster::pick_p2c(rng_, loads);
-      if (eligible(pick)) return static_cast<int>(pick);
-      return least_loaded_eligible();
-    }
-    case cluster::BalancePolicy::kRingHash: {
-      for (size_t index : ring_.pick_order(affinity_key)) {
-        if (eligible(index)) return static_cast<int>(index);
-      }
-      return -1;
-    }
+  backends_.admit();
+  for (const size_t index : backends_.order(affinity_key)) {
+    if (!backends_.draining(index)) return static_cast<int>(index);
   }
   return -1;
 }
@@ -243,12 +192,8 @@ int ProxyServer::select_backend(std::string_view affinity_key) {
 
 void ProxyServer::request_upstream(const std::shared_ptr<ProxySession>& session,
                                    size_t backend) {
-  if (!pool_) {
-    start_connect(session, backend);
-    return;
-  }
   net::TcpSocket socket;
-  switch (pool_->acquire(backend, &socket)) {
+  switch (pool_.acquire(backend, &socket)) {
     case UpstreamPool::Acquire::kReused:
       emit("proxy-pool-reuse backend=" + std::to_string(backend));
       session->upstream_ready(std::move(socket), /*reused=*/true);
@@ -266,11 +211,7 @@ void ProxyServer::request_upstream(const std::shared_ptr<ProxySession>& session,
 
 void ProxyServer::request_upstream_fresh(
     const std::shared_ptr<ProxySession>& session, size_t backend) {
-  if (!pool_) {
-    start_connect(session, backend);
-    return;
-  }
-  switch (pool_->acquire_fresh(backend)) {
+  switch (pool_.acquire_fresh(backend)) {
     case UpstreamPool::Acquire::kConnect:
       start_connect(session, backend);
       return;
@@ -296,7 +237,7 @@ void ProxyServer::start_connect(const std::shared_ptr<ProxySession>& session,
     }
     session->upstream_ready(std::move(result).take(), /*reused=*/false);
   };
-  const auto& addr = backends_[backend].addr;
+  const auto& addr = backends_.address(backend);
   Status status =
       config_.connect_timeout > Duration::zero()
           ? connector_->connect(addr, config_.connect_timeout,
@@ -314,20 +255,18 @@ void ProxyServer::start_connect(const std::shared_ptr<ProxySession>& session,
 
 void ProxyServer::release_upstream(size_t backend, net::TcpSocket socket,
                                    bool reusable) {
-  if (!pool_ || stopping_.load()) {
+  if (stopping_.load()) {
     socket.close();
     return;
   }
-  pool_->release(backend, std::move(socket), reusable);
+  pool_.release(backend, std::move(socket), reusable);
   wake_waiter(backend);
 }
 
-void ProxyServer::abandon_upstream(size_t backend) {
-  if (pool_) pool_->abandon(backend);
-}
+void ProxyServer::abandon_upstream(size_t backend) { pool_.abandon(backend); }
 
 void ProxyServer::wake_waiter(size_t backend) {
-  if (!pool_ || backend >= waiters_.size() || stopping_.load()) return;
+  if (backend >= waiters_.size() || stopping_.load()) return;
   auto& queue = waiters_[backend];
   while (!queue.empty()) {
     const uint64_t id = queue.front();
@@ -340,17 +279,6 @@ void ProxyServer::wake_waiter(size_t backend) {
 }
 
 // ---- bookkeeping ----------------------------------------------------------
-
-void ProxyServer::note_request_start(size_t backend) {
-  in_flight_[backend].fetch_add(1, std::memory_order_relaxed);
-}
-
-void ProxyServer::note_request_end(size_t backend) {
-  auto& gauge = in_flight_[backend];
-  if (gauge.load(std::memory_order_relaxed) > 0) {
-    gauge.fetch_sub(1, std::memory_order_relaxed);
-  }
-}
 
 void ProxyServer::session_done(uint64_t id) {
   for (auto& queue : waiters_) {
@@ -399,18 +327,15 @@ void ProxyServer::write_stats(nserver::MetricsWriter& w) const {
   w.begin_table("backends", "backend", "index");
   for (size_t i = 0; i < backends_.size(); ++i) {
     w.row(i);
-    w.json_string("address", backends_[i].addr.to_string());
+    w.json_string("address", backends_.address(i).to_string());
     w.flag("cops_proxy_backend_draining", "draining",
            "1 while the backend is drained out of selection.",
-           backends_[i].draining);
+           backends_.draining(i));
     w.gauge("cops_proxy_backend_in_flight", "in_flight",
             "Requests in flight to the backend.",
-            static_cast<uint64_t>(
-                in_flight_[i].load(std::memory_order_relaxed)));
-    if (pool_) {
-      w.json("pool_in_use", static_cast<uint64_t>(pool_->in_use(i)));
-      w.json("pool_idle", static_cast<uint64_t>(pool_->idle(i)));
-    }
+            static_cast<uint64_t>(backends_.load(i)));
+    w.json("pool_in_use", static_cast<uint64_t>(pool_.in_use(i)));
+    w.json("pool_idle", static_cast<uint64_t>(pool_.idle(i)));
   }
   w.end_table();
 }

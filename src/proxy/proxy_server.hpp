@@ -5,15 +5,16 @@
 // HTTP/1.x both directions), the upstream Connector, and the admin
 // endpoint.  The server owns what spans sessions:
 //
-//   * backend set + pluggable selection (round-robin / least-loaded / P2C /
-//     ring-hash over the request target, via cluster/lb_policy);
-//   * the UpstreamPool (generative option proxy_upstream=pooled) plus the
-//     per-backend waiter queues that park sessions at the connection cap;
+//   * the cluster::BackendSet the L4 balancer also uses: addresses, drain
+//     flags, per-backend in-flight loads and the policy order (round-robin /
+//     least-loaded / P2C / ring-hash over the request target); the proxy
+//     takes the first backend in that order that is not draining;
+//   * the UpstreamPool plus the per-backend waiter queues that park
+//     sessions at the connection cap;
 //   * drain lifecycle: drain_backend() stops selection and empties the
-//     pool's idle side without killing in-flight streams (PR-3 shape);
-//   * counters (`cops_proxy_*`) and per-backend in-flight gauges, served
-//     over the nserver admin machinery and mirrored into relaxed atomics
-//     for test inspection.
+//     pool's idle side without killing in-flight streams;
+//   * counters (`cops_proxy_*`), served over the nserver admin machinery
+//     and mirrored into relaxed atomics for test inspection.
 //
 // Determinism: with one reactor and the seeded P2C PRNG, a simnet run of
 // the proxy replays bit-identically per seed (tests/model_proxy_test.cpp).
@@ -22,7 +23,6 @@
 #include <atomic>
 #include <deque>
 #include <memory>
-#include <random>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -75,18 +75,12 @@ class ProxyServer {
 
   [[nodiscard]] const ProxyCounters& counters() const { return counters_; }
   [[nodiscard]] uint64_t pool_reuse_total() const {
-    return pool_ ? pool_->reuse_total() : 0;
+    return pool_.reuse_total();
   }
-  [[nodiscard]] uint64_t pool_miss_total() const {
-    return pool_ ? pool_->miss_total() : 0;
-  }
+  [[nodiscard]] uint64_t pool_miss_total() const { return pool_.miss_total(); }
   [[nodiscard]] uint64_t pool_stale_retry_total() const {
-    return pool_ ? pool_->stale_retry_total() : 0;
+    return pool_.stale_retry_total();
   }
-  [[nodiscard]] size_t backend_in_flight(size_t index) const {
-    return in_flight_.at(index).load(std::memory_order_relaxed);
-  }
-  [[nodiscard]] size_t backend_count() const { return backends_.size(); }
 
   // Adaptive overload manager over upstream pressure (overload_adaptive);
   // null when disabled.
@@ -97,18 +91,13 @@ class ProxyServer {
  private:
   friend class ProxySession;
 
-  struct Backend {
-    net::InetAddress addr;
-    bool draining = false;
-  };
-
   // All on the reactor thread:
   void on_accept(net::TcpSocket client);
-  // Backend for one request under the configured policy; -1 when every
-  // backend is draining or the set is empty.
+  // Backend for one request: the first in the policy order that is not
+  // draining; -1 when every backend is draining.
   [[nodiscard]] int select_backend(std::string_view affinity_key);
-  // Upstream acquisition for `session` (pool or direct connect); calls the
-  // session's upstream_ready/upstream_failed, possibly synchronously.
+  // Upstream acquisition for `session` (idle reuse or a new connect); calls
+  // the session's upstream_ready/upstream_failed, possibly synchronously.
   void request_upstream(const std::shared_ptr<ProxySession>& session,
                         size_t backend);
   // The stale-retry path: always a brand-new connection.
@@ -126,8 +115,6 @@ class ProxyServer {
   void build_overload_manager();
   void overload_tick();
 
-  void note_request_start(size_t backend);
-  void note_request_end(size_t backend);
   void session_done(uint64_t id);
   void emit(const std::string& event);
 
@@ -135,23 +122,19 @@ class ProxyServer {
   void write_stats(nserver::MetricsWriter& w) const;
 
   ProxyConfig config_;
-  std::vector<Backend> backends_;
+  // Reactor thread once started; the load is requests in flight.
+  cluster::BackendSet backends_;
   net::Reactor reactor_;
   std::unique_ptr<net::Acceptor> acceptor_;
   std::unique_ptr<net::Connector> connector_;
   std::unique_ptr<nserver::AdminServer> admin_;
-  std::unique_ptr<UpstreamPool> pool_;
+  UpstreamPool pool_;  // one slot per backend
   std::unique_ptr<nserver::OverloadManager> overload_;
-  cluster::HashRing ring_;
-  std::mt19937_64 rng_;  // reactor thread only (P2C)
   std::unordered_map<uint64_t, std::shared_ptr<ProxySession>> sessions_;
   // Sessions parked at a backend's connection cap, FIFO per backend.
   std::vector<std::deque<uint64_t>> waiters_;
-  // Per-backend in-flight request gauges (sized at start()).
-  std::vector<std::atomic<size_t>> in_flight_;
   ProxyCounters counters_;
   uint64_t next_session_id_ = 1;
-  uint64_t round_robin_next_ = 0;  // free-running; modulo-guarded at pick
   uint16_t port_ = 0;
   uint16_t admin_port_ = 0;
   std::atomic<bool> started_{false};

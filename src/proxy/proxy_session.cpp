@@ -152,7 +152,7 @@ bool ProxySession::begin_request() {
     return false;
   }
   backend_ = backend;
-  server_.note_request_start(static_cast<size_t>(backend));
+  server_.backends_.add_load(static_cast<size_t>(backend));
   in_flight_counted_ = true;
 
   // Forward the head: original casing, hop-by-hop stripped, Via appended.
@@ -188,9 +188,7 @@ bool ProxySession::begin_request() {
   }
 
   replay_buffer_.clear();
-  replay_armed_ =
-      server_.config_.upstream_mode == nserver::UpstreamMode::kPooled &&
-      server_.config_.retry_buffer_limit > 0;
+  replay_armed_ = server_.config_.retry_buffer_limit > 0;
   retry_used_ = false;
   response_bytes_seen_ = false;
   interim_heads_ = 0;
@@ -583,16 +581,19 @@ void ProxySession::detach_upstream(bool reusable) {
 // ---- exchange lifecycle ---------------------------------------------------
 
 void ProxySession::complete_exchange() {
-  if (in_flight_counted_ && backend_ >= 0) {
-    server_.note_request_end(static_cast<size_t>(backend_));
-    in_flight_counted_ = false;
-  }
+  release_in_flight();
   if (!client_keep_alive_ || client_eof_) {
     close_session();
     return;
   }
   reset_exchange_state();
   if (!client_in_.empty()) process_client();
+}
+
+void ProxySession::release_in_flight() {
+  if (!in_flight_counted_ || backend_ < 0) return;
+  server_.backends_.release_load(static_cast<size_t>(backend_));
+  in_flight_counted_ = false;
 }
 
 void ProxySession::reset_exchange_state() {
@@ -637,10 +638,7 @@ void ProxySession::send_error(http::StatusCode status) {
       emit("proxy-reject");
       break;
   }
-  if (in_flight_counted_ && backend_ >= 0) {
-    server_.note_request_end(static_cast<size_t>(backend_));
-    in_flight_counted_ = false;
-  }
+  release_in_flight();
   client_out_.push_owned(http::make_error_response(status, false).serialize());
   client_committed_ = true;
   client_keep_alive_ = false;
@@ -657,10 +655,7 @@ void ProxySession::close_session() {
     (void)server_.reactor_.deregister(client_.fd());
     client_.close();
   }
-  if (in_flight_counted_ && backend_ >= 0) {
-    server_.note_request_end(static_cast<size_t>(backend_));
-    in_flight_counted_ = false;
-  }
+  release_in_flight();
   server_.session_done(id_);
 }
 

@@ -101,6 +101,7 @@ class ProxySession : public net::EventHandler,
 
   // --- exchange lifecycle ------------------------------------------------
   void complete_exchange();
+  void release_in_flight();  // the exchange's unit of backend load
   void reset_exchange_state();
   void send_error(http::StatusCode status);
   void close_session();

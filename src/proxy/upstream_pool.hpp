@@ -28,7 +28,6 @@
 #include <atomic>
 #include <cstdint>
 #include <deque>
-#include <vector>
 
 #include "net/socket.hpp"
 
@@ -48,6 +47,8 @@ class UpstreamPool {
   };
 
   UpstreamPool(size_t backend_count, Config config);
+  // One more backend slot (the proxy adds backends one at a time).
+  void add_backend() { slots_.emplace_back(); }
 
   // All accounting methods are reactor-thread-only (tests drive them from
   // one thread); the counters alone are cross-thread readable.
@@ -62,7 +63,7 @@ class UpstreamPool {
   // socket (connect failure): frees the cap slot.
   void abandon(size_t backend);
 
-  // Drain lifecycle (PR-3 shape): close every idle connection now and stop
+  // Drain lifecycle: close every idle connection now and stop
   // re-parking; releases during a drain close instead.  In-flight streams
   // are not touched.
   void drain(size_t backend, bool draining = true);
@@ -70,7 +71,6 @@ class UpstreamPool {
 
   [[nodiscard]] size_t in_use(size_t backend) const;
   [[nodiscard]] size_t idle(size_t backend) const;
-  [[nodiscard]] size_t backend_count() const { return slots_.size(); }
 
   [[nodiscard]] uint64_t reuse_total() const {
     return reuse_.load(std::memory_order_relaxed);
@@ -93,7 +93,7 @@ class UpstreamPool {
   };
 
   Config config_;
-  std::vector<Slot> slots_;
+  std::deque<Slot> slots_;  // deque: add_backend() never moves a slot
   std::atomic<uint64_t> reuse_{0};
   std::atomic<uint64_t> miss_{0};
   std::atomic<uint64_t> stale_retry_{0};

@@ -275,6 +275,19 @@ TEST(Histogram, QuantileBounds) {
   EXPECT_GE(h.quantile_micros(0.999), 100000 / 2);
 }
 
+// A log2 bucket's upper bound can exceed every sample in it: 40 lands in
+// the (32, 64] bucket, but no quantile may report more than the maximum.
+TEST(Histogram, QuantilesNeverExceedTheMaximum) {
+  Histogram h;
+  h.record(3);
+  h.record(40);
+  h.record(40);
+  EXPECT_EQ(h.max_micros(), 40);
+  EXPECT_LE(h.quantile_micros(0.5), 40);
+  EXPECT_LE(h.quantile_micros(0.99), 40);
+  EXPECT_EQ(h.quantile_micros(1.0), 40);
+}
+
 TEST(Histogram, MergeCombines) {
   Histogram a;
   Histogram b;

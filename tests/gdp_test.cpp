@@ -381,7 +381,7 @@ TEST(NServerTemplate, SendPathOptionCrosscutsGeneratedUnits) {
 }
 
 TEST(NServerTemplate, SendPathAppendsWithoutRenumbering) {
-  // No S1 column: the post-paper S4 follows O11+ directly, keeping its label,
+  // No S1 column: the post-paper S5 follows O11+ directly, keeping its label,
   // and the README option table has no S1 row.
   const auto tmpl = make_nserver_template();
   std::vector<std::string> labels;
@@ -390,7 +390,7 @@ TEST(NServerTemplate, SendPathAppendsWithoutRenumbering) {
                                "O11+: Statistics export");
   ASSERT_NE(stats, labels.end());
   ASSERT_NE(stats + 1, labels.end());
-  EXPECT_EQ(*(stats + 1), "S4: Proxy upstream connections");
+  EXPECT_EQ(*(stats + 1), "S5: Overload policy");
   auto rendered = tmpl.render_all(nserver_http_options(),
                                   {{"app_name", "A"}, {"listen_port", "0"}});
   ASSERT_TRUE(rendered.is_ok());
@@ -398,10 +398,10 @@ TEST(NServerTemplate, SendPathAppendsWithoutRenumbering) {
   EXPECT_EQ(readme.find("S1 "), std::string::npos);
   EXPECT_EQ(readme.find("send-reply path"), std::string::npos);
   const size_t stats_row = readme.find("O11+ statistics export");
-  const size_t proxy_row = readme.find("S4 proxy upstream");
+  const size_t overload_row = readme.find("S5 overload");
   ASSERT_NE(stats_row, std::string::npos);
-  ASSERT_NE(proxy_row, std::string::npos);
-  EXPECT_LT(stats_row, proxy_row);
+  ASSERT_NE(overload_row, std::string::npos);
+  EXPECT_LT(stats_row, overload_row);
 }
 
 TEST(NServerTemplate, BufferMgmtOptionCrosscutsGeneratedUnits) {
@@ -418,7 +418,7 @@ TEST(NServerTemplate, BufferMgmtOptionCrosscutsGeneratedUnits) {
 }
 
 TEST(NServerTemplate, BufferMgmtAppendsWithoutRenumbering) {
-  // No S2 column or README row either; S4-S5 keep their labels.
+  // No S2 column or README row either; S5 keeps its label.
   const auto tmpl = make_nserver_template();
   for (const auto& spec : tmpl.options().specs()) {
     EXPECT_NE(spec.label.rfind("S2:", 0), 0u) << spec.label;
@@ -429,15 +429,13 @@ TEST(NServerTemplate, BufferMgmtAppendsWithoutRenumbering) {
   const auto& readme = rendered.value().at("README.md");
   EXPECT_EQ(readme.find("S2 "), std::string::npos);
   EXPECT_EQ(readme.find("buffer management"), std::string::npos);
-  for (const char* row : {"S4 proxy upstream", "S5 overload"}) {
-    EXPECT_NE(readme.find(row), std::string::npos) << row;
-  }
+  EXPECT_NE(readme.find("S5 overload"), std::string::npos);
 }
 
 // An options file written for the old template (like the shipped presets
-// before the S1/S2/S3 rows went) names send_path, buffer_mgmt or
-// body_framing; generation must reject each as an unknown option instead of
-// silently ignoring it.
+// before the S1/S2/S3/S4 rows went) names send_path, buffer_mgmt,
+// body_framing or proxy_upstream; generation must reject each as an unknown
+// option instead of silently ignoring it.
 TEST(NServerTemplate, OptionsFileNamingRetiredOptionsIsRejected) {
   const auto tmpl = make_nserver_template();
   for (const char* preset : {"cops_http.options", "cops_ftp.options"}) {
@@ -456,7 +454,9 @@ TEST(NServerTemplate, OptionsFileNamingRetiredOptionsIsRejected) {
                            "buffer_mgmt = pooled",
                            "buffer_mgmt = per_request",
                            "body_framing = chunked",
-                           "body_framing = content_length"}) {
+                           "body_framing = content_length",
+                           "proxy_upstream = pooled",
+                           "proxy_upstream = per_request"}) {
     auto file = ConfigFile::parse(std::string("dispatcher_threads = 1\n") +
                                   line + "\n");
     ASSERT_TRUE(file.is_ok()) << line;
@@ -501,7 +501,7 @@ TEST(NServerTemplate, BodyFramingOptionCrosscutsGeneratedUnits) {
 }
 
 TEST(NServerTemplate, BodyFramingAppendsWithoutRenumbering) {
-  // No S3 column or README row; S4 and S5 keep their labels.
+  // No S3 column or README row; S5 keeps its label.
   const auto tmpl = make_nserver_template();
   for (const auto& spec : tmpl.options().specs()) {
     EXPECT_NE(spec.label.rfind("S3:", 0), 0u) << spec.label;
@@ -512,60 +512,48 @@ TEST(NServerTemplate, BodyFramingAppendsWithoutRenumbering) {
   const auto& readme = rendered.value().at("README.md");
   EXPECT_EQ(readme.find("S3 "), std::string::npos);
   EXPECT_EQ(readme.find("body framing"), std::string::npos);
-  EXPECT_NE(readme.find("S4 proxy upstream"), std::string::npos);
+  EXPECT_NE(readme.find("S5 overload"), std::string::npos);
 }
 
 TEST(NServerTemplate, ProxyUpstreamOptionCrosscutsGeneratedUnits) {
-  const auto tmpl = make_nserver_template();
-  // Both presets default to per_request (zero behaviour change for the
-  // paper's servers); flipping to pooled emits the proxy unit, which carries
-  // the pool cap a proxy tier reads.  The generated nserver::Server has no
-  // upstream setting, so server_main never sets one.
-  auto per_request_set = nserver_http_options();
-  auto pooled_set = per_request_set;
-  pooled_set.set("proxy_upstream", "pooled");
-  auto off = tmpl.render_all(per_request_set,
-                             {{"app_name", "A"}, {"listen_port", "0"}});
-  auto on =
-      tmpl.render_all(pooled_set, {{"app_name", "A"}, {"listen_port", "0"}});
-  ASSERT_TRUE(off.is_ok());
-  ASSERT_TRUE(on.is_ok());
-  EXPECT_TRUE(on.value().count("proxy_config.hpp"));
-  EXPECT_FALSE(off.value().count("proxy_config.hpp"));
-  EXPECT_NE(on.value().at("traits.hpp").find("kPooledUpstream = true"),
-            std::string::npos);
-  EXPECT_NE(off.value().at("traits.hpp").find("kPooledUpstream = false"),
-            std::string::npos);
-  EXPECT_NE(on.value().at("proxy_config.hpp").find("kUpstreamPoolCap"),
-            std::string::npos);
-  for (const auto* rendered : {&on, &off}) {
-    const auto& main_cpp = rendered->value().at("server_main.cpp");
-    EXPECT_EQ(main_cpp.find("upstream_mode"), std::string::npos);
-    EXPECT_EQ(main_cpp.find("upstream_pool_cap"), std::string::npos);
-    EXPECT_EQ(main_cpp.find("UpstreamMode"), std::string::npos);
-  }
-  // Both shipped presets stay on per_request.
-  EXPECT_EQ(nserver_http_options().get("proxy_upstream"), "per_request");
-  EXPECT_EQ(nserver_ftp_options().get("proxy_upstream"), "per_request");
-}
-
-TEST(NServerTemplate, ProxyUpstreamAppendsWithoutRenumbering) {
-  // proxy_upstream joins Table 2 as its own column while everything already
-  // there stays put; in the README option table it rows after O11+.
+  // The proxy always pools its upstream connections, so the retired S4
+  // proxy_upstream crosscuts nothing: no "Proxy Upstream" row in the
+  // matrix, no proxy unit, and no pooled-upstream trait anywhere in the
+  // generated code.
   const auto tmpl = make_nserver_template();
   auto matrix = tmpl.crosscut();
   ASSERT_TRUE(matrix.is_ok());
-  EXPECT_TRUE(
-      matrix.value().at("Proxy Upstream").at("proxy_upstream").existence);
+  EXPECT_EQ(matrix.value().count("Proxy Upstream"), 0u);
+  for (const auto& [unit, row] : matrix.value()) {
+    EXPECT_EQ(row.count("proxy_upstream"), 0u) << unit;
+  }
+  for (const auto& preset : {nserver_http_options(), nserver_ftp_options()}) {
+    EXPECT_FALSE(preset.get("proxy_upstream").has_value());
+    auto rendered =
+        tmpl.render_all(preset, {{"app_name", "A"}, {"listen_port", "0"}});
+    ASSERT_TRUE(rendered.is_ok()) << rendered.status().to_string();
+    EXPECT_FALSE(rendered.value().count("proxy_config.hpp"));
+    for (const auto& [file, text] : rendered.value()) {
+      EXPECT_EQ(text.find("kPooledUpstream"), std::string::npos) << file;
+      EXPECT_EQ(text.find("proxy_upstream"), std::string::npos) << file;
+      EXPECT_EQ(text.find("UpstreamMode"), std::string::npos) << file;
+    }
+  }
+}
+
+TEST(NServerTemplate, ProxyUpstreamAppendsWithoutRenumbering) {
+  // No S4 column or README row; S5 keeps its label.
+  const auto tmpl = make_nserver_template();
+  for (const auto& spec : tmpl.options().specs()) {
+    EXPECT_NE(spec.label.rfind("S4:", 0), 0u) << spec.label;
+  }
   auto rendered = tmpl.render_all(nserver_http_options(),
                                   {{"app_name", "A"}, {"listen_port", "0"}});
   ASSERT_TRUE(rendered.is_ok());
   const auto& readme = rendered.value().at("README.md");
-  const size_t stats_row = readme.find("O11+ statistics export");
-  const size_t proxy_row = readme.find("S4 proxy upstream");
-  ASSERT_NE(stats_row, std::string::npos);
-  ASSERT_NE(proxy_row, std::string::npos);
-  EXPECT_LT(stats_row, proxy_row) << "proxy_upstream must append after O11+";
+  EXPECT_EQ(readme.find("S4 "), std::string::npos);
+  EXPECT_EQ(readme.find("proxy upstream"), std::string::npos);
+  EXPECT_NE(readme.find("S5 overload"), std::string::npos);
 }
 
 TEST(NServerTemplate, OverloadOptionCrosscutsGeneratedUnits) {
@@ -605,22 +593,20 @@ TEST(NServerTemplate, OverloadOptionCrosscutsGeneratedUnits) {
 
 TEST(NServerTemplate, OverloadAppendsWithoutRenumbering) {
   // overload joins Table 2 as its own column while everything already there
-  // stays put; in the README option table it rows after proxy_upstream.
+  // stays put; in the README option table it rows after O11+.
   const auto tmpl = make_nserver_template();
   auto matrix = tmpl.crosscut();
   ASSERT_TRUE(matrix.is_ok());
   EXPECT_TRUE(matrix.value().at("Overload Manager").at("overload").existence);
-  EXPECT_TRUE(
-      matrix.value().at("Proxy Upstream").at("proxy_upstream").existence);
   auto rendered = tmpl.render_all(nserver_http_options(),
                                   {{"app_name", "A"}, {"listen_port", "0"}});
   ASSERT_TRUE(rendered.is_ok());
   const auto& readme = rendered.value().at("README.md");
-  const size_t proxy_row = readme.find("S4 proxy upstream");
+  const size_t stats_row = readme.find("O11+ statistics export");
   const size_t overload_row = readme.find("S5 overload");
-  ASSERT_NE(proxy_row, std::string::npos);
+  ASSERT_NE(stats_row, std::string::npos);
   ASSERT_NE(overload_row, std::string::npos);
-  EXPECT_LT(proxy_row, overload_row) << "overload must append after S4";
+  EXPECT_LT(stats_row, overload_row) << "overload must append after O11+";
 }
 
 TEST(NServerTemplate, AcceptPathOptionCrosscutsGeneratedUnits) {
@@ -682,7 +668,7 @@ TEST(NServerTemplate, AcceptPathAppendsWithoutRenumbering) {
 
 TEST(NServerTemplate, IoBackendAppendsWithoutRenumbering) {
   // The paper's O1-O12 (with the O11+ export column) keep Table 2's order
-  // and the post-paper S4-S5 append after them.  There is no S7 column and
+  // and the post-paper S5 appends after them.  There is no S7 column and
   // no S7 row in the generated README option table.
   const auto tmpl = make_nserver_template();
   std::vector<std::string> columns;
@@ -691,7 +677,7 @@ TEST(NServerTemplate, IoBackendAppendsWithoutRenumbering) {
   }
   const std::vector<std::string> table2 = {
       "O1", "O2",   "O3", "O4", "O5", "O6", "O7", "O8", "O9", "O10",
-      "O11", "O12", "O11+", "S4", "S5"};
+      "O11", "O12", "O11+", "S5"};
   EXPECT_EQ(columns, table2);
   auto rendered = tmpl.render_all(nserver_http_options(),
                                   {{"app_name", "A"}, {"listen_port", "0"}});

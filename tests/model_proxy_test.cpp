@@ -380,7 +380,10 @@ TEST(ModelProxyTest, DrainBackendEmptiesPoolWithoutKillingInFlightStreams) {
   ASSERT_TRUE(slow_origin.ok());
   ASSERT_TRUE(fast_origin.ok());
 
-  ProxyServer proxy(sim_config(engine));
+  auto config = sim_config(engine);
+  config.admin_enabled = true;
+  config.admin_port = kProxyPort + 50;
+  ProxyServer proxy(config);
   proxy.add_backend(net::InetAddress::loopback(kBackendPortBase));
   proxy.add_backend(net::InetAddress::loopback(kBackendPortBase + 1));
   ASSERT_TRUE(proxy.start().is_ok());
@@ -388,6 +391,7 @@ TEST(ModelProxyTest, DrainBackendEmptiesPoolWithoutKillingInFlightStreams) {
   auto* in_flight = engine.new_client();
   auto* during_drain = engine.new_client();
   auto* after_undrain = engine.new_client();
+  auto* stats_scrape = engine.new_client();
   engine.at(std::chrono::milliseconds(5), [in_flight] {
     in_flight->connect(kProxyPort);
     in_flight->send(get_close("/slow"));  // round-robin pick: backend 0
@@ -404,6 +408,12 @@ TEST(ModelProxyTest, DrainBackendEmptiesPoolWithoutKillingInFlightStreams) {
   engine.at(std::chrono::milliseconds(600), [after_undrain] {
     after_undrain->connect(kProxyPort);
     after_undrain->send(get_close("/again"));  // rotation reaches backend 0
+  });
+  // Once every exchange is done, no request is in flight to backend 0.  The
+  // gauge is a reactor-thread count, read where the admin endpoint reads it.
+  engine.at(std::chrono::seconds(2), [stats_scrape] {
+    stats_scrape->connect(kProxyPort + 50);
+    stats_scrape->send(get_close("/stats"));
   });
   ASSERT_TRUE(engine.run(std::chrono::seconds(5))) << engine.trace_text();
 
@@ -422,7 +432,10 @@ TEST(ModelProxyTest, DrainBackendEmptiesPoolWithoutKillingInFlightStreams) {
   EXPECT_EQ(proxy.pool_reuse_total(), 0u);
   EXPECT_EQ(count_in(engine.trace(), "proxy-drain backend=0"), 1u);
   EXPECT_EQ(count_in(engine.trace(), "proxy-undrain backend=0"), 1u);
-  EXPECT_EQ(proxy.backend_in_flight(0), 0u);
+  EXPECT_NE(stats_scrape->received().find(
+                "\ncops_proxy_backend_in_flight{backend=\"0\"} 0\n"),
+            std::string::npos)
+      << stats_scrape->received();
   proxy.stop();
   slow_origin.stop();
   fast_origin.stop();

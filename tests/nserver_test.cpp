@@ -332,8 +332,6 @@ TEST(Options, EnumToString) {
   EXPECT_STREQ(to_string(ThreadAllocation::kDynamic), "Dynamic");
   EXPECT_STREQ(to_string(CachePolicyKind::kLruMin), "LRU-MIN");
   EXPECT_STREQ(to_string(ServerMode::kDebug), "Debug");
-  EXPECT_STREQ(to_string(UpstreamMode::kPerRequest), "PerRequest");
-  EXPECT_STREQ(to_string(UpstreamMode::kPooled), "Pooled");
 }
 
 // ---------- O9 watermark gate ------------------------------------------------

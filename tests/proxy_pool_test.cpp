@@ -1,12 +1,14 @@
 // Lifecycle tests for the proxy's upstream machinery: the passive
 // UpstreamPool invariants (cap under burst, LIFO idle reuse, fresh-path
-// eviction, drain semantics) in isolation; the shared lb_policy selection
-// helpers — including the round-robin modulo guard that is the regression
-// fix for the cursor indexing past a shrunk backend set; the LoadBalancer
-// shrink scenario that used to hit exactly that; and simnet integration for
-// the pieces that only show up end-to-end (waiter wakeup at the connection
-// cap, P2C determinism, ring-hash affinity).
+// eviction, drain semantics) in isolation; the lb_policy selection helpers
+// and the BackendSet the proxy and the balancer share — including the
+// round-robin modulo guard that is the regression fix for the cursor
+// indexing past a shrunk backend set; the LoadBalancer shrink scenario that
+// used to hit exactly that; and simnet integration for the pieces that only
+// show up end-to-end (waiter wakeup at the connection cap, P2C determinism
+// and agreement with the balancer, ring-hash affinity).
 #include <chrono>
+#include <map>
 #include <memory>
 #include <set>
 #include <string>
@@ -147,11 +149,10 @@ TEST(UpstreamPoolTest, AbandonFreesTheCapSlot) {
   EXPECT_EQ(pool.acquire(0, &out), UpstreamPool::Acquire::kConnect);
 }
 
-// The pool cap is validated where it is read: start() refuses pooled
-// upstream connections with a zero per-backend cap.
+// The pool cap is validated where it is read: start() refuses a zero
+// per-backend cap (upstream connections are always pooled).
 TEST(ProxyServerStartTest, PooledUpstreamNeedsPositiveCap) {
   ProxyConfig config;
-  config.upstream_mode = nserver::UpstreamMode::kPooled;
   config.pool_max_per_backend = 0;
   ProxyServer rejected(config);
   rejected.add_backend(net::InetAddress::loopback(1));
@@ -195,13 +196,6 @@ TEST(LbPolicyTest, RoundRobinModuloGuardSurvivesShrink) {
   EXPECT_EQ(cluster::pick_round_robin(11, 2), 1u);
 }
 
-TEST(LbPolicyTest, LeastLoadedTiesBreakLow) {
-  EXPECT_EQ(cluster::pick_least_loaded({3, 1, 2}), 1u);
-  EXPECT_EQ(cluster::pick_least_loaded({2, 2, 2}), 0u);
-  EXPECT_EQ(cluster::pick_least_loaded({5, 0, 0}), 1u);
-  EXPECT_EQ(cluster::pick_least_loaded({7}), 0u);
-}
-
 TEST(LbPolicyTest, P2CDeterministicPerSeedAndPrefersLessLoaded) {
   std::mt19937_64 rng_a(0x9e3779b9u);
   std::mt19937_64 rng_b(0x9e3779b9u);
@@ -223,9 +217,9 @@ TEST(LbPolicyTest, P2CDeterministicPerSeedAndPrefersLessLoaded) {
 
 TEST(LbPolicyTest, HashRingAffinityStableWhenSetShrinks) {
   cluster::HashRing four;
-  four.build(4);
+  four.build({0, 1, 2, 3});
   cluster::HashRing three;
-  three.build(3);
+  three.build({0, 1, 2});
   size_t moved = 0;
   // The varying path segment goes first: FNV-1a hashes of keys differing
   // only in a trailing digit cluster tightly on the ring (the last bytes
@@ -257,6 +251,130 @@ TEST(LbPolicyTest, Fnv1a64MatchesReferenceVectors) {
   EXPECT_EQ(cluster::fnv1a64(""), 0xcbf29ce484222325ull);
   EXPECT_EQ(cluster::fnv1a64("a"), 0xaf63dc4c8601ec8cull);
   EXPECT_NE(cluster::fnv1a64("/a"), cluster::fnv1a64("/b"));
+}
+
+TEST(LbPolicyTest, PolicyNamesRoundTripAndUnknownIsRejected) {
+  for (const auto policy : {cluster::BalancePolicy::kRoundRobin,
+                            cluster::BalancePolicy::kLeastConnections,
+                            cluster::BalancePolicy::kPowerOfTwoChoices,
+                            cluster::BalancePolicy::kRingHash}) {
+    EXPECT_EQ(cluster::parse_balance_policy(cluster::to_string(policy)),
+              policy)
+        << cluster::to_string(policy);
+  }
+  for (const char* name : {"", "?", "roundrobin", "P2C", "least_loaded"}) {
+    EXPECT_FALSE(cluster::parse_balance_policy(name).has_value()) << name;
+  }
+}
+
+// ---- BackendSet: the one selection order of the proxy and the balancer -----
+
+cluster::BackendSet make_set(cluster::BalancePolicy policy, size_t count,
+                             uint64_t seed = 1) {
+  cluster::BackendSet set(policy, seed);
+  for (size_t i = 0; i < count; ++i) {
+    set.add(net::InetAddress::loopback(static_cast<uint16_t>(9000 + i)));
+  }
+  return set;
+}
+
+using Order = std::vector<size_t>;
+
+// The cursor steps once per admission and is reduced against the live count
+// at every pick, so a cursor advanced over three backends stays in range
+// (and keeps rotating) after the set shrinks to two and then one.
+TEST(BackendSetTest, RoundRobinCursorGuardedAcrossShrink) {
+  auto set = make_set(cluster::BalancePolicy::kRoundRobin, 3);
+  for (size_t i = 0; i < 7; ++i) {
+    set.admit();
+    EXPECT_EQ(set.order(""), (Order{i % 3, (i + 1) % 3, (i + 2) % 3}));
+  }
+  // One admission's retries see one order.
+  EXPECT_EQ(set.order(""), set.order(""));
+  set.remove(2);
+  set.admit();  // cursor 7
+  EXPECT_EQ(set.order(""), (Order{1, 0}));
+  set.admit();  // cursor 8
+  EXPECT_EQ(set.order(""), (Order{0, 1}));
+  set.remove(0);
+  set.admit();
+  EXPECT_EQ(set.order(""), (Order{0}));
+  EXPECT_EQ(set.address(0).port(), 9001);
+}
+
+TEST(BackendSetTest, LeastLoadedTiesBreakLow) {
+  auto set = make_set(cluster::BalancePolicy::kLeastConnections, 3);
+  EXPECT_EQ(set.order(""), (Order{0, 1, 2}));  // all idle: index order
+  set.add_load(0);
+  set.add_load(0);
+  set.add_load(2);  // loads {2, 0, 1}
+  EXPECT_EQ(set.order(""), (Order{1, 2, 0}));
+  set.add_load(1);  // {2, 1, 1}: the tie between 1 and 2 breaks low
+  EXPECT_EQ(set.order(""), (Order{1, 2, 0}));
+  for (int i = 0; i < 3; ++i) set.release_load(0);  // saturates at 0
+  EXPECT_EQ(set.load(0), 0u);
+  EXPECT_EQ(set.order(""), (Order{0, 1, 2}));
+}
+
+// P2C puts the less loaded of two seeded draws first, then the backends
+// after it in index order: the same seed and loads give the same order, and
+// the winner is exactly pick_p2c's over an identically seeded stream.
+TEST(BackendSetTest, P2CDeterministicPerSeed) {
+  constexpr uint64_t kSeed = 0x9e3779b9u;
+  const std::vector<size_t> loads = {4, 0, 9, 2, 7};
+  auto a = make_set(cluster::BalancePolicy::kPowerOfTwoChoices, 5, kSeed);
+  auto b = make_set(cluster::BalancePolicy::kPowerOfTwoChoices, 5, kSeed);
+  for (size_t i = 0; i < loads.size(); ++i) {
+    for (size_t n = 0; n < loads[i]; ++n) {
+      a.add_load(i);
+      b.add_load(i);
+    }
+  }
+  std::mt19937_64 reference(kSeed);
+  for (int i = 0; i < 64; ++i) {
+    const Order order = a.order("");
+    EXPECT_EQ(order, b.order("")) << "same seed must mean same orders";
+    ASSERT_EQ(order.size(), 5u);
+    EXPECT_EQ(order.front(), cluster::pick_p2c(reference, loads));
+    for (size_t k = 0; k < order.size(); ++k) {
+      EXPECT_EQ(order[k], (order.front() + k) % 5);
+    }
+  }
+  // The tiers draw their own randomness from the same stream.
+  EXPECT_EQ(a.rng()(), reference());
+  // With two backends both are always drawn: the less loaded leads.
+  auto two = make_set(cluster::BalancePolicy::kPowerOfTwoChoices, 2, 7);
+  two.add_load(0);
+  for (int i = 0; i < 16; ++i) EXPECT_EQ(two.order(""), (Order{1, 0}));
+}
+
+// Ring vnodes are keyed by the backend's identity, not its index: removing
+// a backend from the middle moves only the keys it owned, even though the
+// backends after it shift down one index.
+TEST(BackendSetTest, RingHashAffinityStableAcrossRemove) {
+  auto set = make_set(cluster::BalancePolicy::kRingHash, 4);
+  std::map<std::string, uint16_t> owner;
+  for (int i = 0; i < 200; ++i) {
+    const std::string key = "/" + std::to_string(i) + "/object";
+    const Order order = set.order(key);
+    ASSERT_EQ(order.size(), 4u);
+    EXPECT_EQ(std::set<size_t>(order.begin(), order.end()).size(), 4u);
+    owner[key] = set.address(order.front()).port();
+  }
+  set.remove(1);  // port 9001; ports 9002 and 9003 move to indices 1 and 2
+  size_t moved = 0;
+  for (const auto& [key, port] : owner) {
+    const Order order = set.order(key);
+    ASSERT_EQ(order.size(), 3u);
+    const uint16_t now_port = set.address(order.front()).port();
+    if (port == 9001) {
+      ++moved;
+      EXPECT_NE(now_port, 9001) << key;
+    } else {
+      EXPECT_EQ(now_port, port) << key;
+    }
+  }
+  EXPECT_GT(moved, 0u) << "backend 1 owned nothing — vnode spread broken";
 }
 
 // ---- LoadBalancer: the shrink scenario that motivated the guard -------------
@@ -481,6 +599,86 @@ TEST(ProxyPoolSimTest, P2CPolicyIsDeterministicPerSeed) {
   EXPECT_EQ(first.second, second.second);
 }
 
+
+// Both tiers order backends through one BackendSet, so with the same seed
+// and loads they make the same choice — here when the P2C winner is
+// drained.  The seed is the first whose winner over three idle backends is
+// backend 1; that backend is drained, and each tier sends its one request to
+// the next backend after the winner (2), not to the least loaded (0).
+TEST(ProxyPoolSimTest, P2CWithDrainedWinnerPicksWhatTheBalancerPicks) {
+  uint64_t seed = 1;
+  for (;; ++seed) {
+    std::mt19937_64 rng(seed);
+    if (cluster::pick_p2c(rng, {0, 0, 0}) == 1) break;
+  }
+  const std::string request =
+      "GET /p HTTP/1.1\r\nHost: o\r\nConnection: close\r\n\r\n";
+  // Runs one request through a front end on port 8400 with three origins
+  // on 8401-8403 and returns the index of the origin that served it.
+  auto served_by = [&](auto&& start_front_end) -> int {
+    SimEngine engine(0x2c2d);
+    std::vector<std::unique_ptr<ScriptedBackend>> origins;
+    // The balancer relays bytes until a side closes, so the origins close
+    // after answering.
+    ScriptedBackend::Options closing;
+    closing.close_after_response = true;
+    for (uint16_t i = 0; i < 3; ++i) {
+      origins.push_back(std::make_unique<ScriptedBackend>(
+          static_cast<uint16_t>(8401 + i),
+          [](const ScriptedBackend::Request&) {
+            return test::simple_response("ok", /*keep_alive=*/false);
+          },
+          closing));
+      EXPECT_TRUE(origins.back()->ok());
+    }
+    auto stop_front_end = start_front_end();
+    auto* client = engine.new_client();
+    engine.at(std::chrono::milliseconds(10), [client, &request] {
+      client->connect(8400);
+      client->send(request);
+    });
+    EXPECT_TRUE(engine.run(std::chrono::seconds(5))) << engine.trace_text();
+    EXPECT_NE(client->received().find("HTTP/1.1 200 OK"), std::string::npos);
+    stop_front_end();
+    int served = -1;
+    for (int i = 0; i < 3; ++i) {
+      if (origins[static_cast<size_t>(i)]->requests_seen() > 0) served = i;
+      origins[static_cast<size_t>(i)]->stop();
+    }
+    return served;
+  };
+
+  const int balancer_pick = served_by([&] {
+    cluster::LoadBalancerConfig config;
+    config.listen_port = 8400;
+    config.policy = cluster::BalancePolicy::kPowerOfTwoChoices;
+    config.resilience.seed = seed;
+    auto balancer = std::make_shared<cluster::LoadBalancer>(config);
+    for (uint16_t i = 0; i < 3; ++i) {
+      balancer->add_backend(
+          net::InetAddress::loopback(static_cast<uint16_t>(8401 + i)));
+    }
+    balancer->drain_backend(1);
+    EXPECT_TRUE(balancer->start().is_ok());
+    return [balancer] { balancer->stop(); };
+  });
+  const int proxy_pick = served_by([&] {
+    ProxyConfig config;
+    config.listen_port = 8400;
+    config.policy = cluster::BalancePolicy::kPowerOfTwoChoices;
+    config.seed = seed;
+    auto proxy = std::make_shared<ProxyServer>(config);
+    for (uint16_t i = 0; i < 3; ++i) {
+      proxy->add_backend(
+          net::InetAddress::loopback(static_cast<uint16_t>(8401 + i)));
+    }
+    proxy->drain_backend(1);
+    EXPECT_TRUE(proxy->start().is_ok());
+    return [proxy] { proxy->stop(); };
+  });
+  EXPECT_EQ(balancer_pick, 2);
+  EXPECT_EQ(proxy_pick, balancer_pick);
+}
 
 // ---- proxy admin endpoint ---------------------------------------------------
 
