@@ -52,6 +52,7 @@ int main() {
       src + "/http/method.hpp", src + "/http/status_code.hpp",
       src + "/http/request.hpp", src + "/http/request.cpp",
       src + "/http/request_parser.hpp", src + "/http/request_parser.cpp",
+      src + "/http/head_grammar.hpp", src + "/http/head_grammar.cpp",
       src + "/http/response.hpp", src + "/http/response.cpp",
       src + "/http/mime.hpp", src + "/http/mime.cpp",
       src + "/http/http_date.hpp", src + "/http/http_date.cpp",

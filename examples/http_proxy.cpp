@@ -91,6 +91,9 @@ int main(int argc, char** argv) {
     std::printf("admin endpoint (/stats, /stats.json, /healthz) on port %u\n",
                 proxy.admin_port());
   }
+  // Flush now: when stdout is a file the start-up lines would otherwise sit
+  // in the stdio buffer and be lost if a signal ends the process.
+  std::fflush(stdout);
   if (once) {
     std::this_thread::sleep_for(std::chrono::milliseconds(500));
     proxy.stop();

@@ -59,17 +59,6 @@ bool ends_with(std::string_view s, std::string_view suffix) {
          s.substr(s.size() - suffix.size()) == suffix;
 }
 
-bool iequals(std::string_view a, std::string_view b) {
-  if (a.size() != b.size()) return false;
-  for (size_t i = 0; i < a.size(); ++i) {
-    if (std::tolower(static_cast<unsigned char>(a[i])) !=
-        std::tolower(static_cast<unsigned char>(b[i]))) {
-      return false;
-    }
-  }
-  return true;
-}
-
 std::string replace_all(std::string s, std::string_view from,
                         std::string_view to) {
   if (from.empty()) return s;

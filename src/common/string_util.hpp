@@ -15,7 +15,20 @@ namespace cops {
 [[nodiscard]] std::vector<std::string> split_trimmed(std::string_view s, char sep);
 [[nodiscard]] bool starts_with(std::string_view s, std::string_view prefix);
 [[nodiscard]] bool ends_with(std::string_view s, std::string_view suffix);
-[[nodiscard]] bool iequals(std::string_view a, std::string_view b);
+// ASCII case-insensitive equality: what std::tolower gives in the C locale
+// the programs run in, without its per-byte library call.  Inline, because
+// header names and tokens are compared on every request and most
+// comparisons end at the size check.
+[[nodiscard]] inline bool iequals(std::string_view a, std::string_view b) {
+  if (a.size() != b.size()) return false;
+  const auto fold = [](char c) {
+    return c >= 'A' && c <= 'Z' ? static_cast<char>(c - 'A' + 'a') : c;
+  };
+  for (size_t i = 0; i < a.size(); ++i) {
+    if (fold(a[i]) != fold(b[i])) return false;
+  }
+  return true;
+}
 // Replaces every occurrence of `from` with `to`.
 [[nodiscard]] std::string replace_all(std::string s, std::string_view from,
                                       std::string_view to);

@@ -30,11 +30,11 @@ nserver::DecodeResult HttpAppHooks::decode(nserver::RequestContext& ctx,
     case ParseOutcome::kMalformed:
       return nserver::DecodeResult::error();
     case ParseOutcome::kReject:
-      // Deterministic protocol rejection (bad Content-Length, oversize
-      // body, CL+TE conflict, non-chunked Transfer-Encoding, obs-fold,
-      // malformed chunk framing, unsupported Expect) — answered with a
-      // status reply and a close so no smuggled follow-up bytes are ever
-      // interpreted.
+      // Deterministic protocol rejection (a field line outside the
+      // grammar, a second Host, bad Content-Length, oversize body, CL+TE
+      // conflict, non-chunked Transfer-Encoding, malformed chunk framing,
+      // unsupported Expect) — answered with a status reply and a close so
+      // no smuggled follow-up bytes are ever interpreted.
       return nserver::DecodeResult::reject(
           make_error_response(events.reject_status, /*keep_alive=*/false));
     case ParseOutcome::kComplete:

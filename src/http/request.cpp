@@ -1,6 +1,7 @@
 #include "http/request.hpp"
 
 #include "common/string_util.hpp"
+#include "http/head_grammar.hpp"
 
 namespace cops::http {
 
@@ -81,25 +82,9 @@ void HttpRequest::reset() {
 }
 
 bool HttpRequest::keep_alive() const {
-  bool close_token = false;
-  bool keep_alive_token = false;
-  if (auto connection = headers.get("connection")) {
-    // Walk the comma-separated token list without allocating.
-    std::string_view rest = *connection;
-    while (!rest.empty()) {
-      const size_t comma = rest.find(',');
-      std::string_view token = rest.substr(0, comma);
-      rest = comma == std::string_view::npos ? std::string_view{}
-                                             : rest.substr(comma + 1);
-      token = cops::trim(token);
-      if (cops::iequals(token, "close")) close_token = true;
-      if (cops::iequals(token, "keep-alive")) keep_alive_token = true;
-    }
-  }
-  if (close_token) return false;
-  if (version_major == 1 && version_minor >= 1) return true;
-  // HTTP/1.0: persistent only with an explicit keep-alive token.
-  return keep_alive_token;
+  ConnectionTokens tokens;
+  if (auto connection = headers.get("connection")) tokens.note(*connection);
+  return persistent(version_major == 1 && version_minor >= 1, tokens);
 }
 
 }  // namespace cops::http

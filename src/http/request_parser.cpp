@@ -4,6 +4,7 @@
 #include <cstdint>
 
 #include "common/string_util.hpp"
+#include "http/head_grammar.hpp"
 
 namespace cops::http {
 namespace {
@@ -13,107 +14,6 @@ int hex_digit(char c) {
   if (c >= 'a' && c <= 'f') return c - 'a' + 10;
   if (c >= 'A' && c <= 'F') return c - 'A' + 10;
   return -1;
-}
-
-bool parse_request_line(std::string_view line, HttpRequest& out) {
-  // METHOD SP request-target SP HTTP/x.y
-  const size_t sp1 = line.find(' ');
-  if (sp1 == std::string_view::npos) return false;
-  const size_t sp2 = line.rfind(' ');
-  if (sp2 == sp1) return false;
-  auto method = parse_method(line.substr(0, sp1));
-  if (!method) return false;
-  out.method = *method;
-  const std::string_view target = cops::trim(line.substr(sp1 + 1, sp2 - sp1 - 1));
-  out.target.assign(target);
-  if (out.target.empty()) return false;
-  auto version = line.substr(sp2 + 1);
-  if (!cops::starts_with(version, "HTTP/") || version.size() != 8 ||
-      version[6] != '.') {
-    return false;
-  }
-  if (version[5] < '0' || version[5] > '9' || version[7] < '0' ||
-      version[7] > '9') {
-    return false;
-  }
-  out.version_major = version[5] - '0';
-  out.version_minor = version[7] - '0';
-
-  // Split target into path + query.
-  const size_t q = target.find('?');
-  const std::string_view raw_path =
-      q == std::string_view::npos ? target : target.substr(0, q);
-  if (q == std::string_view::npos) {
-    out.query.clear();
-  } else {
-    out.query.assign(target.substr(q + 1));
-  }
-  if (!sanitize_path_into(raw_path, out.path)) out.path.clear();
-  return true;
-}
-
-bool parse_header_line(std::string_view line, HttpRequest& out) {
-  const size_t colon = line.find(':');
-  if (colon == std::string_view::npos || colon == 0) return false;
-  const std::string_view name = cops::trim(line.substr(0, colon));
-  const std::string_view value = cops::trim(line.substr(colon + 1));
-  const size_t existing = out.headers.find_index(name);
-  if (existing == HeaderMap::npos) {
-    out.headers.add(name, value);
-    return true;
-  }
-  // RFC 7230 §5.4: more than one Host field is unambiguously malformed —
-  // routing and caching decisions must not depend on which one a proxy in
-  // front of us happened to pick.
-  if (cops::iequals(name, "host")) return false;
-  // RFC 7230 §3.3.3: repeated Content-Length is a request-smuggling
-  // vector unless every value is identical; identical repeats collapse.
-  if (cops::iequals(name, "content-length")) {
-    return out.headers.at(existing).value == value;
-  }
-  // Other repeated headers combine with a comma per RFC 7230 §3.2.2.
-  out.headers.append_to_value(existing, value);
-  return true;
-}
-
-// Strict Content-Length: digits only — no sign, no whitespace, no suffix —
-// and no overflow past int64.  Anything else earns a 400 (kReject) rather
-// than the silent close lenient parsers give, and never a wrapped-around
-// small value.
-bool parse_content_length(std::string_view s, uint64_t* value) {
-  if (s.empty()) return false;
-  constexpr uint64_t kMax = static_cast<uint64_t>(INT64_MAX);
-  uint64_t v = 0;
-  for (char c : s) {
-    if (c < '0' || c > '9') return false;
-    const uint64_t digit = static_cast<uint64_t>(c - '0');
-    if (v > (kMax - digit) / 10) return false;
-    v = v * 10 + digit;
-  }
-  *value = v;
-  return true;
-}
-
-// RFC 7230 §3.3.3: we only implement the chunked coding, and it must be the
-// *only* coding — "chunked, gzip" leaves the message length undeterminable
-// by us, and "gzip" alone is undecodable.  The value is a comma-separated
-// token list; empty elements (sloppy trailing commas) are ignored.
-bool te_is_exactly_chunked(std::string_view value) {
-  size_t tokens = 0;
-  bool chunked = false;
-  size_t start = 0;
-  while (start <= value.size()) {
-    size_t comma = value.find(',', start);
-    if (comma == std::string_view::npos) comma = value.size();
-    const std::string_view token =
-        cops::trim(value.substr(start, comma - start));
-    if (!token.empty()) {
-      ++tokens;
-      if (cops::iequals(token, "chunked")) chunked = true;
-    }
-    start = comma + 1;
-  }
-  return tokens == 1 && chunked;
 }
 
 // Trailer fields that would rewrite framing, routing, or control decisions
@@ -242,16 +142,12 @@ ChunkedDecoder::Status ChunkedDecoder::feed(std::string_view input,
           return Status::kDone;
         }
         // Trailer fields are validated, then discarded — nothing after the
-        // body may change what the header block already decided.  Folded
-        // continuations are as unacceptable here as in the headers.
-        if (line.front() == ' ' || line.front() == '\t') {
-          return Status::kBadTrailer;
-        }
-        const size_t colon = line.find(':');
-        if (colon == std::string_view::npos || colon == 0) {
-          return Status::kBadTrailer;
-        }
-        if (forbidden_in_trailer(cops::trim(line.substr(0, colon)))) {
+        // body may change what the header block already decided.  They obey
+        // the header field-line grammar: a pass-through relay forwards them
+        // verbatim.
+        FieldLine field;
+        if (!parse_field_line(line, &field) ||
+            forbidden_in_trailer(field.name)) {
           return Status::kBadTrailer;
         }
         break;
@@ -325,94 +221,68 @@ ParseOutcome parse_request(cops::ByteBuffer& in, HttpRequest& out,
   out.reset();
   events = ParseEvents{};
   const auto view = in.view();
-  const size_t header_end = view.find("\r\n\r\n");
-  if (header_end == std::string_view::npos) {
-    if (view.size() > limits.max_header_bytes) return ParseOutcome::kMalformed;
-    return ParseOutcome::kIncomplete;
+  HeadParts head;
+  switch (locate_head(view, limits.max_header_bytes, &head)) {
+    case HeadParseStatus::kNeedMore:
+      return ParseOutcome::kIncomplete;
+    case HeadParseStatus::kMalformed:
+      return ParseOutcome::kMalformed;
+    case HeadParseStatus::kOk:
+      break;
   }
-  if (header_end > limits.max_header_bytes) return ParseOutcome::kMalformed;
+  RequestLine line;
+  if (!parse_request_line(head.start_line, &line)) {
+    return ParseOutcome::kMalformed;
+  }
+  out.target.assign(line.target);
+  out.version_minor = line.http11 ? 1 : 0;
 
-  // Consumes the header block and reports a deterministic status reply.
+  // Consumes the head and reports a deterministic status reply.
   const auto reject = [&](StatusCode status) {
-    in.consume(header_end + 4);
+    in.consume(head.size);
     events.reject_status = status;
     return ParseOutcome::kReject;
   };
 
-  const auto header_block = view.substr(0, header_end);
-  size_t line_start = 0;
-  bool first = true;
-  while (line_start <= header_block.size()) {
-    size_t line_end = header_block.find("\r\n", line_start);
-    if (line_end == std::string_view::npos) line_end = header_block.size();
-    const auto line = header_block.substr(line_start, line_end - line_start);
-    if (first) {
-      if (!parse_request_line(line, out)) return ParseOutcome::kMalformed;
-      first = false;
-    } else if (!line.empty()) {
-      // RFC 7230 §3.2.4 obs-fold: a continuation line opening with SP/HTAB
-      // would silently glue onto the previous field in lenient parsers —
-      // a classic header-smuggling discrepancy between front-end and
-      // back-end.  Deterministic 400 + close instead of guessing.
-      if (line.front() == ' ' || line.front() == '\t') {
-        return reject(StatusCode::kBadRequest);
-      }
-      if (!parse_header_line(line, out)) return ParseOutcome::kMalformed;
-    }
-    if (line_end == header_block.size()) break;
-    line_start = line_end + 2;
-  }
-  if (first) return ParseOutcome::kMalformed;
-  if (out.path.empty() && out.target != "*") {
-    return ParseOutcome::kMalformed;
+  FramingFields fields;
+  const bool fields_ok =
+      read_fields(head.fields, fields, [&out](const FieldLine& field) {
+        const size_t existing = out.headers.find_index(field.name);
+        if (existing == HeaderMap::npos) {
+          out.headers.add(field.name, field.value);
+        } else if (!cops::iequals(field.name, "content-length")) {
+          // RFC 7230 §3.2.2 list-combine.  A repeated Content-Length is
+          // either identical (it collapses) or rejected by the framing.
+          out.headers.append_to_value(existing, field.value);
+        }
+      });
+  if (!fields_ok) return reject(StatusCode::kBadRequest);
+  const Framing framing = Framing::request(fields, line.http11);
+  if (framing.status != StatusCode::kOk) return reject(framing.status);
+
+  // Application decisions, after the shared grammar: a proxy forwards what
+  // fails them.  Unknown methods and unsanitisable paths close silently.
+  const auto method = parse_method(line.method);
+  if (!method) return ParseOutcome::kMalformed;
+  out.method = *method;
+  const size_t q = line.target.find('?');
+  if (q != std::string_view::npos) out.query.assign(line.target.substr(q + 1));
+  if (!sanitize_path_into(line.target.substr(0, q), out.path)) {
+    out.path.clear();
+    if (out.target != "*") return ParseOutcome::kMalformed;
   }
 
-  // --- body framing decision (RFC 7230 §3.3.3) ---------------------------
-  bool chunked = false;
-  const size_t te_index = out.headers.find_index("transfer-encoding");
-  if (te_index != HeaderMap::npos) {
-    // Content-Length alongside Transfer-Encoding is the canonical request-
-    // smuggling vector: a front-end honouring one and a back-end the other
-    // desynchronize on where this request ends.  400 + close, always.
-    if (out.headers.find_index("content-length") != HeaderMap::npos) {
-      return reject(StatusCode::kBadRequest);
-    }
-    // Chunked framing was introduced in HTTP/1.1; a 1.0 sender cannot have
-    // meant it, so the message length is undeterminable.
-    if (out.version_major != 1 || out.version_minor < 1) {
-      return reject(StatusCode::kBadRequest);
-    }
-    // The only coding we decode is a lone "chunked"; anything else (gzip,
-    // or chunked stacked under another coding) keeps the deterministic
-    // 501 + close from the pre-chunked parser.
-    if (!te_is_exactly_chunked(out.headers.at(te_index).value)) {
-      return reject(StatusCode::kNotImplemented);
-    }
-    chunked = true;
-  }
-
-  // Expect (RFC 7231 §5.1.1): the only defined expectation is 100-continue.
-  // Anything else earns 417; 100-continue itself is surfaced to the caller
-  // via `events.needs_continue` once we know the body is still in flight.
-  bool expect_continue = false;
-  if (auto expect = out.headers.get("expect")) {
-    if (!cops::iequals(cops::trim(*expect), "100-continue")) {
-      return reject(StatusCode::kExpectationFailed);
-    }
-    expect_continue = out.version_major == 1 && out.version_minor >= 1;
-  }
-
-  if (chunked) {
+  const std::string_view rest = view.substr(head.size);
+  if (framing.delim == BodyDelim::kChunked) {
     // One-shot decode per call: on kNeedMore nothing is consumed and the
     // whole body re-decodes when more bytes arrive — that keeps the
     // kIncomplete-consumes-nothing contract (and re-parse purity) intact
     // at the cost of re-scanning, which the read loop amortises.
     ChunkedDecoder decoder;
     size_t body_consumed = 0;
-    switch (decoder.feed(view.substr(header_end + 4), &body_consumed,
-                         out.body, limits)) {
+    switch (decoder.feed(rest, &body_consumed, out.body, limits)) {
       case ChunkedDecoder::Status::kNeedMore:
-        events.needs_continue = expect_continue;
+        events.needs_continue = framing.expect_continue;
         return ParseOutcome::kIncomplete;
       case ChunkedDecoder::Status::kBadSyntax:
       case ChunkedDecoder::Status::kBadTrailer:
@@ -420,30 +290,23 @@ ParseOutcome parse_request(cops::ByteBuffer& in, HttpRequest& out,
       case ChunkedDecoder::Status::kTooLarge:
         return reject(StatusCode::kPayloadTooLarge);
       case ChunkedDecoder::Status::kDone:
-        in.consume(header_end + 4 + body_consumed);
+        in.consume(head.size + body_consumed);
         return ParseOutcome::kComplete;
     }
     return ParseOutcome::kMalformed;  // unreachable
   }
 
-  // Content-Length framing.
-  uint64_t body_len = 0;
-  if (auto content_length = out.headers.get("content-length")) {
-    if (!parse_content_length(*content_length, &body_len)) {
-      return reject(StatusCode::kBadRequest);
-    }
-    if (body_len > limits.max_body_bytes) {
-      return reject(StatusCode::kPayloadTooLarge);
-    }
+  // Content-Length framing (kNone has a length of 0).
+  if (framing.content_length > limits.max_body_bytes) {
+    return reject(StatusCode::kPayloadTooLarge);
   }
-  const size_t total = header_end + 4 + static_cast<size_t>(body_len);
-  if (view.size() < total) {
-    events.needs_continue = expect_continue && body_len > 0;
+  const auto body_len = static_cast<size_t>(framing.content_length);
+  if (rest.size() < body_len) {
+    events.needs_continue = framing.expect_continue;
     return ParseOutcome::kIncomplete;
   }
-  out.body.assign(view.data() + header_end + 4,
-                  static_cast<size_t>(body_len));
-  in.consume(total);
+  out.body.assign(rest.data(), body_len);
+  in.consume(head.size + body_len);
   return ParseOutcome::kComplete;
 }
 

@@ -3,7 +3,10 @@
 // Feed it a ByteBuffer; it consumes exactly one complete request (headers +
 // body framed by Content-Length or chunked transfer coding) per call,
 // leaving pipelined follow-up requests in the buffer — the contract the
-// N-Server Decode step needs.
+// N-Server Decode step needs.  The head grammar and the framing decision
+// are http/head_grammar.hpp's, shared with the proxy's head parsers; this
+// parser adds the server's own decisions (known methods, path
+// sanitisation, the body limit).
 //
 // The parser writes into a caller-owned HttpRequest whose fields recycle
 // their capacity (HttpRequest::reset()), so a connection that reuses one
@@ -25,15 +28,18 @@ namespace cops::http {
 enum class ParseOutcome {
   kIncomplete,  // need more bytes
   kComplete,    // one request parsed and consumed
-  kMalformed,   // garbage: close silently, no reply owed
-  // Well-formed enough to answer deterministically, but unacceptable:
-  // bad/overflowing Content-Length (400), body over the limit (413),
-  // Content-Length combined with Transfer-Encoding (400 — the RFC 7230
-  // §3.3.3 smuggling vector), obs-fold header continuations (400),
-  // a Transfer-Encoding other than exactly "chunked" (501), malformed
-  // chunk framing (400/413), or an unsupported Expect (417).  The caller
-  // must send the status from `reject_status` and close; the header block
-  // has been consumed, the (possibly partial) body deliberately has not.
+  // Garbage: close silently, no reply owed.  An oversized head, a start
+  // line outside the grammar, an unknown method or an unsanitisable path.
+  kMalformed,
+  // Well-formed enough to answer deterministically, but unacceptable: a
+  // field line outside the grammar (obs-fold, "Name : v", a control byte
+  // in a value), a second Host, a bad or conflicting Content-Length, or
+  // Content-Length with Transfer-Encoding (the RFC 7230 §3.3.3 smuggling
+  // vector) (400); body over the limit (413); a Transfer-Encoding other
+  // than a lone "chunked" (501); malformed chunk framing or trailer
+  // (400/413); an unsupported Expect (417).  The caller must send the
+  // status from `reject_status` and close; the head has been consumed, the
+  // (possibly partial) body deliberately has not.
   kReject,
 };
 
@@ -72,9 +78,10 @@ class ChunkedDecoder {
     kDone,        // last chunk + trailer fully decoded and consumed
     kBadSyntax,   // framing violation → 400
     kTooLarge,    // chunk/body over max_body_bytes (or hex overflow) → 413
-    kBadTrailer,  // oversized/misfolded trailer, or a trailer field that may
-                  // not appear there (Content-Length, Transfer-Encoding,
-                  // Host, Trailer, Connection, Expect) → 400
+    kBadTrailer,  // oversized trailer, a trailer line outside the field-line
+                  // grammar, or a field that may not appear there
+                  // (Content-Length, Transfer-Encoding, Host, Trailer,
+                  // Connection, Expect) → 400
   };
 
   Status feed(std::string_view input, size_t* consumed, std::string& body,

@@ -1,171 +1,21 @@
 #include "http/response_parser.hpp"
 
-#include <algorithm>
-#include <cctype>
 #include <limits>
+
+#include "common/string_util.hpp"
 
 namespace cops::http {
 
 namespace {
 
-char lower(char c) {
-  return static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
-}
-
-void lower_into(std::string_view in, std::string& out) {
-  out.clear();
-  out.reserve(in.size());
-  for (const char c : in) out.push_back(lower(c));
-}
-
-bool iequals(std::string_view a, std::string_view b) {
-  if (a.size() != b.size()) return false;
-  for (size_t i = 0; i < a.size(); ++i) {
-    if (lower(a[i]) != lower(b[i])) return false;
-  }
-  return true;
-}
-
-std::string_view trim_ows(std::string_view s) {
-  while (!s.empty() && (s.front() == ' ' || s.front() == '\t')) {
-    s.remove_prefix(1);
-  }
-  while (!s.empty() && (s.back() == ' ' || s.back() == '\t')) {
-    s.remove_suffix(1);
-  }
-  return s;
-}
-
-// Scans a comma-separated token list for `token`, case-insensitively.
-bool token_list_contains(std::string_view list, std::string_view token) {
-  size_t pos = 0;
-  while (pos <= list.size()) {
-    size_t comma = list.find(',', pos);
-    if (comma == std::string_view::npos) comma = list.size();
-    if (iequals(trim_ows(list.substr(pos, comma - pos)), token)) return true;
-    pos = comma + 1;
-  }
-  return false;
-}
-
-// RFC 7230 token characters — what a header field name may contain.
-bool is_token_char(char c) {
-  if (std::isalnum(static_cast<unsigned char>(c)) != 0) return true;
-  switch (c) {
-    case '!': case '#': case '$': case '%': case '&': case '\'': case '*':
-    case '+': case '-': case '.': case '^': case '_': case '`': case '|':
-    case '~':
-      return true;
-    default:
-      return false;
-  }
-}
-
-// Start lines and header values are forwarded verbatim by the relay, so a
-// raw control byte here (bare CR, bare LF, NUL) is a response-splitting /
-// header-injection vector clientward or upstream.  RFC 7230 permits HTAB,
-// SP, VCHAR, and obs-text — nothing else.
-bool sane_field_bytes(std::string_view s) {
-  for (const char c : s) {
-    const auto u = static_cast<unsigned char>(c);
-    if ((u < 0x20 && c != '\t') || u == 0x7f) return false;
-  }
-  return true;
-}
-
-bool parse_decimal(std::string_view digits, uint64_t* out) {
-  if (digits.empty()) return false;
-  uint64_t value = 0;
-  for (const char c : digits) {
-    if (c < '0' || c > '9') return false;
-    if (value > (std::numeric_limits<int64_t>::max() - (c - '0')) / 10) {
-      return false;  // would overflow int64 — reject, never wrap
-    }
-    value = value * 10 + static_cast<uint64_t>(c - '0');
-  }
-  *out = value;
-  return true;
-}
-
-// Splits the header block (between the start line and the blank line) into
-// fields.  Returns false on any untrustworthy shape: obs-fold
-// continuations, names with illegal characters or surrounding whitespace,
-// or a line without a colon.
-bool parse_header_block(std::string_view block, MessageHead& out) {
-  size_t pos = 0;
-  while (pos < block.size()) {
-    size_t eol = block.find("\r\n", pos);
-    if (eol == std::string_view::npos) eol = block.size();
-    std::string_view line = block.substr(pos, eol - pos);
-    pos = eol + 2;
-    if (line.empty()) continue;
-    if (line.front() == ' ' || line.front() == '\t') {
-      return false;  // obs-fold: a smuggling vector, never merged
-    }
-    const size_t colon = line.find(':');
-    if (colon == std::string_view::npos || colon == 0) return false;
-    std::string_view name = line.substr(0, colon);
-    for (const char c : name) {
-      if (!is_token_char(c)) return false;  // catches "Name : v" smuggling
-    }
-    const std::string_view value = trim_ows(line.substr(colon + 1));
-    if (!sane_field_bytes(value)) return false;
-    HeaderField field;
-    field.name.assign(name);
-    lower_into(name, field.lname);
-    field.value.assign(value);
-    out.headers.push_back(std::move(field));
-  }
-  return true;
-}
-
-// Framing headers shared by both directions.  Returns false when they are
-// contradictory or unparseable (CL+TE, duplicate/non-numeric CL, TE other
-// than exactly "chunked", TE on HTTP/1.0).
-bool resolve_framing(MessageHead& head, bool* has_cl, bool* has_te) {
-  *has_cl = false;
-  *has_te = false;
-  for (const auto& field : head.headers) {
-    if (field.lname == "content-length") {
-      uint64_t value = 0;
-      if (*has_cl || !parse_decimal(field.value, &value)) return false;
-      *has_cl = true;
-      head.content_length = value;
-    } else if (field.lname == "transfer-encoding") {
-      if (*has_te) return false;
-      if (!iequals(trim_ows(field.value), "chunked")) return false;
-      if (!head.http11) return false;  // TE predates HTTP/1.1: reject
-      *has_te = true;
-    }
-  }
-  if (*has_cl && *has_te) return false;  // RFC 7230 §3.3.3 smuggling vector
-  return true;
-}
-
-void resolve_keep_alive(MessageHead& head) {
-  head.keep_alive = head.http11;
-  if (head.connection_token("close")) {
-    head.keep_alive = false;
-  } else if (!head.http11 && head.connection_token("keep-alive")) {
-    head.keep_alive = true;
-  }
-}
-
-// Locates the head (start line + header block + blank line) at the front of
-// `in`.  kNeedMore while the terminator hasn't arrived and the block is
-// still within bounds.
-HeadParseStatus locate_head(const ByteBuffer& in, const ParseLimits& limits,
-                            size_t* head_end) {
-  const size_t terminator = in.find("\r\n\r\n");
-  if (terminator == std::string::npos) {
-    return in.readable() > limits.max_header_bytes ? HeadParseStatus::kMalformed
-                                                   : HeadParseStatus::kNeedMore;
-  }
-  if (terminator + 4 > limits.max_header_bytes) {
-    return HeadParseStatus::kMalformed;
-  }
-  *head_end = terminator + 4;
-  return HeadParseStatus::kOk;
+bool read_fields_into(std::string_view block, FramingFields& framing,
+                      MessageHead& out) {
+  return read_fields(block, framing, [&out](const FieldLine& field) {
+    HeaderField& stored = out.headers.emplace_back();
+    stored.name.assign(field.name);
+    stored.lname = cops::to_lower(field.name);
+    stored.value.assign(field.value);
+  });
 }
 
 }  // namespace
@@ -183,79 +33,29 @@ void MessageHead::reset() {
   expect_continue = false;
 }
 
-const std::string* MessageHead::find(std::string_view lname) const {
-  for (const auto& field : headers) {
-    if (field.lname == lname) return &field.value;
-  }
-  return nullptr;
-}
-
-bool MessageHead::connection_token(std::string_view token) const {
-  for (const auto& field : headers) {
-    if (field.lname == "connection" &&
-        token_list_contains(field.value, token)) {
-      return true;
-    }
-  }
-  return false;
-}
-
 HeadParseStatus parse_response_head(ByteBuffer& in, MessageHead& out,
                                     const ParseLimits& limits,
                                     bool head_request) {
   out.reset();
-  size_t head_end = 0;
-  const auto located = locate_head(in, limits, &head_end);
+  HeadParts head;
+  const auto located = locate_head(in.view(), limits.max_header_bytes, &head);
   if (located != HeadParseStatus::kOk) return located;
-  const std::string_view head = in.view().substr(0, head_end);
-
-  size_t line_end = head.find("\r\n");
-  const std::string_view line = head.substr(0, line_end);
-  // Status line: HTTP/1.<0|1> SP 3DIGIT [SP reason].  Anything else means
-  // the peer is not speaking trustworthy HTTP/1.x — kMalformed, no repair.
-  if (line.size() < 12 || line.substr(0, 7) != "HTTP/1." ||
-      (line[7] != '0' && line[7] != '1') || line[8] != ' ') {
+  StatusLine line;
+  FramingFields fields;
+  if (!parse_status_line(head.start_line, &line) ||
+      !read_fields_into(head.fields, fields, out)) {
     return HeadParseStatus::kMalformed;
   }
-  const std::string_view code = line.substr(9, 3);
-  if (code.size() != 3 ||
-      !std::all_of(code.begin(), code.end(),
-                   [](char c) { return c >= '0' && c <= '9'; })) {
-    return HeadParseStatus::kMalformed;
-  }
-  if (line.size() > 12 && line[12] != ' ') {
-    return HeadParseStatus::kMalformed;  // "HTTP/1.1 200OK"
-  }
-  if (!sane_field_bytes(line)) {
-    return HeadParseStatus::kMalformed;  // control bytes in the reason phrase
-  }
-  out.http11 = line[7] == '1';
-  out.status = (code[0] - '0') * 100 + (code[1] - '0') * 10 + (code[2] - '0');
-  out.status_line.assign(line);
-
-  if (!parse_header_block(head.substr(line_end + 2, head_end - line_end - 4),
-                          out)) {
-    return HeadParseStatus::kMalformed;
-  }
-  bool has_cl = false;
-  bool has_te = false;
-  if (!resolve_framing(out, &has_cl, &has_te)) {
-    return HeadParseStatus::kMalformed;
-  }
-  const bool bodiless = head_request || out.status / 100 == 1 ||
-                        out.status == 204 || out.status == 304;
-  if (bodiless) {
-    out.delim = BodyDelim::kNone;
-  } else if (has_te) {
-    out.delim = BodyDelim::kChunked;
-  } else if (has_cl) {
-    out.delim = BodyDelim::kContentLength;
-  } else {
-    out.delim = BodyDelim::kToClose;
-  }
-  resolve_keep_alive(out);
-  if (out.delim == BodyDelim::kToClose) out.keep_alive = false;
-  in.consume(head_end);
+  const Framing framing =
+      Framing::response(fields, line.http11, line.status, head_request);
+  if (framing.status != StatusCode::kOk) return HeadParseStatus::kMalformed;
+  out.http11 = line.http11;
+  out.status = line.status;
+  out.status_line.assign(head.start_line);
+  out.delim = framing.delim;
+  out.content_length = framing.content_length;
+  out.keep_alive = framing.keep_alive;
+  in.consume(head.size);
   return HeadParseStatus::kOk;
 }
 
@@ -264,70 +64,28 @@ HeadParseStatus parse_request_head(ByteBuffer& in, MessageHead& out,
                                    StatusCode* reject_status) {
   out.reset();
   *reject_status = StatusCode::kBadRequest;
-  size_t head_end = 0;
-  const auto located = locate_head(in, limits, &head_end);
+  HeadParts head;
+  const auto located = locate_head(in.view(), limits.max_header_bytes, &head);
   if (located != HeadParseStatus::kOk) return located;
-  const std::string_view head = in.view().substr(0, head_end);
-
-  size_t line_end = head.find("\r\n");
-  const std::string_view line = head.substr(0, line_end);
-  const size_t sp1 = line.find(' ');
-  const size_t sp2 = sp1 == std::string_view::npos
-                         ? std::string_view::npos
-                         : line.find(' ', sp1 + 1);
-  if (sp1 == std::string_view::npos || sp2 == std::string_view::npos ||
-      sp1 == 0 || sp2 == sp1 + 1 || line.find(' ', sp2 + 1) != std::string_view::npos) {
+  RequestLine line;
+  FramingFields fields;
+  if (!parse_request_line(head.start_line, &line) ||
+      !read_fields_into(head.fields, fields, out)) {
     return HeadParseStatus::kMalformed;
   }
-  const std::string_view version = line.substr(sp2 + 1);
-  if (version.size() != 8 || version.substr(0, 7) != "HTTP/1." ||
-      (version[7] != '0' && version[7] != '1')) {
+  const Framing framing = Framing::request(fields, line.http11);
+  if (framing.status != StatusCode::kOk) {
+    *reject_status = framing.status;
     return HeadParseStatus::kMalformed;
   }
-  out.method.assign(line.substr(0, sp1));
-  for (const char c : out.method) {
-    if (!is_token_char(c)) return HeadParseStatus::kMalformed;
-  }
-  out.target.assign(line.substr(sp1 + 1, sp2 - sp1 - 1));
-  if (!sane_field_bytes(out.target)) {
-    return HeadParseStatus::kMalformed;  // control bytes relay upstream
-  }
-  out.http11 = version[7] == '1';
-
-  if (!parse_header_block(head.substr(line_end + 2, head_end - line_end - 4),
-                          out)) {
-    return HeadParseStatus::kMalformed;
-  }
-  bool has_cl = false;
-  bool has_te = false;
-  if (!resolve_framing(out, &has_cl, &has_te)) {
-    // Preserve the server's answer shape: a Transfer-Encoding we cannot
-    // relay is 501 (kNotImplemented territory only when it parses as a
-    // non-chunked coding); every contradictory/duplicate framing is 400.
-    const std::string* te = out.find("transfer-encoding");
-    if (te != nullptr && !has_cl &&
-        !iequals(trim_ows(*te), "chunked")) {
-      *reject_status = StatusCode::kNotImplemented;
-    }
-    return HeadParseStatus::kMalformed;
-  }
-  if (has_te) {
-    out.delim = BodyDelim::kChunked;
-  } else if (has_cl && out.content_length > 0) {
-    out.delim = BodyDelim::kContentLength;
-  } else {
-    out.delim = BodyDelim::kNone;
-  }
-  const std::string* expect = out.find("expect");
-  if (expect != nullptr) {
-    if (!iequals(trim_ows(*expect), "100-continue")) {
-      *reject_status = StatusCode::kExpectationFailed;
-      return HeadParseStatus::kMalformed;
-    }
-    out.expect_continue = out.http11 && out.delim != BodyDelim::kNone;
-  }
-  resolve_keep_alive(out);
-  in.consume(head_end);
+  out.http11 = line.http11;
+  out.method.assign(line.method);
+  out.target.assign(line.target);
+  out.delim = framing.delim;
+  out.content_length = framing.content_length;
+  out.keep_alive = framing.keep_alive;
+  out.expect_continue = framing.expect_continue;
+  in.consume(head.size);
   return HeadParseStatus::kOk;
 }
 
@@ -339,7 +97,12 @@ bool is_hop_by_hop(std::string_view lname, const MessageHead& head) {
     return true;
   }
   // Anything the Connection header names is hop-by-hop too.
-  return head.connection_token(lname);
+  for (const auto& field : head.headers) {
+    if (field.lname == "connection" && list_has_token(field.value, lname)) {
+      return true;
+    }
+  }
+  return false;
 }
 
 ChunkPassthrough::Status ChunkPassthrough::feed(std::string_view input,

@@ -7,20 +7,36 @@
 //
 //   * parse_response_head() — one upstream response head, treated as
 //     UNTRUSTED input (a compromised or buggy backend is a request-smuggling
-//     vector): bad status lines, CL+TE combinations, duplicate or
-//     non-numeric Content-Length, obs-fold continuations, and oversized
-//     header blocks are all kMalformed, never guessed at.  The proxy maps
-//     kMalformed to a 502 and poisons the upstream connection.
-//   * parse_request_head() — the client side of the same contract, framing
-//     detection only (the body streams through afterwards).
-//   * ChunkPassthrough — validates chunked framing over the PR-6
+//     vector).  Every rejection is kMalformed, never guessed at; the proxy
+//     maps it to a 502 and poisons the upstream connection.
+//   * parse_request_head() — the client side, framing detection only (the
+//     body streams through afterwards).  A rejection carries the status the
+//     server's parse_request would answer the same head with.
+//   * ChunkPassthrough — validates chunked framing over the
 //     ChunkedDecoder while the raw bytes are forwarded verbatim, so the
 //     relayed stream is byte-identical to the origin's and still can't
-//     smuggle malformed framing through the proxy.
+//     smuggle malformed framing (or a trailer outside the field-line
+//     grammar) through the proxy.
 //
-// All three are deliberately in cops_http (not src/proxy) so the fuzz
-// harness (tests/fuzz_parser_test.cpp) can hammer them with the corpus
-// without linking the proxy's reactor machinery.
+// The grammar itself lives in head_grammar.hpp, shared with parse_request
+// and the chunked trailer check, so the proxy and the server it fronts
+// decide every head alike:
+//
+//   * whitespace before a field's colon ("Content-Length : 3"), a control
+//     byte in a value, obs-fold, a second Host, differing repeated
+//     Content-Length values: 400 (an identical repeat collapses);
+//   * Transfer-Encoding is a list: "chunked," is chunked, "gzip, chunked"
+//     is 501; with Content-Length, or on HTTP/1.0, it is 400;
+//   * start lines: a request-target holding SP, or a version other than
+//     HTTP/1.0 or HTTP/1.1, is rejected (the server closes silently);
+//   * the head, its final CRLFCRLF included, fits in max_header_bytes.
+//
+// The proxy forwards what only the server refuses: unknown methods, paths
+// that fail sanitisation, bodies over the server's limit.
+//
+// Everything here is in cops_http (not src/proxy) so the fuzz harness
+// (tests/fuzz_parser_test.cpp) can hammer it with the corpus without
+// linking the proxy's reactor machinery.
 #pragma once
 
 #include <cstdint>
@@ -30,23 +46,10 @@
 #include <vector>
 
 #include "common/byte_buffer.hpp"
+#include "http/head_grammar.hpp"
 #include "http/request_parser.hpp"
 
 namespace cops::http {
-
-// How the message body is delimited (RFC 7230 §3.3.3).
-enum class BodyDelim {
-  kNone,           // no body (HEAD reply, 1xx/204/304, bodiless request)
-  kContentLength,  // exactly content_length bytes follow
-  kChunked,        // chunked transfer coding follows
-  kToClose,        // response only: body runs to connection close
-};
-
-enum class HeadParseStatus {
-  kNeedMore,   // header block incomplete — feed more bytes
-  kOk,         // head parsed and consumed from the buffer
-  kMalformed,  // framing cannot be trusted; reject the message
-};
 
 // One parsed message head.  Header names keep their original casing in
 // `name` for verbatim forwarding; `lname` is the lowercased lookup key.
@@ -73,11 +76,6 @@ struct MessageHead {
   bool expect_continue = false;
 
   void reset();
-  // First value of header `lname` (must be passed lowercased), or nullptr.
-  [[nodiscard]] const std::string* find(std::string_view lname) const;
-  // True when `token` appears in the Connection header's token list
-  // (case-insensitive).
-  [[nodiscard]] bool connection_token(std::string_view token) const;
 };
 
 // Parses one response head from the front of `in`, consuming it on kOk.
@@ -88,9 +86,7 @@ HeadParseStatus parse_response_head(ByteBuffer& in, MessageHead& out,
                                     bool head_request);
 
 // Parses one request head from the front of `in`, consuming it on kOk.
-// Same strictness as the server's parser for everything above the body:
-// CL+TE, bad Content-Length, obs-fold, and non-"chunked" Transfer-Encoding
-// are kMalformed (the proxy answers 400/501 per `reject_status`).
+// kMalformed sets `reject_status` to the answer owed (400, 417 or 501).
 HeadParseStatus parse_request_head(ByteBuffer& in, MessageHead& out,
                                    const ParseLimits& limits,
                                    StatusCode* reject_status);

@@ -28,10 +28,6 @@ void RequestContext::fetch_file(std::string path, FetchCallback done) {
   server_.fetch_file(shared_from_this(), std::move(path), std::move(done));
 }
 
-Result<FileDataPtr> RequestContext::read_file_sync(const std::string& path) {
-  return FileIoService::read_file(path);
-}
-
 bool RequestContext::should_shed() const {
   OverloadManager* overload = server_.overload_.get();
   if (!overload) return false;
@@ -65,10 +61,6 @@ std::shared_ptr<RequestContext> RequestContext::make_handle() const {
   return server_.make_context(conn_);
 }
 
-void RequestContext::send_segments(EncodedReply reply) {
-  conn_->send(std::move(reply));
-}
-
 bool RequestContext::mark_resolved() {
   bool expected = false;
   if (!resolved_.compare_exchange_strong(expected, true)) {
@@ -80,7 +72,7 @@ bool RequestContext::mark_resolved() {
 }
 
 void RequestContext::send(std::string bytes) {
-  send_segments(EncodedReply::from_string(std::move(bytes)));
+  conn_->send(EncodedReply::from_string(std::move(bytes)));
 }
 
 void RequestContext::reply(std::any response) {

@@ -55,9 +55,6 @@ class RequestContext : public std::enable_shared_from_this<RequestContext> {
       std::function<void(RequestContext& ctx, Result<FileDataPtr> file)>;
   void fetch_file(std::string path, FetchCallback done);
 
-  // Direct synchronous read, bypassing the cache (rarely needed).
-  [[nodiscard]] Result<FileDataPtr> read_file_sync(const std::string& path);
-
   // O9 shed tier: true while the server is overloaded and `overload_shed`
   // is on — the Handle hook should answer with a cheap rejection (HTTP:
   // 503 + Retry-After of shed_retry_after()) instead of doing the work,
@@ -78,9 +75,6 @@ class RequestContext : public std::enable_shared_from_this<RequestContext> {
   // them, behind any bytes of this connection still queued; a write that
   // would block is finished by the dispatcher.
   void send(std::string bytes);
-  // Segment-level variant of send(): sends an EncodedReply (owned header
-  // bytes + refcounted body slices) without completing the request.
-  void send_segments(EncodedReply reply);
   // Completes the request: response → Encode Reply hook (O3) → Send Reply.
   void reply(std::any response);
   // Completes the request with pre-encoded bytes (skips the Encode hook).

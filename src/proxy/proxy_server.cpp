@@ -156,7 +156,7 @@ void ProxyServer::drain_backend(size_t index, bool draining) {
     if (index >= backends_.size() || !backends_.set_draining(index, draining)) {
       return;
     }
-    pool_.drain(index, draining);
+    if (draining) pool_.drain(index);
     emit(std::string(draining ? "proxy-drain" : "proxy-undrain") +
          " backend=" + std::to_string(index));
   };
@@ -259,7 +259,9 @@ void ProxyServer::release_upstream(size_t backend, net::TcpSocket socket,
     socket.close();
     return;
   }
-  pool_.release(backend, std::move(socket), reusable);
+  // A draining backend's connections close instead of re-parking.
+  pool_.release(backend, std::move(socket),
+                reusable && !backends_.draining(backend));
   wake_waiter(backend);
 }
 

@@ -40,7 +40,7 @@ void UpstreamPool::release(size_t backend, net::TcpSocket socket,
                            bool reusable) {
   Slot& slot = slots_.at(backend);
   if (slot.in_use > 0) slot.in_use -= 1;
-  if (reusable && socket.valid() && !slot.draining &&
+  if (reusable && socket.valid() &&
       slot.idle.size() < config_.max_idle_per_backend &&
       slot.in_use + slot.idle.size() < config_.max_per_backend) {
     slot.idle.push_back(std::move(socket));
@@ -54,17 +54,10 @@ void UpstreamPool::abandon(size_t backend) {
   if (slot.in_use > 0) slot.in_use -= 1;
 }
 
-void UpstreamPool::drain(size_t backend, bool draining) {
+void UpstreamPool::drain(size_t backend) {
   Slot& slot = slots_.at(backend);
-  slot.draining = draining;
-  if (draining) {
-    for (auto& socket : slot.idle) socket.close();
-    slot.idle.clear();
-  }
-}
-
-bool UpstreamPool::draining(size_t backend) const {
-  return slots_.at(backend).draining;
+  for (auto& socket : slot.idle) socket.close();
+  slot.idle.clear();
 }
 
 size_t UpstreamPool::in_use(size_t backend) const {

