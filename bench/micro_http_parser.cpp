@@ -40,6 +40,29 @@ void parse_request_heavy(benchmark::State& state) {
 }
 BENCHMARK(parse_request_heavy);
 
+// The server's Decode path: one scratch request per connection, recycled
+// across keep-alive requests (HttpConnState::scratch), so the steady state
+// parses without heap traffic.  The fresh variants above also time the
+// HttpRequest's string and header-arena allocations.
+void parse_reused(benchmark::State& state, const char* raw) {
+  cops::ByteBuffer buf;
+  cops::http::HttpRequest request;
+  for (auto _ : state) {
+    buf.append(std::string_view(raw));
+    benchmark::DoNotOptimize(cops::http::parse_request(buf, request));
+  }
+}
+
+void parse_request_simple_reused(benchmark::State& state) {
+  parse_reused(state, kSimpleRequest);
+}
+BENCHMARK(parse_request_simple_reused);
+
+void parse_request_heavy_reused(benchmark::State& state) {
+  parse_reused(state, kHeavyRequest);
+}
+BENCHMARK(parse_request_heavy_reused);
+
 void sanitize_path_bench(benchmark::State& state) {
   for (auto _ : state) {
     benchmark::DoNotOptimize(

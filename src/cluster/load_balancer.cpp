@@ -1,7 +1,6 @@
 #include "cluster/load_balancer.hpp"
 
 #include <algorithm>
-#include <future>
 #include <random>
 
 #include "common/logging.hpp"
@@ -152,14 +151,10 @@ Status LoadBalancer::start() {
   connector_ = std::make_unique<net::Connector>(reactor_);
   acceptor_ = std::make_unique<net::Acceptor>(
       reactor_, [this](net::TcpSocket client) { on_accept(std::move(client)); });
-  auto addr =
-      net::InetAddress::parse(config_.listen_host, config_.listen_port);
-  if (!addr.is_ok()) return addr.status();
-  auto status = acceptor_->open(addr.value(), config_.listen_backlog);
-  if (!status.is_ok()) return status;
-  auto bound = acceptor_->local_address();
+  auto bound = acceptor_->open(config_.listen_host, config_.listen_port,
+                               config_.listen_backlog);
   if (!bound.is_ok()) return bound.status();
-  port_ = bound.value().port();
+  port_ = bound.value();
   if (config_.admin_enabled) {
     nserver::AdminRoutes routes;
     routes.unhealthy = [this]() -> const char* {
@@ -169,12 +164,9 @@ Status LoadBalancer::start() {
     routes.banner = "cops-cluster admin";
     admin_ = std::make_unique<nserver::AdminServer>(reactor_,
                                                     std::move(routes));
-    auto admin_addr =
-        net::InetAddress::parse(config_.admin_host, config_.admin_port);
-    if (!admin_addr.is_ok()) return admin_addr.status();
-    auto admin_status = admin_->open(admin_addr.value());
-    if (!admin_status.is_ok()) return admin_status;
-    admin_port_ = admin_->port();
+    auto admin_bound = admin_->open(config_.admin_host, config_.admin_port);
+    if (!admin_bound.is_ok()) return admin_bound.status();
+    admin_port_ = admin_bound.value();
   }
   if (config_.resilience.enabled && config_.resilience.health_checks) {
     // Same convention as the N-Server's housekeeping timer: armed before the
@@ -185,17 +177,13 @@ Status LoadBalancer::start() {
     health_timer_armed_ = true;
   }
   reactor_.start_thread("balancer");
-  launched_.store(true);
   return Status::ok();
 }
 
 void LoadBalancer::stop() {
-  // A failed start() never launched the reactor thread; posting to it and
-  // waiting would deadlock.
-  if (!launched_.load() || stopping_.exchange(true)) return;
-  std::promise<void> done;
-  auto fut = done.get_future();
-  reactor_.post([this, &done] {
+  if (!started_.load() || stopping_.exchange(true)) return;
+  // Inline when a failed start() never launched the reactor thread.
+  reactor_.run_sync([this] {
     if (acceptor_) acceptor_->close();
     if (admin_) admin_->close();
     if (health_timer_armed_) {
@@ -210,19 +198,13 @@ void LoadBalancer::stop() {
     sessions.reserve(sessions_.size());
     for (auto& [id, session] : sessions_) sessions.push_back(session);
     for (auto& session : sessions) session->abort("balancer-stop");
-    done.set_value();
   });
-  fut.wait();
   reactor_.stop();
   reactor_.join();
 }
 
 void LoadBalancer::drain_backend(size_t index, bool draining) {
-  if (!launched_.load()) {
-    if (index < set_.size()) set_.set_draining(index, draining);
-    return;
-  }
-  reactor_.post([this, index, draining] {
+  reactor_.run_or_post([this, index, draining] {
     if (index >= set_.size() || !set_.set_draining(index, draining)) return;
     emit(std::string(draining ? "drain" : "undrain") +
          " backend=" + std::to_string(index));
@@ -230,7 +212,7 @@ void LoadBalancer::drain_backend(size_t index, bool draining) {
 }
 
 void LoadBalancer::remove_backend(size_t index) {
-  auto apply = [this, index] {
+  reactor_.run_or_post([this, index] {
     if (index >= backends_.size()) return;
     // A probe in flight holds its backend index by value; cancel everything
     // from the removed slot up so no probe can report against a shifted
@@ -257,12 +239,7 @@ void LoadBalancer::remove_backend(size_t index) {
       }
     }
     emit("remove backend=" + std::to_string(index));
-  };
-  if (!launched_.load()) {
-    apply();
-    return;
-  }
-  reactor_.post(std::move(apply));
+  });
 }
 
 void LoadBalancer::emit(const std::string& event) {
@@ -555,9 +532,7 @@ void LoadBalancer::session_done(uint64_t id) {
 }
 
 std::vector<BackendStats> LoadBalancer::backend_stats() {
-  std::promise<std::vector<BackendStats>> result;
-  auto fut = result.get_future();
-  reactor_.post([this, &result] {
+  return reactor_.run_sync([this] {
     std::vector<BackendStats> stats;
     stats.reserve(backends_.size());
     for (size_t i = 0; i < backends_.size(); ++i) {
@@ -565,9 +540,8 @@ std::vector<BackendStats> LoadBalancer::backend_stats() {
       stats.back().active = set_.load(i);
       stats.back().draining = set_.draining(i);
     }
-    result.set_value(std::move(stats));
+    return stats;
   });
-  return fut.get();
 }
 
 // ---- admin endpoint -------------------------------------------------------------

@@ -139,7 +139,8 @@ class LoadBalancer {
   void stop();
 
   // Lifecycle: stop (or resume) routing new sessions to backend `index`
-  // while active relays finish.  Thread-safe; applied on the reactor.
+  // while active relays finish.  Thread-safe; applied on the reactor
+  // (net::Reactor::run_or_post: inline while its loop is not running).
   void drain_backend(size_t index, bool draining = true);
 
   // Removes backend `index` from the set entirely (a decommission, not a
@@ -158,7 +159,8 @@ class LoadBalancer {
   [[nodiscard]] uint64_t total_sessions() const { return total_.load(); }
   [[nodiscard]] uint64_t dropped_clients() const { return dropped_.load(); }
   [[nodiscard]] uint64_t total_retries() const { return retries_.load(); }
-  // Snapshot of per-backend stats (thread-safe; hops to the reactor).
+  // Snapshot of per-backend stats (thread-safe; net::Reactor::run_sync hops
+  // to the reactor while its loop runs, and reads inline otherwise).
   [[nodiscard]] std::vector<BackendStats> backend_stats();
 
  private:
@@ -234,7 +236,6 @@ class LoadBalancer {
   uint16_t port_ = 0;
   uint16_t admin_port_ = 0;
   std::atomic<bool> started_{false};
-  std::atomic<bool> launched_{false};  // reactor thread is running
   std::atomic<bool> stopping_{false};
   std::atomic<size_t> active_{0};
   std::atomic<uint64_t> total_{0};

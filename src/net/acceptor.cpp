@@ -10,10 +10,15 @@ namespace cops::net {
 
 Acceptor::~Acceptor() { close(); }
 
-Status Acceptor::open(const InetAddress& addr, int backlog) {
-  auto listener = TcpListener::listen(addr, backlog);
+Result<uint16_t> Acceptor::open(const std::string& host, uint16_t port,
+                                int backlog) {
+  auto addr = InetAddress::parse(host, port);
+  if (!addr.is_ok()) return addr.status();
+  auto listener = TcpListener::listen(addr.value(), backlog);
   if (!listener.is_ok()) return listener.status();
   listener_ = std::move(listener).take();
+  auto bound = listener_.local_address();
+  if (!bound.is_ok()) return bound.status();
   // Descriptors held in reserve for EMFILE recovery (see
   // handle_fd_exhaustion).
   for (auto& r : reserve_) r = Fd(::open("/dev/null", O_RDONLY | O_CLOEXEC));
@@ -21,7 +26,7 @@ Status Acceptor::open(const InetAddress& addr, int backlog) {
       reactor_.register_handler(listener_.fd(), this, kReadable);
   if (!status.is_ok()) return status;
   registered_ = true;
-  return Status::ok();
+  return bound.value().port();
 }
 
 Status Acceptor::suspend() {

@@ -11,6 +11,7 @@
 #pragma once
 
 #include <functional>
+#include <string>
 
 #include "net/event_handler.hpp"
 #include "net/reactor.hpp"
@@ -26,14 +27,11 @@ class Acceptor : public EventHandler {
       : reactor_(reactor), on_accept_(std::move(on_accept)) {}
   ~Acceptor() override;
 
-  // Binds and registers with the reactor.  Must run on the reactor thread
-  // (or before the loop starts).
-  Status open(const InetAddress& addr, int backlog = 512);
-
-  // The bound address (resolves port 0).
-  [[nodiscard]] Result<InetAddress> local_address() const {
-    return listener_.local_address();
-  }
+  // Binds host:port, registers with the reactor and returns the bound port
+  // (port 0 resolves to the kernel's choice).  Must run on the reactor
+  // thread (or before the loop starts).
+  Result<uint16_t> open(const std::string& host, uint16_t port,
+                        int backlog = 512);
 
   // Overload control: stop/restart accepting new connections.
   Status suspend();

@@ -51,6 +51,7 @@ void Reactor::stop() {
 }
 
 void Reactor::start_thread(const std::string& name) {
+  running_.store(true);
   thread_ = std::thread([this] { run(); });
 #ifdef __linux__
   pthread_setname_np(thread_.native_handle(),

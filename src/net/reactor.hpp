@@ -12,9 +12,12 @@
 #pragma once
 
 #include <atomic>
+#include <chrono>
 #include <functional>
+#include <future>
 #include <memory>
 #include <thread>
+#include <type_traits>
 
 #include "net/event_source.hpp"
 
@@ -52,6 +55,44 @@ class Reactor {
   // Queues `fn` to run on the reactor thread (thread-safe).
   void post(std::function<void()> fn) { user_events_->post(std::move(fn)); }
 
+  // The owner's lifecycle calls (thread-safe).  Both act inline while the
+  // loop is not running — before start_thread() and after the loop exits —
+  // so an owner needs no flag of its own for "launched".
+  //
+  // run_sync: runs `fn` on the loop thread and returns its result.  The
+  // loop thread and a loop that is not running run it inline; any other
+  // caller posts it and waits.  The loop may exit between the check and the
+  // post: a waiter that sees the loop stopped with its task not run runs
+  // the task itself, so no call waits on a loop that is gone.
+  template <typename Fn>
+  auto run_sync(Fn fn) -> std::invoke_result_t<Fn&> {
+    if (in_reactor_thread() || !running()) return fn();
+    // Shared, not borrowed: a post the stopped loop never ran stays queued
+    // after this call returns.
+    using Task = std::packaged_task<std::invoke_result_t<Fn&>()>;
+    auto task = std::make_shared<Task>(std::move(fn));
+    auto result = task->get_future();
+    post([task] { (*task)(); });
+    constexpr auto kReady = std::future_status::ready;
+    while (result.wait_for(std::chrono::milliseconds(10)) != kReady) {
+      if (running()) continue;
+      // running() turns false only after the loop's last dispatch, so a
+      // task not run by then never will be.
+      if (result.wait_for(std::chrono::seconds(0)) != kReady) (*task)();
+      break;
+    }
+    return result.get();
+  }
+  // run_or_post: runs `fn` inline while the loop is not running, and posts
+  // it otherwise.
+  void run_or_post(std::function<void()> fn) {
+    if (running()) {
+      post(std::move(fn));
+    } else {
+      fn();
+    }
+  }
+
   // Runs the dispatch loop on the calling thread until stop().
   void run();
   // Runs one iteration (poll + dispatch); `timeout_ms` caps the poll wait.
@@ -60,7 +101,8 @@ class Reactor {
   // Thread-safe; wakes the loop and makes run() return.
   void stop();
 
-  // Convenience: run() on a background thread.
+  // Convenience: run() on a background thread.  running() is true when it
+  // returns.
   void start_thread(const std::string& name = "reactor");
   void join();
 

@@ -138,19 +138,17 @@ AdminServer::AdminServer(net::Reactor& reactor, AdminRoutes routes)
 
 AdminServer::~AdminServer() = default;
 
-Status AdminServer::open(const net::InetAddress& addr, int backlog) {
+Result<uint16_t> AdminServer::open(const std::string& host, uint16_t port,
+                                   int backlog) {
   acceptor_ = std::make_unique<net::Acceptor>(
       reactor_, [this](net::TcpSocket socket) { on_accept(std::move(socket)); });
-  auto status = acceptor_->open(addr, backlog);
-  if (!status.is_ok()) {
+  auto bound = acceptor_->open(host, port, backlog);
+  if (!bound.is_ok()) {
     acceptor_.reset();
-    return status;
+    return bound;
   }
-  auto local = acceptor_->local_address();
-  if (local.is_ok()) port_ = local.value().port();
-  COPS_INFO("admin endpoint listening on "
-            << (local.is_ok() ? local.value().to_string() : std::string("?")));
-  return Status::ok();
+  COPS_INFO("admin endpoint listening on " << host << ":" << bound.value());
+  return bound;
 }
 
 void AdminServer::close() {

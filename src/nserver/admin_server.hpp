@@ -54,8 +54,9 @@ class AdminServer {
   AdminServer(net::Reactor& reactor, AdminRoutes routes);
   ~AdminServer();
 
-  Status open(const net::InetAddress& addr, int backlog = 16);
-  [[nodiscard]] uint16_t port() const { return port_; }
+  // Binds host:port and returns the bound port (see net::Acceptor::open).
+  Result<uint16_t> open(const std::string& host, uint16_t port,
+                        int backlog = 16);
 
   // Closes the listener and every admin connection.  Reactor thread.
   void close();
@@ -74,7 +75,6 @@ class AdminServer {
   std::unique_ptr<net::Acceptor> acceptor_;
   std::unordered_map<uint64_t, std::shared_ptr<AdminConnection>> connections_;
   uint64_t next_id_ = 1;
-  uint16_t port_ = 0;
 };
 
 }  // namespace cops::nserver

@@ -5,15 +5,12 @@
 
 namespace cops::nserver {
 
-std::atomic<uint64_t> Connection::next_generation_{1};
-
 Connection::Connection(Server& server, net::Reactor& reactor,
                        net::TcpSocket socket, uint64_t id, size_t shard_index)
     : server_(server),
       reactor_(reactor),
       socket_(std::move(socket)),
       id_(id),
-      generation_(next_generation_.fetch_add(1)),
       shard_index_(shard_index),
       last_activity_(now()) {
   // Known from accept4 on an accepted socket: no syscall.  TCP_NODELAY

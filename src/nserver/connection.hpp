@@ -118,7 +118,6 @@ class Connection : public net::EventHandler,
 
   // ---- accessors ---------------------------------------------------------
   [[nodiscard]] uint64_t id() const { return id_; }
-  [[nodiscard]] uint64_t generation() const { return generation_; }
   [[nodiscard]] size_t shard_index() const { return shard_index_; }
   [[nodiscard]] bool closed() const {
     return closed_.load(std::memory_order_acquire);
@@ -213,7 +212,6 @@ class Connection : public net::EventHandler,
   net::Reactor& reactor_;
   net::TcpSocket socket_;
   const uint64_t id_;
-  const uint64_t generation_;
   const size_t shard_index_;
   std::optional<net::InetAddress> peer_address_;
 
@@ -250,8 +248,6 @@ class Connection : public net::EventHandler,
   // Per-IP accounting key (empty = not counted, e.g. outbound connections);
   // Server::remove_connection releases the slot.
   std::string ip_key_;
-
-  static std::atomic<uint64_t> next_generation_;
 };
 
 }  // namespace cops::nserver

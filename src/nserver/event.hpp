@@ -6,11 +6,12 @@
 // scheduling): the paper notes this field crosscuts the Event and
 // Communicator classes when scheduling is generated.
 //
-// The Asynchronous Completion Token (Harrison & Schmidt, 1997) is the
-// {connection id, generation} pair: a service response (e.g. a completed
-// file read) is matched back to the connection that issued it, and a stale
-// token (connection closed or recycled meanwhile) is detected and dropped
-// instead of touching freed state.
+// The Asynchronous Completion Token (Harrison & Schmidt, 1997) names the
+// connection that issued a service request (e.g. a file read), for
+// scheduling and tracing.  A completion does not find its connection through
+// the token: the completion closure holds the RequestContext, and a
+// completion whose connection closed meanwhile is dropped by
+// RequestContext::connection_closed().
 #pragma once
 
 #include <cstdint>
@@ -48,19 +49,16 @@ enum class EventKind : uint8_t {
   return "?";
 }
 
-// Asynchronous Completion Token: identifies the issuing connection
-// generation-safely.
+// Asynchronous Completion Token: identifies the issuing connection.
 struct CompletionToken {
   uint64_t connection_id = 0;
-  uint64_t generation = 0;
 
   friend bool operator==(const CompletionToken&,
                          const CompletionToken&) = default;
 };
 
 // A schedulable unit of work.  The action carries the bound step logic; the
-// kind and token exist for scheduling, overload accounting, tracing, and
-// completion matching.
+// kind and token exist for scheduling, overload accounting and tracing.
 struct Event {
   EventKind kind = EventKind::kUser;
   int priority = 0;  // 0 = highest; used only with event scheduling (O8)

@@ -1,7 +1,6 @@
 #include "nserver/server.hpp"
 
 #include <algorithm>
-#include <future>
 
 #include "common/logging.hpp"
 #include "nserver/admin_server.hpp"
@@ -90,14 +89,10 @@ Status Server::start() {
   acceptor_ = std::make_unique<net::Acceptor>(
       *shards_[0]->reactor,
       [this](net::TcpSocket socket) { on_accept(std::move(socket)); });
-  auto addr_result =
-      net::InetAddress::parse(options_.listen_host, options_.listen_port);
-  if (!addr_result.is_ok()) return addr_result.status();
-  auto status = acceptor_->open(addr_result.value(), options_.listen_backlog);
-  if (!status.is_ok()) return status;
-  auto bound = acceptor_->local_address();
+  auto bound = acceptor_->open(options_.listen_host, options_.listen_port,
+                               options_.listen_backlog);
   if (!bound.is_ok()) return bound.status();
-  port_ = bound.value().port();
+  port_ = bound.value();
 
   // --- admin endpoint (O11+) on dispatcher 0 -------------------------------
   if (options_.stats_export == StatsExport::kAdminHttp) {
@@ -115,12 +110,9 @@ Status Server::start() {
     routes.banner = "cops-nserver admin";
     admin_ = std::make_unique<AdminServer>(*shards_[0]->reactor,
                                            std::move(routes));
-    auto admin_addr =
-        net::InetAddress::parse(options_.admin_host, options_.admin_port);
-    if (!admin_addr.is_ok()) return admin_addr.status();
-    auto admin_status = admin_->open(admin_addr.value());
-    if (!admin_status.is_ok()) return admin_status;
-    admin_port_ = admin_->port();
+    auto admin_bound = admin_->open(options_.admin_host, options_.admin_port);
+    if (!admin_bound.is_ok()) return admin_bound.status();
+    admin_port_ = admin_bound.value();
   }
 
   // --- housekeeping on dispatcher 0 ----------------------------------------
@@ -145,7 +137,6 @@ Status Server::start() {
   for (size_t i = 0; i < shards_.size(); ++i) {
     shards_[i]->reactor->start_thread("dispatch-" + std::to_string(i));
   }
-  launched_.store(true);
   if (options_.logging) {
     COPS_INFO("N-Server listening on " << options_.listen_host << ":"
                                        << port_ << " with "
@@ -155,16 +146,13 @@ Status Server::start() {
 }
 
 void Server::stop() {
-  // A failed start() never launched the dispatchers; posting to them and
-  // waiting on the future would deadlock.
-  if (!launched_.load() || stopping_.exchange(true)) return;
+  if (!started_.load() || stopping_.exchange(true)) return;
 
-  // Close acceptor + every connection on each shard's own thread.
+  // Close acceptor + every connection on each shard's own thread (inline
+  // when a failed start() never launched the dispatchers).
   for (size_t i = 0; i < shards_.size(); ++i) {
     auto& shard = *shards_[i];
-    std::promise<void> done;
-    auto fut = done.get_future();
-    shard.reactor->post([this, i, &shard, &done] {
+    shard.reactor->run_sync([this, i, &shard] {
       if (i == 0) {
         acceptor_->close();
         if (admin_) admin_->close();
@@ -174,15 +162,13 @@ void Server::stop() {
       conns.reserve(shard.connections.size());
       for (auto& [id, conn] : shard.connections) conns.push_back(conn);
       for (auto& conn : conns) conn->close("server-stop");
-      done.set_value();
     });
-    fut.wait();
   }
   for (auto& shard : shards_) {
     shard->reactor->stop();
     shard->reactor->join();
   }
-  processor_->stop();
+  if (processor_) processor_->stop();
   if (file_service_) file_service_->stop();
   if (tracer_) tracer_->dump();
 }
@@ -191,35 +177,25 @@ size_t Server::count_active_pipelines() {
   size_t total = 0;
   for (auto& shard_ptr : shards_) {
     auto& shard = *shard_ptr;
-    std::promise<size_t> count;
-    auto fut = count.get_future();
-    shard.reactor->post([&shard, &count] {
+    total += shard.reactor->run_sync([&shard] {
       size_t active = 0;
       for (const auto& [id, conn] : shard.connections) {
         if (conn->pipeline_active() || conn->send_pending()) ++active;
       }
-      count.set_value(active);
+      return active;
     });
-    total += fut.get();
   }
   return total;
 }
 
 bool Server::drain(std::chrono::milliseconds timeout) {
-  if (!launched_.load() || stopping_.load()) return true;
+  // A start() that failed validation built no shards.
+  if (!started_.load() || stopping_.load() || shards_.empty()) return true;
   // Visible to the admin endpoint immediately: /healthz flips to 503 so
   // upstream health checks stop routing here while we finish in-flight work.
   draining_.store(true, std::memory_order_relaxed);
   // Step 1: no new connections — close the acceptor on its shard.
-  {
-    std::promise<void> done;
-    auto fut = done.get_future();
-    shards_[0]->reactor->post([this, &done] {
-      acceptor_->close();
-      done.set_value();
-    });
-    fut.wait();
-  }
+  shards_[0]->reactor->run_sync([this] { acceptor_->close(); });
   // Step 2: wait for in-flight work to resolve.
   const auto deadline = now() + timeout;
   bool idle = false;
@@ -328,7 +304,7 @@ uint64_t Server::add_connection(size_t shard_index, net::TcpSocket socket,
 
 void Server::connect_peer(const net::InetAddress& peer,
                           ConnectCallback on_done) {
-  if (!launched_.load() || stopping_.load()) {
+  if (stopping_.load() || shards_.empty() || !shards_[0]->reactor->running()) {
     on_done(Status::unavailable("server not running"));
     return;
   }
@@ -407,7 +383,7 @@ void Server::submit_decode(const std::shared_ptr<Connection>& conn) {
   Event event;
   event.kind = EventKind::kDecode;
   event.priority = conn->priority();
-  event.token = {conn->id(), conn->generation()};
+  event.token = {conn->id()};
   event.action = [this, conn] { run_decode(conn); };
   processor_->submit(std::move(event));
 }
@@ -468,7 +444,7 @@ void Server::run_decode(const std::shared_ptr<Connection>& conn) {
     Event event;
     event.kind = EventKind::kCompute;
     event.priority = result.priority;
-    event.token = {conn->id(), conn->generation()};
+    event.token = {conn->id()};
     auto request = std::make_shared<std::any>(std::move(result.request));
     const int priority = result.priority;
     event.action = [this, conn, request, priority] {
@@ -546,7 +522,7 @@ void Server::fetch_file(RequestContextPtr ctx, std::string path,
   // (drained by the connection with sendfile) instead of in-memory bytes;
   // they bypass the cache, which keeps holding the small, hot files.
   if (options_.completion == CompletionMode::kAsynchronous && file_service_) {
-    CompletionToken token{ctx->conn_->id(), ctx->conn_->generation()};
+    CompletionToken token{ctx->conn_->id()};
     const int priority = ctx->priority();
     auto executor = [this, priority, token](std::function<void()> fn) {
       note_event(EventKind::kCompletion, token.connection_id, "file");
@@ -563,7 +539,7 @@ void Server::fetch_file(RequestContextPtr ctx, std::string path,
           if (result.is_ok() && cache_ && result.value()->fd < 0) {
             cache_->insert(result.value()->path, result.value());
           }
-          if (ctx->connection_closed()) return;  // stale completion token
+          if (ctx->connection_closed()) return;  // stale completion
           done(*ctx, std::move(result));
         },
         std::move(executor));

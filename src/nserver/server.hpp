@@ -241,7 +241,6 @@ class Server {
   std::atomic<size_t> num_connections_{0};
   std::atomic<size_t> next_shard_{0};
   std::atomic<bool> started_{false};
-  std::atomic<bool> launched_{false};  // dispatcher threads are running
   std::atomic<bool> stopping_{false};
   std::atomic<bool> draining_{false};  // drain() began; admin healthz → 503
   // Written by housekeeping on the reactor-0 thread, read cross-thread via

@@ -1,7 +1,6 @@
 #include "proxy/proxy_server.hpp"
 
 #include <cstdio>
-#include <future>
 #include <utility>
 
 #include "cluster/lb_policy.hpp"
@@ -43,13 +42,10 @@ Status ProxyServer::start() {
   connector_ = std::make_unique<net::Connector>(reactor_);
   acceptor_ = std::make_unique<net::Acceptor>(
       reactor_, [this](net::TcpSocket client) { on_accept(std::move(client)); });
-  auto addr = net::InetAddress::parse(config_.listen_host, config_.listen_port);
-  if (!addr.is_ok()) return addr.status();
-  auto status = acceptor_->open(addr.value(), config_.listen_backlog);
-  if (!status.is_ok()) return status;
-  auto bound = acceptor_->local_address();
+  auto bound = acceptor_->open(config_.listen_host, config_.listen_port,
+                               config_.listen_backlog);
   if (!bound.is_ok()) return bound.status();
-  port_ = bound.value().port();
+  port_ = bound.value();
   if (config_.admin_enabled) {
     nserver::AdminRoutes routes;
     routes.unhealthy = [this]() -> const char* {
@@ -59,12 +55,9 @@ Status ProxyServer::start() {
     routes.banner = "cops-proxy admin";
     admin_ = std::make_unique<nserver::AdminServer>(reactor_,
                                                     std::move(routes));
-    auto admin_addr =
-        net::InetAddress::parse(config_.admin_host, config_.admin_port);
-    if (!admin_addr.is_ok()) return admin_addr.status();
-    auto admin_status = admin_->open(admin_addr.value());
-    if (!admin_status.is_ok()) return admin_status;
-    admin_port_ = admin_->port();
+    auto admin_bound = admin_->open(config_.admin_host, config_.admin_port);
+    if (!admin_bound.is_ok()) return admin_bound.status();
+    admin_port_ = admin_bound.value();
   }
   if (config_.overload_adaptive) {
     build_overload_manager();
@@ -72,7 +65,6 @@ Status ProxyServer::start() {
                        [this] { overload_tick(); });
   }
   reactor_.start_thread("proxy");
-  launched_.store(true);
   return Status::ok();
 }
 
@@ -130,12 +122,9 @@ void ProxyServer::overload_tick() {
 }
 
 void ProxyServer::stop() {
-  // A failed start() never launched the reactor thread; posting to it and
-  // waiting would deadlock.
-  if (!launched_.load() || stopping_.exchange(true)) return;
-  std::promise<void> done;
-  auto fut = done.get_future();
-  reactor_.post([this, &done] {
+  if (!started_.load() || stopping_.exchange(true)) return;
+  // Inline when a failed start() never launched the reactor thread.
+  reactor_.run_sync([this] {
     if (acceptor_) acceptor_->close();
     if (admin_) admin_->close();
     // Abort active sessions (copy: abort mutates the map via session_done).
@@ -144,27 +133,20 @@ void ProxyServer::stop() {
     for (auto& [id, session] : sessions_) sessions.push_back(session);
     for (auto& session : sessions) session->abort("proxy-stop");
     pool_.close_all();
-    done.set_value();
   });
-  fut.wait();
   reactor_.stop();
   reactor_.join();
 }
 
 void ProxyServer::drain_backend(size_t index, bool draining) {
-  auto apply = [this, index, draining] {
+  reactor_.run_or_post([this, index, draining] {
     if (index >= backends_.size() || !backends_.set_draining(index, draining)) {
       return;
     }
     if (draining) pool_.drain(index);
     emit(std::string(draining ? "proxy-drain" : "proxy-undrain") +
          " backend=" + std::to_string(index));
-  };
-  if (!launched_.load()) {
-    apply();
-    return;
-  }
-  reactor_.post(apply);
+  });
 }
 
 // ---- accept / selection ---------------------------------------------------

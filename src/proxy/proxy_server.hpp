@@ -67,7 +67,8 @@ class ProxyServer {
 
   // Lifecycle: stop (or resume) selecting backend `index` and drain its
   // pool's idle connections; in-flight streams finish normally.
-  // Thread-safe; applied on the reactor.
+  // Thread-safe; applied on the reactor (net::Reactor::run_or_post: inline
+  // while its loop is not running).
   void drain_backend(size_t index, bool draining = true);
 
   [[nodiscard]] uint16_t port() const { return port_; }
@@ -138,7 +139,6 @@ class ProxyServer {
   uint16_t port_ = 0;
   uint16_t admin_port_ = 0;
   std::atomic<bool> started_{false};
-  std::atomic<bool> launched_{false};
   std::atomic<bool> stopping_{false};
 };
 

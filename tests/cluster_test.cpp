@@ -3,6 +3,8 @@
 // plane, including a full distributed COPS-HTTP cluster on loopback.
 #include <gtest/gtest.h>
 
+#include <future>
+#include <memory>
 #include <thread>
 
 #include "cluster/load_balancer.hpp"
@@ -71,6 +73,29 @@ class EchoBackend {
 TEST(LoadBalancer, RequiresBackends) {
   LoadBalancer balancer({});
   EXPECT_FALSE(balancer.start().is_ok());
+}
+
+// backend_stats() hops onto the balancer's reactor only while its loop runs:
+// before start() and after stop() it reads the stats inline.  Each call is
+// bounded, so a call that parks on a loop that is not running fails the test
+// instead of hanging it (the parked call is left holding the balancer).
+TEST(LoadBalancer, BackendStatsAnswersBeforeStartAndAfterStop) {
+  auto balancer = std::make_shared<LoadBalancer>(LoadBalancerConfig{});
+  balancer->add_backend(net::InetAddress::loopback(1));
+  auto stats_within_5s = [](std::shared_ptr<LoadBalancer> b) {
+    auto call =
+        std::async(std::launch::async, [b] { return b->backend_stats(); });
+    if (call.wait_for(std::chrono::seconds(5)) != std::future_status::ready) {
+      new auto(std::move(call));  // never joined: the call never returns
+      return std::vector<BackendStats>{};
+    }
+    return call.get();
+  };
+  EXPECT_EQ(stats_within_5s(balancer).size(), 1u) << "before start()";
+  ASSERT_TRUE(balancer->start().is_ok());
+  EXPECT_EQ(stats_within_5s(balancer).size(), 1u) << "while running";
+  balancer->stop();
+  EXPECT_EQ(stats_within_5s(balancer).size(), 1u) << "after stop()";
 }
 
 TEST(LoadBalancer, RelaysBytesBothWays) {

@@ -74,9 +74,9 @@ TEST_F(FdExhaustionTest, ShedsPendingClientAndResumesAfterBackoff) {
     kept.push_back(std::move(socket));
   });
   acceptor.set_exhaustion_backoff_ms(50);
-  ASSERT_TRUE(
-      acceptor.open(net::InetAddress::loopback(0), /*backlog=*/16).is_ok());
-  const uint16_t port = acceptor.local_address().value().port();
+  auto bound = acceptor.open("127.0.0.1", 0, /*backlog=*/16);
+  ASSERT_TRUE(bound.is_ok());
+  const uint16_t port = bound.value();
   reactor.start_thread("fd-exhaustion");
 
   // Park the listener so the victim connection queues in the kernel while

@@ -5,6 +5,7 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <future>
 #include <thread>
 #include <vector>
 
@@ -312,6 +313,77 @@ TEST(Reactor, PostFromMultipleThreads) {
   reactor.join();
 }
 
+// The owner lifecycle calls act inline while the loop is not running —
+// before start_thread() and after the loop exits — and on the loop thread
+// while it runs.
+TEST(Reactor, RunSyncAndRunOrPostFollowTheLoopLifecycle) {
+  Reactor reactor;
+  const auto caller = std::this_thread::get_id();
+  auto thread_id = [] { return std::this_thread::get_id(); };
+
+  // Before start: both run inline on the caller.
+  EXPECT_FALSE(reactor.running());
+  EXPECT_EQ(reactor.run_sync(thread_id), caller);
+  std::thread::id or_post_on;
+  reactor.run_or_post([&] { or_post_on = std::this_thread::get_id(); });
+  EXPECT_EQ(or_post_on, caller);
+
+  // From another thread while the loop runs: both hop onto the loop.
+  reactor.start_thread();
+  EXPECT_TRUE(reactor.running());
+  const auto loop = reactor.run_sync(thread_id);
+  EXPECT_NE(loop, caller);
+  reactor.run_or_post([&] { or_post_on = std::this_thread::get_id(); });
+  reactor.run_sync([] {});  // FIFO: the post above has run
+  EXPECT_EQ(or_post_on, loop);
+
+  // On the loop thread: run_sync runs inline (no self-wait), run_or_post
+  // queues behind the running callback.
+  std::vector<int> order;
+  reactor.run_sync([&] {
+    order.push_back(1);
+    EXPECT_EQ(reactor.run_sync([&] {
+      order.push_back(2);
+      return 7;
+    }), 7);
+    reactor.run_or_post([&] { order.push_back(4); });
+    order.push_back(3);
+  });
+  reactor.run_sync([] {});
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 3, 4}));
+
+  // After stop: inline on the caller again.
+  reactor.stop();
+  reactor.join();
+  EXPECT_FALSE(reactor.running());
+  EXPECT_EQ(reactor.run_sync(thread_id), caller);
+  reactor.run_or_post([&] { or_post_on = std::this_thread::get_id(); });
+  EXPECT_EQ(or_post_on, caller);
+}
+
+// A run_sync() that races stop() either reaches the loop before it exits
+// or runs inline after: it never waits on a loop that is gone.
+TEST(Reactor, RunSyncRacingStopNeverStrands) {
+  for (int round = 0; round < 50; ++round) {
+    auto reactor = std::make_shared<Reactor>();
+    reactor->start_thread();
+    auto ran = std::make_shared<std::atomic<int>>(0);
+    auto caller = std::async(std::launch::async, [reactor, ran] {
+      for (int i = 0; i < 100; ++i) {
+        reactor->run_sync([&] { ran->fetch_add(1); });
+      }
+    });
+    std::this_thread::sleep_for(std::chrono::microseconds(50 * (round % 5)));
+    reactor->stop();
+    if (caller.wait_for(std::chrono::seconds(5)) != std::future_status::ready) {
+      new auto(std::move(caller));  // never joined: the call never returns
+      FAIL() << "run_sync stranded in round " << round;
+    }
+    reactor->join();
+    EXPECT_EQ(ran->load(), 100);
+  }
+}
+
 // ---------- Acceptor / Connector ---------------------------------------------
 
 TEST(AcceptorConnector, EstablishesConnection) {
@@ -321,8 +393,9 @@ TEST(AcceptorConnector, EstablishesConnection) {
     EXPECT_TRUE(sock.valid());
     accepted.fetch_add(1);
   });
-  ASSERT_TRUE(acceptor.open(InetAddress::loopback(0)).is_ok());
-  const uint16_t port = acceptor.local_address().value().port();
+  auto bound = acceptor.open("127.0.0.1", 0);
+  ASSERT_TRUE(bound.is_ok());
+  const uint16_t port = bound.value();
 
   Connector connector(reactor);
   std::atomic<bool> connected{false};
@@ -347,8 +420,9 @@ TEST(Acceptor, SuspendStopsAccepting) {
   Reactor reactor;
   std::atomic<int> accepted{0};
   Acceptor acceptor(reactor, [&](TcpSocket) { accepted.fetch_add(1); });
-  ASSERT_TRUE(acceptor.open(InetAddress::loopback(0), /*backlog=*/64).is_ok());
-  const uint16_t port = acceptor.local_address().value().port();
+  auto bound = acceptor.open("127.0.0.1", 0, /*backlog=*/64);
+  ASSERT_TRUE(bound.is_ok());
+  const uint16_t port = bound.value();
   reactor.post([&] { acceptor.suspend(); });
   reactor.start_thread();
   std::this_thread::sleep_for(std::chrono::milliseconds(20));

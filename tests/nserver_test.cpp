@@ -229,7 +229,7 @@ TEST(FileIoService, AsyncReadCompletesThroughExecutor) {
   std::atomic<bool> done{false};
   std::atomic<bool> executor_used{false};
   service.async_read(
-      dir.str() + "/a.txt", {1, 1},
+      dir.str() + "/a.txt", {1},
       [&](Result<FileDataPtr> result) {
         ASSERT_TRUE(result.is_ok());
         EXPECT_EQ(result.value()->bytes, "async");
@@ -257,7 +257,7 @@ TEST(FileIoService, ManyConcurrentAsyncReads) {
   std::atomic<int> done{0};
   for (int i = 0; i < 50; ++i) {
     service.async_read(
-        dir.str() + "/f" + std::to_string(i % 10), {0, 0},
+        dir.str() + "/f" + std::to_string(i % 10), {0},
         [&](Result<FileDataPtr> result) {
           EXPECT_TRUE(result.is_ok());
           done.fetch_add(1);

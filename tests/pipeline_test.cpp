@@ -81,9 +81,10 @@ class ProbeHooks : public AppHooks {
       // Resolution responsibility transfers to the handle; this context is
       // dropped unresolved.
       auto deferred = ctx.make_handle();
-      std::thread([deferred, line] {
+      std::lock_guard lock(deferred_mutex_);
+      deferred_threads_.emplace_back([deferred, line] {
         deferred->reply(std::string("DEFER:") + line);
-      }).detach();
+      });
       return;
     }
     ctx.reply(std::string("ECHO:") + line);
@@ -93,6 +94,21 @@ class ProbeHooks : public AppHooks {
     encoded.fetch_add(1);
     return std::any_cast<std::string>(std::move(response)) + "\n";
   }
+
+  // Waits for every deferred-reply thread; they call into the server, so
+  // the fixture joins them before it destroys the server.
+  void join_deferred() {
+    std::vector<std::thread> threads;
+    {
+      std::lock_guard lock(deferred_mutex_);
+      threads.swap(deferred_threads_);
+    }
+    for (auto& t : threads) t.join();
+  }
+
+ private:
+  std::mutex deferred_mutex_;
+  std::vector<std::thread> deferred_threads_;
 };
 
 class PipelineFixture : public ::testing::Test {
@@ -105,6 +121,7 @@ class PipelineFixture : public ::testing::Test {
     ASSERT_TRUE(status.is_ok()) << status.to_string();
   }
   void TearDown() override {
+    if (hooks_) hooks_->join_deferred();
     if (server_) server_->stop();
   }
 

@@ -680,6 +680,31 @@ TEST(ProxyPoolSimTest, P2CWithDrainedWinnerPicksWhatTheBalancerPicks) {
   EXPECT_EQ(proxy_pick, balancer_pick);
 }
 
+// A drain requested before start() applies at once in both tiers and is
+// reported the same way as one requested while the front end runs.
+TEST(ProxyPoolTest, DrainBeforeStartIsReportedByBothTiers) {
+  std::vector<std::string> balancer_events;
+  cluster::LoadBalancerConfig balancer_config;
+  balancer_config.event_listener = [&](const std::string& event) {
+    balancer_events.push_back(event);
+  };
+  cluster::LoadBalancer balancer(balancer_config);
+  balancer.add_backend(net::InetAddress::loopback(1));
+  balancer.drain_backend(0);
+
+  std::vector<std::string> proxy_events;
+  ProxyConfig proxy_config;
+  proxy_config.event_listener = [&](const std::string& event) {
+    proxy_events.push_back(event);
+  };
+  ProxyServer proxy(proxy_config);
+  proxy.add_backend(net::InetAddress::loopback(1));
+  proxy.drain_backend(0);
+
+  EXPECT_EQ(balancer_events, std::vector<std::string>{"drain backend=0"});
+  EXPECT_EQ(proxy_events, std::vector<std::string>{"proxy-drain backend=0"});
+}
+
 // ---- proxy admin endpoint ---------------------------------------------------
 
 TEST(ProxyPoolSimTest, AdminStatsExposeCountersBackendsAndOverload) {

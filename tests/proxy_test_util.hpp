@@ -18,7 +18,6 @@
 #include <cstdint>
 #include <cstdio>
 #include <functional>
-#include <future>
 #include <memory>
 #include <string>
 #include <unordered_map>
@@ -66,15 +65,11 @@ class ScriptedBackend {
       : responder_(std::move(responder)), options_(options) {
     acceptor_ = std::make_unique<net::Acceptor>(
         reactor_, [this](net::TcpSocket socket) { on_accept(std::move(socket)); });
-    auto addr = net::InetAddress::parse("127.0.0.1", port);
-    auto status = acceptor_->open(addr.value(), 64);
-    ok_ = status.is_ok();
+    auto bound = acceptor_->open("127.0.0.1", port, 64);
+    ok_ = bound.is_ok();
     if (ok_) {
-      if (auto local = acceptor_->local_address(); local.is_ok()) {
-        port_ = local.value().port();
-      }
+      port_ = bound.value();
       reactor_.start_thread("scripted-backend");
-      launched_ = true;
     }
   }
 
@@ -82,11 +77,9 @@ class ScriptedBackend {
   ScriptedBackend(const ScriptedBackend&) = delete;
   ScriptedBackend& operator=(const ScriptedBackend&) = delete;
 
+  // Idempotent: once the loop has stopped, the close runs inline.
   void stop() {
-    if (!launched_) return;
-    launched_ = false;
-    std::promise<void> closed;
-    reactor_.post([this, &closed] {
+    reactor_.run_sync([this] {
       acceptor_->close();
       for (auto& [id, conn] : conns_) {
         if (conn->sock.valid()) {
@@ -95,9 +88,7 @@ class ScriptedBackend {
         }
       }
       conns_.clear();
-      closed.set_value();
     });
-    closed.get_future().wait();
     reactor_.stop();
     reactor_.join();
   }
@@ -267,7 +258,6 @@ class ScriptedBackend {
   uint64_t next_id_ = 1;
   std::atomic<uint64_t> accepted_{0};
   std::atomic<uint64_t> requests_{0};
-  std::atomic<bool> launched_{false};
   uint16_t port_ = 0;
   bool ok_ = false;
 };

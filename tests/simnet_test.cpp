@@ -174,7 +174,7 @@ TEST(SimEngineTest, AcceptorTakesABurstInOnePassWithoutEagain) {
   net::Acceptor acceptor(reactor, [&](net::TcpSocket socket) {
     accepted.push_back(std::move(socket));
   });
-  ASSERT_TRUE(acceptor.open(net::InetAddress::loopback(9005), 16).is_ok());
+  ASSERT_TRUE(acceptor.open("127.0.0.1", 9005, 16).is_ok());
   constexpr int kBurst = 6;
   for (int i = 0; i < kBurst; ++i) engine.new_client()->connect(9005);
   engine.pump();
