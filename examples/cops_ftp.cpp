@@ -72,6 +72,7 @@ int main(int argc, char** argv) {
     std::printf("admin endpoint at http://%s:%u/stats\n",
                 options.admin_host.c_str(), server.admin_port());
   }
+  std::fflush(stdout);  // a file or pipe would hold the line back
   if (run_seconds > 0) {
     std::this_thread::sleep_for(std::chrono::seconds(run_seconds));
     server.stop();

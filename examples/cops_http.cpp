@@ -3,14 +3,21 @@
 //   $ ./cops_http --root ./htdocs --port 8080
 //   $ ./cops_http --root ./htdocs --port 8080 --cache lfu --profiling
 //
+// SIGINT or SIGTERM drains the server (/healthz answers 503 at once, new
+// connections are refused, in-flight requests finish for up to 5 s) and
+// the process exits 0.
+//
 // All twelve Table 1 options are reachable from the command line; the
 // defaults are the paper's COPS-HTTP settings (one dispatcher, separate
 // pool, async completions, static threads, 20 MB LRU cache).
+#include <signal.h>
+
+#include <cerrno>
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <string>
-#include <thread>
 
 #include "http/http_server.hpp"
 #include "nserver/stats.hpp"
@@ -37,6 +44,22 @@ cops::nserver::CachePolicyKind parse_cache(const std::string& name) {
   if (name == "lru-threshold") return CachePolicyKind::kLruThreshold;
   if (name == "hyper-g") return CachePolicyKind::kHyperG;
   return CachePolicyKind::kNone;
+}
+
+// Waits up to `timeout` for one of `signals` (blocked in every thread);
+// true when one arrived.
+bool wait_for_signal(const sigset_t& signals, std::chrono::seconds timeout) {
+  const auto deadline = std::chrono::steady_clock::now() + timeout;
+  while (true) {
+    const auto left = deadline - std::chrono::steady_clock::now();
+    if (left <= std::chrono::steady_clock::duration::zero()) return false;
+    const auto ns =
+        std::chrono::duration_cast<std::chrono::nanoseconds>(left).count();
+    const timespec wait{static_cast<time_t>(ns / 1000000000),
+                        static_cast<long>(ns % 1000000000)};
+    if (sigtimedwait(&signals, nullptr, &wait) > 0) return true;
+    if (errno != EINTR && errno != EAGAIN) return false;
+  }
 }
 
 }  // namespace
@@ -118,6 +141,14 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "note: serving the current directory; use --root\n");
   }
 
+  // Blocked before start(), so every server thread inherits the mask and
+  // only wait_for_signal() below receives them.
+  sigset_t stop_signals;
+  sigemptyset(&stop_signals);
+  sigaddset(&stop_signals, SIGINT);
+  sigaddset(&stop_signals, SIGTERM);
+  pthread_sigmask(SIG_BLOCK, &stop_signals, nullptr);
+
   cops::http::CopsHttpServer server(options, config);
   auto status = server.start();
   if (!status.is_ok()) {
@@ -130,6 +161,7 @@ int main(int argc, char** argv) {
     std::printf("admin endpoint at http://%s:%u/stats\n",
                 options.admin_host.c_str(), server.admin_port());
   }
+  std::fflush(stdout);  // a file or pipe would hold the line back
 
   const auto report = [&] {
     if (!options.profiling) return;
@@ -137,14 +169,21 @@ int main(int argc, char** argv) {
         cops::nserver::render_prometheus(server.server().stats_snapshot());
     std::fputs(text.c_str(), stdout);
   };
+  const auto drain = [&] {
+    std::printf("signal: draining\n");
+    std::fflush(stdout);
+    const bool idle = server.server().drain(std::chrono::seconds(5));
+    std::printf("drained%s\n", idle ? "" : " (timed out)");
+    return 0;
+  };
   if (run_seconds > 0) {
-    std::this_thread::sleep_for(std::chrono::seconds(run_seconds));
+    if (wait_for_signal(stop_signals, std::chrono::seconds(run_seconds))) {
+      return drain();
+    }
     report();
     server.stop();
     return 0;
   }
-  while (true) {
-    std::this_thread::sleep_for(std::chrono::seconds(10));
-    report();
-  }
+  while (!wait_for_signal(stop_signals, std::chrono::seconds(10))) report();
+  return drain();
 }

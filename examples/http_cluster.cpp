@@ -110,6 +110,7 @@ int main(int argc, char** argv) {
     std::printf("balancer admin: http://127.0.0.1:%u/stats\n",
                 balancer.admin_port());
   }
+  std::fflush(stdout);  // a file or pipe would hold the line back
 
   auto report = [&] {
     const auto stats = balancer.backend_stats();

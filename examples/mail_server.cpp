@@ -151,6 +151,7 @@ int main(int argc, char** argv) {
     return 1;
   }
   std::printf("SMTP server on 127.0.0.1:%u\n", server.port());
+  std::fflush(stdout);  // a file or pipe would hold the line back
   if (argc > 2 && std::string(argv[2]) == "--once") {
     std::this_thread::sleep_for(std::chrono::milliseconds(300));
     std::printf("delivered: %zu message(s)\n", hooks->delivered());

@@ -50,6 +50,7 @@ int main(int argc, char** argv) {
   }
   std::printf("time server listening on 127.0.0.1:%u\n", server.port());
   std::printf("try: echo hi | nc 127.0.0.1 %u\n", server.port());
+  std::fflush(stdout);  // a file or pipe would hold the line back
   if (argc > 2 && std::string(argv[2]) == "--once") {
     // Test hook: run briefly and exit.
     std::this_thread::sleep_for(std::chrono::milliseconds(300));

@@ -1,7 +1,6 @@
 #include "cluster/lb_policy.hpp"
 
 #include <algorithm>
-#include <limits>
 #include <numeric>
 #include <string>
 
@@ -30,11 +29,6 @@ std::optional<BalancePolicy> parse_balance_policy(std::string_view name) {
   return std::nullopt;
 }
 
-size_t pick_round_robin(uint64_t cursor, size_t backend_count) {
-  if (backend_count == 0) return 0;
-  return static_cast<size_t>(cursor % backend_count);
-}
-
 size_t pick_p2c(std::mt19937_64& rng, const std::vector<size_t>& loads) {
   const size_t n = loads.size();
   if (n <= 1) return 0;
@@ -53,28 +47,18 @@ uint64_t fnv1a64(std::string_view bytes) {
   return hash;
 }
 
-void HashRing::build(const std::vector<uint64_t>& ids, size_t vnodes) {
+void HashRing::build(size_t backend_count, size_t vnodes) {
   ring_.clear();
-  backend_count_ = ids.size();
-  ring_.reserve(ids.size() * vnodes);
-  for (size_t backend = 0; backend < ids.size(); ++backend) {
+  backend_count_ = backend_count;
+  ring_.reserve(backend_count * vnodes);
+  for (size_t backend = 0; backend < backend_count; ++backend) {
     for (size_t v = 0; v < vnodes; ++v) {
       const std::string label =
-          "backend-" + std::to_string(ids[backend]) + "#" + std::to_string(v);
+          "backend-" + std::to_string(backend) + "#" + std::to_string(v);
       ring_.emplace_back(fnv1a64(label), backend);
     }
   }
   std::sort(ring_.begin(), ring_.end());
-}
-
-size_t HashRing::pick(std::string_view key) const {
-  if (ring_.empty()) return std::numeric_limits<size_t>::max();
-  const uint64_t point = fnv1a64(key);
-  auto it = std::lower_bound(
-      ring_.begin(), ring_.end(), point,
-      [](const auto& entry, uint64_t value) { return entry.first < value; });
-  if (it == ring_.end()) it = ring_.begin();  // wrap around
-  return it->second;
 }
 
 std::vector<size_t> HashRing::pick_order(std::string_view key) const {
@@ -103,34 +87,14 @@ BackendSet::BackendSet(BalancePolicy policy, uint64_t seed)
     : policy_(policy), rng_(seed) {}
 
 void BackendSet::add(const net::InetAddress& addr) {
-  members_.push_back(Member{addr, next_id_++, false});
+  addrs_.push_back(addr);
   loads_.push_back(0);
-  rebuild_ring();
-}
-
-void BackendSet::remove(size_t index) {
-  members_.erase(members_.begin() + static_cast<long>(index));
-  loads_.erase(loads_.begin() + static_cast<long>(index));
-  rebuild_ring();
-}
-
-bool BackendSet::set_draining(size_t index, bool draining) {
-  if (members_[index].draining == draining) return false;
-  members_[index].draining = draining;
-  return true;
-}
-
-void BackendSet::rebuild_ring() {
-  if (policy_ != BalancePolicy::kRingHash) return;
-  std::vector<uint64_t> ids;
-  ids.reserve(members_.size());
-  for (const auto& member : members_) ids.push_back(member.id);
-  ring_.build(ids);
+  if (policy_ == BalancePolicy::kRingHash) ring_.build(addrs_.size());
 }
 
 std::vector<size_t> BackendSet::order(std::string_view affinity_key) {
   if (policy_ == BalancePolicy::kRingHash) return ring_.pick_order(affinity_key);
-  const size_t n = members_.size();
+  const size_t n = addrs_.size();
   std::vector<size_t> order(n);
   std::iota(order.begin(), order.end(), 0);
   if (n == 0) return order;
@@ -143,7 +107,7 @@ std::vector<size_t> BackendSet::order(std::string_view affinity_key) {
   // Round robin and P2C: the pick first, then the rest in index order.
   const size_t first = policy_ == BalancePolicy::kPowerOfTwoChoices
                            ? pick_p2c(rng_, loads_)
-                           : pick_round_robin(admissions_ - 1, n);
+                           : static_cast<size_t>((admissions_ - 1) % n);
   std::rotate(order.begin(), order.begin() + static_cast<long>(first),
               order.end());
   return order;

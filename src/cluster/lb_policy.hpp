@@ -4,12 +4,8 @@
 // data plane, src/proxy) both order their backends through one BackendSet,
 // so a policy behaves the same whichever front end hosts it:
 //
-//   * round-robin     — a monotonically increasing cursor, *always reduced
-//                       modulo the live backend count at selection time*.
-//                       The cursor survives backend-set changes; the modulo
-//                       guard (not the cursor) keeps it in range, so a
-//                       shrink can never index past the end (regression:
-//                       BackendSetTest.RoundRobinCursorGuardedAcrossShrink).
+//   * round-robin     — a cursor that steps once per admission, reduced
+//                       modulo the backend count.
 //   * least-loaded    — smallest current load first, ties by lowest index
 //                       (deterministic).
 //   * P2C             — power-of-two-choices: two distinct candidates from
@@ -19,13 +15,13 @@
 //                       the herding a global argmin causes.
 //   * ring hash       — consistent hashing over `vnodes` virtual nodes per
 //                       backend; a key (e.g. the request path) maps to the
-//                       first vnode clockwise, so key→backend affinity is
-//                       stable under backend-set changes except for the
-//                       keys owned by the departed backend.
+//                       first vnode clockwise.  A backend's vnodes depend
+//                       only on its index, so a ring without the last
+//                       backend moves only the keys that backend owned.
 //
 // What each tier does with the order stays with the tier: the proxy takes
-// the first backend that is not draining; the balancer filters it through
-// its breaker, health and slow-start passes.
+// the first backend; the balancer filters the order through its breaker,
+// health and slow-start passes.  The set is fixed once the tier starts.
 #pragma once
 
 #include <cstddef>
@@ -55,11 +51,6 @@ enum class BalancePolicy {
 [[nodiscard]] std::optional<BalancePolicy> parse_balance_policy(
     std::string_view name);
 
-// Round-robin selection guarded against a shrunk backend set: the cursor is
-// free-running and reduction happens here, against the count that is live
-// *now*.
-[[nodiscard]] size_t pick_round_robin(uint64_t cursor, size_t backend_count);
-
 // Power of two choices: draws two distinct indices from `rng` and returns
 // the one with the smaller load (ties: the first drawn).  With one backend
 // it degenerates to index 0.  `loads` must be non-empty.
@@ -69,18 +60,15 @@ enum class BalancePolicy {
 // Consistent-hash ring (Karger-style, FNV-1a hashed vnodes).
 class HashRing {
  public:
-  // Builds a ring over backends [0, ids.size()) with `vnodes` virtual nodes
-  // each.  A backend's vnode points depend only on its id, so a backend
-  // keeps its keys when others join or leave.  Deterministic: same inputs,
-  // same ring.
-  void build(const std::vector<uint64_t>& ids, size_t vnodes = 64);
+  // Builds a ring over backends [0, backend_count) with `vnodes` virtual
+  // nodes each.  A backend's vnode points depend only on its index, so a
+  // ring over fewer backends gives every remaining backend the same keys.
+  // Deterministic: same inputs, same ring.
+  void build(size_t backend_count, size_t vnodes = 64);
 
-  // First backend clockwise from hash(key).  Returns SIZE_MAX on an empty
-  // ring.
-  [[nodiscard]] size_t pick(std::string_view key) const;
-
-  // Preference order for `key`: the owner first, then each subsequent
-  // distinct backend clockwise — the retry order that preserves affinity.
+  // Preference order for `key`: the owner (the first backend clockwise from
+  // hash(key)) first, then each subsequent distinct backend clockwise — the
+  // retry order that preserves affinity.  Empty on an empty ring.
   [[nodiscard]] std::vector<size_t> pick_order(std::string_view key) const;
 
  private:
@@ -92,27 +80,20 @@ class HashRing {
 [[nodiscard]] uint64_t fnv1a64(std::string_view bytes);
 
 // The backends of one front end and the policy that orders them.  Owns the
-// addresses, the drain flag, the per-backend load (the tier decides what a
-// unit of load is), the round-robin cursor, the seeded PRNG and the hash
-// ring.  Not thread-safe: the owning tier uses it on its reactor thread.
+// addresses, the per-backend load (the tier decides what a unit of load
+// is), the round-robin cursor, the seeded PRNG and the hash ring.  Backends
+// are added before the tier starts and never removed.  Not thread-safe:
+// the owning tier uses it on its reactor thread.
 class BackendSet {
  public:
   BackendSet(BalancePolicy policy, uint64_t seed);
 
   void add(const net::InetAddress& addr);
-  // Decommission: later backends shift down one index.  The hash ring is
-  // rebuilt over the survivors, who keep their keys.
-  void remove(size_t index);
 
-  [[nodiscard]] size_t size() const { return members_.size(); }
+  [[nodiscard]] size_t size() const { return addrs_.size(); }
   [[nodiscard]] const net::InetAddress& address(size_t index) const {
-    return members_[index].addr;
+    return addrs_[index];
   }
-  [[nodiscard]] bool draining(size_t index) const {
-    return members_[index].draining;
-  }
-  // False (and no change) when the flag already has that value.
-  bool set_draining(size_t index, bool draining);
   [[nodiscard]] size_t load(size_t index) const { return loads_[index]; }
   void add_load(size_t index) { loads_[index] += 1; }
   void release_load(size_t index) {
@@ -130,21 +111,10 @@ class BackendSet {
   [[nodiscard]] std::mt19937_64& rng() { return rng_; }
 
  private:
-  struct Member {
-    net::InetAddress addr;
-    uint64_t id = 0;  // ring identity: the add() sequence number
-    bool draining = false;
-  };
-
-  void rebuild_ring();
-
   BalancePolicy policy_;
-  std::vector<Member> members_;
-  std::vector<size_t> loads_;  // parallel to members_ (pick_p2c's input)
-  uint64_t next_id_ = 0;
-  // Free-running; reduced modulo the live count at pick time, never stored
-  // reduced, so a shrink cannot leave it pointing past the end.
-  uint64_t admissions_ = 0;
+  std::vector<net::InetAddress> addrs_;
+  std::vector<size_t> loads_;  // parallel to addrs_ (pick_p2c's input)
+  uint64_t admissions_ = 0;  // the round-robin cursor
   std::mt19937_64 rng_;
   HashRing ring_;  // kRingHash only
 };

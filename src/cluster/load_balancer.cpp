@@ -203,45 +203,6 @@ void LoadBalancer::stop() {
   reactor_.join();
 }
 
-void LoadBalancer::drain_backend(size_t index, bool draining) {
-  reactor_.run_or_post([this, index, draining] {
-    if (index >= set_.size() || !set_.set_draining(index, draining)) return;
-    emit(std::string(draining ? "drain" : "undrain") +
-         " backend=" + std::to_string(index));
-  });
-}
-
-void LoadBalancer::remove_backend(size_t index) {
-  reactor_.run_or_post([this, index] {
-    if (index >= backends_.size()) return;
-    // A probe in flight holds its backend index by value; cancel everything
-    // from the removed slot up so no probe can report against a shifted
-    // index (probes for the earlier, unshifted slots keep running and the
-    // health tick re-arms the rest).
-    for (auto it = probes_.begin(); it != probes_.end();) {
-      if (it->first >= index) {
-        it->second->cancel();
-        it = probes_.erase(it);
-      } else {
-        ++it;
-      }
-    }
-    backends_.erase(backends_.begin() + static_cast<long>(index));
-    set_.remove(index);
-    // Relays to the removed backend keep running but their stats slot is
-    // gone; sessions bound to later backends shift down with the vector.
-    for (auto it = session_backend_.begin(); it != session_backend_.end();) {
-      if (it->second == index) {
-        it = session_backend_.erase(it);
-      } else {
-        if (it->second > index) it->second -= 1;
-        ++it;
-      }
-    }
-    emit("remove backend=" + std::to_string(index));
-  });
-}
-
 void LoadBalancer::emit(const std::string& event) {
   if (config_.event_listener) config_.event_listener(event);
 }
@@ -266,7 +227,6 @@ void LoadBalancer::on_accept(net::TcpSocket client) {
 }
 
 bool LoadBalancer::backend_eligible(size_t index) {
-  if (set_.draining(index)) return false;
   if (!config_.resilience.enabled) return true;
   auto& backend = backends_[index];
   if (config_.resilience.health_checks && !backend.stats.healthy) return false;
@@ -305,21 +265,19 @@ int LoadBalancer::choose_candidate(const Admission& admission) {
   const std::vector<size_t> order = set_.order(admission.affinity_key);
   // Pass 1: eligible, honouring slow-start weighting.
   for (size_t index : order) {
-    if (admission.was_tried(index) || !backend_eligible(index)) continue;
+    if (admission.tried[index] || !backend_eligible(index)) continue;
     if (passes_slow_start(index)) return static_cast<int>(index);
   }
   // Pass 2: eligible (the slow-start gate deferred everyone).
   for (size_t index : order) {
-    if (!admission.was_tried(index) && backend_eligible(index)) {
+    if (!admission.tried[index] && backend_eligible(index)) {
       return static_cast<int>(index);
     }
   }
-  // Last resort: any untried, non-draining backend — a fast failure there
-  // beats dropping the client without trying.
+  // Last resort: any untried backend — a fast failure there beats dropping
+  // the client without trying.
   for (size_t index : order) {
-    if (!admission.was_tried(index) && !set_.draining(index)) {
-      return static_cast<int>(index);
-    }
+    if (!admission.tried[index]) return static_cast<int>(index);
   }
   return -1;
 }
@@ -333,9 +291,6 @@ bool LoadBalancer::attempt_next(const std::shared_ptr<Admission>& admission) {
   const int choice = choose_candidate(*admission);
   if (choice < 0) return false;
   const auto index = static_cast<size_t>(choice);
-  if (index >= admission->tried.size()) {
-    admission->tried.resize(index + 1, false);
-  }
   admission->tried[index] = true;
   admission->attempts += 1;
   if (backends_[index].stats.breaker == BreakerState::kHalfOpen) {
@@ -466,7 +421,7 @@ void LoadBalancer::health_tick() {
 
 void LoadBalancer::start_probe(size_t index) {
   auto& backend = backends_[index];
-  if (backend.probe_inflight || set_.draining(index)) return;
+  if (backend.probe_inflight) return;
   backend.probe_inflight = true;
   backend.stats.probes += 1;
   auto status = connector_->connect(
@@ -538,7 +493,6 @@ std::vector<BackendStats> LoadBalancer::backend_stats() {
     for (size_t i = 0; i < backends_.size(); ++i) {
       stats.push_back(backends_[i].stats);
       stats.back().active = set_.load(i);
-      stats.back().draining = set_.draining(i);
     }
     return stats;
   });
@@ -562,8 +516,6 @@ void LoadBalancer::write_stats(nserver::MetricsWriter& w) const {
     w.json_string("address", set_.address(i).to_string());
     w.flag("cops_cluster_backend_healthy", "healthy",
            "1 while active health checks pass.", s.healthy);
-    w.flag("cops_cluster_backend_draining", "draining",
-           "1 while the backend takes no new sessions.", set_.draining(i));
     w.json_string("breaker", to_string(s.breaker));
     w.gauge("cops_cluster_backend_breaker_state", "breaker_state",
             "Circuit breaker (0=closed 1=open 2=half-open).",

@@ -20,9 +20,12 @@
 //   * bounded retry — a failed backend connect retries the next healthy
 //     candidate under `retry_budget` total attempts, each guarded by a
 //     per-attempt connect deadline (net::Connector's timeout path);
-//   * lifecycle — drain_backend() stops new sessions while active relays
-//     finish; a backend returning to service is reintroduced gradually
-//     (slow-start weighting over `slow_start_window`).
+//   * lifecycle — a worker drains itself: its N-Server's Server::drain()
+//     answers /healthz with 503, so the HTTP health check marks it down
+//     and new sessions route around it while active relays finish; a
+//     backend returning to service is reintroduced gradually (slow-start
+//     weighting over `slow_start_window`).  The backend set is fixed at
+//     start().
 //
 // All of it is observable: per-backend health/breaker/counter state is
 // served over the nserver admin machinery (/stats, /stats.json) when
@@ -115,8 +118,7 @@ struct BackendStats {
   uint64_t connect_failures = 0;
   size_t active = 0;  // currently open relays
   // --- resilience ---------------------------------------------------------
-  bool healthy = true;      // active-health verdict (true when checks off)
-  bool draining = false;    // drain_backend(): no new sessions
+  bool healthy = true;  // active-health verdict (true when checks off)
   BreakerState breaker = BreakerState::kClosed;
   uint64_t ejections = 0;       // closed → open transitions
   uint64_t retries = 0;         // failures here that were retried elsewhere
@@ -138,21 +140,6 @@ class LoadBalancer {
   Status start();
   void stop();
 
-  // Lifecycle: stop (or resume) routing new sessions to backend `index`
-  // while active relays finish.  Thread-safe; applied on the reactor
-  // (net::Reactor::run_or_post: inline while its loop is not running).
-  void drain_backend(size_t index, bool draining = true);
-
-  // Removes backend `index` from the set entirely (a decommission, not a
-  // drain): in-flight relays to it keep running, but no new admission can
-  // pick it and its stats slot disappears.  Selection state is re-anchored
-  // against the shrunk set by BackendSet (lb_policy.hpp): the round-robin
-  // cursor keeps free-running and is reduced modulo the live count at pick
-  // time, and the hash ring is rebuilt.  Admissions whose `tried` vector was
-  // sized before the shrink are index-guarded.  Thread-safe; applied on the
-  // reactor.
-  void remove_backend(size_t index);
-
   [[nodiscard]] uint16_t port() const { return port_; }
   [[nodiscard]] uint16_t admin_port() const { return admin_port_; }
   [[nodiscard]] size_t active_sessions() const { return active_.load(); }
@@ -168,7 +155,7 @@ class LoadBalancer {
 
   struct Backend {
     net::InetAddress health_addr;
-    // `active` and `draining` live in set_; backend_stats() fills them in.
+    // `active` lives in set_; backend_stats() fills it in.
     BackendStats stats;
     // Breaker + health runtime (reactor thread only).
     int consecutive_failures = 0;
@@ -182,18 +169,11 @@ class LoadBalancer {
   };
 
   // One client admission: which backends were tried, under what budget.
-  // `tried` is sized at accept time; the backend set may shrink while the
-  // admission is in flight, so every read goes through was_tried() and the
-  // write in attempt_next() resizes on demand.
   struct Admission {
     std::shared_ptr<net::TcpSocket> client;
-    std::vector<bool> tried;
+    std::vector<bool> tried;  // one slot per backend
     size_t attempts = 0;
     std::string affinity_key;  // ring-hash input (client IP)
-
-    [[nodiscard]] bool was_tried(size_t index) const {
-      return index < tried.size() && tried[index];
-    }
   };
 
   // All on the reactor thread:
@@ -219,7 +199,7 @@ class LoadBalancer {
   void write_stats(nserver::MetricsWriter& w) const;
 
   LoadBalancerConfig config_;
-  // Addresses, drain flags, active-relay loads and the policy order; its
+  // Addresses, active-relay loads and the policy order; its
   // PRNG also draws the breaker jitter and the slow-start admissions.
   BackendSet set_;
   std::vector<Backend> backends_;  // parallel to set_

@@ -65,11 +65,6 @@ void SlabPool::deallocate(void* ptr, size_t bytes) noexcept {
   free_list_.push_back(ptr);
 }
 
-size_t SlabPool::free_blocks() const {
-  std::lock_guard lock(mutex_);
-  return free_list_.size();
-}
-
 // ---- BufferPool -------------------------------------------------------------
 
 BufferPool::BufferPool(size_t block_bytes, size_t max_free)
@@ -125,10 +120,5 @@ void BufferPool::remove_user() {
   }
   live_bytes_.fetch_sub(block_bytes_, std::memory_order_relaxed);
 }  // `surplus` is freed here, after the lock is released
-
-size_t BufferPool::free_buffers() const {
-  std::lock_guard lock(mutex_);
-  return free_list_.size();
-}
 
 }  // namespace cops

@@ -55,7 +55,6 @@ class SlabPool {
 
   [[nodiscard]] size_t block_bytes() const { return block_bytes_; }
   // Blocks currently sitting on the freelist.
-  [[nodiscard]] size_t free_blocks() const;
   [[nodiscard]] uint64_t hits() const {
     return hits_.load(std::memory_order_relaxed);
   }
@@ -140,7 +139,6 @@ class BufferPool {
   void remove_user();
 
   [[nodiscard]] size_t block_bytes() const { return block_bytes_; }
-  [[nodiscard]] size_t free_buffers() const;
   [[nodiscard]] uint64_t hits() const {
     return hits_.load(std::memory_order_relaxed);
   }

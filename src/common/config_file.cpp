@@ -38,46 +38,4 @@ Result<ConfigFile> ConfigFile::load(const std::string& path) {
   return parse(buf.str());
 }
 
-std::optional<std::string> ConfigFile::get(const std::string& key) const {
-  auto it = entries_.find(key);
-  if (it == entries_.end()) return std::nullopt;
-  return it->second;
-}
-
-std::string ConfigFile::get_or(const std::string& key,
-                               std::string fallback) const {
-  auto v = get(key);
-  return v ? *v : std::move(fallback);
-}
-
-std::optional<long> ConfigFile::get_int(const std::string& key) const {
-  auto v = get(key);
-  if (!v) return std::nullopt;
-  try {
-    size_t idx = 0;
-    long value = std::stol(*v, &idx);
-    if (idx != v->size()) return std::nullopt;
-    return value;
-  } catch (...) {
-    return std::nullopt;
-  }
-}
-
-std::optional<bool> ConfigFile::get_bool(const std::string& key) const {
-  auto v = get(key);
-  if (!v) return std::nullopt;
-  auto lower = to_lower(*v);
-  if (lower == "yes" || lower == "true" || lower == "on" || lower == "1") {
-    return true;
-  }
-  if (lower == "no" || lower == "false" || lower == "off" || lower == "0") {
-    return false;
-  }
-  return std::nullopt;
-}
-
-void ConfigFile::set(std::string key, std::string value) {
-  entries_[std::move(key)] = std::move(value);
-}
-
 }  // namespace cops

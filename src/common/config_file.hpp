@@ -12,7 +12,6 @@
 #pragma once
 
 #include <map>
-#include <optional>
 #include <string>
 #include <string_view>
 
@@ -25,13 +24,6 @@ class ConfigFile {
   static Result<ConfigFile> parse(std::string_view text);
   static Result<ConfigFile> load(const std::string& path);
 
-  [[nodiscard]] std::optional<std::string> get(const std::string& key) const;
-  [[nodiscard]] std::string get_or(const std::string& key,
-                                   std::string fallback) const;
-  [[nodiscard]] std::optional<long> get_int(const std::string& key) const;
-  [[nodiscard]] std::optional<bool> get_bool(const std::string& key) const;
-
-  void set(std::string key, std::string value);
   [[nodiscard]] const std::map<std::string, std::string>& entries() const {
     return entries_;
   }

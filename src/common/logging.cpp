@@ -9,31 +9,17 @@ Logger& Logger::instance() {
   return logger;
 }
 
-Logger::~Logger() {
-  if (out_ != nullptr) std::fclose(out_);
-}
-
-void Logger::set_output(const std::string& path) {
-  std::lock_guard lock(mutex_);
-  if (out_ != nullptr) {
-    std::fclose(out_);
-    out_ = nullptr;
-  }
-  if (!path.empty()) out_ = std::fopen(path.c_str(), "a");
-}
-
 void Logger::log(LogLevel level, const std::string& message) {
   static const char* kNames[] = {"TRACE", "DEBUG", "INFO", "WARN", "ERROR", "OFF"};
   const auto us = std::chrono::duration_cast<std::chrono::microseconds>(
                       std::chrono::system_clock::now().time_since_epoch())
                       .count();
   std::lock_guard lock(mutex_);
-  FILE* out = out_ != nullptr ? out_ : stderr;
-  std::fprintf(out, "[%lld.%06lld] %-5s %s\n",
+  std::fprintf(stderr, "[%lld.%06lld] %-5s %s\n",
                static_cast<long long>(us / 1000000),
                static_cast<long long>(us % 1000000),
                kNames[static_cast<int>(level)], message.c_str());
-  std::fflush(out);
+  std::fflush(stderr);
 }
 
 namespace detail {

@@ -29,18 +29,13 @@ class Logger {
     return static_cast<int>(level) >= level_.load(std::memory_order_relaxed);
   }
 
-  // Redirects output to a file (empty path = stderr).
-  void set_output(const std::string& path);
-
+  // Writes one line to stderr.
   void log(LogLevel level, const std::string& message);
-
-  ~Logger();
 
  private:
   Logger() = default;
   std::atomic<int> level_{static_cast<int>(LogLevel::kWarn)};
   std::mutex mutex_;
-  FILE* out_ = nullptr;  // nullptr = stderr
 };
 
 namespace detail {

@@ -35,12 +35,6 @@ void EncodedReply::add_file(std::shared_ptr<const void> keepalive, int fd,
   segments.push_back(std::move(seg));
 }
 
-size_t EncodedReply::size() const {
-  size_t total = 0;
-  for (const auto& seg : segments) total += seg.len;
-  return total;
-}
-
 EncodedReply EncodedReply::from_string(std::string bytes) {
   EncodedReply reply;
   reply.add_owned(std::move(bytes));

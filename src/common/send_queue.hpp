@@ -66,7 +66,6 @@ struct EncodedReply {
   void add_file(std::shared_ptr<const void> keepalive, int fd, uint64_t offset,
                 size_t len);
 
-  [[nodiscard]] size_t size() const;
   [[nodiscard]] bool empty() const { return segments.empty(); }
 
   static EncodedReply from_string(std::string bytes);

@@ -14,7 +14,6 @@ namespace cops {
 // Splits on `sep`, trimming each piece and dropping empties.
 [[nodiscard]] std::vector<std::string> split_trimmed(std::string_view s, char sep);
 [[nodiscard]] bool starts_with(std::string_view s, std::string_view prefix);
-[[nodiscard]] bool ends_with(std::string_view s, std::string_view suffix);
 // ASCII case-insensitive equality: what std::tolower gives in the C locale
 // the programs run in, without its per-byte library call.  Inline, because
 // header names and tokens are compared on every request and most

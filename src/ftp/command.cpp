@@ -28,12 +28,6 @@ bool parse_command_into(std::string_view line, FtpCommand& out) {
   return true;
 }
 
-std::optional<FtpCommand> parse_command(std::string_view line) {
-  FtpCommand cmd;
-  if (!parse_command_into(line, cmd)) return std::nullopt;
-  return cmd;
-}
-
 std::optional<std::pair<std::string, uint16_t>> parse_port_arg(
     std::string_view arg) {
   const auto parts = cops::split_trimmed(arg, ',');

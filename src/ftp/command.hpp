@@ -12,12 +12,10 @@ struct FtpCommand {
   std::string arg;   // raw argument (may be empty)
 };
 
-// Parses one "VERB [arg]\r\n" line (without the terminator).
-[[nodiscard]] std::optional<FtpCommand> parse_command(std::string_view line);
-
-// Allocation-free variant: parses into `out`, reusing its string capacity
-// (the Decode hook's path).  Returns false on a syntax error, in
-// which case `out` is unspecified.
+// Parses one "VERB [arg]\r\n" line (without the terminator) into `out`,
+// reusing its string capacity, so a recycled command decodes without
+// allocating.  Returns false on a syntax error, in which case `out` is
+// unspecified.
 bool parse_command_into(std::string_view line, FtpCommand& out);
 
 // Parses the PORT h1,h2,h3,h4,p1,p2 argument; returns {host, port}.

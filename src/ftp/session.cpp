@@ -13,15 +13,6 @@
 
 namespace cops::ftp {
 
-DataConnection& DataConnection::operator=(DataConnection&& other) noexcept {
-  if (this != &other) {
-    close();
-    fd_ = other.fd_;
-    other.fd_ = -1;
-  }
-  return *this;
-}
-
 Status DataConnection::send_all(const std::string& data) {
   size_t sent = 0;
   while (sent < data.size()) {

@@ -24,7 +24,6 @@ class DataConnection {
   DataConnection(DataConnection&& other) noexcept : fd_(other.fd_) {
     other.fd_ = -1;
   }
-  DataConnection& operator=(DataConnection&& other) noexcept;
   DataConnection(const DataConnection&) = delete;
   DataConnection& operator=(const DataConnection&) = delete;
 

@@ -8,12 +8,6 @@ void UserDb::add_user(const std::string& name, const std::string& password,
   users_[name] = {password, write_allowed};
 }
 
-bool UserDb::known_user(const std::string& name) const {
-  std::lock_guard lock(mutex_);
-  if (anonymous_ && name == "anonymous") return true;
-  return users_.count(name) != 0;
-}
-
 bool UserDb::authenticate(const std::string& name,
                           const std::string& password) const {
   std::lock_guard lock(mutex_);

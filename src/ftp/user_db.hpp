@@ -24,7 +24,6 @@ class UserDb {
                 bool write_allowed = false);
   void allow_anonymous(bool allowed) { anonymous_ = allowed; }
 
-  [[nodiscard]] bool known_user(const std::string& name) const;
   // Checks credentials; anonymous (any password) if enabled.
   [[nodiscard]] bool authenticate(const std::string& name,
                                   const std::string& password) const;

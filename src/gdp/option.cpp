@@ -48,13 +48,6 @@ bool OptionSet::get_bool(const std::string& key) const {
   return v == "yes" || v == "true" || v == "on" || v == "1";
 }
 
-long OptionSet::get_int(const std::string& key, long fallback) const {
-  auto v = get(key);
-  if (!v) return fallback;
-  const long parsed = parse_non_negative(*v);
-  return parsed < 0 ? fallback : parsed;
-}
-
 void OptionTable::add(OptionSpec spec) { specs_.push_back(std::move(spec)); }
 
 void OptionTable::add_constraint(std::string description, Constraint check) {

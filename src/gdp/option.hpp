@@ -39,7 +39,6 @@ class OptionSet {
                                    std::string fallback) const;
   // True for "yes"/"true"/"on"/"1" (case-insensitive).
   [[nodiscard]] bool get_bool(const std::string& key) const;
-  [[nodiscard]] long get_int(const std::string& key, long fallback) const;
   [[nodiscard]] const std::map<std::string, std::string>& values() const {
     return values_;
   }

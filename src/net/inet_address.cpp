@@ -25,14 +25,6 @@ InetAddress InetAddress::loopback(uint16_t port) {
   return InetAddress(addr);
 }
 
-InetAddress InetAddress::any(uint16_t port) {
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(port);
-  addr.sin_addr.s_addr = htonl(INADDR_ANY);
-  return InetAddress(addr);
-}
-
 uint16_t InetAddress::port() const { return ntohs(addr_.sin_port); }
 
 std::string InetAddress::host() const {

@@ -17,7 +17,6 @@ class InetAddress {
   // (the experiments all run on loopback).
   static Result<InetAddress> parse(const std::string& host, uint16_t port);
   static InetAddress loopback(uint16_t port);
-  static InetAddress any(uint16_t port);
   explicit InetAddress(const sockaddr_in& addr) : addr_(addr) {}
 
   [[nodiscard]] const sockaddr_in& raw() const { return addr_; }

@@ -106,16 +106,6 @@ void Fd::reset() {
   }
 }
 
-Status set_nonblocking(int fd) {
-  if (is_sim_fd(fd)) return Status::ok();  // sim fds are always non-blocking
-  const int flags = ::fcntl(fd, F_GETFL, 0);
-  if (flags < 0) return Status::from_errno("fcntl(F_GETFL)");
-  if (::fcntl(fd, F_SETFL, flags | O_NONBLOCK) < 0) {
-    return Status::from_errno("fcntl(F_SETFL)");
-  }
-  return Status::ok();
-}
-
 Result<TcpSocket> TcpSocket::connect(const InetAddress& peer) {
   if (auto* sim = sim_backend()) {
     auto fd = sim->sim_connect(peer);

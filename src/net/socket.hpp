@@ -43,8 +43,6 @@ class Fd {
   int fd_ = -1;
 };
 
-Status set_nonblocking(int fd);
-
 class TcpSocket {
  public:
   TcpSocket() = default;

@@ -43,9 +43,4 @@ void DebugTracer::dump() {
   std::fclose(out);
 }
 
-size_t DebugTracer::buffered() const {
-  std::lock_guard lock(mutex_);
-  return ring_.size();
-}
-
 }  // namespace cops::nserver

@@ -30,7 +30,6 @@ class DebugTracer {
   // Writes the ring contents (oldest first) to the trace file; clears it.
   void dump();
 
-  [[nodiscard]] size_t buffered() const;
   [[nodiscard]] uint64_t total_recorded() const { return total_; }
   [[nodiscard]] const std::string& path() const { return path_; }
 

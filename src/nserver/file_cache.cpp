@@ -74,11 +74,6 @@ bool FileCache::insert(const std::string& key, FileDataPtr data) {
   return true;
 }
 
-void FileCache::erase(const std::string& key) {
-  std::lock_guard lock(mutex_);
-  erase_locked(key);
-}
-
 void FileCache::erase_locked(const std::string& key) {
   auto it = entries_.find(key);
   if (it == entries_.end()) return;
@@ -86,13 +81,6 @@ void FileCache::erase_locked(const std::string& key) {
   size_bytes_ -= info->size;
   entries_.erase(it);  // first: its key views the node's string
   recency_.erase(info);
-}
-
-void FileCache::clear() {
-  std::lock_guard lock(mutex_);
-  entries_.clear();
-  recency_.clear();
-  size_bytes_ = 0;
 }
 
 size_t FileCache::entry_count() const {

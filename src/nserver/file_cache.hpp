@@ -50,9 +50,6 @@ class FileCache {
   // refused admission or the object alone exceeds capacity.
   bool insert(const std::string& key, FileDataPtr data);
 
-  void erase(const std::string& key);
-  void clear();
-
   [[nodiscard]] size_t size_bytes() const { return size_bytes_; }
   [[nodiscard]] size_t capacity_bytes() const { return capacity_bytes_; }
   [[nodiscard]] size_t entry_count() const;

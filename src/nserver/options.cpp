@@ -2,39 +2,6 @@
 
 namespace cops::nserver {
 
-const char* to_string(CompletionMode mode) {
-  return mode == CompletionMode::kAsynchronous ? "Asynchronous" : "Synchronous";
-}
-
-const char* to_string(ThreadAllocation alloc) {
-  return alloc == ThreadAllocation::kStatic ? "Static" : "Dynamic";
-}
-
-const char* to_string(CachePolicyKind kind) {
-  switch (kind) {
-    case CachePolicyKind::kNone: return "None";
-    case CachePolicyKind::kLru: return "LRU";
-    case CachePolicyKind::kLfu: return "LFU";
-    case CachePolicyKind::kLruMin: return "LRU-MIN";
-    case CachePolicyKind::kLruThreshold: return "LRU-Threshold";
-    case CachePolicyKind::kHyperG: return "Hyper-G";
-    case CachePolicyKind::kCustom: return "Custom";
-  }
-  return "?";
-}
-
-const char* to_string(ServerMode mode) {
-  return mode == ServerMode::kProduction ? "Production" : "Debug";
-}
-
-const char* to_string(StatsExport mode) {
-  return mode == StatsExport::kNone ? "None" : "AdminHttp";
-}
-
-const char* to_string(OverloadMode mode) {
-  return mode == OverloadMode::kWatermark ? "Watermark" : "Adaptive";
-}
-
 const char* to_string(IoBackend) { return "Epoll"; }
 
 std::string ServerOptions::validate() const {

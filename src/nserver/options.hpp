@@ -71,12 +71,6 @@ enum class IoBackend {
   kEpoll,
 };
 
-[[nodiscard]] const char* to_string(CompletionMode mode);
-[[nodiscard]] const char* to_string(ThreadAllocation alloc);
-[[nodiscard]] const char* to_string(CachePolicyKind kind);
-[[nodiscard]] const char* to_string(ServerMode mode);
-[[nodiscard]] const char* to_string(StatsExport mode);
-[[nodiscard]] const char* to_string(OverloadMode mode);
 [[nodiscard]] const char* to_string(IoBackend backend);
 
 struct ServerOptions {

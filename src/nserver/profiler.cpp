@@ -70,27 +70,5 @@ ProfilerSnapshot Profiler::snapshot(uint64_t events_processed,
   return s;
 }
 
-void Profiler::reset() {
-  accepts_.store(0);
-  closes_.store(0);
-  rejects_.store(0);
-  bytes_read_.store(0);
-  bytes_sent_.store(0);
-  requests_.store(0);
-  replies_.store(0);
-  decode_errors_.store(0);
-  idle_shutdowns_.store(0);
-  header_timeouts_.store(0);
-  suspensions_.store(0);
-  sheds_.store(0);
-  per_ip_rejects_.store(0);
-  send_writevs_.store(0);
-  send_copied_.store(0);
-  send_sendfile_.store(0);
-  std::lock_guard lock(shards_mutex_);
-  for (auto& shard : shards_) {
-    for (auto& histogram : shard->histograms) histogram.reset();
-  }
-}
 
 }  // namespace cops::nserver

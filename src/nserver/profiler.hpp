@@ -114,7 +114,6 @@ class Profiler {
                                           double cache_hit_rate = 0.0,
                                           uint64_t cache_invalidations = 0)
       const;
-  void reset();
 
  private:
   struct StageShard {

@@ -11,18 +11,11 @@ RequestContext::RequestContext(Server& server, std::shared_ptr<Connection> conn)
 
 uint64_t RequestContext::connection_id() const { return conn_->id(); }
 
-std::string RequestContext::peer() const { return conn_->peer(); }
-
 std::shared_ptr<void>& RequestContext::app_state() {
   return conn_->app_state();
 }
 
 bool RequestContext::connection_closed() const { return conn_->closed(); }
-
-void RequestContext::set_priority(int priority) {
-  priority_ = priority;
-  conn_->set_priority(priority);
-}
 
 void RequestContext::fetch_file(std::string path, FetchCallback done) {
   server_.fetch_file(shared_from_this(), std::move(path), std::move(done));
@@ -54,8 +47,6 @@ std::chrono::seconds RequestContext::shed_retry_after() const {
 void RequestContext::note_shed() {
   if (server_.options_.profiling) server_.profiler_.count_shed();
 }
-
-TraceContext& RequestContext::trace() { return conn_->trace(); }
 
 std::shared_ptr<RequestContext> RequestContext::make_handle() const {
   return server_.make_context(conn_);

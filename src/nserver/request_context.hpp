@@ -35,14 +35,12 @@ class RequestContext : public std::enable_shared_from_this<RequestContext> {
 
   // ---- identity ----------------------------------------------------------
   [[nodiscard]] uint64_t connection_id() const;
-  [[nodiscard]] std::string peer() const;
   // Arbitrary per-connection session state owned by the application.
   [[nodiscard]] std::shared_ptr<void>& app_state();
   [[nodiscard]] bool connection_closed() const;
 
   // Scheduling priority of the current request (O8).
   [[nodiscard]] int priority() const { return priority_; }
-  void set_priority(int priority);
 
   // ---- services ----------------------------------------------------------
   // Cache-aware file fetch.  On a cache hit `done` runs immediately on the
@@ -63,10 +61,6 @@ class RequestContext : public std::enable_shared_from_this<RequestContext> {
   [[nodiscard]] bool should_shed() const;
   [[nodiscard]] std::chrono::seconds shed_retry_after() const;
   void note_shed();
-
-  // The in-flight request's stage timestamps (O11+).  Hooks may add their
-  // own reference stamps; the framework resets it per request.
-  [[nodiscard]] TraceContext& trace();
 
 
   // ---- output ------------------------------------------------------------

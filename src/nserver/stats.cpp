@@ -313,10 +313,4 @@ std::string render_prometheus(const StatsSnapshot& snapshot) {
   return writer.finish();
 }
 
-std::string render_json(const StatsSnapshot& snapshot) {
-  MetricsWriter writer(MetricsFormat::kJson);
-  write_stats(writer, snapshot);
-  return writer.finish();
-}
-
 }  // namespace cops::nserver

@@ -166,12 +166,11 @@ class MetricsWriter {
   std::string row_label_;  // Prometheus: `label="id"` of the current row
 };
 
-// The N-Server's statistics: write_stats() is the walk, the render_*
-// helpers the whole document in one format.  The output is pinned byte for
+// The N-Server's statistics: write_stats() is the walk, render_prometheus()
+// the whole document as Prometheus text.  The output is pinned byte for
 // byte by the golden files under tests/golden/.
 void write_stats(MetricsWriter& writer, const StatsSnapshot& snapshot);
 [[nodiscard]] std::string render_prometheus(const StatsSnapshot& snapshot);
-[[nodiscard]] std::string render_json(const StatsSnapshot& snapshot);
 
 // An overload manager's state as an "overload" object whose Prometheus
 // families are named `prefix` + pressure, tier, retry_after_seconds,

@@ -138,17 +138,6 @@ void ProxyServer::stop() {
   reactor_.join();
 }
 
-void ProxyServer::drain_backend(size_t index, bool draining) {
-  reactor_.run_or_post([this, index, draining] {
-    if (index >= backends_.size() || !backends_.set_draining(index, draining)) {
-      return;
-    }
-    if (draining) pool_.drain(index);
-    emit(std::string(draining ? "proxy-drain" : "proxy-undrain") +
-         " backend=" + std::to_string(index));
-  });
-}
-
 // ---- accept / selection ---------------------------------------------------
 
 void ProxyServer::on_accept(net::TcpSocket client) {
@@ -162,12 +151,9 @@ void ProxyServer::on_accept(net::TcpSocket client) {
   sessions_.emplace(id, std::move(session));
 }
 
-int ProxyServer::select_backend(std::string_view affinity_key) {
+size_t ProxyServer::select_backend(std::string_view affinity_key) {
   backends_.admit();
-  for (const size_t index : backends_.order(affinity_key)) {
-    if (!backends_.draining(index)) return static_cast<int>(index);
-  }
-  return -1;
+  return backends_.order(affinity_key).front();
 }
 
 // ---- upstream acquisition -------------------------------------------------
@@ -241,9 +227,7 @@ void ProxyServer::release_upstream(size_t backend, net::TcpSocket socket,
     socket.close();
     return;
   }
-  // A draining backend's connections close instead of re-parking.
-  pool_.release(backend, std::move(socket),
-                reusable && !backends_.draining(backend));
+  pool_.release(backend, std::move(socket), reusable);
   wake_waiter(backend);
 }
 
@@ -312,9 +296,6 @@ void ProxyServer::write_stats(nserver::MetricsWriter& w) const {
   for (size_t i = 0; i < backends_.size(); ++i) {
     w.row(i);
     w.json_string("address", backends_.address(i).to_string());
-    w.flag("cops_proxy_backend_draining", "draining",
-           "1 while the backend is drained out of selection.",
-           backends_.draining(i));
     w.gauge("cops_proxy_backend_in_flight", "in_flight",
             "Requests in flight to the backend.",
             static_cast<uint64_t>(backends_.load(i)));

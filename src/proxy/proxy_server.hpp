@@ -5,14 +5,12 @@
 // HTTP/1.x both directions), the upstream Connector, and the admin
 // endpoint.  The server owns what spans sessions:
 //
-//   * the cluster::BackendSet the L4 balancer also uses: addresses, drain
-//     flags, per-backend in-flight loads and the policy order (round-robin /
+//   * the cluster::BackendSet the L4 balancer also uses: addresses,
+//     per-backend in-flight loads and the policy order (round-robin /
 //     least-loaded / P2C / ring-hash over the request target); the proxy
-//     takes the first backend in that order that is not draining;
+//     takes the first backend in that order;
 //   * the UpstreamPool plus the per-backend waiter queues that park
 //     sessions at the connection cap;
-//   * drain lifecycle: drain_backend() stops selection and empties the
-//     pool's idle side without killing in-flight streams;
 //   * counters (`cops_proxy_*`), served over the nserver admin machinery
 //     and mirrored into relaxed atomics for test inspection.
 //
@@ -65,12 +63,6 @@ class ProxyServer {
   Status start();
   void stop();
 
-  // Lifecycle: stop (or resume) selecting backend `index` and drain its
-  // pool's idle connections; in-flight streams finish normally.
-  // Thread-safe; applied on the reactor (net::Reactor::run_or_post: inline
-  // while its loop is not running).
-  void drain_backend(size_t index, bool draining = true);
-
   [[nodiscard]] uint16_t port() const { return port_; }
   [[nodiscard]] uint16_t admin_port() const { return admin_port_; }
 
@@ -94,9 +86,8 @@ class ProxyServer {
 
   // All on the reactor thread:
   void on_accept(net::TcpSocket client);
-  // Backend for one request: the first in the policy order that is not
-  // draining; -1 when every backend is draining.
-  [[nodiscard]] int select_backend(std::string_view affinity_key);
+  // Backend for one request: the first in the policy order.
+  [[nodiscard]] size_t select_backend(std::string_view affinity_key);
   // Upstream acquisition for `session` (idle reuse or a new connect); calls
   // the session's upstream_ready/upstream_failed, possibly synchronously.
   void request_upstream(const std::shared_ptr<ProxySession>& session,

@@ -146,13 +146,9 @@ bool ProxySession::begin_request() {
     return false;
   }
 
-  const int backend = server_.select_backend(req_head_.target);
-  if (backend < 0) {
-    send_error(http::StatusCode::kServiceUnavailable);
-    return false;
-  }
-  backend_ = backend;
-  server_.backends_.add_load(static_cast<size_t>(backend));
+  const size_t backend = server_.select_backend(req_head_.target);
+  backend_ = static_cast<int>(backend);
+  server_.backends_.add_load(backend);
   in_flight_counted_ = true;
 
   // Forward the head: original casing, hop-by-hop stripped, Via appended.
@@ -255,8 +251,6 @@ void ProxySession::request_sent() {
   // The header timer arms once the queued bytes actually reach the wire
   // (flush_upstream checks the same condition after every drain).
 }
-
-void ProxySession::on_client_writable() { (void)flush_client(); }
 
 // ---- upstream side --------------------------------------------------------
 

@@ -81,7 +81,6 @@ class ProxySession : public net::EventHandler,
   bool begin_request();             // request head parsed
   void relay_request_body();
   void request_sent();
-  void on_client_writable();
 
   // --- upstream side -----------------------------------------------------
   void on_upstream_readable();

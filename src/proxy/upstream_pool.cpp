@@ -54,12 +54,6 @@ void UpstreamPool::abandon(size_t backend) {
   if (slot.in_use > 0) slot.in_use -= 1;
 }
 
-void UpstreamPool::drain(size_t backend) {
-  Slot& slot = slots_.at(backend);
-  for (auto& socket : slot.idle) socket.close();
-  slot.idle.clear();
-}
-
 size_t UpstreamPool::in_use(size_t backend) const {
   return slots_.at(backend).in_use;
 }

@@ -1,8 +1,8 @@
 // Per-backend keep-alive pools for the proxy's upstream connections.
 //
 // The pool is deliberately passive — no reactor, no timers, no I/O — so its
-// lifecycle invariants (cap enforcement, LIFO idle reuse, drain semantics)
-// are unit-testable in isolation (tests/proxy_pool_test.cpp), and the
+// lifecycle invariants (cap enforcement, LIFO idle reuse, idle caps) are
+// unit-testable in isolation (tests/proxy_pool_test.cpp), and the
 // ProxyServer composes it with the Connector for the active half:
 //
 //   acquire()        idle socket available → kReused (pop the most recently
@@ -16,12 +16,7 @@
 //                    cannot land on another stale socket from the same era.
 //   release()        returns a connection; it is re-parked only when the
 //                    caller says it is reusable and both the idle and total
-//                    caps allow.  The caller owns the drain decision: the
-//                    proxy passes reusable = false for a draining backend
-//                    (cluster::BackendSet holds that flag).
-//   drain()          closes the idle connections now; in-flight ones are
-//                    untouched (their streams finish normally and release()
-//                    then closes them).
+//                    caps allow.
 //
 // Counters are relaxed atomics so tests and the admin endpoint can read
 // them from other threads without a reactor hop.
@@ -64,10 +59,6 @@ class UpstreamPool {
   // A connect admitted via acquire()/acquire_fresh() that never produced a
   // socket (connect failure): frees the cap slot.
   void abandon(size_t backend);
-
-  // Closes every idle connection of `backend` now.  In-flight streams are
-  // not touched.
-  void drain(size_t backend);
 
   [[nodiscard]] size_t in_use(size_t backend) const;
   [[nodiscard]] size_t idle(size_t backend) const;

@@ -60,14 +60,6 @@ void SimClient::send(std::string bytes) {
   ch.c2s.buf += bytes;
 }
 
-void SimClient::shutdown_write() {
-  SimEngine::Lock lock(engine_->mutex_);
-  if (channel_ < 0) return;
-  auto& ch = *engine_->channels_.at(channel_);
-  ch.c2s.eof = true;
-  engine_->record_locked("client-fin ch=" + std::to_string(channel_));
-}
-
 void SimClient::reset() {
   SimEngine::Lock lock(engine_->mutex_);
   if (channel_ >= 0) {
@@ -191,16 +183,22 @@ SimClient* SimEngine::new_client() {
   return clients_.back().get();
 }
 
-void SimEngine::fire_due_locked() {
+void SimEngine::fire_due(Lock& lock) {
   while (!script_.empty() && script_.begin()->first.first <= now_ns_locked()) {
     auto node = script_.extract(script_.begin());
+    lock.unlock();
     node.mapped()();
+    lock.lock();
   }
 }
 
-void SimEngine::deliver_locked() {
-  for (auto& [id, ch_ptr] : channels_) {
-    Channel& ch = *ch_ptr;
+void SimEngine::deliver(Lock& lock) {
+  // By id, re-found after every callback: the lock is released around
+  // them.  Channels are never erased, so `ch` stays valid.
+  for (auto it = channels_.begin(); it != channels_.end();
+       it = channels_.upper_bound(it->first)) {
+    const int id = it->first;
+    Channel& ch = *it->second;
     SimClient* client = ch.client;
     if (client == nullptr || client->closed_ || client->paused_) continue;
     if (!ch.s2c.buf.empty() && !ch.s2c.reset) {
@@ -209,15 +207,24 @@ void SimEngine::deliver_locked() {
       record_locked("deliver ch=" + std::to_string(id) +
                     " n=" + std::to_string(bytes.size()));
       client->received_ += bytes;
-      if (client->on_data) client->on_data(bytes);
+      if (client->on_data) {
+        lock.unlock();
+        client->on_data(bytes);
+        lock.lock();
+      }
     }
     if ((ch.s2c.eof || ch.s2c.reset) && ch.s2c.buf.empty() &&
         !ch.client_notified_close) {
       ch.client_notified_close = true;
       client->peer_closed_ = true;
       record_locked("client-eof ch=" + std::to_string(id));
-      if (client->on_close) client->on_close();
+      if (client->on_close) {
+        lock.unlock();
+        client->on_close();
+        lock.lock();
+      }
     }
+    it = channels_.find(id);
   }
 }
 
@@ -270,8 +277,8 @@ bool SimEngine::run(Duration virtual_deadline) {
 
 void SimEngine::pump() {
   Lock lock(mutex_);
-  fire_due_locked();
-  deliver_locked();
+  fire_due(lock);
+  deliver(lock);
 }
 
 void SimEngine::advance(Duration delta) {
@@ -769,18 +776,34 @@ void SimEngine::note_poller_locked(const void* poller) {
   poller_order_.push_back(poller);
 }
 
+bool SimEngine::all_parked_locked() {
+  if (token_holder_ != nullptr) return false;
+  for (const void* p : poller_order_) {
+    if (!slots_[p].waiting) return false;  // someone is still active
+  }
+  return true;
+}
+
 // Grants exactly one parked poller once every known poller is parked.
 // Whichever thread happens to run this loop is irrelevant: every decision
 // depends only on engine state (registration order, fd readiness, virtual
 // deadlines), so the grant sequence replays bit-identically per seed.
-void SimEngine::schedule_locked() {
-  if (token_holder_ != nullptr) return;
-  for (const void* p : poller_order_) {
-    if (!slots_[p].waiting) return;  // someone is still active
-  }
+void SimEngine::schedule(Lock& lock) {
+  // A poller that parks while another thread's pass has the lock released
+  // around a callback leaves the grant to that pass, which re-checks.
+  if (scheduling_) return;
+  scheduling_ = true;
+  schedule_pass(lock);
+  scheduling_ = false;
+}
+
+void SimEngine::schedule_pass(Lock& lock) {
+  if (!all_parked_locked()) return;
   while (running_ && !shutdown_) {
-    fire_due_locked();
-    deliver_locked();
+    fire_due(lock);
+    deliver(lock);
+    // The callbacks ran without the lock: a poller may have registered.
+    if (!all_parked_locked()) return;
     check_done_locked();
     if (!running_) return;
     const int64_t now = now_ns_locked();
@@ -861,10 +884,10 @@ size_t SimEngine::sim_poll_wait(const void* poller,
     // Non-blocking probe: issued by the thread that is currently running
     // (pending user events or due timers), which is the token holder.  It
     // keeps the token and handles what is ready without a scheduling round.
-    fire_due_locked();
-    deliver_locked();
-    collect_ready_locked(poller, out);
     token_holder_ = poller;
+    fire_due(lock);
+    deliver(lock);
+    collect_ready_locked(poller, out);
     if (out.empty()) check_done_locked();
     return out.size();
   }
@@ -876,7 +899,7 @@ size_t SimEngine::sim_poll_wait(const void* poller,
                      : now_ns_locked() +
                            static_cast<int64_t>(timeout_ms) * 1'000'000;
   slot.deadline_ns = horizon;
-  schedule_locked();
+  schedule(lock);
   cv_sched_.wait(lock,
                  [this, &slot] { return slot.granted || !running_ || shutdown_; });
   slot.waiting = false;
@@ -885,8 +908,8 @@ size_t SimEngine::sim_poll_wait(const void* poller,
   // We hold the token now: fire whatever is due at this instant and report
   // readiness; the reactor dispatches, then re-enters to hand the token back.
   token_holder_ = poller;
-  fire_due_locked();
-  deliver_locked();
+  fire_due(lock);
+  deliver(lock);
   collect_ready_locked(poller, out);
   if (out.empty()) check_done_locked();
   return out.size();

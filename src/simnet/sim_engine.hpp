@@ -61,7 +61,6 @@ class SimClient {
   // not listening (accept-queue overflow behaves like a SYN drop instead).
   void connect(uint16_t port);
   void send(std::string bytes);
-  void shutdown_write();  // FIN: the server reads EOF after the drain
   void reset();           // RST: server I/O sees ECONNRESET
   void close();           // orderly close of our side
   // Slow-peer stall: while paused the engine delivers nothing to this
@@ -223,8 +222,13 @@ class SimEngine : public net::SimBackend {
   [[nodiscard]] int64_t now_ns_locked() const;
   void advance_to_locked(int64_t target_ns);
   bool chance_locked(double probability);
-  void fire_due_locked();
-  void deliver_locked();
+  // Scripted actions due now, then deliveries to clients.  Called with the
+  // engine lock held once; it is released around every user callback (an
+  // engine.at() action, on_data, on_close), so a callback may block on a
+  // lock that another thread holds across a post() to a reactor: post()
+  // reaches sim_notify, which takes the engine lock.
+  void fire_due(Lock& lock);
+  void deliver(Lock& lock);
   void collect_ready_locked(const void* poller,
                             std::vector<net::ReadyFd>& out);
   [[nodiscard]] bool has_ready_locked(const void* poller);
@@ -248,8 +252,11 @@ class SimEngine : public net::SimBackend {
   // Grants exactly one parked poller (by rotation over registration order)
   // once every known poller is parked and no poller is active; advances the
   // virtual clock when nothing is ready.  The single-grant discipline is
-  // what serialises multiple reactor threads deterministically.
-  void schedule_locked();
+  // what serialises multiple reactor threads deterministically.  One pass
+  // at a time (scheduling_).
+  void schedule(Lock& lock);
+  void schedule_pass(Lock& lock);
+  [[nodiscard]] bool all_parked_locked();
   void halt_locked();  // running_ = false + wake everything
 
   const uint64_t seed_;
@@ -295,6 +302,7 @@ class SimEngine : public net::SimBackend {
   std::map<const void*, PollerSlot> slots_;
   size_t rr_next_ = 0;
   const void* token_holder_ = nullptr;
+  bool scheduling_ = false;  // a schedule() pass is in progress
 
   std::vector<std::string> trace_;
   std::vector<std::string> failures_;

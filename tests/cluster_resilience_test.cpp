@@ -335,75 +335,6 @@ TEST(ClusterChaosTest, ConnectDeadlineFiresOnStalledBackendAndRetries) {
   healthy->stop();
 }
 
-// ---- graceful drain ----------------------------------------------------------
-
-TEST(ClusterChaosTest, DrainBackendRoutesAroundAndUndrainRestores) {
-  SimEngine engine(0xd7a1);
-  test::TempDir docs;
-  docs.write_file("index.html", "<html>drain</html>");
-
-  auto backend_a = start_backend(docs, kBackendPortBase);
-  auto backend_b = start_backend(docs, kBackendPortBase + 1);
-
-  LoadBalancerConfig config;
-  config.listen_port = kBalancerPort;
-  config.resilience = fast_resilience();
-  config.event_listener = [&engine](const std::string& event) {
-    engine.record(event);
-  };
-  LoadBalancer balancer(config);
-  balancer.add_backend(net::InetAddress::loopback(kBackendPortBase));
-  balancer.add_backend(net::InetAddress::loopback(kBackendPortBase + 1));
-  ASSERT_TRUE(balancer.start().is_ok());
-
-  engine.at(std::chrono::milliseconds(10),
-            [&balancer] { balancer.drain_backend(0); });
-  std::vector<SimClient*> drained_wave;
-  for (int i = 0; i < 4; ++i) {
-    auto* client = engine.new_client();
-    drained_wave.push_back(client);
-    engine.at(std::chrono::milliseconds(50 + 5 * i), [client] {
-      client->connect(kBalancerPort);
-      client->send(http_get_close("/index.html"));
-    });
-  }
-  engine.at(std::chrono::milliseconds(100),
-            [&balancer] { balancer.drain_backend(0, false); });
-  std::vector<SimClient*> restored_wave;
-  for (int i = 0; i < 2; ++i) {
-    auto* client = engine.new_client();
-    restored_wave.push_back(client);
-    engine.at(std::chrono::milliseconds(150 + 5 * i), [client] {
-      client->connect(kBalancerPort);
-      client->send(http_get_close("/index.html"));
-    });
-  }
-
-  ASSERT_TRUE(engine.run(std::chrono::seconds(5)))
-      << seed_note(engine) << "\n" << engine.trace_text();
-
-  for (auto* client : drained_wave) {
-    EXPECT_NE(client->received().find("HTTP/1.1 200 OK"), std::string::npos);
-  }
-  for (auto* client : restored_wave) {
-    EXPECT_NE(client->received().find("HTTP/1.1 200 OK"), std::string::npos);
-  }
-  const auto trace = engine.trace_text();
-  EXPECT_NE(trace.find("drain backend=0"), std::string::npos);
-  EXPECT_NE(trace.find("undrain backend=0"), std::string::npos);
-
-  // While draining, every session went to backend 1; after undrain the
-  // round-robin rotation reaches backend 0 again.
-  const auto stats = balancer.backend_stats();
-  EXPECT_EQ(stats[0].connections, 1u);
-  EXPECT_EQ(stats[1].connections, 5u);
-  EXPECT_EQ(balancer.dropped_clients(), 0u);
-
-  balancer.stop();
-  backend_a->stop();
-  backend_b->stop();
-}
-
 // ---- differential: resilience must be invisible to the client ----------------
 //
 // The same scripted clients, at the same virtual instants, once against a

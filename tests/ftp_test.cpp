@@ -14,6 +14,12 @@ namespace {
 
 // ---------- command parsing ----------------------------------------------------
 
+std::optional<FtpCommand> parse_command(std::string_view line) {
+  FtpCommand cmd;
+  if (!parse_command_into(line, cmd)) return std::nullopt;
+  return cmd;
+}
+
 TEST(FtpCommand, ParsesVerbAndArg) {
   auto cmd = parse_command("RETR file.txt");
   ASSERT_TRUE(cmd.has_value());

@@ -1,6 +1,9 @@
 // Remaining coverage: the logger, the poller, and socket edge cases.
 #include <gtest/gtest.h>
 
+#include <fcntl.h>
+#include <unistd.h>
+
 #include <fstream>
 #include <thread>
 
@@ -26,15 +29,23 @@ TEST(Logger, LevelGatesOutput) {
   logger.set_level(LogLevel::kWarn);  // restore default
 }
 
+// The logger writes to stderr; a deployment that wants a log file points
+// stderr at one, as this test does.
 TEST(Logger, WritesToFile) {
   test::TempDir dir;
   const std::string path = dir.str() + "/app.log";
+  const int log_fd = ::open(path.c_str(), O_WRONLY | O_CREAT | O_APPEND, 0644);
+  ASSERT_GE(log_fd, 0);
+  const int saved_stderr = ::dup(STDERR_FILENO);
+  ASSERT_GE(saved_stderr, 0);
+  ASSERT_EQ(::dup2(log_fd, STDERR_FILENO), STDERR_FILENO);
+  ::close(log_fd);
   auto& logger = Logger::instance();
-  logger.set_output(path);
   logger.set_level(LogLevel::kInfo);
   COPS_INFO("hello from the test " << 42);
-  logger.set_output("");  // back to stderr, flushes + closes file
   logger.set_level(LogLevel::kWarn);
+  ::dup2(saved_stderr, STDERR_FILENO);
+  ::close(saved_stderr);
   std::ifstream in(path);
   std::string contents((std::istreambuf_iterator<char>(in)),
                        std::istreambuf_iterator<char>());

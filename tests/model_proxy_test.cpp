@@ -15,7 +15,6 @@
 //     forwarded byte-identically;
 //   * a reused pooled connection reset between requests is retried exactly
 //     once on a fresh connection, invisibly to the client;
-//   * drain_backend() empties the pool without killing in-flight streams;
 //   * watermark backpressure pauses reads instead of buffering the body;
 //
 // and every scenario replays bit-identically per seed: the proxy's event
@@ -355,90 +354,6 @@ TEST(ModelProxyTest, StaleReusedConnectionRetriedExactlyOnce) {
   EXPECT_EQ(count_in(engine.trace(), "proxy-pool-reuse backend=0"), 1u);
   proxy.stop();
   origin.stop();
-}
-
-// ---- drain: empties the pool, never kills an in-flight stream ---------------
-
-TEST(ModelProxyTest, DrainBackendEmptiesPoolWithoutKillingInFlightStreams) {
-  SimEngine engine(0xd7a2);
-  const std::string slow_body(2048, 's');
-  // Origin 0 stalls mid-body: response head + a few bytes immediately, the
-  // rest 300ms later — so a drain lands while its stream is in flight.
-  ScriptedBackend::Options stalling;
-  stalling.immediate_bytes = 64;
-  stalling.rest_delay = std::chrono::milliseconds(300);
-  ScriptedBackend slow_origin(
-      kBackendPortBase,
-      [&](const ScriptedBackend::Request&) {
-        return test::simple_response(slow_body);
-      },
-      stalling);
-  ScriptedBackend fast_origin(kBackendPortBase + 1,
-                              [](const ScriptedBackend::Request&) {
-                                return test::simple_response("fast");
-                              });
-  ASSERT_TRUE(slow_origin.ok());
-  ASSERT_TRUE(fast_origin.ok());
-
-  auto config = sim_config(engine);
-  config.admin_enabled = true;
-  config.admin_port = kProxyPort + 50;
-  ProxyServer proxy(config);
-  proxy.add_backend(net::InetAddress::loopback(kBackendPortBase));
-  proxy.add_backend(net::InetAddress::loopback(kBackendPortBase + 1));
-  ASSERT_TRUE(proxy.start().is_ok());
-
-  auto* in_flight = engine.new_client();
-  auto* during_drain = engine.new_client();
-  auto* after_undrain = engine.new_client();
-  auto* stats_scrape = engine.new_client();
-  engine.at(std::chrono::milliseconds(5), [in_flight] {
-    in_flight->connect(kProxyPort);
-    in_flight->send(get_close("/slow"));  // round-robin pick: backend 0
-  });
-  // Drain while backend 0 still owes ~2KB of body.
-  engine.at(std::chrono::milliseconds(100),
-            [&proxy] { proxy.drain_backend(0); });
-  engine.at(std::chrono::milliseconds(150), [during_drain] {
-    during_drain->connect(kProxyPort);
-    during_drain->send(get_close("/fast"));  // must route to backend 1
-  });
-  engine.at(std::chrono::milliseconds(500),
-            [&proxy] { proxy.drain_backend(0, false); });
-  engine.at(std::chrono::milliseconds(600), [after_undrain] {
-    after_undrain->connect(kProxyPort);
-    after_undrain->send(get_close("/again"));  // rotation reaches backend 0
-  });
-  // Once every exchange is done, no request is in flight to backend 0.  The
-  // gauge is a reactor-thread count, read where the admin endpoint reads it.
-  engine.at(std::chrono::seconds(2), [stats_scrape] {
-    stats_scrape->connect(kProxyPort + 50);
-    stats_scrape->send(get_close("/stats"));
-  });
-  ASSERT_TRUE(engine.run(std::chrono::seconds(5))) << engine.trace_text();
-
-  // The in-flight stream finished intact: full status + full body.
-  EXPECT_NE(in_flight->received().find("HTTP/1.1 200 OK"), std::string::npos);
-  EXPECT_NE(in_flight->received().find(slow_body), std::string::npos)
-      << "drain truncated an in-flight stream";
-  EXPECT_NE(during_drain->received().find("fast"), std::string::npos);
-  EXPECT_NE(after_undrain->received().find("HTTP/1.1 200 OK"),
-            std::string::npos);
-
-  EXPECT_EQ(fast_origin.requests_seen(), 1u);
-  // The drained backend's completed connection was closed, not re-parked:
-  // the post-undrain request had to open a fresh connection.
-  EXPECT_EQ(slow_origin.accepted(), 2u);
-  EXPECT_EQ(proxy.pool_reuse_total(), 0u);
-  EXPECT_EQ(count_in(engine.trace(), "proxy-drain backend=0"), 1u);
-  EXPECT_EQ(count_in(engine.trace(), "proxy-undrain backend=0"), 1u);
-  EXPECT_NE(stats_scrape->received().find(
-                "\ncops_proxy_backend_in_flight{backend=\"0\"} 0\n"),
-            std::string::npos)
-      << stats_scrape->received();
-  proxy.stop();
-  slow_origin.stop();
-  fast_origin.stop();
 }
 
 // ---- backpressure: a slow client pauses upstream reads ----------------------

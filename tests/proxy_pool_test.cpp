@@ -1,14 +1,11 @@
 // Lifecycle tests for the proxy's upstream machinery: the passive
 // UpstreamPool invariants (cap under burst, LIFO idle reuse, fresh-path
-// eviction, drain semantics) in isolation; the lb_policy selection helpers
-// and the BackendSet the proxy and the balancer share — including the
-// round-robin modulo guard that is the regression fix for the cursor
-// indexing past a shrunk backend set; the LoadBalancer shrink scenario that
-// used to hit exactly that; and simnet integration for the pieces that only
-// show up end-to-end (waiter wakeup at the connection cap, P2C determinism
-// and agreement with the balancer, ring-hash affinity).
+// eviction, idle caps) in isolation; the lb_policy selection helpers and
+// the BackendSet the proxy and the balancer share; and simnet integration
+// for the pieces that only show up end-to-end (waiter wakeup at the
+// connection cap, P2C determinism and agreement with the balancer,
+// ring-hash affinity).
 #include <chrono>
-#include <map>
 #include <memory>
 #include <set>
 #include <string>
@@ -113,33 +110,6 @@ TEST(UpstreamPoolTest, IdleCapBoundsParking) {
   EXPECT_EQ(pool.idle(0), 1u);
 }
 
-TEST(UpstreamPoolTest, DrainEmptiesIdleBlocksReparkingKeepsInFlight) {
-  UpstreamPool pool(1, {.max_per_backend = 4, .max_idle_per_backend = 4});
-  net::TcpSocket out;
-  ASSERT_EQ(pool.acquire(0, &out), UpstreamPool::Acquire::kConnect);
-  ASSERT_EQ(pool.acquire(0, &out), UpstreamPool::Acquire::kConnect);
-  pool.release(0, fake_socket(1), /*reusable=*/true);
-  ASSERT_EQ(pool.idle(0), 1u);
-  ASSERT_EQ(pool.in_use(0), 1u);
-
-  pool.drain(0);
-  EXPECT_EQ(pool.idle(0), 0u) << "drain must empty the idle side immediately";
-  EXPECT_EQ(pool.in_use(0), 1u) << "drain must not touch in-flight streams";
-
-  // The in-flight stream finishes on a drained backend: the proxy releases
-  // it as not reusable (ProxyServer::release_upstream), so it is closed
-  // rather than parked, and the next request must connect afresh.
-  pool.release(0, fake_socket(2), /*reusable=*/false);
-  EXPECT_EQ(pool.idle(0), 0u);
-  EXPECT_EQ(pool.in_use(0), 0u);
-  ASSERT_EQ(pool.acquire(0, &out), UpstreamPool::Acquire::kConnect);
-
-  // The pool itself keeps no drain state: the next reusable release parks.
-  pool.release(0, fake_socket(3), /*reusable=*/true);
-  EXPECT_EQ(pool.idle(0), 1u);
-  pool.close_all();
-}
-
 TEST(UpstreamPoolTest, AbandonFreesTheCapSlot) {
   UpstreamPool pool(1, {.max_per_backend = 1, .max_idle_per_backend = 1});
   net::TcpSocket out;
@@ -168,34 +138,6 @@ TEST(ProxyServerStartTest, PooledUpstreamNeedsPositiveCap) {
 
 // ---- lb_policy: the selection helpers ---------------------------------------
 
-// Regression for the round-robin shrink bug: the cursor free-runs across
-// backend-set changes, so without the modulo guard at pick time a cursor
-// advanced against a 3-backend set indexes past the end of a 2-backend set
-// (`backends_[cursor % old_count]` after a remove — an out-of-bounds read,
-// and with `cursor %= count` only at increment time, a stale cursor value
-// still lands outside the shrunk set).  pick_round_robin() reduces against
-// the count that is live NOW, so every cursor value is in range.
-TEST(LbPolicyTest, RoundRobinModuloGuardSurvivesShrink) {
-  uint64_t cursor = 0;
-  // Advance as if three backends had been rotating for a while.
-  for (int i = 0; i < 7; ++i) {
-    EXPECT_EQ(cluster::pick_round_robin(cursor, 3), cursor % 3);
-    ++cursor;
-  }
-  ASSERT_EQ(cursor, 7u);
-  // The set shrinks to 2, then to 1; the stale cursor must stay in range.
-  for (int i = 0; i < 4; ++i) {
-    EXPECT_LT(cluster::pick_round_robin(cursor, 2), 2u);
-    ++cursor;
-  }
-  EXPECT_EQ(cluster::pick_round_robin(cursor, 1), 0u);
-  // Huge cursor (years of uptime), any live count.
-  EXPECT_LT(cluster::pick_round_robin(0xffffffffffffffffull, 3), 3u);
-  // The rotation property is preserved: consecutive cursors cycle.
-  EXPECT_EQ(cluster::pick_round_robin(10, 2), 0u);
-  EXPECT_EQ(cluster::pick_round_robin(11, 2), 1u);
-}
-
 TEST(LbPolicyTest, P2CDeterministicPerSeedAndPrefersLessLoaded) {
   std::mt19937_64 rng_a(0x9e3779b9u);
   std::mt19937_64 rng_b(0x9e3779b9u);
@@ -217,9 +159,9 @@ TEST(LbPolicyTest, P2CDeterministicPerSeedAndPrefersLessLoaded) {
 
 TEST(LbPolicyTest, HashRingAffinityStableWhenSetShrinks) {
   cluster::HashRing four;
-  four.build({0, 1, 2, 3});
+  four.build(4);
   cluster::HashRing three;
-  three.build({0, 1, 2});
+  three.build(3);
   size_t moved = 0;
   // The varying path segment goes first: FNV-1a hashes of keys differing
   // only in a trailing digit cluster tightly on the ring (the last bytes
@@ -227,24 +169,24 @@ TEST(LbPolicyTest, HashRingAffinityStableWhenSetShrinks) {
   // coverage without making the ring wrong.
   for (int i = 0; i < 200; ++i) {
     const std::string key = "/" + std::to_string(i) + "/object";
-    const size_t before = four.pick(key);
-    const size_t after = three.pick(key);
+    const size_t before = four.pick_order(key).front();
+    const size_t after = three.pick_order(key).front();
     ASSERT_LT(before, 4u);
     ASSERT_LT(after, 3u);
     if (before < 3) {
-      // Vnode points depend only on the backend index, so keys owned by a
-      // surviving backend never move when another backend departs.
+      // Vnode points depend only on the backend index, so a ring without
+      // backend 3 gives every other backend the keys it owned before.
       EXPECT_EQ(after, before) << key;
     } else {
-      ++moved;  // keys owned by the departed backend redistribute
+      ++moved;  // backend 3's keys go to the others
     }
   }
   EXPECT_GT(moved, 0u) << "backend 3 owned nothing — vnode spread broken";
 
+  // The preference order names every backend once.
   const auto order = four.pick_order("/1/object");
-  ASSERT_FALSE(order.empty());
-  EXPECT_EQ(order.front(), four.pick("/1/object"));
-  EXPECT_EQ(std::set<size_t>(order.begin(), order.end()).size(), order.size());
+  EXPECT_EQ(order.size(), 4u);
+  EXPECT_EQ(std::set<size_t>(order.begin(), order.end()).size(), 4u);
 }
 
 TEST(LbPolicyTest, Fnv1a64MatchesReferenceVectors) {
@@ -280,10 +222,9 @@ cluster::BackendSet make_set(cluster::BalancePolicy policy, size_t count,
 
 using Order = std::vector<size_t>;
 
-// The cursor steps once per admission and is reduced against the live count
-// at every pick, so a cursor advanced over three backends stays in range
-// (and keeps rotating) after the set shrinks to two and then one.
-TEST(BackendSetTest, RoundRobinCursorGuardedAcrossShrink) {
+// The cursor steps once per admission: each admission's order starts one
+// backend further on, and wraps.
+TEST(BackendSetTest, RoundRobinRotatesOncePerAdmission) {
   auto set = make_set(cluster::BalancePolicy::kRoundRobin, 3);
   for (size_t i = 0; i < 7; ++i) {
     set.admit();
@@ -291,15 +232,7 @@ TEST(BackendSetTest, RoundRobinCursorGuardedAcrossShrink) {
   }
   // One admission's retries see one order.
   EXPECT_EQ(set.order(""), set.order(""));
-  set.remove(2);
-  set.admit();  // cursor 7
-  EXPECT_EQ(set.order(""), (Order{1, 0}));
-  set.admit();  // cursor 8
-  EXPECT_EQ(set.order(""), (Order{0, 1}));
-  set.remove(0);
-  set.admit();
-  EXPECT_EQ(set.order(""), (Order{0}));
-  EXPECT_EQ(set.address(0).port(), 9001);
+  EXPECT_EQ(set.address(2).port(), 9002);
 }
 
 TEST(BackendSetTest, LeastLoadedTiesBreakLow) {
@@ -346,106 +279,6 @@ TEST(BackendSetTest, P2CDeterministicPerSeed) {
   auto two = make_set(cluster::BalancePolicy::kPowerOfTwoChoices, 2, 7);
   two.add_load(0);
   for (int i = 0; i < 16; ++i) EXPECT_EQ(two.order(""), (Order{1, 0}));
-}
-
-// Ring vnodes are keyed by the backend's identity, not its index: removing
-// a backend from the middle moves only the keys it owned, even though the
-// backends after it shift down one index.
-TEST(BackendSetTest, RingHashAffinityStableAcrossRemove) {
-  auto set = make_set(cluster::BalancePolicy::kRingHash, 4);
-  std::map<std::string, uint16_t> owner;
-  for (int i = 0; i < 200; ++i) {
-    const std::string key = "/" + std::to_string(i) + "/object";
-    const Order order = set.order(key);
-    ASSERT_EQ(order.size(), 4u);
-    EXPECT_EQ(std::set<size_t>(order.begin(), order.end()).size(), 4u);
-    owner[key] = set.address(order.front()).port();
-  }
-  set.remove(1);  // port 9001; ports 9002 and 9003 move to indices 1 and 2
-  size_t moved = 0;
-  for (const auto& [key, port] : owner) {
-    const Order order = set.order(key);
-    ASSERT_EQ(order.size(), 3u);
-    const uint16_t now_port = set.address(order.front()).port();
-    if (port == 9001) {
-      ++moved;
-      EXPECT_NE(now_port, 9001) << key;
-    } else {
-      EXPECT_EQ(now_port, port) << key;
-    }
-  }
-  EXPECT_GT(moved, 0u) << "backend 1 owned nothing — vnode spread broken";
-}
-
-// ---- LoadBalancer: the shrink scenario that motivated the guard -------------
-
-TEST(ProxyPoolSimTest, BalancerSurvivesBackendRemovalWithStaleCursor) {
-  SimEngine engine(0x5471);
-  test::TempDir docs;
-  docs.write_file("index.html", "<html>shrink</html>");
-
-  std::vector<std::unique_ptr<http::CopsHttpServer>> backends;
-  for (int i = 0; i < 3; ++i) {
-    auto options = http::CopsHttpServer::default_options();
-    simnet::make_deterministic(options);
-    options.listen_port = static_cast<uint16_t>(8101 + i);
-    http::HttpServerConfig config;
-    config.doc_root = docs.str();
-    backends.push_back(std::make_unique<http::CopsHttpServer>(
-        std::move(options), config));
-    ASSERT_TRUE(backends.back()->start().is_ok());
-  }
-
-  cluster::LoadBalancerConfig config;
-  config.listen_port = 8100;
-  cluster::LoadBalancer balancer(config);
-  for (int i = 0; i < 3; ++i) {
-    balancer.add_backend(
-        net::InetAddress::loopback(static_cast<uint16_t>(8101 + i)));
-  }
-  ASSERT_TRUE(balancer.start().is_ok());
-
-  const std::string request =
-      "GET /index.html HTTP/1.1\r\nHost: s\r\nConnection: close\r\n\r\n";
-  std::vector<SimClient*> clients;
-  // Wave 1 advances the round-robin cursor well past the post-shrink count.
-  for (int i = 0; i < 4; ++i) {
-    auto* client = engine.new_client();
-    clients.push_back(client);
-    engine.at(std::chrono::milliseconds(10 + 5 * i), [client, request] {
-      client->connect(8100);
-      client->send(request);
-    });
-  }
-  // Decommission two backends; the cursor (now 4) is stale for count=1.
-  engine.at(std::chrono::milliseconds(100),
-            [&balancer] { balancer.remove_backend(2); });
-  engine.at(std::chrono::milliseconds(110),
-            [&balancer] { balancer.remove_backend(1); });
-  for (int i = 0; i < 3; ++i) {
-    auto* client = engine.new_client();
-    clients.push_back(client);
-    engine.at(std::chrono::milliseconds(150 + 5 * i), [client, request] {
-      client->connect(8100);
-      client->send(request);
-    });
-  }
-  ASSERT_TRUE(engine.run(std::chrono::seconds(5))) << engine.trace_text();
-
-  for (size_t i = 0; i < clients.size(); ++i) {
-    EXPECT_NE(clients[i]->received().find("HTTP/1.1 200 OK"),
-              std::string::npos)
-        << "client " << i << " got: " << clients[i]->received();
-  }
-  EXPECT_EQ(balancer.dropped_clients(), 0u);
-  const auto stats = balancer.backend_stats();
-  ASSERT_EQ(stats.size(), 1u);
-  // The surviving backend carried at least the whole post-shrink wave (its
-  // wave-1 share depends on the rotation phase, which is an internal).
-  EXPECT_GE(stats[0].connections, 3u);
-
-  balancer.stop();
-  for (auto& backend : backends) backend->stop();
 }
 
 // ---- simnet integration: waiters, P2C, ring hash ----------------------------
@@ -601,11 +434,12 @@ TEST(ProxyPoolSimTest, P2CPolicyIsDeterministicPerSeed) {
 
 
 // Both tiers order backends through one BackendSet, so with the same seed
-// and loads they make the same choice — here when the P2C winner is
-// drained.  The seed is the first whose winner over three idle backends is
-// backend 1; that backend is drained, and each tier sends its one request to
-// the next backend after the winner (2), not to the least loaded (0).
-TEST(ProxyPoolSimTest, P2CWithDrainedWinnerPicksWhatTheBalancerPicks) {
+// and loads they make the same choice.  The seed is the first whose P2C
+// winner over three idle backends is backend 1, so neither tier can land
+// there by taking the lowest index.  The proxy takes the first backend of
+// the order; the balancer skips only a breaker-open or unhealthy backend,
+// and with the resilience layer off it skips none.
+TEST(ProxyPoolSimTest, P2CWinnerIsWhatTheBalancerPicks) {
   uint64_t seed = 1;
   for (;; ++seed) {
     std::mt19937_64 rng(seed);
@@ -658,7 +492,6 @@ TEST(ProxyPoolSimTest, P2CWithDrainedWinnerPicksWhatTheBalancerPicks) {
       balancer->add_backend(
           net::InetAddress::loopback(static_cast<uint16_t>(8401 + i)));
     }
-    balancer->drain_backend(1);
     EXPECT_TRUE(balancer->start().is_ok());
     return [balancer] { balancer->stop(); };
   });
@@ -672,37 +505,11 @@ TEST(ProxyPoolSimTest, P2CWithDrainedWinnerPicksWhatTheBalancerPicks) {
       proxy->add_backend(
           net::InetAddress::loopback(static_cast<uint16_t>(8401 + i)));
     }
-    proxy->drain_backend(1);
     EXPECT_TRUE(proxy->start().is_ok());
     return [proxy] { proxy->stop(); };
   });
-  EXPECT_EQ(balancer_pick, 2);
+  EXPECT_EQ(balancer_pick, 1);
   EXPECT_EQ(proxy_pick, balancer_pick);
-}
-
-// A drain requested before start() applies at once in both tiers and is
-// reported the same way as one requested while the front end runs.
-TEST(ProxyPoolTest, DrainBeforeStartIsReportedByBothTiers) {
-  std::vector<std::string> balancer_events;
-  cluster::LoadBalancerConfig balancer_config;
-  balancer_config.event_listener = [&](const std::string& event) {
-    balancer_events.push_back(event);
-  };
-  cluster::LoadBalancer balancer(balancer_config);
-  balancer.add_backend(net::InetAddress::loopback(1));
-  balancer.drain_backend(0);
-
-  std::vector<std::string> proxy_events;
-  ProxyConfig proxy_config;
-  proxy_config.event_listener = [&](const std::string& event) {
-    proxy_events.push_back(event);
-  };
-  ProxyServer proxy(proxy_config);
-  proxy.add_backend(net::InetAddress::loopback(1));
-  proxy.drain_backend(0);
-
-  EXPECT_EQ(balancer_events, std::vector<std::string>{"drain backend=0"});
-  EXPECT_EQ(proxy_events, std::vector<std::string>{"proxy-drain backend=0"});
 }
 
 // ---- proxy admin endpoint ---------------------------------------------------
@@ -711,7 +518,9 @@ TEST(ProxyPoolSimTest, AdminStatsExposeCountersBackendsAndOverload) {
   SimEngine engine(0xad57);
   const std::string body(2048, 'x');
   // Backend 0 stalls each response mid-body for 200ms, so the second request
-  // is still in flight when the scrapes land; backend 1 is drained.
+  // is still in flight when the scrapes land.  Least-loaded breaks the tie
+  // between two idle backends low, so both requests go to backend 0 and
+  // backend 1 stays idle.
   ScriptedBackend::Options stalling;
   stalling.immediate_bytes = 64;
   stalling.rest_delay = std::chrono::milliseconds(200);
@@ -721,22 +530,22 @@ TEST(ProxyPoolSimTest, AdminStatsExposeCountersBackendsAndOverload) {
         return test::simple_response(body);
       },
       stalling);
-  ScriptedBackend drained(8402, [](const ScriptedBackend::Request&) {
-    return test::simple_response("drained");
+  ScriptedBackend idle(8402, [](const ScriptedBackend::Request&) {
+    return test::simple_response("idle");
   });
   ASSERT_TRUE(origin.ok());
-  ASSERT_TRUE(drained.ok());
+  ASSERT_TRUE(idle.ok());
 
   ProxyConfig config;
   config.listen_port = 8400;
   config.admin_enabled = true;
   config.admin_port = 8450;
   config.overload_adaptive = true;
+  config.policy = cluster::BalancePolicy::kLeastConnections;
   ProxyServer proxy(config);
   proxy.add_backend(net::InetAddress::loopback(8401));
   proxy.add_backend(net::InetAddress::loopback(8402));
   ASSERT_TRUE(proxy.start().is_ok());
-  proxy.drain_backend(1);
 
   auto* first = engine.new_client();
   auto* second = engine.new_client();
@@ -778,9 +587,6 @@ TEST(ProxyPoolSimTest, AdminStatsExposeCountersBackendsAndOverload) {
            "# TYPE cops_proxy_backend_in_flight gauge\n",
            "\ncops_proxy_backend_in_flight{backend=\"0\"} 1\n",
            "\ncops_proxy_backend_in_flight{backend=\"1\"} 0\n",
-           "# TYPE cops_proxy_backend_draining gauge\n",
-           "\ncops_proxy_backend_draining{backend=\"0\"} 0\n",
-           "\ncops_proxy_backend_draining{backend=\"1\"} 1\n",
            "# TYPE cops_proxy_overload_pressure gauge\n",
            "\ncops_proxy_overload_pressure{monitor=\"pool_waiters\"} 0.000000\n",
            "\ncops_proxy_overload_pressure{monitor=\"upstream_5xx\"} 0.000000\n",
@@ -804,9 +610,9 @@ TEST(ProxyPoolSimTest, AdminStatsExposeCountersBackendsAndOverload) {
            "\"backpressure_events\":0,",
            "\"shed\":0,",
            "\"pool\":{\"reuse\":1,\"miss\":1,\"stale_retry\":0}",
-           "{\"index\":0,\"address\":\"127.0.0.1:8401\",\"draining\":false,"
+           "{\"index\":0,\"address\":\"127.0.0.1:8401\","
            "\"in_flight\":1,\"pool_in_use\":1,\"pool_idle\":0}",
-           "{\"index\":1,\"address\":\"127.0.0.1:8402\",\"draining\":true,"
+           "{\"index\":1,\"address\":\"127.0.0.1:8402\","
            "\"in_flight\":0,\"pool_in_use\":0,\"pool_idle\":0}",
            "\"overload\":{\"pressure\":0.000000,\"tier\":0,"
            "\"tier_name\":\"none\",\"retry_after_s\":1,",
@@ -820,7 +626,7 @@ TEST(ProxyPoolSimTest, AdminStatsExposeCountersBackendsAndOverload) {
   }
   proxy.stop();
   origin.stop();
-  drained.stop();
+  idle.stop();
 }
 
 }  // namespace

@@ -6,9 +6,13 @@
 // Every fault-injecting test prints the replay seed on failure via
 // SCOPED_TRACE, so a red run can be reproduced bit-identically.
 #include <any>
+#include <atomic>
 #include <cerrno>
+#include <chrono>
 #include <memory>
+#include <mutex>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -373,6 +377,52 @@ std::vector<std::string> chaos_scenario_trace(uint64_t seed) {
   engine.pump();
   EXPECT_EQ(client->received().size(), 512u);
   return engine.trace();
+}
+
+// An engine.at() action runs on the reactor thread without the engine lock,
+// so it may wait for a lock that another thread holds across a post() to
+// that reactor (post() reaches sim_notify, which takes the engine lock).
+// Run under the engine lock, the two threads would wait on each other; the
+// action's bounded wait turns that hang into a failure.
+TEST(SimEngineLockTest, ScriptedActionMayWaitForALockHeldAcrossPost) {
+  SimEngine engine(7);
+  net::Reactor reactor;
+  net::Acceptor acceptor(reactor, [](net::TcpSocket) {});
+  ASSERT_TRUE(acceptor.open("127.0.0.1", 9010, 16).is_ok());
+  std::mutex held;
+  std::atomic<bool> entered{false};
+  std::atomic<bool> got_lock{false};
+  engine.at(std::chrono::milliseconds(10), [&] {
+    entered = true;
+    const auto give_up =
+        std::chrono::steady_clock::now() + std::chrono::seconds(2);
+    while (!got_lock && std::chrono::steady_clock::now() < give_up) {
+      if (held.try_lock()) {
+        got_lock = true;
+        held.unlock();
+      } else {
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      }
+    }
+  });
+  reactor.start_thread("sim-reactor");
+  std::thread poster([&] {
+    std::lock_guard guard(held);
+    const auto give_up =
+        std::chrono::steady_clock::now() + std::chrono::seconds(5);
+    while (!entered && std::chrono::steady_clock::now() < give_up) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    // Let the action reach its wait on `held`.
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    reactor.post([] {});
+  });
+  EXPECT_TRUE(engine.run(std::chrono::seconds(1))) << engine.trace_text();
+  poster.join();
+  EXPECT_TRUE(entered);
+  EXPECT_TRUE(got_lock) << "the action waited on `held` under the engine lock";
+  reactor.stop();
+  reactor.join();
 }
 
 TEST(SimDeterminismTest, SameSeedSameTrace) {
