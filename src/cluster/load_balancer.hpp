@@ -21,11 +21,13 @@
 //     candidate under `retry_budget` total attempts, each guarded by a
 //     per-attempt connect deadline (net::Connector's timeout path);
 //   * lifecycle — a worker drains itself: its N-Server's Server::drain()
-//     answers /healthz with 503, so the HTTP health check marks it down
-//     and new sessions route around it while active relays finish; a
-//     backend returning to service is reintroduced gradually (slow-start
-//     weighting over `slow_start_window`).  The backend set is fixed at
-//     start().
+//     closes its listener at once and answers /healthz with 503 while
+//     in-flight requests finish.  New connects to it are refused, so
+//     bounded retry moves them to the next candidate (and the breaker
+//     counts the failures); the HTTP health check marks the worker down
+//     after `health_fall` failed probes.  A backend returning to service
+//     is reintroduced gradually (slow-start weighting over
+//     `slow_start_window`).  The backend set is fixed at start().
 //
 // All of it is observable: per-backend health/breaker/counter state is
 // served over the nserver admin machinery (/stats, /stats.json) when

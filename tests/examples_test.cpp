@@ -1,8 +1,9 @@
-// Smoke tests for the shipped example binaries: each one is started on port
-// 0 with its bounded-run flag (--once or --run-seconds), the port is read
-// from the start-up line it flushes to stdout, one protocol exchange runs
-// against it, and the process must exit 0.  cops_http_server is also sent
-// SIGTERM mid-run and must drain and exit 0.
+// Smoke tests for the shipped example binaries.  Each one is started on
+// port 0 and its port read from the start-up line it flushes to stdout;
+// one protocol exchange then runs against it, and a second run with its
+// bounded-run flag (--once or --run-seconds) must end on its own with exit
+// 0.  cops_http_server is also sent SIGTERM mid-run and must drain and
+// exit 0.
 #include <fcntl.h>
 #include <poll.h>
 #include <signal.h>
@@ -122,33 +123,52 @@ const char kGet[] =
     "GET /index.html HTTP/1.1\r\nHost: t\r\nConnection: close\r\n\r\n";
 const char kBody[] = "<html>example</html>";
 
+// Arguments that start `name` on port 0 and keep it serving until it is
+// signalled; `origin` is the port of http_proxy's backend.
+std::vector<std::string> serving_args(const std::string& name,
+                                      const std::string& root,
+                                      uint16_t origin) {
+  if (name == "cops_http_server" || name == "cops_ftp_server") {
+    return {"--root", root, "--port", "0"};
+  }
+  if (name == "http_cluster") {
+    return {"--root", root, "--workers", "2", "--port", "0"};
+  }
+  if (name == "http_proxy") return {"0", "127.0.0.1", std::to_string(origin)};
+  return {"0"};
+}
+
+// The example's own bounded-run flag.
+std::vector<std::string> bounded_run(const std::string& name) {
+  if (name == "cops_http_server" || name == "cops_ftp_server" ||
+      name == "http_cluster") {
+    return {"--run-seconds", "1"};
+  }
+  return {"--once"};
+}
+
 class ExamplesTest : public ::testing::TestWithParam<std::string> {
  protected:
   ExamplesTest() { docs_.write_file("index.html", kBody); }
   test::TempDir docs_;
 };
 
-TEST_P(ExamplesTest, ServesOneExchangeAndExitsZero) {
+// The exchange runs against an example that serves until SIGTERM, so no
+// bounded-run window can end it early.  cops_http_server drains and exits
+// 0 on the signal; the others keep the default action and die of it.
+TEST_P(ExamplesTest, ServesOneExchange) {
   const std::string& name = GetParam();
   const std::string root = docs_.str();
   // http_proxy needs an origin: a COPS-HTTP server that outlives it.
   std::unique_ptr<ExampleProcess> origin;
-  std::vector<std::string> args = {"0", "--once"};
-  if (name == "cops_http_server" || name == "cops_ftp_server") {
-    args = {"--root", root, "--port", "0", "--run-seconds", "1"};
-  } else if (name == "http_cluster") {
-    args = {"--root", root, "--workers", "2", "--port", "0",
-            "--run-seconds", "1"};
-  } else if (name == "http_proxy") {
+  uint16_t origin_port = 0;
+  if (name == "http_proxy") {
     origin = std::make_unique<ExampleProcess>(
-        "cops_http_server",
-        std::vector<std::string>{"--root", root, "--port", "0",
-                                 "--run-seconds", "2"});
-    const uint16_t origin_port = origin->read_port();
+        "cops_http_server", serving_args("cops_http_server", root, 0));
+    origin_port = origin->read_port();
     ASSERT_NE(origin_port, 0) << origin->output();
-    args = {"0", "127.0.0.1", std::to_string(origin_port), "--once"};
   }
-  ExampleProcess process(name, args);
+  ExampleProcess process(name, serving_args(name, root, origin_port));
   const uint16_t port = process.read_port();
   ASSERT_NE(port, 0) << "no start-up line from " << name << ": "
                      << process.output();
@@ -185,13 +205,37 @@ TEST_P(ExamplesTest, ServesOneExchangeAndExitsZero) {
     EXPECT_NE(reply.find(kBody), std::string::npos) << reply;
   }
 
+  process.signal(SIGTERM);
+  const int status = process.wait_exit(std::chrono::seconds(15));
+  if (name == "cops_http_server") {
+    EXPECT_TRUE(exited_zero(status))
+        << "wait status " << status << ", output:\n" << process.output();
+  } else {
+    // Still serving when the signal came: no crash, no early exit.
+    EXPECT_TRUE(status != -1 && WIFSIGNALED(status) &&
+                WTERMSIG(status) == SIGTERM)
+        << name << " wait status " << status << ", output:\n"
+        << process.output();
+  }
+  if (origin) {
+    origin->signal(SIGTERM);
+    EXPECT_TRUE(exited_zero(origin->wait_exit(std::chrono::seconds(15))));
+  }
+}
+
+// With its bounded-run flag each example flushes its start-up line, stops
+// on its own and exits 0.  http_proxy's backend need not be up for that.
+TEST_P(ExamplesTest, BoundedRunExitsZero) {
+  const std::string& name = GetParam();
+  std::vector<std::string> args = serving_args(name, docs_.str(), 1);
+  for (auto& arg : bounded_run(name)) args.push_back(arg);
+  ExampleProcess process(name, args);
+  ASSERT_NE(process.read_port(), 0) << "no start-up line from " << name
+                                    << ": " << process.output();
   const int status = process.wait_exit(std::chrono::seconds(15));
   EXPECT_TRUE(exited_zero(status))
       << name << " wait status " << status << ", output:\n"
       << process.output();
-  if (origin) {
-    EXPECT_TRUE(exited_zero(origin->wait_exit(std::chrono::seconds(15))));
-  }
 }
 
 INSTANTIATE_TEST_SUITE_P(

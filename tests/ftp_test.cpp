@@ -14,37 +14,32 @@ namespace {
 
 // ---------- command parsing ----------------------------------------------------
 
-std::optional<FtpCommand> parse_command(std::string_view line) {
-  FtpCommand cmd;
-  if (!parse_command_into(line, cmd)) return std::nullopt;
-  return cmd;
-}
-
 TEST(FtpCommand, ParsesVerbAndArg) {
-  auto cmd = parse_command("RETR file.txt");
-  ASSERT_TRUE(cmd.has_value());
-  EXPECT_EQ(cmd->verb, "RETR");
-  EXPECT_EQ(cmd->arg, "file.txt");
+  FtpCommand cmd;
+  ASSERT_TRUE(parse_command_into("RETR file.txt", cmd));
+  EXPECT_EQ(cmd.verb, "RETR");
+  EXPECT_EQ(cmd.arg, "file.txt");
 }
 
 TEST(FtpCommand, VerbUppercased) {
-  auto cmd = parse_command("user alice");
-  ASSERT_TRUE(cmd.has_value());
-  EXPECT_EQ(cmd->verb, "USER");
-  EXPECT_EQ(cmd->arg, "alice");
+  FtpCommand cmd;
+  ASSERT_TRUE(parse_command_into("user alice", cmd));
+  EXPECT_EQ(cmd.verb, "USER");
+  EXPECT_EQ(cmd.arg, "alice");
 }
 
 TEST(FtpCommand, NoArg) {
-  auto cmd = parse_command("PASV");
-  ASSERT_TRUE(cmd.has_value());
-  EXPECT_EQ(cmd->verb, "PASV");
-  EXPECT_TRUE(cmd->arg.empty());
+  FtpCommand cmd;
+  ASSERT_TRUE(parse_command_into("PASV", cmd));
+  EXPECT_EQ(cmd.verb, "PASV");
+  EXPECT_TRUE(cmd.arg.empty());
 }
 
 TEST(FtpCommand, RejectsGarbage) {
-  EXPECT_FALSE(parse_command("").has_value());
-  EXPECT_FALSE(parse_command("TOOLONGVERB arg").has_value());
-  EXPECT_FALSE(parse_command("123 x").has_value());
+  FtpCommand cmd;
+  EXPECT_FALSE(parse_command_into("", cmd));
+  EXPECT_FALSE(parse_command_into("TOOLONGVERB arg", cmd));
+  EXPECT_FALSE(parse_command_into("123 x", cmd));
 }
 
 TEST(FtpCommand, PortArgRoundTrip) {

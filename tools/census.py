@@ -6,8 +6,7 @@ Run from the repository root:
     python3 tools/census.py                  # configure, build, report
     python3 tools/census.py --no-build       # report on an existing census build
 
-The census configures its own build directory (--build-dir, default
-build-census/) at -O0 -g0 with -ffunction-sections -fdata-sections and links
+The census configures its own build directory, build-census/, at -O0 -g0 with -ffunction-sections -fdata-sections and links
 with -Wl,--gc-sections, so the linker drops every function section that no
 kept code or data refers to.  A function counts as *defined in src/* when
 it is a global text symbol (nm type T) of one of the src/ static libraries,
@@ -18,7 +17,7 @@ D0/D1/D2) are folded into one name.
 Shipped binaries are examples/*, bench/* and tools/copsgen; every binary
 under tests/ is a test.  The census prints the functions that no binary
 reaches and those that only tests reach, then checks both lists against the
-allowlist (--allow, default tools/census_allow.txt): one demangled name per
+allowlist tools/census_allow.txt: one demangled name per
 line, as printed here, then ` # ` and the reason it is kept.  It exits 1
 when a listed function is missing from the allowlist, and names allowlist
 lines that no longer match anything (stale lines do not fail the run).
@@ -34,7 +33,7 @@ import sys
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
-def configure_and_build(build_dir, jobs):
+def configure_and_build(build_dir):
     subprocess.run(
         ["cmake", "-S", REPO, "-B", build_dir,
          "-DCMAKE_BUILD_TYPE=Debug",
@@ -42,7 +41,8 @@ def configure_and_build(build_dir, jobs):
          "-DCMAKE_CXX_FLAGS=-ffunction-sections -fdata-sections",
          "-DCMAKE_EXE_LINKER_FLAGS=-Wl,--gc-sections"],
         check=True, stdout=subprocess.DEVNULL)
-    subprocess.run(["cmake", "--build", build_dir, "-j", str(jobs)],
+    subprocess.run(["cmake", "--build", build_dir,
+                    "-j", str(os.cpu_count() or 1)],
                    check=True, stdout=subprocess.DEVNULL)
 
 
@@ -91,17 +91,13 @@ def read_allowlist(path):
 
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--build-dir", default=os.path.join(REPO, "build-census"))
-    ap.add_argument("--jobs", type=int, default=4)
-    ap.add_argument("--allow",
-                    default=os.path.join(REPO, "tools", "census_allow.txt"))
     ap.add_argument("--no-build", action="store_true",
-                    help="report on the existing --build-dir")
+                    help="report on the existing build-census/")
     args = ap.parse_args()
 
-    build = os.path.abspath(args.build_dir)
+    build = os.path.join(REPO, "build-census")
     if not args.no_build:
-        configure_and_build(build, args.jobs)
+        configure_and_build(build)
 
     defined = set()
     for root, _, files in os.walk(os.path.join(build, "src")):
@@ -131,7 +127,7 @@ def main():
             continue
         (test_only if variants & in_tests else unreached).append(name)
 
-    allowed = read_allowlist(args.allow) if os.path.exists(args.allow) else {}
+    allowed = read_allowlist(os.path.join(REPO, "tools", "census_allow.txt"))
     missing = 0
     print(f"{len(functions)} functions defined in src/, "
           f"{len(shipped)} shipped and {len(tests)} test binaries")
