@@ -11,15 +11,21 @@
 // so a request makes S queue hops and its work migrates across S threads.
 // We measure end-to-end requests/s for S = 1, 2, 4, 8 stages.
 #include <atomic>
+#include <cstdint>
 #include <cstdio>
 #include <memory>
 #include <thread>
 #include <vector>
 
 #include "bench_common.hpp"
-#include "common/mpmc_queue.hpp"
+#include "common/quota_priority_queue.hpp"
 
 namespace {
+
+// The Event Processor's queue as it runs without event scheduling (O8): one
+// FIFO level whose quota never runs out.
+using EventQueue = cops::QuotaPriorityQueue<uint64_t>;
+const std::vector<size_t> kOneLevel = {SIZE_MAX};
 
 // One unit of CPU work (~small parse/encode step).
 inline uint64_t work_unit(uint64_t x) {
@@ -30,7 +36,7 @@ inline uint64_t work_unit(uint64_t x) {
 // SEDA shape: `stages` queues, one thread each, requests hop through all.
 double run_seda(int stages, int requests) {
   struct Stage {
-    cops::MpmcQueue<uint64_t> queue;
+    EventQueue queue{kOneLevel};
     std::thread thread;
   };
   std::vector<std::unique_ptr<Stage>> pipeline;
@@ -46,7 +52,7 @@ double run_seda(int stages, int requests) {
       while (auto item = stage->queue.pop()) {
         const uint64_t value = work_unit(*item);
         if (next != nullptr) {
-          next->queue.push(value);
+          next->queue.push(value, 0);
         } else {
           completed.fetch_add(1, std::memory_order_relaxed);
         }
@@ -55,7 +61,7 @@ double run_seda(int stages, int requests) {
   }
   const auto start = cops::now();
   for (int i = 0; i < requests; ++i) {
-    pipeline[0]->queue.push(static_cast<uint64_t>(i));
+    pipeline[0]->queue.push(static_cast<uint64_t>(i), 0);
   }
   while (completed.load() < requests) std::this_thread::yield();
   const double seconds = cops::to_seconds(cops::now() - start);
@@ -66,7 +72,7 @@ double run_seda(int stages, int requests) {
 
 // N-Server shape: one queue, one worker, all S units fused per event.
 double run_fused(int stages, int requests) {
-  cops::MpmcQueue<uint64_t> queue;
+  EventQueue queue{kOneLevel};
   std::atomic<int> completed{0};
   std::thread worker([&] {
     while (auto item = queue.pop()) {
@@ -76,7 +82,7 @@ double run_fused(int stages, int requests) {
     }
   });
   const auto start = cops::now();
-  for (int i = 0; i < requests; ++i) queue.push(static_cast<uint64_t>(i));
+  for (int i = 0; i < requests; ++i) queue.push(static_cast<uint64_t>(i), 0);
   while (completed.load() < requests) std::this_thread::yield();
   const double seconds = cops::to_seconds(cops::now() - start);
   queue.shutdown();

@@ -1,27 +1,26 @@
-// Micro-benchmark: the Event Processor's two queue disciplines — plain FIFO
-// (scheduling off) vs the quota priority queue (option O8).  Quantifies the
+// Micro-benchmark: the Event Processor's queue in its two shapes — one FIFO
+// level (scheduling off) vs two quota levels (option O8).  Quantifies the
 // cost of the structural variation the template generates.
 #include <benchmark/benchmark.h>
 
-#include "common/mpmc_queue.hpp"
+#include <cstdint>
+
 #include "common/quota_priority_queue.hpp"
 #include "nserver/event.hpp"
 #include "nserver/event_processor.hpp"
 
 namespace {
 
-using cops::MpmcQueue;
 using cops::QuotaPriorityQueue;
 using cops::nserver::Event;
-using cops::nserver::EventKind;
 using cops::nserver::EventProcessor;
 using cops::nserver::EventProcessorConfig;
 
 void fifo_queue_ops(benchmark::State& state) {
-  MpmcQueue<int> queue;
+  QuotaPriorityQueue<int> queue({SIZE_MAX});  // the processor without O8
   int i = 0;
   for (auto _ : state) {
-    queue.push(i++);
+    queue.push(i++, 0);
     benchmark::DoNotOptimize(queue.try_pop());
   }
 }
@@ -49,7 +48,6 @@ void processor_throughput(benchmark::State& state) {
   uint64_t submitted = 0;
   for (auto _ : state) {
     Event event;
-    event.kind = EventKind::kCompute;
     event.priority = static_cast<int>(submitted % 2);
     event.action = [&done] { done.fetch_add(1, std::memory_order_relaxed); };
     processor.submit(std::move(event));

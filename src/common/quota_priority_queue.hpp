@@ -1,5 +1,6 @@
-// Quota-based multi-level priority queue — the event-scheduling structure
-// generated when option O8 (event scheduling) is enabled.
+// Quota-based multi-level priority queue — the Event Processor's event
+// queue.  Without option O8 (event scheduling) it has one FIFO level; with
+// O8 it has the generated quota levels.
 //
 // Semantics from the paper (Section IV): events of higher priority are
 // processed first, but each priority level is given a quota; when a level's

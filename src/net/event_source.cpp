@@ -127,7 +127,10 @@ void UserEventSource::post(std::function<void()> fn) {
   // eventfd, which stays readable until a poll pass reads it, and a pass
   // reads it before it clears, so the reactor cannot sleep through that
   // clear.
-  queue_.push(std::move(fn));
+  {
+    std::lock_guard lock(posts_mutex_);
+    posts_.push_back(std::move(fn));
+  }
   if (!wakeup_pending_.exchange(true, std::memory_order_acq_rel)) {
     const uint64_t one = 1;
     [[maybe_unused]] ssize_t n = ::write(wakeup_fd_.get(), &one, sizeof(one));
@@ -140,7 +143,10 @@ void UserEventSource::post(std::function<void()> fn) {
 }
 
 int UserEventSource::preferred_timeout_ms(int proposed) const {
-  if (queue_.size() > 0) return 0;
+  {
+    std::lock_guard lock(posts_mutex_);
+    if (!posts_.empty()) return 0;
+  }
   return inner().preferred_timeout_ms(proposed);
 }
 
@@ -158,9 +164,12 @@ Status UserEventSource::poll(std::vector<ReadyCallback>& out, int timeout_ms) {
         ::read(wakeup_fd_.get(), &counter, sizeof(counter));
   }
   wakeup_pending_.exchange(false, std::memory_order_acq_rel);
-  while (auto fn = queue_.try_pop()) {
-    out.push_back(std::move(*fn));
+  {
+    std::lock_guard lock(posts_mutex_);
+    posts_.swap(drained_);
   }
+  for (auto& fn : drained_) out.push_back(std::move(fn));
+  drained_.clear();
   return Status::ok();
 }
 

@@ -15,11 +15,11 @@
 #include <atomic>
 #include <functional>
 #include <memory>
+#include <mutex>
 #include <unordered_map>
 #include <utility>
 #include <vector>
 
-#include "common/mpmc_queue.hpp"
 #include "net/event_handler.hpp"
 #include "net/poller.hpp"
 #include "net/timer_queue.hpp"
@@ -149,9 +149,10 @@ class TimerEventSource : public EventSourceDecorator {
   TimerQueue timers_;
 };
 
-// Adds a thread-safe queue of posted callbacks, with an eventfd wakeup so a
+// Adds a thread-safe list of posted callbacks, with an eventfd wakeup so a
 // post from an Event Processor thread interrupts the blocked poll.  Wakeups
 // are coalesced: only the post that finds none pending writes the eventfd.
+// Each poll pass takes the whole list at once.
 class UserEventSource : public EventSourceDecorator {
  public:
   // `base` must be the underlying SocketEventSource (for wakeup-fd
@@ -164,10 +165,12 @@ class UserEventSource : public EventSourceDecorator {
   [[nodiscard]] int preferred_timeout_ms(int proposed) const override;
   Status poll(std::vector<ReadyCallback>& out, int timeout_ms) override;
 
-  [[nodiscard]] size_t pending_posts() const { return queue_.size(); }
-
  private:
-  MpmcQueue<std::function<void()>> queue_;
+  mutable std::mutex posts_mutex_;
+  std::vector<ReadyCallback> posts_;  // guarded by posts_mutex_
+  // The list poll() swapped out; reactor thread only.  Both vectors keep
+  // their capacity, so a steady flow of posts allocates nothing.
+  std::vector<ReadyCallback> drained_;
   Fd wakeup_fd_;
   // Set by the post that writes the eventfd, cleared by poll() before it
   // drains the queue; see post() for why no post can be lost.

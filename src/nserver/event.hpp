@@ -4,14 +4,15 @@
 // every service completion is packaged as an Event and flows through an
 // EventProcessor.  The priority field exists for option O8 (event
 // scheduling): the paper notes this field crosscuts the Event and
-// Communicator classes when scheduling is generated.
+// Communicator classes when scheduling is generated.  EventKind names the
+// steps for the debug trace.
 //
 // The Asynchronous Completion Token (Harrison & Schmidt, 1997) names the
-// connection that issued a service request (e.g. a file read), for
-// scheduling and tracing.  A completion does not find its connection through
-// the token: the completion closure holds the RequestContext, and a
-// completion whose connection closed meanwhile is dropped by
-// RequestContext::connection_closed().
+// connection that issued a service request (e.g. a file read).  In object
+// form it is the RequestContext the completion closure holds: a completion
+// whose connection closed meanwhile is dropped by
+// RequestContext::connection_closed().  CompletionToken is the id form the
+// generated completion configuration names.
 #pragma once
 
 #include <cstdint>
@@ -57,12 +58,9 @@ struct CompletionToken {
                          const CompletionToken&) = default;
 };
 
-// A schedulable unit of work.  The action carries the bound step logic; the
-// kind and token exist for scheduling, overload accounting and tracing.
+// A schedulable unit of work.  The action carries the bound step logic.
 struct Event {
-  EventKind kind = EventKind::kUser;
   int priority = 0;  // 0 = highest; used only with event scheduling (O8)
-  CompletionToken token;
   // Submission timestamp (trace_now_us), stamped by the EventProcessor when
   // profiling is on; 0 otherwise.  Feeds the queue_wait stage histogram.
   int64_t enqueued_us = 0;

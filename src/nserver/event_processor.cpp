@@ -1,19 +1,26 @@
 #include "nserver/event_processor.hpp"
 
 #include <algorithm>
+#include <cstdint>
 
 #include "nserver/profiler.hpp"
 #include "nserver/trace_context.hpp"
 
 namespace cops::nserver {
 
+namespace {
+// Without scheduling every event shares one level, whose quota never runs
+// out, so pops never start a new quota round.
+std::vector<size_t> queue_quotas(const EventProcessorConfig& config) {
+  if (config.scheduling) return config.priority_quotas;
+  return {SIZE_MAX};
+}
+}  // namespace
+
 EventProcessor::EventProcessor(EventProcessorConfig config)
-    : config_(std::move(config)), inline_mode_(config_.threads == 0) {
-  if (config_.scheduling) {
-    prio_ = std::make_unique<QuotaPriorityQueue<Event>>(config_.priority_quotas);
-  } else {
-    fifo_ = std::make_unique<MpmcQueue<Event>>();
-  }
+    : config_(std::move(config)),
+      inline_mode_(config_.threads == 0),
+      queue_(queue_quotas(config_)) {
   if (!inline_mode_) {
     std::lock_guard lock(mutex_);
     spawn_locked(config_.threads);
@@ -31,29 +38,17 @@ bool EventProcessor::submit(Event event) {
     return true;
   }
   if (config_.profiler != nullptr) event.enqueued_us = trace_now_us();
-  return enqueue(std::move(event));
+  const auto level = static_cast<size_t>(std::max(event.priority, 0));
+  return queue_.push(std::move(event), level);
 }
 
-bool EventProcessor::enqueue(Event event) {
-  if (!prio_) return fifo_->push(std::move(event));
-  const int level = event.priority < 0 ? 0 : event.priority;
-  return prio_->push(std::move(event), static_cast<size_t>(level));
-}
-
-size_t EventProcessor::queue_depth() const {
-  return prio_ ? prio_->size() : fifo_->size();
-}
-
-std::optional<Event> EventProcessor::pop() {
-  if (prio_) return prio_->pop();
-  return fifo_->pop();
-}
+size_t EventProcessor::queue_depth() const { return queue_.size(); }
 
 void EventProcessor::worker_loop() {
   bool retired = false;
   // Each event dies at the end of its iteration: a parked worker must not
   // keep the last action's captures alive.
-  while (auto event = pop()) {
+  while (auto event = queue_.pop()) {
     if (!event->action) {  // a retire token from resize()
       retired = true;
       break;
@@ -97,14 +92,14 @@ void EventProcessor::resize(size_t threads) {
   const size_t target = live_ - retiring_;
   if (threads > target) spawn_locked(threads - target);
   for (size_t i = threads; i < target; ++i) {
-    if (enqueue(Event{})) ++retiring_;
+    if (queue_.push(Event{}, 0)) ++retiring_;
   }
 }
 
 void EventProcessor::pause_low_priority(bool paused) {
-  if (!prio_ || inline_mode_) return;
+  if (!config_.scheduling || inline_mode_) return;
   low_priority_paused_.store(paused, std::memory_order_relaxed);
-  prio_->set_paused_floor(paused ? 1 : static_cast<size_t>(-1));
+  queue_.set_paused_floor(paused ? 1 : static_cast<size_t>(-1));
 }
 
 size_t EventProcessor::num_threads() const {
@@ -114,8 +109,7 @@ size_t EventProcessor::num_threads() const {
 
 void EventProcessor::stop() {
   stopped_.store(true);
-  if (prio_) prio_->shutdown();
-  if (fifo_) fifo_->shutdown();
+  queue_.shutdown();
   std::vector<std::thread> workers;
   {
     std::lock_guard lock(mutex_);

@@ -3,10 +3,11 @@
 // Processor contains an event queue and a pool of threads that operate
 // collaboratively to process ready events."
 //
-// The queue discipline is fixed at construction (generation time in
-// CO₂P₃S terms): a plain FIFO, or — when option O8 (event scheduling) is
-// on — a quota-based priority queue, the structural variation the paper
-// describes replacing "a normal event queue ... by a priority queue".
+// The queue is a quota-based priority queue whose levels are fixed at
+// construction (generation time in CO₂P₃S terms): one FIFO level, or —
+// when option O8 (event scheduling) is on — the quota levels, the
+// structural variation the paper describes replacing "a normal event
+// queue ... by a priority queue".
 //
 // With zero threads the processor degenerates to inline execution on the
 // submitting (dispatcher) thread — option O2 = No, the classic
@@ -15,14 +16,11 @@
 
 #include <atomic>
 #include <cstddef>
-#include <memory>
 #include <mutex>
-#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
 
-#include "common/mpmc_queue.hpp"
 #include "common/quota_priority_queue.hpp"
 #include "nserver/event.hpp"
 
@@ -78,16 +76,12 @@ class EventProcessor {
   [[nodiscard]] bool inline_mode() const { return inline_mode_; }
 
  private:
-  bool enqueue(Event event);
-  std::optional<Event> pop();
   void worker_loop();
   void spawn_locked(size_t count);
 
   EventProcessorConfig config_;
   bool inline_mode_;
-  // Exactly one of the two queues is used, chosen at construction.
-  std::unique_ptr<MpmcQueue<Event>> fifo_;
-  std::unique_ptr<QuotaPriorityQueue<Event>> prio_;
+  QuotaPriorityQueue<Event> queue_;  // one level unless scheduling (O8)
 
   mutable std::mutex mutex_;
   std::vector<std::thread> workers_;      // every worker not yet joined

@@ -31,7 +31,8 @@ FileData::~FileData() {
   if (fd >= 0) ::close(fd);
 }
 
-FileIoService::FileIoService(size_t threads) : pool_(threads) {}
+FileIoService::FileIoService(size_t threads)
+    : pool_({.name = "file-io", .threads = threads}) {}
 
 FileIoService::~FileIoService() { stop(); }
 
@@ -100,18 +101,18 @@ Result<FileDataPtr> FileIoService::load_file(const std::string& path) {
   return open_file(path, kSendfileMinBytes);
 }
 
-void FileIoService::async_read(std::string path, CompletionToken token,
-                               FileCallback callback,
+void FileIoService::async_read(std::string path, FileCallback callback,
                                CompletionExecutor executor) {
-  (void)token;  // carried by the caller's closure; see header
-  pool_.submit([this, path = std::move(path), callback = std::move(callback),
-                executor = std::move(executor)]() mutable {
+  Event load;
+  load.action = [this, path = std::move(path), callback = std::move(callback),
+                 executor = std::move(executor)]() mutable {
     auto result = load_file(path);
     completed_.fetch_add(1, std::memory_order_relaxed);
     executor([callback = std::move(callback), result = std::move(result)] {
       callback(result);
     });
-  });
+  };
+  pool_.submit(std::move(load));
 }
 
 }  // namespace cops::nserver

@@ -2,23 +2,24 @@
 //
 // Java (and POSIX, practically) offers no non-blocking file reads, so the
 // paper emulates them: a pool of threads performs the blocking operation and
-// the result comes back as a Completion Event carrying an Asynchronous
-// Completion Token (paper, Sections I/II: "non-blocking file I/O operations
-// are emulated using a pool of threads").
+// the result comes back as a Completion Event (paper, Sections I/II:
+// "non-blocking file I/O operations are emulated using a pool of threads").
+// The pool is an EventProcessor of its own ("file-io"), apart from the
+// reactive one: a blocking read on a reactive processor thread is option
+// O4 = Synchronous.
 //
-// The caller provides an executor — typically EventProcessor::submit bound
-// with EventKind::kCompletion and the issuing connection's priority — so the
-// completion re-enters the normal event flow instead of running on the I/O
-// thread.
+// The caller provides an executor — typically the reactive processor's
+// submit, with the issuing connection's priority — so the completion
+// re-enters the normal event flow instead of running on the I/O thread.
 #pragma once
 
+#include <atomic>
 #include <functional>
 #include <memory>
 #include <string>
 
 #include "common/status.hpp"
-#include "common/thread_pool.hpp"
-#include "nserver/event.hpp"
+#include "nserver/event_processor.hpp"
 
 namespace cops::nserver {
 
@@ -67,14 +68,15 @@ class FileIoService {
   static Result<FileDataPtr> load_file(const std::string& path);
 
   // Asynchronous load_file: performs the blocking I/O on the pool, then
-  // invokes `callback` via `executor`.  `token` travels with the request
-  // purely for the caller's correlation (ACT pattern); this service does not
-  // interpret it.
-  void async_read(std::string path, CompletionToken token,
-                  FileCallback callback, CompletionExecutor executor);
+  // invokes `callback` via `executor`.  Dropped after stop().
+  void async_read(std::string path, FileCallback callback,
+                  CompletionExecutor executor);
 
+  // Stops taking loads, runs the queued ones, joins the pool.
   void stop();
 
+  // Loads queued and not yet started — the overload manager's file-io
+  // watched queue.
   [[nodiscard]] size_t pending() const { return pool_.queue_depth(); }
   [[nodiscard]] uint64_t completed() const { return completed_.load(); }
 
@@ -85,7 +87,7 @@ class FileIoService {
   static void set_test_pre_open_hook(std::function<void(const std::string&)>);
 
  private:
-  ThreadPool pool_;
+  EventProcessor pool_;
   std::atomic<uint64_t> completed_{0};
 };
 

@@ -381,19 +381,17 @@ RequestContextPtr Server::make_context(
 void Server::submit_decode(const std::shared_ptr<Connection>& conn) {
   note_event(EventKind::kDecode, conn->id(), "queued");
   Event event;
-  event.kind = EventKind::kDecode;
   event.priority = conn->priority();
-  event.token = {conn->id()};
   event.action = [this, conn] { run_decode(conn); };
   processor_->submit(std::move(event));
 }
 
 void Server::run_decode(const std::shared_ptr<Connection>& conn) {
   if (conn->closed()) return;
+  // The request's one context: Decode sees it, and Handle inherits it.
+  auto ctx = make_context(conn);
   DecodeResult result;
-  RequestContextPtr ctx;
   if (options_.encode_decode) {
-    ctx = make_context(conn);
     try {
       result = hooks_->decode(*ctx, conn->in_buffer());
     } catch (const std::exception& e) {
@@ -437,35 +435,31 @@ void Server::run_decode(const std::shared_ptr<Connection>& conn) {
   }
   conn->note_request();
   conn->set_priority(result.priority);
+  ctx->priority_ = result.priority;
   if (options_.event_scheduling) {
     // Scheduling generates a distinct Compute event so the priority queue
     // can reorder requests between Decode and Handle.
     note_event(EventKind::kCompute, conn->id(), "queued");
     Event event;
-    event.kind = EventKind::kCompute;
     event.priority = result.priority;
-    event.token = {conn->id()};
     auto request = std::make_shared<std::any>(std::move(result.request));
-    const int priority = result.priority;
-    event.action = [this, conn, request, priority] {
-      run_handle(conn, std::move(*request), priority);
+    event.action = [this, ctx, request] {
+      run_handle(ctx, std::move(*request));
     };
     processor_->submit(std::move(event));
   } else {
-    run_handle(conn, std::move(result.request), result.priority);
+    run_handle(ctx, std::move(result.request));
   }
 }
 
-void Server::run_handle(const std::shared_ptr<Connection>& conn,
-                        std::any request, int priority) {
+void Server::run_handle(const RequestContextPtr& ctx, std::any request) {
+  const auto& conn = ctx->conn_;
   if (conn->closed()) return;
   note_event(EventKind::kCompute, conn->id(), "handle");
   if (options_.profiling) {
     conn->trace().handle_start_us.store(trace_now_us(),
                                         TraceContext::kRelaxed);
   }
-  auto ctx = make_context(conn);
-  ctx->priority_ = priority;
   try {
     hooks_->handle(*ctx, std::move(request));
   } catch (const std::exception& e) {
@@ -522,19 +516,17 @@ void Server::fetch_file(RequestContextPtr ctx, std::string path,
   // (drained by the connection with sendfile) instead of in-memory bytes;
   // they bypass the cache, which keeps holding the small, hot files.
   if (options_.completion == CompletionMode::kAsynchronous && file_service_) {
-    CompletionToken token{ctx->conn_->id()};
+    const uint64_t connection_id = ctx->connection_id();
     const int priority = ctx->priority();
-    auto executor = [this, priority, token](std::function<void()> fn) {
-      note_event(EventKind::kCompletion, token.connection_id, "file");
+    auto executor = [this, priority, connection_id](std::function<void()> fn) {
+      note_event(EventKind::kCompletion, connection_id, "file");
       Event event;
-      event.kind = EventKind::kCompletion;
       event.priority = priority;
-      event.token = token;
       event.action = std::move(fn);
       processor_->submit(std::move(event));
     };
     file_service_->async_read(
-        path, token,
+        path,
         [this, ctx, done = std::move(done)](Result<FileDataPtr> result) {
           if (result.is_ok() && cache_ && result.value()->fd < 0) {
             cache_->insert(result.value()->path, result.value());
@@ -683,7 +675,6 @@ void Server::launch_overload_probes() {
   if (delay_monitors_.empty() || processor_->inline_mode()) return;
   const auto t0 = now();
   Event probe;
-  probe.kind = EventKind::kUser;
   probe.priority = 0;  // probes must not be parked by the tier-2 pause
   auto* monitor = delay_monitors_[0];
   probe.action = [monitor, t0] { monitor->record_delay(now() - t0); };

@@ -166,8 +166,7 @@ class Server {
   // ---- pipeline steps (processor threads unless O2 = No) -----------------
   void submit_decode(const std::shared_ptr<Connection>& conn);
   void run_decode(const std::shared_ptr<Connection>& conn);
-  void run_handle(const std::shared_ptr<Connection>& conn, std::any request,
-                  int priority);
+  void run_handle(const RequestContextPtr& ctx, std::any request);
   // Called by RequestContext::reply — applies the Encode hook then sends.
   void resolve_with_reply(RequestContext& ctx, std::any response);
 

@@ -1,17 +1,16 @@
 // Unit tests for src/common utilities.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <thread>
 
 #include "common/byte_buffer.hpp"
 #include "common/config_file.hpp"
 #include "common/histogram.hpp"
 #include "common/jain.hpp"
-#include "common/mpmc_queue.hpp"
 #include "common/quota_priority_queue.hpp"
 #include "common/source_stats.hpp"
 #include "common/string_util.hpp"
-#include "common/thread_pool.hpp"
 #include "common/zipf.hpp"
 
 namespace cops {
@@ -94,33 +93,38 @@ TEST(ByteBuffer, CompactionPreservesContent) {
 }
 
 // ---------- MpmcQueue --------------------------------------------------------
+// The multi-producer multi-consumer FIFO the Event Processor runs on without
+// event scheduling (O8): a QuotaPriorityQueue of one level whose quota never
+// runs out.
+
+std::vector<size_t> one_level() { return {SIZE_MAX}; }
 
 TEST(MpmcQueue, FifoOrder) {
-  MpmcQueue<int> q;
-  q.push(1);
-  q.push(2);
-  q.push(3);
+  QuotaPriorityQueue<int> q(one_level());
+  q.push(1, 0);
+  q.push(2, 0);
+  q.push(3, 0);
   EXPECT_EQ(*q.pop(), 1);
   EXPECT_EQ(*q.pop(), 2);
   EXPECT_EQ(*q.pop(), 3);
 }
 
 TEST(MpmcQueue, TryPopEmptyReturnsNullopt) {
-  MpmcQueue<int> q;
+  QuotaPriorityQueue<int> q(one_level());
   EXPECT_FALSE(q.try_pop().has_value());
 }
 
 TEST(MpmcQueue, ShutdownDrainsThenReturnsNullopt) {
-  MpmcQueue<int> q;
-  q.push(42);
+  QuotaPriorityQueue<int> q(one_level());
+  q.push(42, 0);
   q.shutdown();
-  EXPECT_FALSE(q.push(43));
+  EXPECT_FALSE(q.push(43, 0));
   EXPECT_EQ(*q.pop(), 42);
   EXPECT_FALSE(q.pop().has_value());
 }
 
 TEST(MpmcQueue, ShutdownWakesBlockedConsumer) {
-  MpmcQueue<int> q;
+  QuotaPriorityQueue<int> q(one_level());
   std::thread consumer([&] { EXPECT_FALSE(q.pop().has_value()); });
   std::this_thread::sleep_for(std::chrono::milliseconds(20));
   q.shutdown();
@@ -128,7 +132,7 @@ TEST(MpmcQueue, ShutdownWakesBlockedConsumer) {
 }
 
 TEST(MpmcQueue, ConcurrentProducersConsumersDeliverAll) {
-  MpmcQueue<int> q;
+  QuotaPriorityQueue<int> q(one_level());
   constexpr int kPerProducer = 2000;
   constexpr int kProducers = 4;
   std::atomic<int> consumed{0};
@@ -136,7 +140,7 @@ TEST(MpmcQueue, ConcurrentProducersConsumersDeliverAll) {
   std::vector<std::thread> threads;
   for (int p = 0; p < kProducers; ++p) {
     threads.emplace_back([&q] {
-      for (int i = 0; i < kPerProducer; ++i) q.push(i);
+      for (int i = 0; i < kPerProducer; ++i) q.push(i, 0);
     });
   }
   for (int c = 0; c < 3; ++c) {
@@ -236,24 +240,6 @@ INSTANTIATE_TEST_SUITE_P(Ratios, QuotaRatioTest,
                          ::testing::Values(std::pair{1, 1}, std::pair{2, 1},
                                            std::pair{4, 1}, std::pair{8, 1},
                                            std::pair{3, 2}));
-
-// ---------- ThreadPool -------------------------------------------------------
-
-TEST(ThreadPool, ExecutesSubmittedTasks) {
-  ThreadPool pool(3);
-  std::atomic<int> count{0};
-  for (int i = 0; i < 100; ++i) {
-    pool.submit([&count] { count.fetch_add(1); });
-  }
-  pool.stop();
-  EXPECT_EQ(count.load(), 100);
-}
-
-TEST(ThreadPool, SubmitAfterStopFails) {
-  ThreadPool pool(1);
-  pool.stop();
-  EXPECT_FALSE(pool.submit([] {}));
-}
 
 // ---------- Histogram --------------------------------------------------------
 

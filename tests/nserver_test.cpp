@@ -1,6 +1,7 @@
 // Unit tests for the N-Server framework components.
 #include <gtest/gtest.h>
 
+#include <future>
 #include <set>
 #include <thread>
 
@@ -17,10 +18,8 @@
 namespace cops::nserver {
 namespace {
 
-Event make_event(std::function<void()> fn, int priority = 0,
-                 EventKind kind = EventKind::kUser) {
+Event make_event(std::function<void()> fn, int priority = 0) {
   Event e;
-  e.kind = kind;
   e.priority = priority;
   e.action = std::move(fn);
   return e;
@@ -229,7 +228,7 @@ TEST(FileIoService, AsyncReadCompletesThroughExecutor) {
   std::atomic<bool> done{false};
   std::atomic<bool> executor_used{false};
   service.async_read(
-      dir.str() + "/a.txt", {1},
+      dir.str() + "/a.txt",
       [&](Result<FileDataPtr> result) {
         ASSERT_TRUE(result.is_ok());
         EXPECT_EQ(result.value()->bytes, "async");
@@ -257,7 +256,7 @@ TEST(FileIoService, ManyConcurrentAsyncReads) {
   std::atomic<int> done{0};
   for (int i = 0; i < 50; ++i) {
     service.async_read(
-        dir.str() + "/f" + std::to_string(i % 10), {0},
+        dir.str() + "/f" + std::to_string(i % 10),
         [&](Result<FileDataPtr> result) {
           EXPECT_TRUE(result.is_ok());
           done.fetch_add(1);
@@ -269,6 +268,83 @@ TEST(FileIoService, ManyConcurrentAsyncReads) {
   }
   EXPECT_EQ(done.load(), 50);
   service.stop();
+}
+
+// pending() is the overload manager's "file-io" watched queue: the loads
+// queued behind busy workers, which stop() still runs.
+TEST(FileIoService, PendingCountsQueuedLoadsAndStopDrainsThem) {
+  test::TempDir dir;
+  dir.write_file("p.txt", "queued");
+  const std::string path = dir.str() + "/p.txt";
+  std::promise<void> release;
+  std::shared_future<void> released = release.get_future().share();
+  std::atomic<int> entered{0};
+  FileIoService::set_test_pre_open_hook([&](const std::string& opened) {
+    if (opened != path) return;
+    entered.fetch_add(1);
+    released.wait();
+  });
+  FileIoService service(2);
+  std::atomic<int> done{0};
+  auto load = [&] {
+    service.async_read(
+        path,
+        [&done](Result<FileDataPtr> result) {
+          EXPECT_TRUE(result.is_ok());
+          done.fetch_add(1);
+        },
+        [](std::function<void()> fn) { fn(); });
+  };
+  load();
+  load();
+  for (int i = 0; i < 2000 && entered.load() < 2; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_EQ(entered.load(), 2);  // both workers are held in the hook
+  EXPECT_EQ(service.pending(), 0u);
+  for (int i = 0; i < 3; ++i) load();
+  EXPECT_EQ(service.pending(), 3u);
+  EXPECT_EQ(service.completed(), 0u);
+
+  release.set_value();
+  service.stop();
+  FileIoService::set_test_pre_open_hook(nullptr);
+  EXPECT_EQ(service.pending(), 0u);
+  EXPECT_EQ(service.completed(), 5u);
+  EXPECT_EQ(done.load(), 5);
+}
+
+// ---------- ThreadPool -------------------------------------------------------
+// The proactor-emulation pool: FileIoService's own "file-io" EventProcessor.
+
+TEST(ThreadPool, ExecutesSubmittedTasks) {
+  test::TempDir dir;
+  dir.write_file("t.txt", "task");
+  FileIoService service(3);
+  std::atomic<int> count{0};
+  for (int i = 0; i < 100; ++i) {
+    service.async_read(
+        dir.str() + "/t.txt",
+        [&count](Result<FileDataPtr> result) {
+          if (result.is_ok()) count.fetch_add(1);
+        },
+        [](std::function<void()> fn) { fn(); });
+  }
+  service.stop();  // drains the queue, then joins
+  EXPECT_EQ(count.load(), 100);
+  EXPECT_EQ(service.completed(), 100u);
+}
+
+TEST(ThreadPool, SubmitAfterStopFails) {
+  FileIoService service(1);
+  service.stop();
+  bool ran = false;
+  service.async_read(
+      "/nonexistent/nope", [&ran](Result<FileDataPtr>) { ran = true; },
+      [](std::function<void()> fn) { fn(); });
+  EXPECT_EQ(service.pending(), 0u);
+  EXPECT_EQ(service.completed(), 0u);
+  EXPECT_FALSE(ran);
 }
 
 // ---------- Options validation ------------------------------------------------

@@ -318,13 +318,11 @@ TEST(EventProcessorTest, PauseLowPriorityParksQuotaLevels) {
   std::atomic<int> high_runs{0};
   for (int i = 0; i < 3; ++i) {
     Event event;
-    event.kind = EventKind::kUser;
     event.priority = 1;
     event.action = [&low_runs] { low_runs.fetch_add(1); };
     ASSERT_TRUE(processor.submit(std::move(event)));
   }
   Event high;
-  high.kind = EventKind::kUser;
   high.priority = 0;
   high.action = [&high_runs] { high_runs.fetch_add(1); };
   ASSERT_TRUE(processor.submit(std::move(high)));
